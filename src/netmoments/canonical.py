@@ -9,8 +9,8 @@ mark bit folded in); node colors are small nonnegative integers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,16 +63,8 @@ def _perm_count(refined):
     for c in refined:
         counts[c] = counts.get(c, 0) + 1
     for v in counts.values():
-        total *= _factorial(v)
+        total *= math.factorial(v)
     return total
-
-
-@lru_cache(maxsize=None)
-def _factorial(v):
-    out = 1
-    for i in range(2, v + 1):
-        out *= i
-    return out
 
 
 def _pair_order(k, directed):

@@ -17,7 +17,7 @@ value = multiplicity + MARK * marked, with multiplicity >= 1.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -58,16 +58,6 @@ class ClassGraph:
     def r(self):
         """Total edge count, with multiplicity (mark bit stripped)."""
         return sum(val % MARK for _, _, val in self.edges)
-
-    def units(self):
-        """Edge units: one entry per unit of multiplicity, (u, v, marked)."""
-        out = []
-        for u, v, val in self.edges:
-            marked = val >= MARK
-            for _ in range(val % MARK):
-                out.append((u, v, marked))
-                marked = False  # a mark applies to a single unit
-        return out
 
     def is_connected(self):
         if self.k == 0:
@@ -195,19 +185,12 @@ def canonical_class(cg):
         for ck in keys:
             counts[ck] = counts.get(ck, 0) + 1
         for c in counts.values():
-            aut *= _fact(c)
+            aut *= math.factorial(c)
         combined = bytes([len(comps), int(cg.directed)]) + b"".join(
             bytes.fromhex(ck) + b"\xff" for ck in sorted(keys))
         got = (combined.hex(), aut)
     _canon_cache[cg] = got
     return got
-
-
-def _fact(v):
-    out = 1
-    for i in range(2, v + 1):
-        out *= i
-    return out
 
 
 def class_id(cg, mode):
@@ -368,13 +351,6 @@ def universe_index(mode, r_max, labels=2):
 # ---------------------------------------------------------------------------
 # Complete counts
 
-def _falling(n, k):
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def complete_count(ci, n, label_counts=None):
     """Count of the class in the complete host on n nodes, exact rational.
 
@@ -408,7 +384,7 @@ def complete_count(ci, n, label_counts=None):
         avail = pools.get(c, 0)
         if avail < kc:
             return Fraction(0)
-        total *= _falling(avail, kc)
+        total *= math.perm(avail, kc)
     return Fraction(total, ci.aut)
 
 
@@ -421,11 +397,11 @@ def _complete_count_local_edge(ci, n):
         if n < cg.k:
             return Fraction(0)
         # the marked edge must land on the marked pair (2 orientations)
-        return Fraction(2 * _falling(n - 2, cg.k - 2), ci.aut)
+        return Fraction(2 * math.perm(n - 2, cg.k - 2), ci.aut)
     # unmarked class: instances avoiding the marked pair as an edge
     if n < cg.k:
         return Fraction(0)
-    total = Fraction(_falling(n, cg.k), ci.aut)
+    total = Fraction(math.perm(n, cg.k), ci.aut)
     s = len(cg.edges)  # simple shapes only in local-edge mode
     pairs = n * (n - 1) // 2
     return total - total * Fraction(s, pairs)
@@ -434,6 +410,7 @@ def _complete_count_local_edge(ci, n):
 # ---------------------------------------------------------------------------
 # Aliases for the named substructures
 
+@lru_cache(maxsize=None)
 def _named_classes(mode):
     E = ClassGraph.make
     if mode == "simple" or mode == "weighted":
@@ -523,33 +500,10 @@ def _alias_registry(mode):
     return reg
 
 
+@lru_cache(maxsize=None)
 def named_class(mode, alias):
     """ClassInfo for one of the built-in named substructures."""
     cg = _named_classes(mode).get(alias)
     if cg is None:
         raise KeyError(f"no named class {alias!r} in mode {mode!r}")
     return class_info(cg, mode)
-
-
-def attributed_alias(cg, label_names):
-    """Systematic alias for small attributed classes (edge/wedge/triangle/claw)."""
-    lab = lambda c: label_names[c]
-    es = cg.edges
-    if len(es) == 1:
-        u, v, _ = es[0]
-        return "edge-" + "".join(sorted((lab(cg.colors[u]), lab(cg.colors[v]))))
-    deg = {}
-    for u, v, _ in es:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if len(es) == 2 and cg.k == 3 and cg.is_connected():
-        center = max(deg, key=deg.get)
-        ends = sorted(lab(cg.colors[x]) for x in range(cg.k) if x != center)
-        return f"wedge-{ends[0]}{lab(cg.colors[center])}{ends[1]}"
-    if len(es) == 3 and cg.k == 3:
-        return "triangle-" + "".join(sorted(lab(c) for c in cg.colors))
-    if len(es) == 3 and cg.k == 4 and max(deg.values()) == 3:
-        center = max(deg, key=deg.get)
-        leaves = sorted(lab(cg.colors[x]) for x in range(cg.k) if x != center)
-        return f"claw-{lab(cg.colors[center])}-" + "".join(leaves)
-    return None

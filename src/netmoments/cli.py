@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -138,9 +137,9 @@ def _cmd_moments(args):
 
 def _cmd_cumulants(args):
     G = _load_graph(args)
-    k = moments_to_cumulants(moments(G, args.order))
-    extra = {}
     m = moments(G, args.order)
+    k = moments_to_cumulants(m)
+    extra = {}
     cc = clustering_coefficients(m)
     if cc:
         extra["clustering"] = {name: _frac(v) for name, v in cc.items()}
@@ -351,8 +350,6 @@ def _add_common(p, graph=True):
     p.add_argument("--bipartite", action="store_true")
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("GC_THREADS", "1")))
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--pretty", action="store_true")

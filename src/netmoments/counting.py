@@ -18,6 +18,13 @@ multiplicities add (so g' has exactly |c|+|h| edge units).  The unknown c_g
 appears with the disjoint-split coefficient; every other unknown term has
 fewer connected components, so solving classes in order of increasing edge
 count and component count is triangular.
+
+Everything in that solve that depends only on the universe (the solving
+order, each class's split into first component and remainder, and the
+coefficients N) is built once per (mode, r_max, labels) by
+_derivation_plan; a call to derive_disconnected only does the arithmetic.
+full_counts is the one count path: every other module that needs class
+counts of a graph, the ERGM statistic matrix included, goes through it.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .classes import (ClassGraph, SubgraphId, class_id, class_info,
-                      universe, MARK)
+from .classes import (ClassGraph, canonical_class, class_id, named_class,
+                      universe)
 
 ORDER_CAPS = {"simple": 6, "directed": 5, "weighted": 5, "attributed": 3,
               "bipartite": 4, "local-node": 3, "local-edge": 3}
@@ -90,8 +97,6 @@ def graph_mode_colors(G):
         labs = G.labels()
         idx = {l: i for i, l in enumerate(labs)}
         return mode, [idx[G.node_attrs[v]] for v in range(G.n)]
-    if mode == "weighted":
-        return mode, None
     return mode, None
 
 
@@ -211,7 +216,6 @@ def _fast_counts_simple(G, r_max):
 
     def put(alias, value):
         if value:
-            from .classes import named_class
             counts[named_class("simple", alias).id] = value
 
     put("edge", m)
@@ -259,8 +263,6 @@ def _split_coefficients(mode, r_max, labels, c_key, h_key):
 
 
 def _count_splits(cg, mode, c_key, h_key, rc, rh):
-    from .classes import canonical_class
-
     def key_of(slot_subset):
         # slot_subset: list of (u, v, val)
         sub = ClassGraph.make(cg.k, slot_subset, directed=cg.directed,
@@ -297,28 +299,24 @@ def _count_splits(cg, mode, c_key, h_key, rc, rh):
     return n
 
 
-def derive_disconnected(connected_counts, G, r_max):
-    """Extend connected counts to every class with <= r_max edges.
+@lru_cache(maxsize=None)
+def _derivation_plan(mode, r_max, labels):
+    """The graph-independent half of derive_disconnected, built once per
+    universe.
 
-    Returns dict SubgraphId -> count covering the full universe (zero counts
-    included).  Raises ValueError on a negative derived count, which signals
-    inconsistent input counts.
+    Returns (connected ids, steps).  Each step is (id, first-component id,
+    remainder id, other terms as (id, coefficient) pairs, self coefficient)
+    and the steps are in solving order: edge count, then component count.
     """
-    mode, _ = graph_mode_colors(G)
-    check_order(mode, r_max)
-    labels = len(G.labels()) if G.node_attrs is not None else 2
     uni = universe(mode, r_max, labels)
-    zero = Fraction(0) if G.weighted else 0
-    counts = {}
+    connected = []
+    steps = []
     for r in range(1, r_max + 1):
-        for ci in uni[r]:
-            if ci.connected:
-                counts[ci.id] = connected_counts.get(ci.id, zero)
-    for r in range(1, r_max + 1):
-        disc = [ci for ci in uni[r] if not ci.connected]
-        disc.sort(key=lambda ci: len(ci.graph.components()))
-        for ci in disc:
-            comps = ci.graph.components()
+        connected.extend(ci.id for ci in uni[r] if ci.connected)
+        disc = [(ci, ci.graph.components()) for ci in uni[r]
+                if not ci.connected]
+        disc.sort(key=lambda pair: len(pair[1]))
+        for ci, comps in disc:
             c_part = comps[0]
             h_part = ClassGraph.make(
                 sum(c.k for c in comps[1:]),
@@ -326,34 +324,50 @@ def derive_disconnected(connected_counts, G, r_max):
                 directed=ci.graph.directed,
                 colors=tuple(itertools.chain.from_iterable(
                     c.colors for c in comps[1:])))
-            from .classes import canonical_class
-            c_key = canonical_class(c_part)[0]
-            h_key = canonical_class(h_part)[0]
-            c_id = class_id(c_part, mode)
-            h_id = class_id(h_part, mode)
-            table = _split_coefficients(mode, r_max, labels, c_key, h_key)
-            lhs = counts[c_id] * counts[h_id]
-            self_coeff = None
-            acc = lhs
-            for gid, coeff in table.items():
-                if gid == ci.id:
-                    self_coeff = coeff
-                    continue
-                acc -= coeff * counts[gid]
-            if self_coeff is None:
+            table = _split_coefficients(mode, r_max, labels,
+                                        canonical_class(c_part)[0],
+                                        canonical_class(h_part)[0])
+            if ci.id not in table:
                 raise AssertionError(
                     f"disjoint split missing for {ci.id.serialize()}")
+            terms = tuple((gid, coeff) for gid, coeff in table.items()
+                          if gid != ci.id)
+            steps.append((ci.id, class_id(c_part, mode),
+                          class_id(h_part, mode), terms, table[ci.id]))
+    return tuple(connected), tuple(steps)
+
+
+def derive_disconnected(connected_counts, G, r_max):
+    """Extend connected counts to every class with <= r_max edges.
+
+    Returns dict SubgraphId -> count covering the full universe (zero counts
+    included).  Only arithmetic runs per call: the solving order and the
+    split coefficients come from _derivation_plan.  Raises ValueError on a
+    negative derived count, which signals inconsistent input counts.
+    """
+    mode, _ = graph_mode_colors(G)
+    check_order(mode, r_max)
+    labels = len(G.labels()) if G.node_attrs is not None else 2
+    connected, steps = _derivation_plan(mode, r_max, labels)
+    zero = Fraction(0) if G.weighted else 0
+    counts = {sid: connected_counts.get(sid, zero) for sid in connected}
+    for sid, c_id, h_id, terms, self_coeff in steps:
+        acc = counts[c_id] * counts[h_id]
+        for gid, coeff in terms:
+            acc -= coeff * counts[gid]
+        if G.weighted:
             value = Fraction(acc, self_coeff)
-            if not G.weighted:
-                if value.denominator != 1:
-                    raise AssertionError(
-                        f"non-integer derived count for {ci.id.serialize()}")
-                value = int(value)
-            if value < 0:
-                raise ValueError(
-                    f"negative derived count for {ci.id.serialize()}: "
-                    "inconsistent input counts")
-            counts[ci.id] = value
+        else:
+            value, rem = divmod(acc, self_coeff)
+            if rem:
+                raise AssertionError(
+                    f"non-integer derived count for {sid.serialize()}")
+            value = int(value)
+        if value < 0:
+            raise ValueError(
+                f"negative derived count for {sid.serialize()}: "
+                "inconsistent input counts")
+        counts[sid] = value
     return counts
 
 

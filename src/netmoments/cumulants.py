@@ -91,7 +91,10 @@ def edge_partitions(ci_or_graph, mode="simple"):
         raise ValueError("partition expansion capped at order 6")
     terms = _expansion_for_graph(cg, mode)
     exp = EdgePartitionExpansion(subject=sid, terms=terms)
-    assert exp.total_multiplicity() == BELL[sid.r]
+    if exp.total_multiplicity() != BELL[sid.r]:
+        raise AssertionError(
+            f"partition multiplicities of {sid.serialize()} sum to "
+            f"{exp.total_multiplicity()}, not Bell({sid.r}) = {BELL[sid.r]}")
     return exp
 
 
@@ -126,7 +129,10 @@ def moments_to_cumulants(m: MomentVector):
                         f"{ci.id.alias or ci.id.serialize()}")
                 prod = prod * kappa[pid]
             acc = acc - prod
-        assert self_mult == 1
+        if self_mult != 1:
+            raise AssertionError(
+                f"self multiplicity of {ci.id.serialize()} is {self_mult}, "
+                "not 1")
         kappa[ci.id] = acc
     return vector_like(m, kappa)
 

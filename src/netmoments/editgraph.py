@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import canonicalize
-from .counting import full_counts
 from .ergm import SizeCapError, enumerate_classes
-from .graphs import make_graph
 from .classes import universe
 
 EDIT_NODE_CAP = 6
@@ -68,7 +66,9 @@ def build_edit_graph(n):
                     toggled = es | {(u, v)}
                 key = canonicalize(n, [(a, b, 1) for a, b in toggled]).key
                 adj[i, key_to_index[key]] += 1
-    assert (adj.sum(axis=1) == n * (n - 1) // 2).all()
+    if not (adj.sum(axis=1) == n * (n - 1) // 2).all():
+        raise AssertionError(
+            f"edit-graph out-degrees differ from C({n},2)")
     return EditGraph(n=n, table=table, adjacency=adj)
 
 
@@ -108,15 +108,7 @@ def count_vectors(h: EditGraph, r_max):
     row)."""
     sids = [ci.id for infos in universe("simple", r_max).values()
             for ci in infos if ci.graph.k <= h.n]
-    rows = [np.ones(len(h))]
-    cols = {}
-    for i, edges in enumerate(h.table.reps):
-        G = make_graph(h.n, list(edges))
-        cols[i] = full_counts(G, r_max)
-    for sid in sids:
-        rows.append(np.array([float(cols[i].get(sid, 0))
-                              for i in range(len(h))]))
-    return np.vstack(rows)
+    return np.vstack([np.ones(len(h)), h.table.statistic_counts(sids).T])
 
 
 def left_eigenspace_rank_match(h: EditGraph, r_max):

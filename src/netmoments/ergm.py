@@ -8,15 +8,13 @@ multiplicity n!/|Aut| as base-measure weight.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .canonical import canonicalize
-from .classes import complete_count, named_class, universe_index
+from .classes import complete_count, universe_index
 from .counting import full_counts
 from .graphs import make_graph
 from .moments import MomentVector
@@ -42,44 +40,17 @@ class GraphClassTable:
         return len(self.reps)
 
     def statistic_counts(self, sids):
-        """Matrix of c_g per class row for the given statistic ids."""
+        """Matrix of c_g per class row for the given statistic ids.
+
+        One full_counts call per class row, through the largest statistic
+        order; every column is read from that row's count dict.
+        """
+        r_max = max((sid.r for sid in sids), default=1)
         cols = np.empty((len(self.reps), len(sids)), dtype=np.float64)
         for i, edges in enumerate(self.reps):
-            counts = _counts_through_three(self.n, edges)
-            for j, sid in enumerate(sids):
-                cols[i, j] = _statistic_from_counts(counts, sid, self.n,
-                                                    edges)
+            counts = full_counts(make_graph(self.n, list(edges)), r_max)
+            cols[i] = [counts.get(sid, 0) for sid in sids]
         return cols
-
-
-def _counts_through_three(n, edges):
-    """All class counts with <= 3 edges from closed-form identities."""
-    adj = [0] * n
-    deg = [0] * n
-    for (u, v) in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
-    m = len(edges)
-    wedge = sum(d * (d - 1) // 2 for d in deg)
-    tri = sum((adj[u] & adj[v]).bit_count() for (u, v) in edges) // 3
-    claw = sum(d * (d - 1) * (d - 2) // 6 for d in deg)
-    path = sum((deg[u] - 1) * (deg[v] - 1) for (u, v) in edges) - 3 * tri
-    par = m * (m - 1) // 2 - wedge
-    wedge_edge = wedge * (m - 2) - 3 * tri - 3 * claw - 2 * path
-    par3 = (m * (m - 1) * (m - 2) // 6
-            - tri - claw - path - wedge_edge)
-    return {"edge": m, "wedge": wedge, "two-parallel": par,
-            "triangle": tri, "claw": claw, "path": path,
-            "wedge+edge": wedge_edge, "three-parallel": par3}
-
-
-def _statistic_from_counts(counts, sid, n, edges):
-    if sid.alias in counts:
-        return counts[sid.alias]
-    G = make_graph(n, list(edges))
-    return full_counts(G, sid.r).get(sid, 0)
 
 
 def enumerate_classes(n, allow_large=False):
@@ -117,7 +88,10 @@ def enumerate_classes(n, allow_large=False):
         raise AssertionError(
             f"enumeration found {len(reps)} classes at n={n}, "
             f"expected {expected}")
-    assert sum(mults) == 1 << (n * (n - 1) // 2)
+    if sum(mults) != 1 << (n * (n - 1) // 2):
+        raise AssertionError(
+            f"class multiplicities at n={n} sum to {sum(mults)}, "
+            f"not 2^C(n,2)")
     table = GraphClassTable(n=n, reps=reps, auts=auts, mults=mults)
     _CLASS_TABLE_CACHE[n] = table
     return table
@@ -256,7 +230,11 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, allow_large=False,
         centered = X - mean
         H = (centered * p[:, None]).T @ centered
         # covariance matrix: PSD up to rounding
-        assert np.linalg.eigvalsh(H).min() > -1e-6 * max(1.0, H.max())
+        min_eig = np.linalg.eigvalsh(H).min()
+        if not min_eig > -1e-6 * max(1.0, H.max()):
+            raise AssertionError(
+                f"statistic covariance is not PSD (min eigenvalue "
+                f"{min_eig:.3e})")
         try:
             step = np.linalg.solve(H + 1e-12 * np.eye(len(beta)), -grad)
         except np.linalg.LinAlgError:
@@ -287,7 +265,9 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, allow_large=False,
     lz = _logsumexp(a)
     logp = a - lz
     p = np.exp(logp)
-    assert abs(p.sum() - 1.0) < 1e-12
+    if not abs(p.sum() - 1.0) < 1e-12:
+        raise AssertionError(
+            f"class probabilities sum to {p.sum()!r}, not 1")
     achieved = p @ X
     scale = max(np.abs(t).max(), 1.0)
     residual = float(np.abs(achieved - t).max() / scale)
@@ -329,11 +309,7 @@ def ergm_distribution(model: ErgmModel, sid):
     if sid in model.statistics:
         col = model.stat_matrix[:, model.statistics.index(sid)]
     else:
-        counts = []
-        for edges in model.table.reps:
-            cc = _counts_through_three(model.n, edges)
-            counts.append(_statistic_from_counts(cc, sid, model.n, edges))
-        col = np.array(counts, dtype=np.float64)
+        col = model.table.statistic_counts((sid,))[:, 0]
     p = np.exp(model.log_probs)
     support = np.unique(col)
     probs = np.array([p[col == s].sum() for s in support])

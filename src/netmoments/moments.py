@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classes import complete_count, universe, universe_index, SubgraphId
+from .classes import complete_count, universe
 from .counting import full_counts, graph_mode_colors, check_order
 
 
@@ -66,7 +66,6 @@ def moments(G, r_max):
 
 def moments_from_counts(counts, n, mode, r_max, labels=2, label_counts=None):
     """Normalize a full count dict (as from full_counts) into moments."""
-    index = universe_index(mode, r_max, labels)
     mv = MomentVector(n=n, mode=mode, r_max=r_max, labels=labels,
                       label_counts=label_counts)
     for r in range(1, r_max + 1):

@@ -51,6 +51,14 @@ def test_moments_and_manifest_determinism(capsys, p4):
     assert vals["wedge"] == Fraction(1, 6)
 
 
+def test_manifest_digest_ignores_environment(capsys, p4, monkeypatch):
+    a = run_json(capsys, "moments", p4, "--order", "2")
+    monkeypatch.setenv("GC_THREADS", "8")
+    b = run_json(capsys, "moments", p4, "--order", "2")
+    assert a["manifest"]["digest"] == b["manifest"]["digest"]
+    assert "threads" not in b["manifest"]["flags"]
+
+
 def test_cumulants_scaled(capsys, p4):
     doc = run_json(capsys, "cumulants", p4, "--order", "2", "--scaled")
     scaled = {s["alias"]: s for s in doc["result"]["scaled"]}

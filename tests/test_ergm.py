@@ -1,16 +1,22 @@
 """Exact small-n maximum-entropy models: enumeration, fitting, histograms."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from netmoments.classes import named_class
+from netmoments import ergm
+from netmoments.classes import (ClassGraph, class_id, named_class, universe,
+                                universe_index)
+from netmoments.counting import full_counts
 from netmoments.ergm import (degeneracy_diagnostics, enumerate_classes,
                              ergm_distribution, fit_ergm,
                              InfeasibleTargetError, SizeCapError)
 from netmoments.moments import MomentVector
+
+from conftest import brute_canonical
 
 nc = lambda a: named_class("simple", a).id
 
@@ -97,15 +103,70 @@ def test_histogram_and_diagnostics_json():
     assert model.to_json_dict()["n"] == 5
 
 
+def _brute_statistic_matrix(table, sids):
+    """c_g per class row by enumerating every r-edge subset of the row's
+    representative and classifying it with the brute-force oracle."""
+    targets = {}
+    for sid in sids:
+        cg = universe_index("simple", sid.r)[sid.key].graph
+        targets[sid] = brute_canonical([(u, v) for u, v, _ in cg.edges])
+    X = np.zeros((len(table), len(sids)))
+    for i, edges in enumerate(table.reps):
+        for r in {sid.r for sid in sids}:
+            found = {}
+            for sub in itertools.combinations(edges, r):
+                key = brute_canonical(list(sub))
+                found[key] = found.get(key, 0) + 1
+            for j, sid in enumerate(sids):
+                if sid.r == r:
+                    X[i, j] = found.get(targets[sid], 0)
+    return X
+
+
 def test_statistic_counts_match_pipeline():
-    # the closed-form per-class counts agree with the generic counter
-    from netmoments.counting import full_counts
-    from netmoments.graphs import make_graph
     table = enumerate_classes(5)
     sids = (nc("edge"), nc("wedge"), nc("two-parallel"), nc("triangle"),
             nc("path"), nc("wedge+edge"), nc("three-parallel"))
     X = table.statistic_counts(sids)
-    for i, edges in enumerate(table.reps):
-        got = full_counts(make_graph(5, list(edges)), 3)
-        for j, sid in enumerate(sids):
-            assert X[i, j] == got.get(sid, 0)
+    assert (X == _brute_statistic_matrix(table, sids)).all()
+
+
+_PATH4 = class_id(ClassGraph.make(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1),
+                                      (3, 4, 1)]), "simple")
+_ORDER_FOUR = {
+    "connected": (nc("square"), nc("triangle-edge"), nc("four-star"), _PATH4),
+    "disconnected": tuple(ci.id for ci in universe("simple", 4)[4]
+                          if not ci.connected),
+}
+
+
+@pytest.mark.parametrize("group", sorted(_ORDER_FOUR))
+def test_statistic_counts_order_four(group):
+    table = enumerate_classes(6)
+    sids = _ORDER_FOUR[group]
+    X = table.statistic_counts(sids)
+    assert (X == _brute_statistic_matrix(table, sids)).all()
+    # a statistic that was not fitted gets its column from the same path
+    model = fit_ergm(_targets(6, {nc("edge"): Fraction(2, 5)}), 6)
+    p = np.exp(model.log_probs)
+    for j, sid in enumerate(sids):
+        h = ergm_distribution(model, sid)
+        col = X[:, j]
+        assert (h.support == np.unique(col)).all()
+        assert h.mean == pytest.approx(float(p @ col), rel=1e-12)
+        want = [p[col == s].sum() for s in h.support]
+        assert h.probabilities == pytest.approx(want, rel=1e-12)
+
+
+def test_statistic_counts_one_full_count_per_row(monkeypatch):
+    table = enumerate_classes(6)
+    calls = []
+
+    def counted(G, r_max):
+        calls.append(r_max)
+        return full_counts(G, r_max)
+
+    monkeypatch.setattr(ergm, "full_counts", counted)
+    sids = (nc("edge"), nc("triangle"), nc("square"), _PATH4)
+    table.statistic_counts(sids)
+    assert calls == [4] * len(table)
