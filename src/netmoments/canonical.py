@@ -1,28 +1,24 @@
 """Canonical forms for small vertex-colored (multi)graphs.
 
-Canonicalization works on graphs with at most ~9 nodes: iterative color
-refinement followed by exhaustive permutation within the refined cells.
-Edge values are small nonnegative integers (multiplicities, possibly with a
-mark bit folded in); node colors are small nonnegative integers.
+Canonicalization works on graphs with at most ~9 nodes.  Iterative color
+refinement orders the nodes into cells; the canonical key is then the
+lexicographically smallest row-major encoding of the edge values over all
+orderings that keep the cells in place.  The search for it fills canonical
+slots one at a time and keeps only the partial orderings whose current row
+is smallest, in the spirit of individualization-refinement (McKay and
+Piperno, "Practical graph isomorphism, II").  Edge values are small
+nonnegative integers (multiplicities); node colors are integers below 256.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-
-import numpy as np
-
-# Above this many candidate permutations, switch to the vectorized search.
-_NUMPY_THRESHOLD = 3000
 
 
 @dataclass(frozen=True)
 class CanonicalResult:
     key: bytes      # canonical encoding, identical for all isomorphic inputs
     aut: int        # order of the automorphism group
-    perm: tuple     # perm[i] = original node placed at canonical position i
 
 
 def _refine_colors(k, colors, adj):
@@ -46,33 +42,6 @@ def _refine_colors(k, colors, adj):
         colors = new_colors
 
 
-def _candidate_perms(k, refined):
-    """All orderings compatible with the refined cells, as tuples where
-    position i holds the original node id placed at canonical slot i."""
-    cells = {}
-    for node, c in enumerate(refined):
-        cells.setdefault(c, []).append(node)
-    cell_lists = [cells[c] for c in sorted(cells)]
-    for combo in itertools.product(*(itertools.permutations(c) for c in cell_lists)):
-        yield tuple(itertools.chain.from_iterable(combo))
-
-
-def _perm_count(refined):
-    total = 1
-    counts = {}
-    for c in refined:
-        counts[c] = counts.get(c, 0) + 1
-    for v in counts.values():
-        total *= math.factorial(v)
-    return total
-
-
-def _pair_order(k, directed):
-    if directed:
-        return [(i, j) for i in range(k) for j in range(k) if i != j]
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-
 def canonicalize(k, edges, directed=False, colors=None):
     """Canonical form of a small colored multigraph.
 
@@ -82,49 +51,104 @@ def canonicalize(k, edges, directed=False, colors=None):
     if colors is None:
         colors = (0,) * k
     colors = tuple(colors)
+    if max(colors, default=0) > 255:
+        raise ValueError("node colors are encoded in one byte: "
+                         "at most 256 labels are supported")
     adj = [[0] * k for _ in range(k)]
     for u, v, val in edges:
+        if val > 255:
+            raise ValueError("edge values are encoded in one byte: "
+                             f"got {val}")
         adj[u][v] = val
         if not directed:
             adj[v][u] = val
 
     if k == 0:
-        return CanonicalResult(key=bytes([0, int(directed)]), aut=1, perm=())
+        return CanonicalResult(key=bytes([0, int(directed)]), aut=1)
 
     refined = _refine_colors(k, colors, adj)
-    pairs = _pair_order(k, directed)
-
-    if _perm_count(refined) > _NUMPY_THRESHOLD:
-        best_row, aut, best_perm = _search_numpy(k, adj, refined, pairs)
-    else:
-        best_row, aut, best_perm = _search_python(k, adj, refined, pairs)
-
-    init = tuple(colors[p] for p in best_perm)
-    key = bytes([k, int(directed)]) + bytes(init) + bytes(best_row)
-    return CanonicalResult(key=key, aut=aut, perm=best_perm)
+    row, aut = _search(k, adj, refined, directed)
+    # Refinement only splits colors, so the cells in slot order carry the
+    # input colors in ascending order.
+    key = bytes([k, int(directed)]) + bytes(sorted(colors)) + bytes(row)
+    return CanonicalResult(key=key, aut=aut)
 
 
-def _search_python(k, adj, refined, pairs):
-    best = None
-    best_perm = None
-    aut = 0
-    for p in _candidate_perms(k, refined):
-        row = tuple(adj[p[i]][p[j]] for i, j in pairs)
-        if best is None or row < best:
-            best, best_perm, aut = row, p, 1
-        elif row == best:
-            aut += 1
-    return best, aut, best_perm
+def _search(k, adj, refined, directed):
+    """Smallest row-major encoding over the orderings the refined cells
+    allow, and the number of orderings that reach it.
+
+    Row d holds the values from the node at slot d to the later slots, and
+    for directed graphs first to the earlier slots too.  Slots are filled in
+    order, each from the first remaining cell.  Once node v is placed, its
+    row is smallest when every remaining cell is split by the value from v,
+    in ascending order.  Keeping only the partial orderings with the
+    smallest row d at each slot therefore ends on the lexicographic minimum,
+    and every survivor is one automorphism.
+
+    A partial ordering is (placed nodes, {unplaced node: cell id}).  Placing
+    v gives node x the cell id 256 * id + value from v, so ids sort in cell
+    order, the first cell holds the smallest id, and the sorted ids of the
+    unplaced nodes are the later part of row d (value = id % 256).
+
+    Twins (nodes of one cell that an automorphism swaps with each other
+    alone) always share a cell, so they are placed in index order only, and
+    each twin class multiplies the count by |class|!.
+    """
+    earlier_twin, twin_factor = _twins(k, adj, refined, directed)
+    live = [((), dict(enumerate(refined)))]
+    key = []
+    for d in range(k):
+        best = None
+        survivors = []
+        for placed, cell in live:
+            first = min(cell.values())
+            for v, c in cell.items():
+                if c != first or earlier_twin[v] in cell:
+                    continue
+                to_v = adj[v]
+                split = {x: 256 * cx + to_v[x] for x, cx in cell.items()
+                         if x != v}
+                row = sorted(split.values())
+                if directed:
+                    row[:0] = [to_v[u] for u in placed]
+                if best is None or row < best:
+                    best = row
+                    survivors = []
+                if row == best:
+                    survivors.append((placed + (v,), split))
+        live = survivors
+        if directed:
+            key += best[:d]
+            best = best[d:]
+        key += [c & 255 for c in best]
+    return key, len(live) * twin_factor
 
 
-def _search_numpy(k, adj, refined, pairs):
-    perms = np.array(list(_candidate_perms(k, refined)), dtype=np.int64)
-    A = np.array(adj, dtype=np.int64)
-    cols = np.empty((perms.shape[0], len(pairs)), dtype=np.int64)
-    for idx, (i, j) in enumerate(pairs):
-        cols[:, idx] = A[perms[:, i], perms[:, j]]
-    order = np.lexsort(cols.T[::-1])
-    best_idx = order[0]
-    best_row = cols[best_idx]
-    aut = int(np.all(cols == best_row, axis=1).sum())
-    return tuple(int(x) for x in best_row), aut, tuple(int(x) for x in perms[best_idx])
+def _twins(k, adj, refined, directed):
+    """Twin classes: the earlier node of each node's class (None for the
+    first) and the product of |class|! over the classes.  Swapping u and v
+    is an automorphism when u's row and column, with entries u and v
+    exchanged, equal v's row and column."""
+    cols = [list(col) for col in zip(*adj)] if directed else None
+
+    def swapped(line, u, v):
+        line = list(line)
+        line[u], line[v] = line[v], line[u]
+        return line
+
+    earlier = [None] * k
+    factor = 1
+    classes = {}
+    for v in range(k):
+        for cls in classes.setdefault(refined[v], []):
+            u = cls[0]
+            if swapped(adj[u], u, v) == adj[v] and (
+                    not directed or swapped(cols[u], u, v) == cols[v]):
+                earlier[v] = cls[-1]
+                cls.append(v)
+                factor *= len(cls)
+                break
+        else:
+            classes[refined[v]].append([v])
+    return earlier, factor

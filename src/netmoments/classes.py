@@ -8,11 +8,8 @@ feature mode.  Modes:
   weighted    undirected multigraph shapes (edge value = multiplicity)
   attributed  undirected with node labels from a finite alphabet
   bipartite   attributed with two labels and no same-label edges
-  local-node  simple plus one distinguished node (color 1)
-  local-edge  simple plus one distinguished edge (mark bit on the edge value)
 
-Edge values fold multiplicity and the local-edge mark together as
-value = multiplicity + MARK * marked, with multiplicity >= 1.
+Edge values are multiplicities (>= 1; above 1 only in weighted mode).
 """
 
 from __future__ import annotations
@@ -24,10 +21,7 @@ from functools import lru_cache
 
 from .canonical import canonicalize
 
-MARK = 64  # mark bit offset for local-edge values (multiplicities stay < 64)
-
-MODES = ("simple", "directed", "weighted", "attributed", "bipartite",
-         "local-node", "local-edge")
+MODES = ("simple", "directed", "weighted", "attributed", "bipartite")
 
 
 @dataclass(frozen=True)
@@ -56,8 +50,8 @@ class ClassGraph:
 
     @property
     def r(self):
-        """Total edge count, with multiplicity (mark bit stripped)."""
-        return sum(val % MARK for _, _, val in self.edges)
+        """Total edge count, with multiplicity."""
+        return sum(val for _, _, val in self.edges)
 
     def is_connected(self):
         if self.k == 0:
@@ -164,7 +158,7 @@ def canonical_class(cg):
     Disconnected graphs are canonicalized per component: the combined key is
     the sorted concatenation of component keys, and the automorphism count is
     the product of component counts times a factorial for each set of
-    identical components.  This keeps the permutation search inside single
+    identical components.  This keeps the canonical search inside single
     components, which are small."""
     got = _canon_cache.get(cg)
     if got is not None:
@@ -215,27 +209,13 @@ def _extensions(cg, mode, labels):
     out = []
     present = {(u, v) for u, v, _ in cg.edges}
 
-    def node_color_options(existing_colors):
-        if mode in ("attributed", "bipartite"):
-            return list(range(labels))
-        if mode == "local-node":
-            opts = [0]
-            if 1 not in existing_colors:
-                opts.append(1)
-            return opts
-        return [0]
+    color_options = (range(labels) if mode in ("attributed", "bipartite")
+                     else [0])
 
     def edge_ok(cu, cv):
         if mode == "bipartite":
             return cu != cv
         return True
-
-    has_mark = any(val >= MARK for _, _, val in cg.edges)
-
-    def value_options():
-        if mode == "local-edge" and not has_mark:
-            return [1, 1 + MARK]
-        return [1]
 
     # new edge between existing nodes
     for u in range(cg.k):
@@ -250,38 +230,32 @@ def _extensions(cg, mode, labels):
                 continue
             if not edge_ok(cg.colors[u], cg.colors[v]):
                 continue
-            for val in value_options():
-                out.append(ClassGraph.make(
-                    cg.k, list(cg.edges) + [(u, v, val)],
-                    directed=directed, colors=cg.colors))
+            out.append(ClassGraph.make(
+                cg.k, list(cg.edges) + [(u, v, 1)],
+                directed=directed, colors=cg.colors))
 
     # new edge from an existing node to a fresh node (both orientations when
     # directed)
     for u in range(cg.k):
-        for c in node_color_options(cg.colors):
+        for c in color_options:
             if not edge_ok(cg.colors[u], c):
                 continue
-            for val in value_options():
-                new_edges = [(u, cg.k, val)]
+            out.append(ClassGraph.make(
+                cg.k + 1, list(cg.edges) + [(u, cg.k, 1)],
+                directed=directed, colors=cg.colors + (c,)))
+            if directed:
                 out.append(ClassGraph.make(
-                    cg.k + 1, list(cg.edges) + new_edges,
+                    cg.k + 1, list(cg.edges) + [(cg.k, u, 1)],
                     directed=directed, colors=cg.colors + (c,)))
-                if directed:
-                    out.append(ClassGraph.make(
-                        cg.k + 1, list(cg.edges) + [(cg.k, u, val)],
-                        directed=directed, colors=cg.colors + (c,)))
 
     # new isolated edge on two fresh nodes
-    colors_a = node_color_options(cg.colors)
-    for ca in colors_a:
-        cb_opts = node_color_options(cg.colors + (ca,))
-        for cb in cb_opts:
+    for ca in color_options:
+        for cb in color_options:
             if not edge_ok(ca, cb):
                 continue
-            for val in value_options():
-                out.append(ClassGraph.make(
-                    cg.k + 2, list(cg.edges) + [(cg.k, cg.k + 1, val)],
-                    directed=directed, colors=cg.colors + (ca, cb)))
+            out.append(ClassGraph.make(
+                cg.k + 2, list(cg.edges) + [(cg.k, cg.k + 1, 1)],
+                directed=directed, colors=cg.colors + (ca, cb)))
 
     # increment multiplicity of an existing edge
     if mode == "weighted":
@@ -302,12 +276,6 @@ def _seed_classes(mode, labels):
                 if mode == "bipartite" and a == b:
                     continue
                 seeds.append(ClassGraph.make(2, [(0, 1, 1)], colors=(a, b)))
-    elif mode == "local-node":
-        seeds.append(ClassGraph.make(2, [(0, 1, 1)], colors=(1, 0)))  # self
-        seeds.append(ClassGraph.make(2, [(0, 1, 1)], colors=(0, 0)))  # other
-    elif mode == "local-edge":
-        seeds.append(ClassGraph.make(2, [(0, 1, 1 + MARK)]))          # the anchor
-        seeds.append(ClassGraph.make(2, [(0, 1, 1)]))                 # detached
     else:
         seeds.append(ClassGraph.make(2, [(0, 1, 1)], directed=directed))
     return seeds
@@ -355,24 +323,17 @@ def complete_count(ci, n, label_counts=None):
     """Count of the class in the complete host on n nodes, exact rational.
 
     For attributed/bipartite modes label_counts maps color -> available node
-    count.  For local-node mode the distinguished color has one available
-    node.  For local-edge mode the host is K_n with a single marked pair.
-    Returns 0 when n (or a label pool) is too small.
+    count.  Returns 0 when n (or a label pool) is too small.
     """
     cg = ci.graph
     mode = ci.id.mode
-    if any(val % MARK > 1 for _, _, val in cg.edges) and mode != "weighted":
+    if any(val > 1 for _, _, val in cg.edges) and mode != "weighted":
         raise ValueError("multiplicities only occur in weighted mode")
-
-    if mode == "local-edge":
-        return _complete_count_local_edge(ci, n)
 
     if mode in ("attributed", "bipartite"):
         if label_counts is None:
             raise ValueError("attributed complete counts need label_counts")
         pools = dict(label_counts)
-    elif mode == "local-node":
-        pools = {0: n - 1, 1: 1}
     else:
         pools = {0: n}
 
@@ -386,25 +347,6 @@ def complete_count(ci, n, label_counts=None):
             return Fraction(0)
         total *= math.perm(avail, kc)
     return Fraction(total, ci.aut)
-
-
-def _complete_count_local_edge(ci, n):
-    cg = ci.graph
-    marked = [e for e in cg.edges if e[2] >= MARK]
-    if len(marked) > 1:
-        raise ValueError("at most one marked edge")
-    if marked:
-        if n < cg.k:
-            return Fraction(0)
-        # the marked edge must land on the marked pair (2 orientations)
-        return Fraction(2 * math.perm(n - 2, cg.k - 2), ci.aut)
-    # unmarked class: instances avoiding the marked pair as an edge
-    if n < cg.k:
-        return Fraction(0)
-    total = Fraction(math.perm(n, cg.k), ci.aut)
-    s = len(cg.edges)  # simple shapes only in local-edge mode
-    pairs = n * (n - 1) // 2
-    return total - total * Fraction(s, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +405,6 @@ def _named_classes(mode):
             "complete-triad":
                 D(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (0, 2, 1),
                       (2, 0, 1)]),
-        }
-    if mode == "local-node":
-        return {
-            "self": E(2, [(0, 1, 1)], colors=(1, 0)),
-            "other": E(2, [(0, 1, 1)], colors=(0, 0)),
-            "wedge-center": E(3, [(0, 1, 1), (0, 2, 1)], colors=(1, 0, 0)),
-            "wedge-end": E(3, [(0, 1, 1), (1, 2, 1)], colors=(1, 0, 0)),
-            "wedge-other": E(3, [(0, 1, 1), (1, 2, 1)], colors=(0, 0, 0)),
-            "triangle-local":
-                E(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)], colors=(1, 0, 0)),
-        }
-    if mode == "local-edge":
-        return {
-            "star-edge": E(2, [(0, 1, 1 + MARK)]),
-            "detached-edge": E(2, [(0, 1, 1)]),
-            "wedge-attached": E(3, [(0, 1, 1 + MARK), (1, 2, 1)]),
-            "wedge-detached": E(3, [(0, 1, 1), (1, 2, 1)]),
-            "triangle-local":
-                E(3, [(0, 1, 1 + MARK), (1, 2, 1), (0, 2, 1)]),
         }
     return {}
 

@@ -37,7 +37,7 @@ from .classes import (ClassGraph, canonical_class, class_id, named_class,
                       universe)
 
 ORDER_CAPS = {"simple": 6, "directed": 5, "weighted": 5, "attributed": 3,
-              "bipartite": 4, "local-node": 3, "local-edge": 3}
+              "bipartite": 4}
 
 
 class OrderCapError(ValueError):
@@ -238,22 +238,23 @@ def _fast_counts_simple(G, r_max):
 # Disconnected counts from connected counts
 
 @lru_cache(maxsize=None)
-def _split_coefficients(mode, r_max, labels, c_key, h_key):
+def _split_coefficients(mode, order, labels, c_key, h_key):
     """Coefficient table {SubgraphId g' -> N(g', c, h)} for the ordered-pair
-    identity, computed by enumerating splits of every class."""
-    uni = universe(mode, r_max, labels)
+    identity, computed by enumerating splits of every class.
+
+    order is |c| + |h|, the largest order a term can have, so one table
+    serves every r_max that reaches it."""
+    uni = universe(mode, order, labels)
     index = {}
     for infos in uni.values():
         for ci in infos:
             index[ci.id.key] = ci
-    c_info = index[c_key]
-    h_info = index[h_key]
-    rc, rh = c_info.id.r, h_info.id.r
+    rc, rh = index[c_key].id.r, index[h_key].id.r
     table = {}
     if mode == "weighted":
-        orders = [rc + rh]
+        orders = [order]
     else:
-        orders = range(max(rc, rh), min(rc + rh, r_max) + 1)
+        orders = range(max(rc, rh), order + 1)
     for r in orders:
         for ci in uni[r]:
             n = _count_splits(ci.graph, mode, c_key, h_key, rc, rh)
@@ -324,7 +325,7 @@ def _derivation_plan(mode, r_max, labels):
                 directed=ci.graph.directed,
                 colors=tuple(itertools.chain.from_iterable(
                     c.colors for c in comps[1:])))
-            table = _split_coefficients(mode, r_max, labels,
+            table = _split_coefficients(mode, r, labels,
                                         canonical_class(c_part)[0],
                                         canonical_class(h_part)[0])
             if ci.id not in table:

@@ -53,7 +53,7 @@ def _restricted_growth_strings(r):
 def _expansion_for_graph(cg: ClassGraph, mode: str):
     units = []
     for u, v, val in cg.edges:
-        units.extend([(u, v)] * (val % 64))  # strip any mark bit
+        units.extend([(u, v)] * val)
     r = len(units)
     agg = {}
     for rgs in _restricted_growth_strings(r):

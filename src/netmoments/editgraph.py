@@ -51,9 +51,7 @@ def build_edit_graph(n):
     if n > EDIT_NODE_CAP:
         raise SizeCapError(f"edit graph capped at n={EDIT_NODE_CAP}")
     table = enumerate_classes(n)
-    key_to_index = {}
-    for i, edges in enumerate(table.reps):
-        key_to_index[canonicalize(n, [(u, v, 1) for u, v in edges]).key] = i
+    key_to_index = {key: i for i, key in enumerate(table.keys)}
     k = len(table)
     adj = np.zeros((k, k), dtype=np.int64)
     for i, edges in enumerate(table.reps):

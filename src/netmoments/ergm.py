@@ -33,6 +33,7 @@ class SizeCapError(ValueError):
 class GraphClassTable:
     n: int
     reps: list          # representative edge tuples
+    keys: list          # canonicalize(n, rep).key per class
     auts: list          # automorphism group orders
     mults: list         # labeled multiplicities n!/|Aut|
 
@@ -62,8 +63,8 @@ def enumerate_classes(n, allow_large=False):
             f"got n={n}")
     if n in _CLASS_TABLE_CACHE:
         return _CLASS_TABLE_CACHE[n]
-    classes = {b"": ((), 1)}  # key -> (edges, aut); start with 1-node graph
-    for k in range(1, n):
+    classes = {None: ((), 1)}  # key -> (edges, aut); start with no nodes
+    for k in range(n):
         nxt = {}
         for edges, _ in classes.values():
             for mask in range(1 << k):
@@ -78,9 +79,10 @@ def enumerate_classes(n, allow_large=False):
                     nxt[res.key] = (tuple(new_edges), res.aut)
         classes = nxt
     nfact = math.factorial(n)
-    reps, auts, mults = [], [], []
-    for edges, aut in classes.values():
+    reps, keys, auts, mults = [], [], [], []
+    for key, (edges, aut) in classes.items():
         reps.append(edges)
+        keys.append(key)
         auts.append(aut)
         mults.append(nfact // aut)
     expected = KNOWN_CLASS_COUNTS.get(n)
@@ -92,7 +94,8 @@ def enumerate_classes(n, allow_large=False):
         raise AssertionError(
             f"class multiplicities at n={n} sum to {sum(mults)}, "
             f"not 2^C(n,2)")
-    table = GraphClassTable(n=n, reps=reps, auts=auts, mults=mults)
+    table = GraphClassTable(n=n, reps=reps, keys=keys, auts=auts,
+                            mults=mults)
     _CLASS_TABLE_CACHE[n] = table
     return table
 

@@ -97,3 +97,22 @@ def brute_canonical(edges, directed=False, colors=None):
             best = cand
     _brute_cache[key] = best
     return best
+
+
+def brute_aut_count(k, edges, directed=False, colors=None):
+    """Automorphism count by trying every node permutation: edges are
+    (u, v, value) triples, colors per-node ints (default all equal)."""
+    colors = tuple(colors) if colors is not None else (0,) * k
+    adj = {}
+    for u, v, val in edges:
+        adj[(u, v)] = val
+        if not directed:
+            adj[(v, u)] = val
+    pairs = [(u, v) for u in range(k) for v in range(k) if u != v]
+    count = 0
+    for perm in itertools.permutations(range(k)):
+        if all(colors[perm[x]] == colors[x] for x in range(k)) and all(
+                adj.get((perm[u], perm[v]), 0) == adj.get((u, v), 0)
+                for u, v in pairs):
+            count += 1
+    return count

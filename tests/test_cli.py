@@ -172,6 +172,20 @@ def test_exit_codes(capsys, tmp_path, p4):
     capsys.readouterr()
 
 
+def test_too_many_labels_is_a_data_error(capsys, tmp_path):
+    n = 257
+    graph = tmp_path / "path.txt"
+    graph.write_text("".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+    attrs = tmp_path / "labels.txt"
+    attrs.write_text("".join(f"{v}\tL{v:03d}\n" for v in range(n)))
+    code = main(["count", str(graph), "--attributes", str(attrs),
+                 "--order", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "node colors are encoded in one byte" in err
+    assert "at most 256 labels" in err
+
+
 def test_infeasible_exit_code(capsys, tmp_path):
     # complete graph: boundary targets, eta-unbiased fit infeasible
     k5 = tmp_path / "k5.txt"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netmoments.classes import class_id, ClassGraph, named_class
+from netmoments import counting
 from netmoments.counting import (ORDER_CAPS, OrderCapError, check_order,
                                  count_connected, full_counts)
 from netmoments.graphs import Graph, make_graph
@@ -131,6 +132,18 @@ def test_order_caps():
         check_order("simple", 7)
     with pytest.raises(OrderCapError):
         full_counts(G, ORDER_CAPS["simple"] + 1)
+
+
+def test_split_tables_are_shared_across_orders():
+    # A split table for (c, h) depends on |c| + |h| only, so the order-6
+    # derivation plan reuses every table the order-5 plan built.
+    G = random_graph(random.Random(5), 6, 0.6)
+    counting._derivation_plan.cache_clear()
+    counting._split_coefficients.cache_clear()
+    full_counts(G, 5)
+    assert counting._split_coefficients.cache_info().hits == 0
+    full_counts(G, 6)
+    assert counting._split_coefficients.cache_info().hits > 0
 
 
 @settings(max_examples=40, deadline=None)

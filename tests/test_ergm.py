@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from netmoments import ergm
+from netmoments.canonical import canonicalize
 from netmoments.classes import (ClassGraph, class_id, named_class, universe,
                                 universe_index)
 from netmoments.counting import full_counts
@@ -31,6 +32,10 @@ def test_enumeration_counts():
     assert len(enumerate_classes(4)) == 11
     assert len(enumerate_classes(5)) == 34
     assert len(enumerate_classes(6)) == 156
+    for n in range(1, 7):
+        t = enumerate_classes(n)
+        assert t.keys == [canonicalize(n, [(u, v, 1) for u, v in edges]).key
+                          for edges in t.reps]
 
 
 def test_enumeration_multiplicities_n3():
