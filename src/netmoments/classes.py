@@ -54,21 +54,22 @@ class ClassGraph:
         return sum(val for _, _, val in self.edges)
 
     def is_connected(self):
-        if self.k == 0:
-            return True
-        seen = {0}
-        frontier = [0]
-        nbr = {i: set() for i in range(self.k)}
-        for u, v, _ in self.edges:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        while frontier:
-            x = frontier.pop()
-            for y in nbr[x]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return len(seen) == self.k
+        return len(self.components()) <= 1
+
+    @staticmethod
+    def disjoint_union(graphs):
+        """The graphs side by side, nodes numbered in the order given."""
+        edges = []
+        colors = []
+        directed = False
+        for g in graphs:
+            offset = len(colors)
+            for u, v, val in g.edges:
+                edges.append((u + offset, v + offset, val))
+            colors.extend(g.colors)
+            directed = g.directed
+        return ClassGraph.make(len(colors), edges, directed=directed,
+                               colors=colors)
 
     def components(self):
         """Connected components as compact ClassGraphs (isolated nodes
@@ -98,20 +99,6 @@ class ClassGraph:
                 len(nodes), es, directed=self.directed,
                 colors=tuple(self.colors[x] for x in nodes)))
         return comps
-
-    def relabel_compact(self):
-        """Drop isolated nodes and relabel the rest to 0..k'-1.
-
-        Isolated nodes never occur in classes built from edge sets, but parts
-        of a partition may leave gaps after node selection."""
-        used = sorted({x for u, v, _ in self.edges for x in (u, v)})
-        remap = {x: i for i, x in enumerate(used)}
-        return ClassGraph.make(
-            len(used),
-            [(remap[u], remap[v], val) for u, v, val in self.edges],
-            directed=self.directed,
-            colors=tuple(self.colors[x] for x in used),
-        )
 
 
 @dataclass(frozen=True)
@@ -200,6 +187,31 @@ def class_info(cg, mode):
     return ClassInfo(id=sid, graph=cg, aut=aut, connected=cg.is_connected())
 
 
+@lru_cache(maxsize=None)
+def unit_subclasses(cg, mode):
+    """SubgraphId of every subset of cg's edge units, indexed by bitmask.
+
+    An edge of value v holds v units on consecutive bits, edges in cg.edges
+    order; a subset keeps the colors of the nodes it touches and drops the
+    rest.  Entry 0 (the empty subset) is None.  Partition expansions, split
+    tables and the kappa polynomial all read their sub-edge-set classes
+    from here."""
+    units = [(u, v) for u, v, val in cg.edges for _ in range(val)]
+    out = [None]
+    for mask in range(1, 1 << len(units)):
+        value = {}
+        for bit, uv in enumerate(units):
+            if mask >> bit & 1:
+                value[uv] = value.get(uv, 0) + 1
+        nodes = sorted({x for uv in value for x in uv})
+        at = {x: i for i, x in enumerate(nodes)}
+        sub = ClassGraph.make(
+            len(nodes), [(at[u], at[v], val) for (u, v), val in value.items()],
+            directed=cg.directed, colors=tuple(cg.colors[x] for x in nodes))
+        out.append(class_id(sub, mode))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Universe generation
 
@@ -267,43 +279,34 @@ def _extensions(cg, mode, labels):
     return out
 
 
-def _seed_classes(mode, labels):
-    directed = mode == "directed"
-    seeds = []
-    if mode in ("attributed", "bipartite"):
-        for a in range(labels):
-            for b in range(a, labels):
-                if mode == "bipartite" and a == b:
-                    continue
-                seeds.append(ClassGraph.make(2, [(0, 1, 1)], colors=(a, b)))
-    else:
-        seeds.append(ClassGraph.make(2, [(0, 1, 1)], directed=directed))
-    return seeds
-
-
 @lru_cache(maxsize=None)
 def universe(mode, r_max, labels=2):
     """Per-order lists of ClassInfo for every class with 1..r_max edges.
 
     Returns a dict order -> list of ClassInfo (canonical dedupe, stable
     order).  labels is the alphabet size for attributed/bipartite modes.
+    Order r_max extends the cached universe(mode, r_max - 1, labels), so
+    each order is built once and its list is shared by every larger
+    universe.  The cache keys on the call as spelled, and the library
+    passes labels explicitly.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    out = {}
-    current = {}
-    for cg in _seed_classes(mode, labels):
-        info = class_info(cg, mode)
-        current[info.id] = info
-    out[1] = sorted(current.values(), key=lambda ci: ci.id.key)
-    for r in range(2, r_max + 1):
-        nxt = {}
-        for ci in out[r - 1]:
-            for ext in _extensions(ci.graph, mode, labels):
-                info = class_info(ext, mode)
-                if info.id not in nxt:
-                    nxt[info.id] = info
-        out[r] = sorted(nxt.values(), key=lambda ci: ci.id.key)
+    if r_max < 1:
+        raise ValueError("a universe needs order at least 1")
+    if r_max == 1:
+        out = {}
+        bases = [ClassGraph.make(0, (), directed=mode == "directed")]
+    else:
+        out = dict(universe(mode, r_max - 1, labels))
+        bases = [ci.graph for ci in out[r_max - 1]]
+    nxt = {}
+    for cg in bases:
+        for ext in _extensions(cg, mode, labels):
+            info = class_info(ext, mode)
+            if info.id not in nxt:
+                nxt[info.id] = info
+    out[r_max] = sorted(nxt.values(), key=lambda ci: ci.id.key)
     return out
 
 

@@ -19,9 +19,12 @@ appears with the disjoint-split coefficient; every other unknown term has
 fewer connected components, so solving classes in order of increasing edge
 count and component count is triangular.
 
-Everything in that solve that depends only on the universe (the solving
-order, each class's split into first component and remainder, and the
-coefficients N) is built once per (mode, r_max, labels) by
+The coefficients N depend only on |c|+|h|: _split_coefficients builds every
+table of one order in one pass over each class's pairs of unit subsets,
+read from its unit-subset table (classes.unit_subclasses), so no part is
+canonicalized again.  Everything in the solve that depends only on the
+universe (the solving order, each class's split into first component and
+remainder, and its table) is built once per (mode, r_max, labels) by
 _derivation_plan; a call to derive_disconnected only does the arithmetic.
 full_counts is the one count path: every other module that needs class
 counts of a graph, the ERGM statistic matrix included, goes through it.
@@ -33,7 +36,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .classes import (ClassGraph, canonical_class, class_id, named_class,
+from .classes import (ClassGraph, class_id, named_class, unit_subclasses,
                       universe)
 
 ORDER_CAPS = {"simple": 6, "directed": 5, "weighted": 5, "attributed": 3,
@@ -238,66 +241,49 @@ def _fast_counts_simple(G, r_max):
 # Disconnected counts from connected counts
 
 @lru_cache(maxsize=None)
-def _split_coefficients(mode, order, labels, c_key, h_key):
-    """Coefficient table {SubgraphId g' -> N(g', c, h)} for the ordered-pair
-    identity, computed by enumerating splits of every class.
+def _split_coefficients(mode, order, labels):
+    """Every coefficient table with |c| + |h| = order, in one pass:
+    {(c key, h key): {SubgraphId g' -> N(g', c, h)}}.
 
-    order is |c| + |h|, the largest order a term can have, so one table
-    serves every r_max that reaches it."""
-    uni = universe(mode, order, labels)
-    index = {}
-    for infos in uni.values():
+    N counts the ways to cut g' into an instance of c and one of h, read
+    from g's unit-subset table.  Unweighted: c is a subset of g's edges and
+    h is the rest plus order - |g| edges of c.  Weighted: c takes the first
+    i units of each edge and h the others, so |g| = order.  One table per
+    (c, h) serves every r_max that reaches its order."""
+    tables = {}
+    for r, infos in universe(mode, order, labels).items():
         for ci in infos:
-            index[ci.id.key] = ci
-    rc, rh = index[c_key].id.r, index[h_key].id.r
-    table = {}
-    if mode == "weighted":
-        orders = [order]
-    else:
-        orders = range(max(rc, rh), order + 1)
-    for r in orders:
-        for ci in uni[r]:
-            n = _count_splits(ci.graph, mode, c_key, h_key, rc, rh)
-            if n:
-                table[ci.id] = n
-    return table
-
-
-def _count_splits(cg, mode, c_key, h_key, rc, rh):
-    def key_of(slot_subset):
-        # slot_subset: list of (u, v, val)
-        sub = ClassGraph.make(cg.k, slot_subset, directed=cg.directed,
-                              colors=cg.colors).relabel_compact()
-        return canonical_class(sub)[0]
-
-    n = 0
-    if mode == "weighted":
-        ranges = [range(0, val + 1) for _, _, val in cg.edges]
-        for choice in itertools.product(*ranges):
-            if sum(choice) != rc:
+            sub = unit_subclasses(ci.graph, mode)
+            full = len(sub) - 1
+            if mode != "weighted":
+                pairs = [(c, full ^ c | x) for c in range(1, full + 1)
+                         for x in _submasks(c, order - r)]
+            elif r == order:
+                pairs = [(c, full ^ c) for c in _prefix_masks(ci.graph)]
+            else:
                 continue
-            c_part = [(u, v, i) for (u, v, _), i in zip(cg.edges, choice) if i]
-            h_part = [(u, v, val - i)
-                      for (u, v, val), i in zip(cg.edges, choice) if val - i]
-            if key_of(c_part) == c_key and key_of(h_part) == h_key:
-                n += 1
-        return n
+            for c, h in pairs:
+                if c and h:
+                    table = tables.setdefault((sub[c].key, sub[h].key), {})
+                    table[ci.id] = table.get(ci.id, 0) + 1
+    return tables
 
-    edges = list(cg.edges)
-    r = len(edges)
-    for c_idx in itertools.combinations(range(r), rc):
-        c_part = [edges[i] for i in c_idx]
-        if key_of(c_part) != c_key:
-            continue
-        rest = [i for i in range(r) if i not in c_idx]
-        if len(rest) > rh:
-            continue
-        extra = rh - len(rest)
-        for x_idx in itertools.combinations(c_idx, extra):
-            h_part = [edges[i] for i in rest] + [edges[i] for i in x_idx]
-            if key_of(h_part) == h_key:
-                n += 1
-    return n
+
+def _submasks(mask, size):
+    """The submasks of mask with `size` bits set."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [sum(pick) for pick in itertools.combinations(bits, size)]
+
+
+def _prefix_masks(cg):
+    """Unit masks that take the first i units of each edge, for every i."""
+    masks = [0]
+    start = 0
+    for _, _, val in cg.edges:
+        masks = [m | ((1 << i) - 1) << start for m in masks
+                 for i in range(val + 1)]
+        start += val
+    return masks
 
 
 @lru_cache(maxsize=None)
@@ -318,23 +304,16 @@ def _derivation_plan(mode, r_max, labels):
                 if not ci.connected]
         disc.sort(key=lambda pair: len(pair[1]))
         for ci, comps in disc:
-            c_part = comps[0]
-            h_part = ClassGraph.make(
-                sum(c.k for c in comps[1:]),
-                _shift_union(comps[1:]),
-                directed=ci.graph.directed,
-                colors=tuple(itertools.chain.from_iterable(
-                    c.colors for c in comps[1:])))
-            table = _split_coefficients(mode, r, labels,
-                                        canonical_class(c_part)[0],
-                                        canonical_class(h_part)[0])
+            c_id = class_id(comps[0], mode)
+            h_id = class_id(ClassGraph.disjoint_union(comps[1:]), mode)
+            table = _split_coefficients(mode, r, labels).get(
+                (c_id.key, h_id.key), {})
             if ci.id not in table:
                 raise AssertionError(
                     f"disjoint split missing for {ci.id.serialize()}")
             terms = tuple((gid, coeff) for gid, coeff in table.items()
                           if gid != ci.id)
-            steps.append((ci.id, class_id(c_part, mode),
-                          class_id(h_part, mode), terms, table[ci.id]))
+            steps.append((ci.id, c_id, h_id, terms, table[ci.id]))
     return tuple(connected), tuple(steps)
 
 
@@ -370,16 +349,6 @@ def derive_disconnected(connected_counts, G, r_max):
                 "inconsistent input counts")
         counts[sid] = value
     return counts
-
-
-def _shift_union(comps):
-    out = []
-    offset = 0
-    for c in comps:
-        for u, v, val in c.edges:
-            out.append((u + offset, v + offset, val))
-        offset += c.k
-    return out
 
 
 def full_counts(G, r_max):

@@ -1,22 +1,30 @@
-"""Moment/cumulant conversion via edge-partition expansions.
+"""Moment/cumulant conversion: Moebius inversion on the partition lattice.
 
 A moment factors over set partitions of the subject's edge units:
 
-    mu_g = sum over partitions pi of E(g) of prod over parts p of kappa_{g_p}
+    mu_g = sum over partitions pi of E(g) of prod over blocks B of kappa_{g_B}
 
-where g_p is the sub(multi)graph induced by the edges in part p, keeping the
-subject's node colors.  The system is triangular in edge count, so it can be
-solved exactly in either direction.
+where g_B is the sub(multi)graph on the edge units of block B, keeping the
+subject's node colors.  The Moebius function of the partition lattice
+(Rota 1964) inverts this exactly:
+
+    kappa_g = sum over pi of (-1)^(b-1) (b-1)! prod over B of mu_{g_B}
+
+with b the number of blocks.  Both sums group partitions by the multiset of
+block classes, and every block class is read from the class's unit-subset
+table (classes.unit_subclasses).  One evaluator serves both directions:
+cumulants_to_moments evaluates the expansion on kappa, moments_to_cumulants
+evaluates the kappa polynomial on mu.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .classes import ClassGraph, SubgraphId, class_id, universe_index
+from .classes import (ClassGraph, SubgraphId, class_id, unit_subclasses,
+                      universe_index)
 from .moments import MomentVector, vector_like
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -31,45 +39,35 @@ class EdgePartitionExpansion:
         return sum(m for _, m in self.terms)
 
 
-def _restricted_growth_strings(r):
-    """All set partitions of range(r) as block-index strings."""
+@lru_cache(maxsize=None)
+def _block_masks(r):
+    """Every set partition of r units as a tuple of block bitmasks, blocks
+    in order of their first unit (restricted-growth order)."""
     out = []
 
-    def rec(prefix, maxi):
-        i = len(prefix)
+    def rec(i, masks):
         if i == r:
-            out.append(tuple(prefix))
+            out.append(tuple(masks))
             return
-        for b in range(maxi + 2):
-            prefix.append(b)
-            rec(prefix, max(maxi, b))
-            prefix.pop()
+        for b in range(len(masks)):
+            masks[b] |= 1 << i
+            rec(i + 1, masks)
+            masks[b] &= ~(1 << i)
+        masks.append(1 << i)
+        rec(i + 1, masks)
+        masks.pop()
 
-    rec([], -1)
-    return out
+    rec(0, [])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _expansion_for_graph(cg: ClassGraph, mode: str):
-    units = []
-    for u, v, val in cg.edges:
-        units.extend([(u, v)] * val)
-    r = len(units)
+    sub = unit_subclasses(cg, mode)
     agg = {}
-    for rgs in _restricted_growth_strings(r):
-        blocks = {}
-        for unit, b in zip(units, rgs):
-            blocks.setdefault(b, []).append(unit)
-        part_ids = []
-        for members in blocks.values():
-            slot_mult = {}
-            for uv in members:
-                slot_mult[uv] = slot_mult.get(uv, 0) + 1
-            sub = ClassGraph.make(
-                cg.k, [(u, v, m) for (u, v), m in slot_mult.items()],
-                directed=cg.directed, colors=cg.colors).relabel_compact()
-            part_ids.append(class_id(sub, mode))
-        key = tuple(sorted(part_ids, key=lambda s: (s.r, s.key)))
+    for masks in _block_masks(cg.r):
+        key = tuple(sorted((sub[m] for m in masks),
+                           key=lambda s: (s.r, s.key)))
         agg[key] = agg.get(key, 0) + 1
     terms = tuple(sorted(agg.items(), key=lambda kv: (len(kv[0]), kv[0][0].key)))
     return terms
@@ -95,7 +93,20 @@ def edge_partitions(ci_or_graph, mode="simple"):
         raise AssertionError(
             f"partition multiplicities of {sid.serialize()} sum to "
             f"{exp.total_multiplicity()}, not Bell({sid.r}) = {BELL[sid.r]}")
+    # terms are sorted by block count: the one-block term comes first
+    if terms[0] != ((sid,), 1):
+        raise AssertionError(
+            f"self multiplicity of {sid.serialize()} is not 1")
     return exp
+
+
+@lru_cache(maxsize=None)
+def cumulant_moment_polynomial(cg: ClassGraph, mode: str):
+    """kappa_g as {sorted tuple of SubgraphIds (a monomial) -> int coeff}:
+    the expansion terms with Moebius coefficients (-1)^(b-1) (b-1)! times
+    the term's multiplicity, b being the number of blocks."""
+    return {parts: (-1) ** (len(parts) - 1) * math.factorial(len(parts) - 1)
+            * mult for parts, mult in edge_partitions(cg, mode).terms}
 
 
 class IncompleteVectorError(ValueError):
@@ -109,49 +120,38 @@ def _class_infos(m: MomentVector):
     return infos
 
 
+def _evaluate(terms, values, what, subject):
+    """sum of coeff * prod of values over (monomial, coeff) terms."""
+    acc = 0
+    for parts, coeff in terms:
+        try:
+            prod = values[parts[0]]
+            for pid in parts[1:]:
+                prod = prod * values[pid]
+        except KeyError as exc:
+            pid = exc.args[0]
+            raise IncompleteVectorError(
+                f"{what} vector lacks class {pid.serialize()} "
+                f"(alias {pid.alias}) needed for "
+                f"{subject.alias or subject.serialize()}") from None
+        acc = acc + (prod if coeff == 1 else coeff * prod)
+    return acc
+
+
 def moments_to_cumulants(m: MomentVector):
-    """Invert the partition expansion; exact and triangular in edge count."""
-    kappa = {}
-    for ci in _class_infos(m):
-        exp = edge_partitions(ci)
-        acc = m.values[ci.id]
-        self_mult = None
-        for parts, mult in exp.terms:
-            if parts == (ci.id,):
-                self_mult = mult
-                continue
-            prod = mult
-            for pid in parts:
-                if pid not in kappa:
-                    raise IncompleteVectorError(
-                        f"moment vector lacks class {pid.serialize()} "
-                        f"(alias {pid.alias}) needed for "
-                        f"{ci.id.alias or ci.id.serialize()}")
-                prod = prod * kappa[pid]
-            acc = acc - prod
-        if self_mult != 1:
-            raise AssertionError(
-                f"self multiplicity of {ci.id.serialize()} is {self_mult}, "
-                "not 1")
-        kappa[ci.id] = acc
+    """Evaluate each class's kappa polynomial on the moments."""
+    kappa = {ci.id: _evaluate(cumulant_moment_polynomial(ci.graph, m.mode)
+                              .items(), m.values, "moment", ci.id)
+             for ci in _class_infos(m)}
     return vector_like(m, kappa)
 
 
 def cumulants_to_moments(k: MomentVector):
-    """Forward partition expansion; exact inverse of moments_to_cumulants."""
-    mu = {}
-    for ci in _class_infos(k):
-        exp = edge_partitions(ci)
-        acc = 0
-        for parts, mult in exp.terms:
-            prod = mult
-            for pid in parts:
-                if pid not in k.values:
-                    raise IncompleteVectorError(
-                        f"cumulant vector lacks class {pid.serialize()}")
-                prod = prod * k.values[pid]
-            acc = acc + prod
-        mu[ci.id] = acc
+    """Evaluate each class's partition expansion on the cumulants; exact
+    inverse of moments_to_cumulants."""
+    mu = {ci.id: _evaluate(edge_partitions(ci).terms, k.values, "cumulant",
+                           ci.id)
+          for ci in _class_infos(k)}
     return vector_like(k, mu)
 
 

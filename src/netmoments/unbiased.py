@@ -1,79 +1,38 @@
 """Unbiased cumulant estimators, partial unbiasing, and Z-score tests.
 
-The unbiased estimator kappa-check of a cumulant replaces every product of
-moments in its moment polynomial with the single moment of the disjoint
-union of the factors.  This makes the estimator exactly unbiased under
-random node subsampling, and makes kappa-check of every disconnected class
-identically zero.
+The unbiased estimator kappa-check of a cumulant takes the cumulant's moment
+polynomial (cumulants.cumulant_moment_polynomial, the Moebius inversion of
+its edge-partition expansion) and replaces every product of moments with
+the single moment of the disjoint union of the factors.  This makes the
+estimator exactly unbiased under random node subsampling, and makes
+kappa-check of every disconnected class identically zero.  Partial
+unbiasing has closed forms through second order, and the exact variance
+exists for the edge class only.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .classes import ClassGraph, class_id, named_class, universe_index
-from .cumulants import edge_partitions, IncompleteVectorError
+from .cumulants import cumulant_moment_polynomial, IncompleteVectorError
 from .moments import MomentVector, vector_like
 
 
-# ---------------------------------------------------------------------------
-# kappa as a polynomial in moments
-
-@lru_cache(maxsize=None)
-def cumulant_moment_polynomial(cg: ClassGraph, mode: str):
-    """kappa_g as {sorted tuple of SubgraphIds (a monomial) -> int coeff}."""
-    sid = class_id(cg, mode)
-    poly = {(sid,): 1}
-    exp = edge_partitions(cg, mode)
-    index = None
-    for parts, mult in exp.terms:
-        if parts == (sid,):
-            continue
-        term = {(): mult}
-        for pid in parts:
-            if index is None:
-                index = universe_index(mode, sid.r, _labels_for(cg))
-            part_poly = cumulant_moment_polynomial(index[pid.key].graph, mode)
-            term = _poly_mul(term, part_poly)
-        for mono, coeff in term.items():
-            poly[mono] = poly.get(mono, 0) - coeff
-            if poly[mono] == 0:
-                del poly[mono]
-    return poly
-
-
-def _labels_for(cg):
-    return max(cg.colors, default=0) + 1 if cg.colors else 2
-
-
-def _poly_mul(a, b):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(sorted(ma + mb, key=lambda s: (s.r, s.key)))
-            out[mono] = out.get(mono, 0) + ca * cb
-    return out
+_union_ids = {}
 
 
 def _disjoint_union_id(monomial, mode, index):
-    edges = []
-    colors = []
-    offset = 0
-    directed = False
-    for pid in monomial:
-        g = index[pid.key].graph
-        directed = g.directed
-        for u, v, val in g.edges:
-            edges.append((u + offset, v + offset, val))
-        colors.extend(g.colors)
-        offset += g.k
-    cg = ClassGraph.make(offset, edges, directed=directed,
-                         colors=tuple(colors))
-    return class_id(cg, mode)
+    """Class of the disjoint union of a monomial's factors, cached: it does
+    not depend on which representative graphs the index holds."""
+    uid = _union_ids.get(monomial)
+    if uid is None:
+        uid = class_id(ClassGraph.disjoint_union(
+            [index[pid.key].graph for pid in monomial]), mode)
+        _union_ids[monomial] = uid
+    return uid
 
 
 def unbiased_cumulants(m: MomentVector):

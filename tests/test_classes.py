@@ -4,17 +4,58 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from netmoments import classes
 from netmoments.canonical import canonicalize
 from netmoments.classes import (class_id, ClassGraph, complete_count,
-                                named_class, universe)
+                                named_class, unit_subclasses, universe)
 
 
 def test_simple_universe_sizes():
     u = universe("simple", 4)
     # connected + disconnected classes with exactly r edges
     assert [len(u[r]) for r in (1, 2, 3, 4)] == [1, 2, 5, 11]
+
+
+def test_universe_builds_each_order_once():
+    # labels spelled out, as the library calls it: lru_cache keys on the
+    # arguments as given
+    classes.universe.cache_clear()
+    small = universe("simple", 5, 2)
+    big = universe("simple", 6, 2)
+    assert all(big[r] is small[r] for r in range(1, 6))
+    assert classes.universe.cache_info().misses == 6
+    with pytest.raises(ValueError, match="at least 1"):
+        universe("simple", 0)
+
+
+def test_unit_subclasses_index_units_by_bitmask():
+    nc = lambda mode, a: named_class(mode, a).id
+    path = unit_subclasses(named_class("simple", "path").graph, "simple")
+    # edges (0,1), (1,2), (2,3) on bits 0, 1, 2
+    assert path[0] is None
+    assert path[0b011] == nc("simple", "wedge")
+    assert path[0b101] == nc("simple", "two-parallel")
+    assert path[0b111] == nc("simple", "path")
+    # the double edge (0,1) holds bits 0 and 1, the edge (1,2) bit 2
+    dew = unit_subclasses(named_class("weighted", "double-edge-wedge").graph,
+                          "weighted")
+    assert dew[0b001] == dew[0b010] == dew[0b100] == nc("weighted", "edge")
+    assert dew[0b011] == nc("weighted", "double-edge")
+    assert dew[0b101] == nc("weighted", "wedge")
+    assert dew[0b111] == nc("weighted", "double-edge-wedge")
+
+
+def test_disjoint_union_and_connectivity():
+    edge = named_class("directed", "edge").graph
+    wedge = named_class("directed", "wedge-in-out").graph
+    union = ClassGraph.disjoint_union([edge, wedge])
+    assert union == ClassGraph.make(5, [(0, 1, 1), (2, 3, 1), (3, 4, 1)],
+                                    directed=True)
+    assert not union.is_connected()
+    assert wedge.is_connected() and ClassGraph.make(0, []).is_connected()
 
 
 def test_directed_universe_first_orders():

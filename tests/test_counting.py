@@ -135,15 +135,17 @@ def test_order_caps():
 
 
 def test_split_tables_are_shared_across_orders():
-    # A split table for (c, h) depends on |c| + |h| only, so the order-6
-    # derivation plan reuses every table the order-5 plan built.
+    # The split tables of one order |c| + |h| are built together, once, and
+    # serve every derivation plan that reaches that order.
     G = random_graph(random.Random(5), 6, 0.6)
     counting._derivation_plan.cache_clear()
     counting._split_coefficients.cache_clear()
     full_counts(G, 5)
-    assert counting._split_coefficients.cache_info().hits == 0
+    assert counting._split_coefficients.cache_info().misses == 4  # orders 2-5
     full_counts(G, 6)
-    assert counting._split_coefficients.cache_info().hits > 0
+    info = counting._split_coefficients.cache_info()
+    assert info.misses == 5
+    assert info.hits > 0
 
 
 @settings(max_examples=40, deadline=None)

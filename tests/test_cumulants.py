@@ -1,13 +1,16 @@
 """Moment/cumulant conversion, scaling, and clustering coefficients."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netmoments import counting
 from netmoments.classes import named_class, universe
 from netmoments.cumulants import (BELL, clustering_coefficients,
+                                  cumulant_moment_polynomial,
                                   cumulants_to_moments, edge_partitions,
                                   IncompleteVectorError, moments_to_cumulants,
                                   scale_cumulants, signed_root)
@@ -147,3 +150,43 @@ def test_random_graph_round_trip_weighted(seed):
     m = moments(G, 3)
     back = cumulants_to_moments(moments_to_cumulants(m))
     assert back.values == m.values
+
+
+# SHA-256 over the edge-partition expansions, the kappa polynomials (as sets
+# of monomials) and the derivation plans in _combinatorics_items, recorded
+# before all three were moved onto one unit-subset table per class.
+COMBINATORICS_DIGEST = ("4d010611cbfafe4815dadcd9b376d837"
+                        "4d172b1a0e2d3388e85f29a2aad73603")
+COMBINATORICS_CASES = (("simple", 6, 2), ("directed", 5, 2),
+                       ("weighted", 5, 2), ("attributed", 3, 2),
+                       ("attributed", 3, 3), ("bipartite", 4, 2))
+
+
+def _ids(sids):
+    return ",".join(sid.serialize() for sid in sids)
+
+
+def _terms(pairs):
+    return [f"{_ids(ids)}*{n}" for ids, n in pairs]
+
+
+def _combinatorics_items():
+    for mode, cap, labels in COMBINATORICS_CASES:
+        for r, infos in sorted(universe(mode, cap, labels).items()):
+            for ci in infos:
+                yield "exp " + " ".join(_terms(edge_partitions(ci).terms))
+                poly = cumulant_moment_polynomial(ci.graph, mode)
+                yield "poly " + " ".join(sorted(_terms(poly.items())))
+        for r in range(1, cap + 1):
+            connected, steps = counting._derivation_plan(mode, r, labels)
+            yield "plan " + _ids(connected)
+            for sid, c_id, h_id, terms, self_coeff in steps:
+                yield (f"step {_ids((sid, c_id, h_id))} {self_coeff} "
+                       + " ".join(_terms(((gid,), n) for gid, n in terms)))
+
+
+def test_combinatorics_match_golden_digest():
+    h = hashlib.sha256()
+    for item in _combinatorics_items():
+        h.update(item.encode() + b"\n")
+    assert h.hexdigest() == COMBINATORICS_DIGEST
