@@ -140,13 +140,14 @@ _canon_cache = {}
 
 
 def canonical_class(cg):
-    """Canonical key (hex) and automorphism count of a ClassGraph, cached.
+    """(key hex, automorphism count, connected) of a ClassGraph, cached.
 
     Disconnected graphs are canonicalized per component: the combined key is
     the sorted concatenation of component keys, and the automorphism count is
     the product of component counts times a factorial for each set of
     identical components.  This keeps the canonical search inside single
-    components, which are small."""
+    components, which are small.  The components are found once per new
+    graph."""
     got = _canon_cache.get(cg)
     if got is not None:
         return got
@@ -154,12 +155,12 @@ def canonical_class(cg):
     if len(comps) <= 1:
         res = canonicalize(cg.k, cg.edges, directed=cg.directed,
                            colors=cg.colors)
-        got = (res.key.hex(), res.aut)
+        got = (res.key.hex(), res.aut, True)
     else:
         keys = []
         aut = 1
         for comp in comps:
-            ck, ca = canonical_class(comp)
+            ck, ca, _ = canonical_class(comp)
             keys.append(ck)
             aut *= ca
         counts = {}
@@ -169,22 +170,22 @@ def canonical_class(cg):
             aut *= math.factorial(c)
         combined = bytes([len(comps), int(cg.directed)]) + b"".join(
             bytes.fromhex(ck) + b"\xff" for ck in sorted(keys))
-        got = (combined.hex(), aut)
+        got = (combined.hex(), aut, False)
     _canon_cache[cg] = got
     return got
 
 
 def class_id(cg, mode):
-    key, aut = canonical_class(cg)
+    key, _, _ = canonical_class(cg)
     return SubgraphId(mode=mode, r=cg.r, key=key,
                       alias=_alias_registry(mode).get(key))
 
 
 def class_info(cg, mode):
-    key, aut = canonical_class(cg)
+    key, aut, connected = canonical_class(cg)
     sid = SubgraphId(mode=mode, r=cg.r, key=key,
                      alias=_alias_registry(mode).get(key))
-    return ClassInfo(id=sid, graph=cg, aut=aut, connected=cg.is_connected())
+    return ClassInfo(id=sid, graph=cg, aut=aut, connected=connected)
 
 
 @lru_cache(maxsize=None)
@@ -420,7 +421,7 @@ def _alias_registry(mode):
     if reg is None:
         reg = {}
         for alias, cg in _named_classes(mode).items():
-            key, _ = canonical_class(cg)
+            key, _, _ = canonical_class(cg)
             reg[key] = alias
         _alias_cache[mode] = reg
     return reg

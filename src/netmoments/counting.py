@@ -1,10 +1,39 @@
-"""Subgraph counting: connected counts by enumeration, disconnected counts
-derived from connected ones.
+"""Subgraph counting: connected counts from homomorphism counts (simple
+graphs) or by enumeration (every other mode), disconnected counts derived
+from connected ones.
 
 Counts are per edge-subset instance (automorphism-deduplicated).  In weighted
 mode each instance is a multiset of edge slots and is counted with
 multiplicity equal to the product of its edge weights (a slot used k times
 contributes its weight to the k-th power).
+
+Simple graphs use the homomorphism basis (Curticapean, Dell & Marx,
+"Homomorphisms are a good basis for counting small subgraphs", STOC 2017).
+Every injective map of a connected class H into G is a homomorphism of one
+quotient H/pi, and Moebius inversion over the partition lattice gives
+
+    c_H = (1 / |Aut H|) * sum over pi of mu(pi) * hom(H/pi, G),
+    mu(pi) = prod over blocks B of pi of (-1)^(|B|-1) (|B|-1)!
+
+where pi ranges over the partitions of H's nodes into independent sets (any
+other quotient has a loop, and no homomorphism into a simple graph).  The
+coefficients are graph-independent: _hom_basis builds them once per order
+and compiles hom(F, G) of every quotient class F into one program whose
+steps are shared between patterns.  A pattern's pendant trees become
+per-node weight vectors (the tree message A @ w, read from the adjacency
+lists); a triangle core is summed over the host's triangle list and K4 over
+its triangles' common neighbours, so orders <= 3 never build an n x n
+array; any other core is contracted with dense matrix products over the
+non-isolated nodes, one node with at most two neighbours at a time.  The
+arithmetic is float64 while the bound n' * Delta^(k-1) on every partial
+sum (n' non-isolated nodes, maximum degree Delta, k the largest pattern's
+node count) stays below 2^53, int64 below 2^63; past that the order is
+refused with OrderCapError before any array is built.  Hom values enter
+the sums as Python ints, and each division by |Aut H| is checked.
+
+Every other mode enumerates each connected edge subset (ESU on the line
+graph) and classifies it.  esu_counts runs that engine on any graph, and is
+the oracle the simple-mode counts are tested against.
 
 Disconnected counts are never enumerated.  For a disconnected class
 g = c (+) h (first component and remainder), counting ordered pairs of an
@@ -32,19 +61,24 @@ counts of a graph, the ERGM statistic matrix included, goes through it.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .classes import (ClassGraph, class_id, named_class, unit_subclasses,
-                      universe)
+import numpy as np
+
+from .classes import ClassGraph, class_id, unit_subclasses, universe
 
 ORDER_CAPS = {"simple": 6, "directed": 5, "weighted": 5, "attributed": 3,
               "bipartite": 4}
 
 
 class OrderCapError(ValueError):
-    """Requested order exceeds the supported cap for the mode."""
+    """Requested order exceeds the supported cap for the mode, or the exact
+    integer range of simple-mode counting on the given graph."""
 
 
 def check_order(mode, r_max):
@@ -150,12 +184,20 @@ def count_connected(G, r_max):
     """Connected-class counts for every connected class with <= r_max edges.
 
     Returns dict SubgraphId -> count (int for unweighted modes, Fraction for
-    weighted).  Classes that do not occur are absent from the dict.
+    weighted).  Classes that do not occur are absent from the dict.  Simple
+    graphs are counted from homomorphism counts, every other mode by ESU.
     """
+    if G.mode() == "simple":
+        check_order("simple", r_max)
+        return _count_simple(G, r_max)
+    return esu_counts(G, r_max)
+
+
+def esu_counts(G, r_max):
+    """count_connected by enumeration: every connected edge subset of G with
+    <= r_max edges is classified, in any mode."""
     mode, colors = graph_mode_colors(G)
     check_order(mode, r_max)
-    if mode == "simple" and not G.weighted and r_max <= 3:
-        return _fast_counts_simple(G, r_max)
     slots = sorted(G.edges)
     weighted = G.weighted
     clf = _Classifier(mode, G.directed, colors)
@@ -202,39 +244,410 @@ def _compositions(total, parts):
     return out
 
 
-def _fast_counts_simple(G, r_max):
-    """Specialized counters for simple graphs through third order: degrees
-    give stars, neighbor intersections give triangles, a walk correction
-    gives paths."""
-    n = G.n
-    adj = [0] * n
-    deg = [0] * n
-    for (u, v) in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
-    m = len(G.edges)
+# ---------------------------------------------------------------------------
+# Simple graphs: counts from homomorphism counts
+
+def _count_simple(G, r_max):
+    """count_connected of a simple graph: one run of the hom program, then
+    each class's Moebius sum divided by |Aut|, checked."""
+    rows, program, pattern_nodes = _hom_basis(r_max)
+    if not G.edges:
+        return {}
+    host = _Host(G, pattern_nodes, r_max)
+    vals = []
+    for op, args in program:
+        vals.append(op(host, *map(vals.__getitem__, args)))
     counts = {}
-
-    def put(alias, value):
+    for sid, aut, slots, coeffs in rows:
+        total = sum(map(operator.mul, coeffs, map(vals.__getitem__, slots)))
+        value, rem = divmod(total, aut)
+        if rem or value < 0:
+            raise AssertionError(
+                f"homomorphism sum {total} for {sid.serialize()} is not "
+                f"a count times |Aut| = {aut}")
         if value:
-            counts[named_class("simple", alias).id] = value
-
-    put("edge", m)
-    if r_max >= 2:
-        put("wedge", sum(d * (d - 1) // 2 for d in deg))
-    if r_max >= 3:
-        tri2 = 0
-        path = 0
-        for (u, v) in G.edges:
-            tri2 += (adj[u] & adj[v]).bit_count()
-            path += (deg[u] - 1) * (deg[v] - 1)
-        tri = tri2 // 3
-        put("triangle", tri)
-        put("claw", sum(d * (d - 1) * (d - 2) // 6 for d in deg))
-        put("path", path - 3 * tri)
+            counts[sid] = value
     return counts
+
+
+@lru_cache(maxsize=None)
+def _hom_basis(r_max):
+    """The graph-independent half of simple-mode counting, built once per
+    order.
+
+    Returns (rows, program, pattern nodes).  Each row is (id, |Aut|,
+    program slots, coefficients) for one connected class with <= r_max
+    edges; the slots hold hom(F, G) of its quotient classes F.
+    The program runs once per graph (see _Host); pattern nodes is the
+    largest quotient's node count, which sets the exactness bound.
+    """
+    connected = {ci.id.key: ci
+                 for infos in universe("simple", r_max, 2).values()
+                 for ci in infos if ci.connected}
+    quotient_keys = {}
+    rows = []
+    for ci in connected.values():
+        terms = {}
+        for blocks, edges, mu in _quotients(ci.graph):
+            key = quotient_keys.get((blocks, edges))
+            if key is None:
+                quotient = ClassGraph.make(blocks,
+                                           [(a, b, 1) for a, b in edges])
+                key = quotient_keys[blocks, edges] = class_id(
+                    quotient, "simple").key
+            terms[key] = terms.get(key, 0) + mu
+        rows.append((ci, {key: c for key, c in terms.items() if c}))
+    patterns = sorted({key for _, terms in rows for key in terms})
+    slots, program = _compile(
+        [_hom_expression(connected[key].graph) for key in patterns])
+    slot = dict(zip(patterns, slots))
+    rows = tuple((ci.id, ci.aut, tuple(slot[key] for key in sorted(terms)),
+                  tuple(terms[key] for key in sorted(terms)))
+                 for ci, terms in rows)
+    return rows, program, max(connected[key].graph.k for key in patterns)
+
+
+def _quotients(cg):
+    """(block count, quotient edges, mu) for every partition of cg's nodes
+    into independent sets.  Nodes join blocks in index order, each one only
+    a block holding none of its neighbours, so no other partition is
+    built."""
+    nbrs = [0] * cg.k
+    for u, v, _ in cg.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    members = []
+    block = [0] * cg.k
+    out = []
+
+    def place(v):
+        if v == cg.k:
+            mu = 1
+            for m in members:
+                mu *= (-1) ** (m.bit_count() - 1) * math.factorial(
+                    m.bit_count() - 1)
+            edges = {(min(block[a], block[b]), max(block[a], block[b]))
+                     for a, b, _ in cg.edges}
+            out.append((len(members), tuple(sorted(edges)), mu))
+            return
+        for i, m in enumerate(members):
+            if not nbrs[v] & m:
+                members[i] = m | 1 << v
+                block[v] = i
+                place(v + 1)
+                members[i] = m
+        block[v] = len(members)
+        members.append(1 << v)
+        place(v + 1)
+        members.pop()
+
+    place(0)
+    return out
+
+
+# Expressions of hom(F, G) are nested tuples (op, *operands) over the host's
+# arrays: vectors over its nodes, matrices over pairs, and Python ints.
+ONE = ("one",)
+ADJ = ("adj",)
+
+
+def _product(op, factors):
+    """Elementwise product, "mul" of vectors or "had" of matrices,
+    flattened and sorted so that equal products share one program step."""
+    items = []
+    for f in factors:
+        if f != ONE:
+            items.extend(f[1:] if f[0] == op else (f,))
+    if len(items) <= 1:
+        return items[0] if items else ONE
+    return (op,) + tuple(sorted(items, key=repr))
+
+
+def _mul(*vectors):
+    return _product("mul", vectors)
+
+
+def _transpose(m):
+    """The transpose, pushed down to the (symmetric) adjacency matrix."""
+    if m[0] == "path":
+        return ("path", _transpose(m[3]), m[2], _transpose(m[1]))
+    if m[0] == "had":
+        return _product("had", [_transpose(x) for x in m[1:]])
+    return m
+
+
+def _total(w):
+    """The sum of a vector expression; a product's is a dot product."""
+    if w[0] == "mul":
+        return ("dot", _mul(*w[1:-1]), w[-1])
+    return ("sum", w)
+
+
+def _spread(w):
+    """A @ w; A @ 1 is the degree vector."""
+    return ("deg",) if w == ONE else ("spread", w)
+
+
+def _apply(m, w):
+    """Matrix expression times vector expression."""
+    return _spread(w) if m == ADJ else ("mv", m, w)
+
+
+def _hom_expression(cg):
+    """hom(cg, G) as an expression.
+
+    Pendant trees are stripped in rounds of leaves, each leaf's weight
+    moving to its neighbour as A @ w.  A tree ends at its centre: one node
+    (the sum of its weight) or one edge (the sum over arcs x -> y of
+    w_x w_y, which is the degree-weighted sum when one side is 1).  A
+    triangle core is read from the
+    host's triangle list and a K4 core from its triangles' common
+    neighbours.  Any other core is eliminated one node at a time: a node
+    with one neighbour x multiplies x's weight by (F_xv @ w_v), a node with
+    two neighbours x, y joins F_xv diag(w_v) F_vy to the factor between x
+    and y, and the last pair is the quadratic form w_x F_xy w_y.  Within the
+    order cap every core other than K4 has such a node at every step."""
+    weight = [ONE] * cg.k
+    nbrs = {v: set() for v in range(cg.k)}
+    factors = {}
+    for u, v, _ in cg.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        factors[u, v] = [ADJ]
+
+    def factor(x, y):
+        m = _product("had", factors[min(x, y), max(x, y)])
+        return m if x < y else _transpose(m)
+
+    def remove(v):
+        for x in nbrs.pop(v):
+            nbrs[x].discard(v)
+            del factors[min(x, v), max(x, v)]
+
+    while len(nbrs) > 2:
+        leaves = [v for v in sorted(nbrs) if len(nbrs[v]) == 1]
+        if not leaves:
+            break
+        for v in leaves:
+            if len(nbrs) > 1 and len(nbrs[v]) == 1:
+                (x,) = nbrs[v]
+                weight[x] = _mul(weight[x], _spread(weight[v]))
+                remove(v)
+    core = sorted(nbrs)
+    if len(core) == 1:
+        return _total(weight[core[0]])
+    if len(core) == 2:
+        x, y = (weight[v] for v in core)
+        if ONE in (x, y):
+            return _total(_mul(_spread(ONE), x, y))
+        return ("edge",) + tuple(sorted((x, y), key=repr))
+    if len(core) == 3:
+        if all(weight[v] == ONE for v in core):
+            return ("tri",)
+        return ("tri",) + tuple(sorted((weight[v] for v in core), key=repr))
+    if len(core) == 4 and len(factors) == 6:
+        if any(weight[v] != ONE for v in core):
+            raise AssertionError("K4 with pendant trees is beyond the cap")
+        return ("k4",)
+    while len(nbrs) > 2:
+        v = min(nbrs, key=lambda x: (len(nbrs[x]), x))
+        around = sorted(nbrs[v])
+        if len(around) == 1:
+            (x,) = around
+            weight[x] = _mul(weight[x], _apply(factor(x, v), weight[v]))
+            remove(v)
+        elif len(around) == 2:
+            x, y = around
+            path = ("path", factor(x, v), weight[v], factor(v, y))
+            remove(v)
+            factors.setdefault((x, y), []).append(path)
+            nbrs[x].add(y)
+            nbrs[y].add(x)
+        else:
+            raise AssertionError(
+                f"no elimination order for the core of {cg.edges}")
+    x, y = sorted(nbrs)
+    return ("quad", weight[x], factor(x, y), weight[y])
+
+
+def _compile(exprs):
+    """One program for all expressions, each distinct subexpression one
+    step in dependency order.  Returns (the slot of each expression,
+    program), a step being (function, operand slots)."""
+    slots = {}
+    program = []
+
+    def visit(e):
+        got = slots.get(e)
+        if got is None:
+            args = tuple(visit(a) for a in e[1:])
+            program.append((_OPS[e[0]], args))
+            got = slots[e] = len(program) - 1
+        return got
+
+    return [visit(e) for e in exprs], tuple(program)
+
+
+class _Host:
+    """The non-isolated nodes of a simple graph, numbered 0..n'-1, in the
+    arrays a hom program reads: the edges as (u, v) pairs with u < v and
+    the degrees, then on first use the sorted edges, the adjacency lists,
+    the triangles and the dense adjacency matrix.  The dtype is float64
+    while n' * Delta^(k-1) (k = pattern nodes) bounds every partial sum
+    below 2^53, int64 below 2^63; beyond that the graph is refused before
+    anything but the edge list and degrees is built."""
+
+    def __init__(self, G, pattern_nodes, r_max):
+        ends = np.fromiter(itertools.chain.from_iterable(G.edges),
+                           dtype=np.int64, count=2 * len(G.edges))
+        # Numbering the nodes with an edge is the identity when every id
+        # below G.n has one; counting ids only when G.n <= 2m keeps memory
+        # O(m) either way.
+        deg = np.bincount(ends, minlength=G.n) if G.n <= len(ends) else None
+        if deg is None or not deg.all():
+            ends = np.unique(ends, return_inverse=True)[1]
+            deg = np.bincount(ends)
+        self.ends, self.deg, self.n = ends, deg, len(deg)
+        self.first, self.second = ends[0::2], ends[1::2]
+        n, top = self.n, int(deg.max())
+        bound = n * top ** (pattern_nodes - 1)
+        if bound >= 2 ** 63:
+            raise OrderCapError(
+                f"order {r_max} on a graph with {n} non-isolated nodes and "
+                f"maximum degree {top} needs counts up to {n}*{top}^"
+                f"{pattern_nodes - 1} >= 2^63, beyond exact 64-bit "
+                "arithmetic; use a lower order")
+        self.dtype = np.float64 if bound < 2 ** 53 else np.int64
+
+    @functools.cached_property
+    def edges(self):
+        """(codes, u, v, ends of the runs): the edges u < v as codes
+        u * n' + v, sorted, so the neighbours of x above it run up to
+        ends[x]."""
+        codes = self.first * self.n + self.second
+        codes.sort()
+        u, v = np.divmod(codes, self.n)
+        return codes, u, v, np.bincount(u, minlength=self.n).cumsum()
+
+    @functools.cached_property
+    def lists(self):
+        """(neighbours, start of each node's run): adjacency lists."""
+        codes, u, v, _ = self.edges
+        arcs = np.concatenate((codes, v * self.n + u))
+        arcs.sort()
+        return arcs % self.n, self.deg.cumsum() - self.deg
+
+    def has_edge(self, a, b):
+        """Elementwise: is (a, b), a < b, an edge?"""
+        codes = self.edges[0]
+        want = a * self.n + b
+        return codes.take(codes.searchsorted(want), mode="clip") == want
+
+    @functools.cached_property
+    def wedges(self):
+        """(count, b, c, closed): each path b - a - c with a < b < c, where
+        (a, b) is the i-th edge, repeated count[i] times, and c a later
+        neighbour of a; and whether b and c are adjacent.  The closed
+        wedges are the triangles, once each."""
+        _, u, v, ends = self.edges
+        stop = ends[u]
+        count = stop - np.arange(1, len(u) + 1)
+        b, c = v.repeat(count), v[_runs(stop, count)]
+        return count, b, c, self.has_edge(b, c)
+
+    @functools.cached_property
+    def triangles(self):
+        """(a, b, c) arrays, a < b < c, one entry per triangle."""
+        count, b, c, closed = self.wedges
+        a = self.edges[1].repeat(count)
+        return a[closed], b[closed], c[closed]
+
+
+def _runs(stops, counts):
+    """The positions stops[i] - counts[i] .. stops[i] - 1, for each i in
+    turn."""
+    return np.arange(counts.sum()) + (stops - counts.cumsum()).repeat(counts)
+
+
+def _op_one(h):
+    return np.ones(h.n, dtype=h.dtype)
+
+
+def _op_deg(h):
+    return h.deg.astype(h.dtype)
+
+
+def _op_spread(h, w):
+    nbr, starts = h.lists
+    return np.add.reduceat(w[nbr], starts)
+
+
+def _op_product(h, *operands):
+    return functools.reduce(operator.mul, operands)
+
+
+def _op_sum(h, w):
+    return int(w.sum())
+
+
+def _op_dot(h, x, y):
+    return int(x @ y)
+
+
+def _op_edge(h, x, y):
+    a, b = h.first, h.second
+    if x is y:
+        return 2 * int(x[a] @ x[b])
+    return int(x[a] @ y[b] + x[b] @ y[a])
+
+
+def _op_tri(h, *w):
+    if not w:
+        return 6 * int(np.count_nonzero(h.wedges[3]))
+    a, b, c = h.triangles
+    x, y, z = w
+    return int((x[a] * (y[b] * z[c] + y[c] * z[b])
+                + x[b] * (y[a] * z[c] + y[c] * z[a])
+                + x[c] * (y[a] * z[b] + y[b] * z[a])).sum())
+
+
+def _op_k4(h):
+    """24 times the K4s: triangles a < b < c and a neighbour d > c of c
+    adjacent to a and b."""
+    codes, _, v, ends = h.edges
+    a, b, c = h.triangles
+    stop = ends[c]
+    count = stop - codes.searchsorted(c * (h.n + 1))
+    d = v[_runs(stop, count)]
+    return 24 * int(np.count_nonzero(h.has_edge(a.repeat(count), d)
+                                     & h.has_edge(b.repeat(count), d)))
+
+
+def _op_adj(h):
+    codes, u, v, _ = h.edges
+    A = np.zeros(h.n * h.n, dtype=h.dtype)
+    A[codes] = 1
+    A[v * h.n + u] = 1
+    return A.reshape(h.n, h.n)
+
+
+def _op_path(h, left, w, right):
+    return (left * w) @ right
+
+
+def _op_mv(h, m, w):
+    return m @ w
+
+
+def _op_quad(h, x, m, y):
+    return int(x @ (m @ y))
+
+
+_OPS = {"one": _op_one, "deg": _op_deg, "spread": _op_spread,
+        "mul": _op_product, "sum": _op_sum, "dot": _op_dot,
+        "edge": _op_edge, "tri": _op_tri, "k4": _op_k4, "adj": _op_adj,
+        "path": _op_path, "had": _op_product, "mv": _op_mv,
+        "quad": _op_quad}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ class GraphDataError(ValueError):
     """Malformed input data (edge lists, attribute files, flags)."""
 
 
+UNIT = Fraction(1)  # the weight of every unweighted edge
+
+
 @dataclass(frozen=True)
 class Graph:
     """One observed network.
@@ -35,7 +38,7 @@ class Graph:
                 raise GraphDataError(f"edge ({u},{v}) outside [0,{self.n})")
             if not self.directed and u > v:
                 raise GraphDataError("undirected edges must be stored u < v")
-            if w < 0:
+            if w.numerator < 0:
                 raise GraphDataError(f"negative weight on edge ({u},{v})")
         if self.node_attrs is not None:
             for v in self.node_attrs:
@@ -130,7 +133,7 @@ def make_graph(n, edge_list, directed=False, weighted=False, node_attrs=None,
     for e in edge_list:
         if len(e) == 2:
             u, v = e
-            w = Fraction(1)
+            w = UNIT
         else:
             u, v, w = e
             w = Fraction(w)
@@ -172,7 +175,7 @@ def parse_graph(text, directed=False, weighted=False, nodes=None,
             raise GraphDataError(f"line {lineno}: negative node id")
         if u == v:
             raise GraphDataError(f"line {lineno}: self-loop at node {u}")
-        w = Fraction(1)
+        w = UNIT
         if len(parts) == 3:
             try:
                 w = Fraction(parts[2])

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from netmoments import classes
 from netmoments.canonical import canonicalize
-from netmoments.classes import (class_id, ClassGraph, complete_count,
-                                named_class, unit_subclasses, universe)
+from netmoments.classes import (class_id, class_info, ClassGraph,
+                                complete_count, named_class, unit_subclasses,
+                                universe)
 
 
 def test_simple_universe_sizes():
@@ -29,6 +30,23 @@ def test_universe_builds_each_order_once():
     assert classes.universe.cache_info().misses == 6
     with pytest.raises(ValueError, match="at least 1"):
         universe("simple", 0)
+
+
+def test_class_info_finds_components_once(monkeypatch):
+    calls = []
+    real = ClassGraph.components
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ClassGraph, "components", counted)
+    cg = ClassGraph.make(7, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (5, 6, 1)])
+    classes._canon_cache.pop(cg, None)
+    assert not class_info(cg, "simple").connected
+    assert calls.count(cg) == 1
+    assert class_info(cg, "simple").aut == 16  # wedge 2, edges 2 * 2 * 2!
+    assert calls.count(cg) == 1
 
 
 def test_unit_subclasses_index_units_by_bitmask():

@@ -1,17 +1,21 @@
-"""Subgraph counting: brute-force parity, caps, closed-form identities."""
+"""Subgraph counting: brute-force parity, caps, closed-form identities,
+and the simple-mode homomorphism engine against ESU."""
 
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netmoments.classes import class_id, ClassGraph, named_class
 from netmoments import counting
+from netmoments.cli import main
 from netmoments.counting import (ORDER_CAPS, OrderCapError, check_order,
-                                 count_connected, full_counts)
+                                 count_connected, esu_counts, full_counts)
 from netmoments.graphs import Graph, make_graph
 
 from conftest import brute_canonical, random_graph, random_weighted_graph
@@ -158,3 +162,141 @@ def test_second_order_pair_identity(n, bits):
     wid = named_class("simple", "wedge").id
     pid = named_class("simple", "two-parallel").id
     assert math.comb(m, 2) == c.get(wid, 0) + c.get(pid, 0)
+
+
+# ---------------------------------------------------------------------------
+# Simple mode: homomorphism counts against ESU and the brute-force oracle
+
+def _as_brute(G, counts):
+    """Counts keyed by the oracle's canonical form."""
+    out = {}
+    for sid, c in counts.items():
+        cg = _rep_of(G, sid)
+        out[brute_canonical([(u, v) for u, v, _ in cg.edges])] = c
+    return out
+
+
+def _edge_set_connected(sub):
+    reach, rest = set(sub[0]), set(sub[1:])
+    while rest:
+        touching = {e for e in rest if not reach.isdisjoint(e)}
+        if not touching:
+            return False
+        reach.update(x for e in touching for x in e)
+        rest -= touching
+    return True
+
+
+def _connected_brute(G, r_max):
+    """brute_counts restricted to connected edge subsets."""
+    out = {}
+    for r in range(1, r_max + 1):
+        for sub in itertools.combinations(sorted(G.edges), r):
+            if _edge_set_connected(sub):
+                key = brute_canonical(list(sub))
+                out[key] = out.get(key, 0) + 1
+    return out
+
+
+_PAIRS8 = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.sets(st.sampled_from(_PAIRS8), max_size=12),
+       st.integers(0, 3), st.integers(0, 50), st.integers(1, 6))
+@example(2, {(0, 1)}, 0, 0, 6)        # the single-edge graph
+@example(8, set(), 2, 0, 3)           # isolated nodes only
+@example(3, {(0, 1)}, 3, 40, 6)       # one edge among isolated nodes
+def test_simple_counts_match_esu_and_brute(n, pairs, extra, shift, r):
+    edges = [(u + shift, v + shift) for u, v in pairs if v < n]
+    G = make_graph(n + shift + extra, edges)
+    got = count_connected(G, r)
+    assert got == esu_counts(G, r)
+    assert all(isinstance(c, int) and c > 0 for c in got.values())
+    assert _as_brute(G, got) == _connected_brute(G, r)
+
+
+def test_simple_mode_never_enumerates(monkeypatch):
+    calls = []
+    real = counting.connected_edge_subsets
+
+    def counted(slots, max_size):
+        calls.append(max_size)
+        return real(slots, max_size)
+
+    monkeypatch.setattr(counting, "connected_edge_subsets", counted)
+    G = random_graph(random.Random(21), 9, 0.5)
+    for r in range(1, ORDER_CAPS["simple"] + 1):
+        full_counts(G, r)
+    assert calls == []
+    esu_counts(G, 2)
+    assert calls == [2]
+
+
+def _star(k):
+    return ClassGraph.make(k + 1, [(0, i, 1) for i in range(1, k + 1)])
+
+
+def test_star_counts_are_exact_in_int64():
+    # 201 * 200^6 is past float64's exact integers, within int64
+    assert 2 ** 53 < 201 * 200 ** 6 < 2 ** 63
+    G = make_graph(201, [(0, i) for i in range(1, 201)])
+    for r, dtype in ((5, np.float64), (6, np.int64)):
+        assert counting._Host(G, r + 1, r).dtype == dtype
+    want = {class_id(_star(k), "simple"): math.comb(200, k)
+            for k in range(1, 7)}
+    assert count_connected(G, 6) == want
+
+
+def test_exactness_cap_refuses_before_allocating(tmp_path, capsys):
+    G = make_graph(2001, [(0, i) for i in range(1, 2001)])
+    counting._hom_basis(6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapError, match="2\\^63"):
+            count_connected(G, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20   # one 2001 x 2001 float64 matrix is 32 MB
+    assert count_connected(G, 3)[named_class("simple", "claw").id] == \
+        math.comb(2000, 3)
+    path = tmp_path / "star.txt"
+    path.write_text("".join(f"0 {i}\n" for i in range(1, 2001)))
+    assert main(["count", str(path), "--order", "6"]) == 4
+    assert "2^63" in capsys.readouterr().err
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_follows_edges_not_node_ids():
+    count_connected(make_graph(3, [(0, 1), (1, 2)]), 5)  # warm the basis
+    G = make_graph(3_000_001, [(0, 1), (1, 3_000_000)])
+    got = {}
+    assert _peak_bytes(lambda: got.update(count_connected(G, 5))) < 2 ** 20
+    assert got == {named_class("simple", "edge").id: 2,
+                   named_class("simple", "wedge").id: 1}
+
+
+def test_order_three_builds_no_node_square_array():
+    rng = random.Random(22)
+    n = 20_000
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(40_000)}
+    G = make_graph(n, sorted(edges))
+    count_connected(make_graph(3, [(0, 1), (1, 2)]), 3)  # warm the basis
+    got = {}
+    # one n x n float64 array would be 3.2 GB, a boolean one 400 MB
+    assert _peak_bytes(lambda: got.update(count_connected(G, 3))) < 2 ** 25
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    assert got[named_class("simple", "wedge").id] == sum(
+        d * (d - 1) // 2 for d in deg)
