@@ -53,9 +53,6 @@ class ClassGraph:
         """Total edge count, with multiplicity."""
         return sum(val for _, _, val in self.edges)
 
-    def is_connected(self):
-        return len(self.components()) <= 1
-
     @staticmethod
     def disjoint_union(graphs):
         """The graphs side by side, nodes numbered in the order given."""
@@ -108,6 +105,13 @@ class SubgraphId:
     r: int
     key: str                     # canonical encoding, hex
     alias: str = field(default=None, compare=False, hash=False)
+
+    def __post_init__(self):
+        # ids key every count and moment table, so the hash is computed once
+        object.__setattr__(self, "_hash", hash((self.mode, self.r, self.key)))
+
+    def __hash__(self):
+        return self._hash
 
     def serialize(self):
         s = f"{self.mode}:{self.r}:{self.key}"
@@ -175,17 +179,23 @@ def canonical_class(cg):
     return got
 
 
+@lru_cache(maxsize=None)
+def _subgraph_id(mode, r, key):
+    """One SubgraphId object per class, so that dictionaries keyed by ids
+    find them by identity."""
+    return SubgraphId(mode=mode, r=r, key=key,
+                      alias=_alias_registry(mode).get(key))
+
+
 def class_id(cg, mode):
     key, _, _ = canonical_class(cg)
-    return SubgraphId(mode=mode, r=cg.r, key=key,
-                      alias=_alias_registry(mode).get(key))
+    return _subgraph_id(mode, cg.r, key)
 
 
 def class_info(cg, mode):
     key, aut, connected = canonical_class(cg)
-    sid = SubgraphId(mode=mode, r=cg.r, key=key,
-                     alias=_alias_registry(mode).get(key))
-    return ClassInfo(id=sid, graph=cg, aut=aut, connected=connected)
+    return ClassInfo(id=_subgraph_id(mode, cg.r, key), graph=cg, aut=aut,
+                     connected=connected)
 
 
 @lru_cache(maxsize=None)

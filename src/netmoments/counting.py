@@ -23,13 +23,14 @@ steps are shared between patterns.  A pattern's pendant trees become
 per-node weight vectors (the tree message A @ w, read from the adjacency
 lists); a triangle core is summed over the host's triangle list and K4 over
 its triangles' common neighbours, so orders <= 3 never build an n x n
-array; any other core is contracted with dense matrix products over the
-non-isolated nodes, one node with at most two neighbours at a time.  The
-arithmetic is float64 while the bound n' * Delta^(k-1) on every partial
-sum (n' non-isolated nodes, maximum degree Delta, k the largest pattern's
-node count) stays below 2^53, int64 below 2^63; past that the order is
-refused with OrderCapError before any array is built.  Hom values enter
-the sums as Python ints, and each division by |Aut H| is checked.
+array; any other core is contracted with sparse matrix products over the
+non-isolated nodes, one node with at most two neighbours at a time, each
+product as large as the walks it counts.  The arithmetic is float64 while
+the bound 2m * Delta^(k-2) on every partial sum (m edges, maximum degree
+Delta, k the largest pattern's node count) stays below 2^53, int64 below
+2^63; past that, or past MATRIX_WALKS walks for the matrix products, the
+order is refused with OrderCapError before any array is built.  Hom values
+enter the sums as Python ints, and each division by |Aut H| is checked.
 
 Every other mode enumerates each connected edge subset (ESU on the line
 graph) and classifies it.  esu_counts runs that engine on any graph, and is
@@ -250,10 +251,10 @@ def _compositions(total, parts):
 def _count_simple(G, r_max):
     """count_connected of a simple graph: one run of the hom program, then
     each class's Moebius sum divided by |Aut|, checked."""
-    rows, program, pattern_nodes = _hom_basis(r_max)
+    rows, program, pattern_nodes, walk = _hom_basis(r_max)
     if not G.edges:
         return {}
-    host = _Host(G, pattern_nodes, r_max)
+    host = _Host(G, pattern_nodes, walk, r_max)
     vals = []
     for op, args in program:
         vals.append(op(host, *map(vals.__getitem__, args)))
@@ -275,11 +276,12 @@ def _hom_basis(r_max):
     """The graph-independent half of simple-mode counting, built once per
     order.
 
-    Returns (rows, program, pattern nodes).  Each row is (id, |Aut|,
-    program slots, coefficients) for one connected class with <= r_max
-    edges; the slots hold hom(F, G) of its quotient classes F.
+    Returns (rows, program, pattern nodes, walk length).  Each row is
+    (id, |Aut|, program slots, coefficients) for one connected class with
+    <= r_max edges; the slots hold hom(F, G) of its quotient classes F.
     The program runs once per graph (see _Host); pattern nodes is the
-    largest quotient's node count, which sets the exactness bound.
+    largest quotient's node count, which sets the exactness bound, and
+    walk length the longest walk a matrix step enumerates (0 if none).
     """
     connected = {ci.id.key: ci
                  for infos in universe("simple", r_max, 2).values()
@@ -298,13 +300,14 @@ def _hom_basis(r_max):
             terms[key] = terms.get(key, 0) + mu
         rows.append((ci, {key: c for key, c in terms.items() if c}))
     patterns = sorted({key for _, terms in rows for key in terms})
-    slots, program = _compile(
-        [_hom_expression(connected[key].graph) for key in patterns])
+    exprs = [_hom_expression(connected[key].graph) for key in patterns]
+    slots, program = _compile(exprs)
     slot = dict(zip(patterns, slots))
     rows = tuple((ci.id, ci.aut, tuple(slot[key] for key in sorted(terms)),
                   tuple(terms[key] for key in sorted(terms)))
                  for ci, terms in rows)
-    return rows, program, max(connected[key].graph.k for key in patterns)
+    return (rows, program, max(connected[key].graph.k for key in patterns),
+            max(map(_walk_length, exprs)))
 
 
 def _quotients(cg):
@@ -400,12 +403,14 @@ def _hom_expression(cg):
     moving to its neighbour as A @ w.  A tree ends at its centre: one node
     (the sum of its weight) or one edge (the sum over arcs x -> y of
     w_x w_y, which is the degree-weighted sum when one side is 1).  A
-    triangle core is read from the
-    host's triangle list and a K4 core from its triangles' common
-    neighbours.  Any other core is eliminated one node at a time: a node
-    with one neighbour x multiplies x's weight by (F_xv @ w_v), a node with
-    two neighbours x, y joins F_xv diag(w_v) F_vy to the factor between x
-    and y, and the last pair is the quadratic form w_x F_xy w_y.  Within the
+    triangle core is read from the host's triangle list and a K4 core
+    from its triangles' common neighbours.  Any other core is eliminated
+    one node at a time: a node with one neighbour x multiplies x's weight
+    by (F_xv @ w_v), a node with two neighbours x, y joins
+    F_xv diag(w_v) F_vy to the factor between x and y, and the last pair
+    is the quadratic form w_x F_xy w_y.  _elimination_order keeps the
+    walks the products count short: the square needs only A @ A, and no
+    core within the order cap walks further than three steps.  Within the
     order cap every core other than K4 has such a node at every step."""
     weight = [ONE] * cg.k
     nbrs = {v: set() for v in range(cg.k)}
@@ -449,25 +454,83 @@ def _hom_expression(cg):
         if any(weight[v] != ONE for v in core):
             raise AssertionError("K4 with pendant trees is beyond the cap")
         return ("k4",)
-    while len(nbrs) > 2:
-        v = min(nbrs, key=lambda x: (len(nbrs[x]), x))
+    for v in _elimination_order(tuple(sorted(factors))):
         around = sorted(nbrs[v])
         if len(around) == 1:
             (x,) = around
             weight[x] = _mul(weight[x], _apply(factor(x, v), weight[v]))
             remove(v)
-        elif len(around) == 2:
+        else:
             x, y = around
             path = ("path", factor(x, v), weight[v], factor(v, y))
             remove(v)
             factors.setdefault((x, y), []).append(path)
             nbrs[x].add(y)
             nbrs[y].add(x)
-        else:
-            raise AssertionError(
-                f"no elimination order for the core of {cg.edges}")
     x, y = sorted(nbrs)
     return ("quad", weight[x], factor(x, y), weight[y])
+
+
+@lru_cache(maxsize=None)
+def _elimination_order(edges):
+    """The order in which _hom_expression eliminates the nodes of a core
+    with these edges, all but two, each with one or two neighbours when
+    its turn comes.  Of all such orders it takes one whose products walk
+    the least: the longest walk a product counts first, then the sum of
+    their lengths.  Nodes with one neighbour go first, which builds no
+    matrix.  For the six-cycle, eliminating the node with the shortest
+    product each time walks four steps; the best order walks three."""
+    best = [None, None]
+
+    def search(nbrs, lengths, order, cost):
+        if best[0] is not None and cost >= best[0]:
+            return
+        if len(nbrs) <= 2:
+            best[:] = cost, order
+            return
+        ones = [v for v in sorted(nbrs) if len(nbrs[v]) == 1]
+        for v in ones[:1] or [v for v in sorted(nbrs) if len(nbrs[v]) == 2]:
+            around = sorted(nbrs[v])
+            rest = {x: nb - {v} for x, nb in nbrs.items() if x != v}
+            left = {p: l for p, l in lengths.items() if v not in p}
+            step = cost
+            if len(around) == 2:
+                x, y = around
+                walk = lengths[min(x, v), max(x, v)] + \
+                    lengths[min(v, y), max(v, y)]
+                left[x, y] = min(left.get((x, y), walk), walk)
+                rest[x] = rest[x] | {y}
+                rest[y] = rest[y] | {x}
+                step = (max(cost[0], walk), cost[1] + walk)
+            search(rest, left, order + (v,), step)
+
+    nodes = {x for e in edges for x in e}
+    search({v: frozenset(y for e in edges if v in e for y in e if y != v)
+            for v in nodes},
+           dict.fromkeys(edges, 1), (), (0, 0))
+    if best[1] is None:
+        raise AssertionError(f"no elimination order for the core {edges}")
+    return best[1]
+
+
+def _length(m):
+    """The longest walk a matrix expression's entries count: its nonzeros
+    lie among those of A^length."""
+    if m[0] == "path":
+        return _length(m[1]) + _length(m[3])
+    if m[0] == "had":
+        return min(map(_length, m[1:]))
+    return 1
+
+
+def _walk_length(e):
+    """The longest _length of a matrix step in e, 0 if it has none.  A
+    step of length L builds at most as many entries as the host has walks
+    of length L."""
+    inner = max(map(_walk_length, e[1:]), default=0)
+    if e[0] in ("adj", "path", "had"):
+        return max(inner, _length(e))
+    return inner
 
 
 def _compile(exprs):
@@ -488,36 +551,63 @@ def _compile(exprs):
     return [visit(e) for e in exprs], tuple(program)
 
 
+# The matrix products of a hom program hold about 100 bytes per walk they
+# enumerate (order 6 on a sparse 20,000-node graph); past this many walks
+# the order is refused.
+MATRIX_WALKS = 2 ** 22
+
+
 class _Host:
-    """The non-isolated nodes of a simple graph, numbered 0..n'-1, in the
-    arrays a hom program reads: the edges as (u, v) pairs with u < v and
-    the degrees, then on first use the sorted edges, the adjacency lists,
-    the triangles and the dense adjacency matrix.  The dtype is float64
-    while n' * Delta^(k-1) (k = pattern nodes) bounds every partial sum
-    below 2^53, int64 below 2^63; beyond that the graph is refused before
+    """The non-isolated nodes of a simple graph, numbered 0..n'-1 by
+    (degree, id), in the arrays a hom program reads: the edges as (u, v)
+    pairs with u < v and the degrees, then on first use the sorted edges,
+    the adjacency lists (which are the sparse adjacency matrix) and the
+    triangles.
+
+    Numbering by degree puts the apex of every wedge b - a - c with
+    a < b < c at its lowest-degree node, so there are O(m sqrt(m)) of them
+    and a star has none.  The dtype is float64 while 2m * Delta^(k-2)
+    (k = pattern nodes) bounds every partial sum below 2^53, int64 below
+    2^63: each partial sum is the hom count of a connected pattern with at
+    most k nodes, one arc and k-2 steps along a spanning tree.  A program
+    whose matrix steps reach walks of length L also needs at most
+    MATRIX_WALKS walks of that length.  Either cap is checked before
     anything but the edge list and degrees is built."""
 
-    def __init__(self, G, pattern_nodes, r_max):
+    def __init__(self, G, pattern_nodes, walk, r_max):
         ends = np.fromiter(itertools.chain.from_iterable(G.edges),
                            dtype=np.int64, count=2 * len(G.edges))
-        # Numbering the nodes with an edge is the identity when every id
-        # below G.n has one; counting ids only when G.n <= 2m keeps memory
-        # O(m) either way.
-        deg = np.bincount(ends, minlength=G.n) if G.n <= len(ends) else None
-        if deg is None or not deg.all():
-            ends = np.unique(ends, return_inverse=True)[1]
-            deg = np.bincount(ends)
-        self.ends, self.deg, self.n = ends, deg, len(deg)
-        self.first, self.second = ends[0::2], ends[1::2]
-        n, top = self.n, int(deg.max())
-        bound = n * top ** (pattern_nodes - 1)
+        # the ends sorted by id come in one run per node; each run's
+        # length is the node's degree, and the runs are renumbered by rank
+        order = ends.argsort()
+        ids = ends[order]
+        run = np.ones(len(ends) + 1, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=run[1:-1])
+        starts = np.flatnonzero(run)
+        deg = starts[1:] - starts[:-1]
+        by_degree = deg.argsort(kind="stable")
+        ends[order] = by_degree.argsort().repeat(deg)
+        a, b = ends[0::2], ends[1::2]
+        self.first, self.second = np.minimum(a, b), np.maximum(a, b)
+        self.deg, self.n = deg[by_degree], len(deg)
+        top = int(self.deg[-1])
+        bound = len(ends) * top ** (pattern_nodes - 2)
         if bound >= 2 ** 63:
             raise OrderCapError(
-                f"order {r_max} on a graph with {n} non-isolated nodes and "
-                f"maximum degree {top} needs counts up to {n}*{top}^"
-                f"{pattern_nodes - 1} >= 2^63, beyond exact 64-bit "
+                f"order {r_max} on a graph with {len(G.edges)} edges and "
+                f"maximum degree {top} needs counts up to 2*{len(G.edges)}*"
+                f"{top}^{pattern_nodes - 2} >= 2^63, beyond exact 64-bit "
                 "arithmetic; use a lower order")
         self.dtype = np.float64 if bound < 2 ** 53 else np.int64
+        if walk:
+            w = self.deg.astype(self.dtype)
+            for _ in range(walk - 1):
+                w = _op_spread(self, w)
+            if int(w.sum()) > MATRIX_WALKS:
+                raise OrderCapError(
+                    f"order {r_max} needs the graph's {int(w.sum())} walks "
+                    f"of length {walk}, more than the {MATRIX_WALKS} the "
+                    "matrix products are capped at; use a lower order")
 
     @functools.cached_property
     def edges(self):
@@ -531,11 +621,12 @@ class _Host:
 
     @functools.cached_property
     def lists(self):
-        """(neighbours, start of each node's run): adjacency lists."""
+        """(arcs, neighbours, start of each node's run): both directions
+        of every edge as sorted codes x * n' + y, and adjacency lists."""
         codes, u, v, _ = self.edges
         arcs = np.concatenate((codes, v * self.n + u))
         arcs.sort()
-        return arcs % self.n, self.deg.cumsum() - self.deg
+        return arcs, arcs % self.n, self.deg.cumsum() - self.deg
 
     def has_edge(self, a, b):
         """Elementwise: is (a, b), a < b, an edge?"""
@@ -578,7 +669,7 @@ def _op_deg(h):
 
 
 def _op_spread(h, w):
-    nbr, starts = h.lists
+    _, nbr, starts = h.lists
     return np.add.reduceat(w[nbr], starts)
 
 
@@ -623,30 +714,60 @@ def _op_k4(h):
                                      & h.has_edge(b.repeat(count), d)))
 
 
+# A matrix over node pairs is sparse: (codes, values), the codes x * n' + y
+# of its nonzero entries sorted.
+
 def _op_adj(h):
-    codes, u, v, _ = h.edges
-    A = np.zeros(h.n * h.n, dtype=h.dtype)
-    A[codes] = 1
-    A[v * h.n + u] = 1
-    return A.reshape(h.n, h.n)
+    arcs = h.lists[0]
+    return arcs, np.ones(len(arcs), dtype=h.dtype)
 
 
 def _op_path(h, left, w, right):
-    return (left * w) @ right
+    """left @ diag(w) @ right: every walk i -> k in left continued by one
+    k -> j in right, summed per (i, j)."""
+    (lc, lv), (rc, rv) = left, right
+    i, k = np.divmod(lc, h.n)
+    stop = rc.searchsorted((k + 1) * h.n)
+    count = stop - rc.searchsorted(k * h.n)
+    at = _runs(stop, count)
+    codes = i.repeat(count) * h.n + rc[at] % h.n
+    vals = (lv * w[k]).repeat(count) * rv[at]
+    order = codes.argsort()
+    codes = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    first = np.flatnonzero(first)
+    return codes[first], np.add.reduceat(vals[order], first)
+
+
+def _op_had(h, *matrices):
+    """The elementwise product."""
+    def had(x, y):
+        (xc, xv), (yc, yv) = x, y
+        if not len(yc):
+            return y
+        at = yc.searchsorted(xc)
+        hit = yc.take(at, mode="clip") == xc
+        return xc[hit], xv[hit] * yv[at[hit]]
+    return functools.reduce(had, matrices)
 
 
 def _op_mv(h, m, w):
-    return m @ w
+    codes, vals = m
+    total = np.concatenate(([0], (vals * w[codes % h.n]).cumsum()))
+    return np.diff(total[codes.searchsorted(np.arange(h.n + 1) * h.n)])
 
 
 def _op_quad(h, x, m, y):
-    return int(x @ (m @ y))
+    codes, vals = m
+    i, j = np.divmod(codes, h.n)
+    return int((x[i] * vals) @ y[j])
 
 
 _OPS = {"one": _op_one, "deg": _op_deg, "spread": _op_spread,
         "mul": _op_product, "sum": _op_sum, "dot": _op_dot,
         "edge": _op_edge, "tri": _op_tri, "k4": _op_k4, "adj": _op_adj,
-        "path": _op_path, "had": _op_product, "mv": _op_mv,
+        "path": _op_path, "had": _op_had, "mv": _op_mv,
         "quad": _op_quad}
 
 

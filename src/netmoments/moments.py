@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .classes import complete_count, universe
 from .counting import full_counts, graph_mode_colors, check_order
@@ -68,15 +69,25 @@ def moments_from_counts(counts, n, mode, r_max, labels=2, label_counts=None):
     """Normalize a full count dict (as from full_counts) into moments."""
     mv = MomentVector(n=n, mode=mode, r_max=r_max, labels=labels,
                       label_counts=label_counts)
-    for r in range(1, r_max + 1):
-        for ci in universe(mode, r_max, labels)[r]:
-            denom = complete_count(ci, n, label_counts)
-            if denom == 0:
-                mv.absent[ci.id] = f"class unrealizable at n={n}"
-                continue
-            c = counts.get(ci.id, 0)
-            mv.values[ci.id] = Fraction(c) / denom
+    pools = None if label_counts is None else tuple(sorted(
+        label_counts.items()))
+    for sid, denom in _complete_counts(mode, r_max, labels, n, pools):
+        if denom == 0:
+            mv.absent[sid] = f"class unrealizable at n={n}"
+            continue
+        mv.values[sid] = Fraction(counts.get(sid, 0) * denom.denominator,
+                                  denom.numerator)
     return mv
+
+
+@lru_cache(maxsize=None)
+def _complete_counts(mode, r_max, labels, n, pools):
+    """(id, complete count) of every class with at most r_max edges, in
+    universe order; pools is label_counts as sorted (label, count) pairs."""
+    label_counts = None if pools is None else dict(pools)
+    return tuple((ci.id, complete_count(ci, n, label_counts))
+                 for r in range(1, r_max + 1)
+                 for ci in universe(mode, r_max, labels)[r])
 
 
 def vector_like(template, values):

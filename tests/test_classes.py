@@ -72,8 +72,9 @@ def test_disjoint_union_and_connectivity():
     union = ClassGraph.disjoint_union([edge, wedge])
     assert union == ClassGraph.make(5, [(0, 1, 1), (2, 3, 1), (3, 4, 1)],
                                     directed=True)
-    assert not union.is_connected()
-    assert wedge.is_connected() and ClassGraph.make(0, []).is_connected()
+    assert not class_info(union, "directed").connected
+    assert class_info(wedge, "directed").connected
+    assert class_info(ClassGraph.make(0, []), "simple").connected
 
 
 def test_directed_universe_first_orders():

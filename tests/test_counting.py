@@ -238,12 +238,13 @@ def _star(k):
 
 
 def test_star_counts_are_exact_in_int64():
-    # 201 * 200^6 is past float64's exact integers, within int64
-    assert 2 ** 53 < 201 * 200 ** 6 < 2 ** 63
-    G = make_graph(201, [(0, i) for i in range(1, 201)])
+    # 2 * 500 * 500^5 is past float64's exact integers, within int64
+    assert 2 ** 53 < 2 * 500 ** 6 < 2 ** 63
+    G = make_graph(501, [(0, i) for i in range(1, 501)])
     for r, dtype in ((5, np.float64), (6, np.int64)):
-        assert counting._Host(G, r + 1, r).dtype == dtype
-    want = {class_id(_star(k), "simple"): math.comb(200, k)
+        _, _, nodes, walk = counting._hom_basis(r)
+        assert counting._Host(G, nodes, walk, r).dtype == dtype
+    want = {class_id(_star(k), "simple"): math.comb(500, k)
             for k in range(1, 7)}
     assert count_connected(G, 6) == want
 
@@ -258,13 +259,31 @@ def test_exactness_cap_refuses_before_allocating(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20   # one 2001 x 2001 float64 matrix is 32 MB
+    assert peak < 2 ** 20   # A @ A of this star has 4,000,000 entries
     assert count_connected(G, 3)[named_class("simple", "claw").id] == \
         math.comb(2000, 3)
     path = tmp_path / "star.txt"
     path.write_text("".join(f"0 {i}\n" for i in range(1, 2001)))
     assert main(["count", str(path), "--order", "6"]) == 4
     assert "2^63" in capsys.readouterr().err
+
+
+def test_walk_cap_refuses_before_allocating(tmp_path, capsys):
+    # A @ A of a star with 3,000 leaves has 9,000,000 entries
+    G = make_graph(3001, [(0, i) for i in range(1, 3001)])
+    counting._hom_basis(4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapError, match="walks of length 2"):
+            count_connected(G, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    path = tmp_path / "star.txt"
+    path.write_text("".join(f"0 {i}\n" for i in range(1, 3001)))
+    assert main(["count", str(path), "--order", "4"]) == 4
+    assert "walks" in capsys.readouterr().err
 
 
 def _peak_bytes(fn):
@@ -274,6 +293,13 @@ def _peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_matrix_products_walk_at_most_three_steps():
+    # the square needs A @ A; the six-cycle, eliminated greedily by the
+    # shortest product, would need four-step walks
+    assert [counting._hom_basis(r)[3] for r in range(1, 7)] == \
+        [0, 0, 0, 2, 3, 3]
 
 
 def test_memory_follows_edges_not_node_ids():
@@ -300,3 +326,37 @@ def test_order_three_builds_no_node_square_array():
         deg[v] += 1
     assert got[named_class("simple", "wedge").id] == sum(
         d * (d - 1) // 2 for d in deg)
+
+
+def test_order_three_star_counts_without_wedges():
+    # 60001 * 60000^3 is past 2^63, but no hom value exceeds 2 * 60000^3;
+    # numbered by id, the hub would be the apex of C(60000, 2) wedges and
+    # each array over them would take 14 GB
+    G = make_graph(60_001, [(0, i) for i in range(1, 60_001)])
+    count_connected(make_graph(3, [(0, 1), (1, 2)]), 3)  # warm the basis
+    got = {}
+    assert _peak_bytes(lambda: got.update(count_connected(G, 3))) < 2 ** 25
+    assert got[named_class("simple", "claw").id] == math.comb(60_000, 3)
+    assert got[named_class("simple", "wedge").id] == math.comb(60_000, 2)
+
+
+def test_order_four_products_follow_walks():
+    rng = random.Random(22)
+    n = 20_000
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(40_000)}
+    G = make_graph(n, sorted(edges))
+    count_connected(make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 4)
+    got = {}
+    # one n x n float64 array would be 3.2 GB; A @ A has about 400,000
+    # entries here
+    assert _peak_bytes(lambda: got.update(count_connected(G, 4))) < 2 ** 26
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    common = {}
+    for around in nbrs:
+        for pair in itertools.combinations(sorted(around), 2):
+            common[pair] = common.get(pair, 0) + 1
+    squares = sum(c * (c - 1) // 2 for c in common.values()) // 2
+    assert squares and got[named_class("simple", "square").id] == squares
