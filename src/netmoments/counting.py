@@ -256,8 +256,10 @@ def _count_simple(G, r_max):
         return {}
     host = _Host(G, pattern_nodes, walk, r_max)
     vals = []
-    for op, args in program:
+    for op, args, dead in program:
         vals.append(op(host, *map(vals.__getitem__, args)))
+        for slot in dead:
+            vals[slot] = None
     counts = {}
     for sid, aut, slots, coeffs in rows:
         total = sum(map(operator.mul, coeffs, map(vals.__getitem__, slots)))
@@ -279,9 +281,11 @@ def _hom_basis(r_max):
     Returns (rows, program, pattern nodes, walk length).  Each row is
     (id, |Aut|, program slots, coefficients) for one connected class with
     <= r_max edges; the slots hold hom(F, G) of its quotient classes F.
-    The program runs once per graph (see _Host); pattern nodes is the
-    largest quotient's node count, which sets the exactness bound, and
-    walk length the longest walk a matrix step enumerates (0 if none).
+    The program runs once per graph (see _Host); each step lists the
+    slots no later step or row reads, freed once it has run.  Pattern
+    nodes is the largest quotient's node count, which sets the exactness
+    bound, and walk length the longest walk a matrix step enumerates (0 if
+    none).
     """
     connected = {ci.id.key: ci
                  for infos in universe("simple", r_max, 2).values()
@@ -306,6 +310,11 @@ def _hom_basis(r_max):
     rows = tuple((ci.id, ci.aut, tuple(slot[key] for key in sorted(terms)),
                   tuple(terms[key] for key in sorted(terms)))
                  for ci, terms in rows)
+    keep = set(slots)
+    last = {arg: step for step, (_, args) in enumerate(program)
+            for arg in args if arg not in keep}
+    program = tuple((op, args, tuple(a for a in args if last.get(a) == step))
+                    for step, (op, args) in enumerate(program))
     return (rows, program, max(connected[key].graph.k for key in patterns),
             max(map(_walk_length, exprs)))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .classes import (ClassGraph, SubgraphId, class_id, unit_subclasses,
@@ -113,46 +114,52 @@ class IncompleteVectorError(ValueError):
     """A required class is missing from the input vector."""
 
 
-def _class_infos(m: MomentVector):
-    index = universe_index(m.mode, m.r_max, m.labels)
-    infos = [index[sid.key] for sid in m.values]
-    infos.sort(key=lambda ci: (ci.id.r, ci.id.key))
-    return infos
+def common_denominator(values):
+    """(L, {id: L * value}) for L the lcm of the values' denominators: the
+    numerators over one common denominator, as ints."""
+    lcm = math.lcm(*(v.denominator for v in values.values()))
+    return lcm, {sid: v.numerator * (lcm // v.denominator)
+                 for sid, v in values.items()}
 
 
-def _evaluate(terms, values, what, subject):
-    """sum of coeff * prod of values over (monomial, coeff) terms."""
-    acc = 0
-    for parts, coeff in terms:
-        try:
-            prod = values[parts[0]]
-            for pid in parts[1:]:
-                prod = prod * values[pid]
-        except KeyError as exc:
-            pid = exc.args[0]
-            raise IncompleteVectorError(
-                f"{what} vector lacks class {pid.serialize()} "
-                f"(alias {pid.alias}) needed for "
-                f"{subject.alias or subject.serialize()}") from None
-        acc = acc + (prod if coeff == 1 else coeff * prod)
-    return acc
+def _evaluate(v: MomentVector, terms_of, what):
+    """Each class's sum of coeff * prod of values over its (monomial,
+    coeff) terms, classes by order.  With every value N/L, a term of b
+    blocks is scaled by L^(r - b), r >= b being the class's edge units, so
+    each class sums ints and builds one Fraction over L^r."""
+    index = universe_index(v.mode, v.r_max, v.labels)
+    lcm, num = common_denominator(v.values)
+    powers = [lcm ** b for b in range(v.r_max + 1)]
+    out = {}
+    for sid in sorted(v.values, key=lambda s: (s.r, s.key)):
+        ci = index[sid.key]
+        acc = 0
+        for parts, coeff in terms_of(ci):
+            prod = coeff * powers[sid.r - len(parts)]
+            try:
+                for pid in parts:
+                    prod *= num[pid]
+            except KeyError as exc:
+                pid = exc.args[0]
+                raise IncompleteVectorError(
+                    f"{what} vector lacks class {pid.serialize()} "
+                    f"(alias {pid.alias}) needed for "
+                    f"{ci.id.alias or ci.id.serialize()}") from None
+            acc += prod
+        out[ci.id] = Fraction(acc, powers[sid.r])
+    return vector_like(v, out)
 
 
 def moments_to_cumulants(m: MomentVector):
     """Evaluate each class's kappa polynomial on the moments."""
-    kappa = {ci.id: _evaluate(cumulant_moment_polynomial(ci.graph, m.mode)
-                              .items(), m.values, "moment", ci.id)
-             for ci in _class_infos(m)}
-    return vector_like(m, kappa)
+    return _evaluate(m, lambda ci: cumulant_moment_polynomial(
+        ci.graph, m.mode).items(), "moment")
 
 
 def cumulants_to_moments(k: MomentVector):
     """Evaluate each class's partition expansion on the cumulants; exact
     inverse of moments_to_cumulants."""
-    mu = {ci.id: _evaluate(edge_partitions(ci).terms, k.values, "cumulant",
-                           ci.id)
-          for ci in _class_infos(k)}
-    return vector_like(k, mu)
+    return _evaluate(k, lambda ci: edge_partitions(ci).terms, "cumulant")
 
 
 def edge_class_id(mode):

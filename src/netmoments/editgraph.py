@@ -16,7 +16,6 @@ import numpy as np
 
 from .canonical import canonicalize
 from .ergm import SizeCapError, enumerate_classes
-from .classes import universe
 
 EDIT_NODE_CAP = 6
 
@@ -98,30 +97,3 @@ def zero_eigenvector_residuals(h: EditGraph):
     scale = np.abs(L).max()
     return (float(np.abs(left @ L).max()) / scale,
             float(np.abs(L @ right).max()) / scale)
-
-
-def count_vectors(h: EditGraph, r_max):
-    """Matrix whose rows are {class -> c_g(class)} over every subgraph g
-    with at most r_max edges (the empty subgraph contributes the all-ones
-    row)."""
-    sids = [ci.id for infos in universe("simple", r_max).values()
-            for ci in infos if ci.graph.k <= h.n]
-    return np.vstack([np.ones(len(h)), h.table.statistic_counts(sids).T])
-
-
-def left_eigenspace_rank_match(h: EditGraph, r_max):
-    """Rank comparison of span{left eigenvectors, eigenvalue <= r_max}
-    against span{subgraph-count vectors with <= r_max edges}.
-
-    Returns (eigen_rank, count_rank, joint_rank); the span claim holds when
-    all three agree.
-    """
-    vals, vecs = np.linalg.eig(h.laplacian().T)
-    keep = np.rint(vals.real) <= r_max
-    eig_rows = vecs[:, keep].real.T
-    cnt_rows = count_vectors(h, r_max)
-    tol = 1e-8 * max(len(h), 1)
-    r_eig = np.linalg.matrix_rank(eig_rows, tol=tol)
-    r_cnt = np.linalg.matrix_rank(cnt_rows, tol=tol)
-    r_joint = np.linalg.matrix_rank(np.vstack([eig_rows, cnt_rows]), tol=tol)
-    return r_eig, r_cnt, r_joint

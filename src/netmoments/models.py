@@ -40,10 +40,9 @@ def er(n, p, seed=0):
     p = float(p)
     if not 0 <= p <= 1:
         raise GraphDataError("p must lie in [0, 1]")
-    rng = _rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    u = rng.random(len(pairs))
-    return make_graph(n, [pairs[i] for i in np.flatnonzero(u < p)])
+    iu, iv = np.triu_indices(n, 1)
+    keep = _rng(seed).random(iu.size) < p
+    return make_graph(n, zip(iu[keep].tolist(), iv[keep].tolist()))
 
 
 def ssbm_rates(n, assortativity, mean_degree):
@@ -86,15 +85,10 @@ def ssbm(n, a=None, b=None, assortativity=None, mean_degree=None, seed=0):
     if not (0 <= a <= 1 and 0 <= b <= 1):
         raise GraphDataError("probabilities must lie in [0, 1]")
     half = n // 2
-    rng = _rng(seed)
-    edges = []
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    u01 = rng.random(len(pairs))
-    for i, (u, v) in enumerate(pairs):
-        prob = a if (u < half) == (v < half) else b
-        if u01[i] < prob:
-            edges.append((u, v))
-    return make_graph(n, edges)
+    iu, iv = np.triu_indices(n, 1)
+    prob = np.where((iu < half) == (iv < half), a, b)
+    keep = _rng(seed).random(iu.size) < prob
+    return make_graph(n, zip(iu[keep].tolist(), iv[keep].tolist()))
 
 
 def bipartite_geometric(n, f, mean_degree, seed=0):

@@ -15,24 +15,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .classes import ClassGraph, class_id, named_class, universe_index
-from .cumulants import cumulant_moment_polynomial, IncompleteVectorError
+from .cumulants import (common_denominator, cumulant_moment_polynomial,
+                        IncompleteVectorError)
 from .moments import MomentVector, vector_like
 
 
-_union_ids = {}
-
-
-def _disjoint_union_id(monomial, mode, index):
-    """Class of the disjoint union of a monomial's factors, cached: it does
-    not depend on which representative graphs the index holds."""
-    uid = _union_ids.get(monomial)
-    if uid is None:
-        uid = class_id(ClassGraph.disjoint_union(
-            [index[pid.key].graph for pid in monomial]), mode)
-        _union_ids[monomial] = uid
-    return uid
+@lru_cache(maxsize=None)
+def _kappa_check_plans(mode: str, r_max: int, labels: int):
+    """{id: (connected, ((disjoint-union id, coeff), ...))} over a
+    universe: each class's moment polynomial with every monomial replaced
+    by the class of the disjoint union of its factors, like terms summed
+    in order of first appearance.  Terms that sum to zero stay, so a union
+    absent from the vector still makes the estimator absent.  Monomials
+    recur across classes, so each union is classified once."""
+    index = universe_index(mode, r_max, labels)
+    unions = {}
+    plans = {}
+    for ci in index.values():
+        plan = {}
+        for mono, coeff in cumulant_moment_polynomial(ci.graph, mode).items():
+            uid = unions.get(mono)
+            if uid is None:
+                uid = unions[mono] = class_id(ClassGraph.disjoint_union(
+                    [index[pid.key].graph for pid in mono]), mode)
+            plan[uid] = plan.get(uid, 0) + coeff
+        if not ci.connected and any(plan.values()):
+            raise AssertionError(
+                f"unbiased cumulant of disconnected class "
+                f"{ci.id.serialize()} is not identically zero")
+        plans[ci.id] = (ci.connected, tuple(plan.items()))
+    return plans
 
 
 def unbiased_cumulants(m: MomentVector):
@@ -40,17 +55,20 @@ def unbiased_cumulants(m: MomentVector):
 
     Derived generically: take the moment polynomial of each cumulant and
     replace each monomial with the moment of the disjoint union of its
-    factors.  Disconnected classes come out exactly zero.
+    factors.  Disconnected classes come out exactly zero.  The estimator
+    is linear in the moments, so each class sums integer numerators over
+    the vector's common denominator and builds one Fraction.
     """
-    index = universe_index(m.mode, m.r_max, m.labels)
+    plans = _kappa_check_plans(m.mode, m.r_max, m.labels)
+    lcm, num = common_denominator(m.values)
     out = {}
     absent = dict(m.absent)
     for sid in m.values:
-        poly = cumulant_moment_polynomial(index[sid.key].graph, m.mode)
+        connected, plan = plans[sid]
         acc = 0
-        for mono, coeff in poly.items():
-            uid = _disjoint_union_id(mono, m.mode, index)
-            if uid not in m.values:
+        for uid, coeff in plan:
+            value = num.get(uid)
+            if value is None:
                 if uid in m.absent:
                     absent[sid] = (f"needs moment of "
                                    f"{uid.alias or uid.serialize()}, "
@@ -61,14 +79,14 @@ def unbiased_cumulants(m: MomentVector):
                     f"moment vector lacks disjoint-union class "
                     f"{uid.alias or uid.serialize()} needed for unbiased "
                     f"{sid.alias or sid.serialize()}")
-            acc = acc + coeff * m.values[uid]
+            acc += coeff * value
         if acc is None:
             continue
-        if not index[sid.key].connected and acc != 0:
+        if not connected and acc != 0:
             raise AssertionError(
                 f"nonzero unbiased cumulant for disconnected class "
                 f"{sid.serialize()}")
-        out[sid] = acc
+        out[sid] = Fraction(acc, lcm)
     kv = vector_like(m, out)
     kv.absent = absent
     return kv

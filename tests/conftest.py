@@ -116,3 +116,68 @@ def brute_aut_count(k, edges, directed=False, colors=None):
                 for u, v in pairs):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Term-by-term Fraction evaluation of the conversions and of kappa-check:
+# the reference for the library's evaluation over one common denominator.
+
+def fraction_conversion(v, direction):
+    """moments_to_cumulants ("moment") or cumulants_to_moments
+    ("cumulant") of v, each term multiplied and added as a Fraction."""
+    from netmoments.classes import universe_index
+    from netmoments.cumulants import (cumulant_moment_polynomial,
+                                      edge_partitions, IncompleteVectorError)
+    from netmoments.moments import vector_like
+    index = universe_index(v.mode, v.r_max, v.labels)
+    infos = sorted((index[sid.key] for sid in v.values),
+                   key=lambda ci: (ci.id.r, ci.id.key))
+    out = {}
+    for ci in infos:
+        if direction == "moment":
+            terms = cumulant_moment_polynomial(ci.graph, v.mode).items()
+        else:
+            terms = edge_partitions(ci).terms
+        acc = 0
+        for parts, coeff in terms:
+            try:
+                prod = v.values[parts[0]]
+                for pid in parts[1:]:
+                    prod = prod * v.values[pid]
+            except KeyError as exc:
+                pid = exc.args[0]
+                raise IncompleteVectorError(
+                    f"{direction} vector lacks class {pid.serialize()} "
+                    f"(alias {pid.alias}) needed for "
+                    f"{ci.id.alias or ci.id.serialize()}") from None
+            acc = acc + (prod if coeff == 1 else coeff * prod)
+        out[ci.id] = acc
+    return vector_like(v, out)
+
+
+def fraction_kappa_check(m):
+    """unbiased_cumulants(m), each monomial's disjoint union classified on
+    the spot and its moment added as a Fraction."""
+    from netmoments.classes import ClassGraph, class_id, universe_index
+    from netmoments.cumulants import cumulant_moment_polynomial
+    from netmoments.moments import vector_like
+    index = universe_index(m.mode, m.r_max, m.labels)
+    out = {}
+    absent = dict(m.absent)
+    for sid in m.values:
+        acc = 0
+        poly = cumulant_moment_polynomial(index[sid.key].graph, m.mode)
+        for mono, coeff in poly.items():
+            uid = class_id(ClassGraph.disjoint_union(
+                [index[pid.key].graph for pid in mono]), m.mode)
+            if uid not in m.values:
+                absent[sid] = (f"needs moment of "
+                               f"{uid.alias or uid.serialize()}, "
+                               f"{m.absent[uid]}")
+                break
+            acc = acc + coeff * m.values[uid]
+        else:
+            out[sid] = acc
+    kv = vector_like(m, out)
+    kv.absent = absent
+    return kv

@@ -16,8 +16,9 @@ from netmoments.cumulants import (BELL, clustering_coefficients,
                                   scale_cumulants, signed_root)
 from netmoments.graphs import make_graph
 from netmoments.moments import moments, MomentVector
+from netmoments.unbiased import unbiased_cumulants
 
-from conftest import random_graph
+from conftest import fraction_conversion, random_graph
 
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -150,6 +151,94 @@ def test_random_graph_round_trip_weighted(seed):
     m = moments(G, 3)
     back = cumulants_to_moments(moments_to_cumulants(m))
     assert back.values == m.values
+
+
+RATIONAL_CASES = (("simple", 5, 2), ("directed", 3, 2), ("weighted", 4, 2),
+                  ("attributed", 2, 3), ("bipartite", 4, 2))
+PRIMES = (2, 3, 5, 7, 11, 13, 1009, 65537, 1048573, 1048583)
+
+# zeros, negatives, and denominators that are mostly pairwise coprime
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+              st.integers(1, 2 ** 20)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+              st.sampled_from(PRIMES)))
+
+
+def _convert_both(convert, v, direction):
+    """(result, None) or (None, error message) of the library and of the
+    term-by-term Fraction reference."""
+    out = []
+    for fn in (convert, lambda x: fraction_conversion(x, direction)):
+        try:
+            out.append((fn(v), None))
+        except IncompleteVectorError as exc:
+            out.append((None, str(exc)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RATIONAL_CASES), st.data())
+def test_conversions_match_fraction_evaluation(case, data):
+    mode, r_max, labels = case
+    sids = [ci.id for infos in universe(mode, r_max, labels).values()
+            for ci in infos]
+    values = {sid: data.draw(RATIONALS) for sid in sids}
+    if data.draw(st.booleans()):
+        del values[data.draw(st.sampled_from(sids))]
+    v = MomentVector(n=9, mode=mode, r_max=r_max, values=values,
+                     labels=labels)
+    for convert, direction in ((moments_to_cumulants, "moment"),
+                               (cumulants_to_moments, "cumulant")):
+        (got, err), (want, want_err) = _convert_both(convert, v, direction)
+        assert err == want_err
+        if err is None:
+            assert got.values == want.values
+            assert all(type(x) is Fraction for x in got.values.values())
+
+
+def test_coprime_denominators_convert_exactly():
+    # 45 classes with pairwise coprime 20-bit denominators: the common
+    # denominator has about 900 bits and its fifth power about 4,500
+    sids = [ci.id for infos in universe("simple", 5).values() for ci in infos]
+    primes = (p for p in range(2 ** 20 - 1, 2 ** 19, -2)
+              if all(p % q for q in range(3, int(p ** 0.5) + 1, 2)))
+    rng = random.Random(5)
+    v = MomentVector(n=40, mode="simple", r_max=5, values={
+        sid: Fraction(rng.randrange(-2 ** 30, 2 ** 30), p)
+        for sid, p in zip(sids, primes)})
+    k = moments_to_cumulants(v)
+    assert k.values == fraction_conversion(v, "moment").values
+    assert cumulants_to_moments(k).values == v.values
+
+
+def test_conversions_build_one_fraction_per_class(monkeypatch):
+    G = random_graph(random.Random(4), 12, p=0.4)
+    m = moments(G, 5)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        # Python 3.12+ builds arithmetic results without __new__
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counted_coprime(cls, *args):
+            made.append(args)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counted_coprime))
+    assert Fraction(1, 2) + Fraction(1, 3) and len(made) == 3
+    for convert in (moments_to_cumulants, unbiased_cumulants):
+        del made[:]
+        out = convert(m)
+        assert len(made) == len(m.values) == len(out.values)
 
 
 # SHA-256 over the edge-partition expansions, the kappa polynomials (as sets

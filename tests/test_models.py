@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netmoments.graphs import Graph, GraphDataError, make_graph
@@ -17,6 +18,45 @@ def test_er_deterministic_and_seed_sensitive():
     assert a.edges != c.edges
     with pytest.raises(GraphDataError):
         er(10, 1.5)
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _er_by_list(n, p, seed):
+    """er as a list of every node pair in row-major order."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    u = _rng(seed).random(len(pairs))
+    return make_graph(n, [pairs[i] for i in np.flatnonzero(u < float(p))])
+
+
+def _ssbm_by_list(n, a, b, seed):
+    """ssbm as a loop over the row-major list of node pairs."""
+    half = n // 2
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    u01 = _rng(seed).random(len(pairs))
+    return make_graph(n, [(u, v) for i, (u, v) in enumerate(pairs)
+                          if u01[i] < (a if (u < half) == (v < half) else b)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_generators_match_pair_list_construction(seed):
+    for n in (1, 2, 5, 17, 40, 81):
+        for p in (0.0, 0.12, Fraction(1, 3), 1):
+            got, want = er(n, p, seed=seed), _er_by_list(n, p, seed)
+            assert (got.n, list(got.edges.items())) == \
+                (want.n, list(want.edges.items()))
+    for n in (2, 6, 40, 128):
+        for a, b in ((0.5, 0.1), (Fraction(1, 3), 0), (1, 0.25)):
+            got, want = ssbm(n, a=a, b=b, seed=seed), _ssbm_by_list(
+                n, a, b, seed)
+            assert (got.n, list(got.edges.items())) == \
+                (want.n, list(want.edges.items()))
+    G = ssbm(80, assortativity=0.5, mean_degree=6.0, seed=seed)
+    a, b = ssbm_rates(80, 0.5, 6.0)
+    assert list(G.edges.items()) == list(
+        _ssbm_by_list(80, a, b, seed).edges.items())
 
 
 def test_er_density_sane():

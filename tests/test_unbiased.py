@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netmoments.classes import named_class
+from netmoments import unbiased
+from netmoments.classes import ClassGraph, class_id, named_class, universe
+from netmoments.counting import ORDER_CAPS
 from netmoments.cumulants import moments_to_cumulants
 from netmoments.graphs import make_graph
 from netmoments.moments import moments, vector_like
@@ -15,7 +17,7 @@ from netmoments.unbiased import (bootstrap_variance, partial_unbiased_moments,
                                  unbiased_cumulants, UnbiasingConfig,
                                  variance_kappa1, welch_test, z_test)
 
-from conftest import random_graph
+from conftest import fraction_kappa_check, random_graph
 
 nc = lambda a: named_class("simple", a).id
 
@@ -60,6 +62,82 @@ def test_exact_unbiasedness_over_all_subsets():
         count += 1
     for sid, total in acc.items():
         assert total / count == parent.values[sid], sid.alias
+
+
+def _mode_graph(mode, n, bits, weights):
+    """A graph of the given mode on n nodes: bits picks the node pairs
+    (arcs when directed), weights the edge values and node labels."""
+    if mode == "directed":
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    elif mode == "bipartite":
+        pairs = [(u, v) for u in range(n // 2) for v in range(n // 2, n)]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
+    if mode == "weighted":
+        return make_graph(n, [(u, v, 1 + weights[i % len(weights)] % 3)
+                              for i, (u, v) in enumerate(edges)],
+                          weighted=True)
+    if mode == "attributed":
+        return make_graph(n, edges, node_attrs={
+            v: "abc"[weights[v % len(weights)] % 3] for v in range(n)})
+    if mode == "bipartite":
+        return make_graph(n, edges, bipartite=True, node_attrs={
+            v: "left" if v < n // 2 else "right" for v in range(n)})
+    return make_graph(n, edges, directed=mode == "directed")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORDER_CAPS)), st.integers(2, 8),
+       st.integers(0, 2 ** 56 - 1), st.lists(st.integers(0, 8), min_size=1,
+                                             max_size=8), st.data())
+def test_kappa_check_matches_fraction_evaluation(mode, n, bits, weights,
+                                                 data):
+    if mode == "directed":
+        n = min(n, 5)
+    G = _mode_graph(mode, n, bits, weights)
+    m = moments(G, data.draw(st.integers(1, min(ORDER_CAPS[mode], 4))))
+    got, want = unbiased_cumulants(m), fraction_kappa_check(m)
+    assert got.values == want.values
+    assert all(type(x) is Fraction for x in got.values.values())
+    assert got.absent == want.absent
+
+
+def test_unrealizable_unions_make_kappa_check_absent():
+    # at n=9 every order-5 class's kappa-check needs the moment of five
+    # disjoint edges, which need ten nodes
+    G = make_graph(9, [(i, i + 1, 1 + i % 3) for i in range(8)] + [(0, 4, 2)],
+                   weighted=True)
+    m = moments(G, 5)
+    matching = class_id(ClassGraph.make(
+        10, [(2 * i, 2 * i + 1, 1) for i in range(5)]), "weighted")
+    assert m.absent == {matching: "class unrealizable at n=9"}
+    kc = unbiased_cumulants(m)
+    order5 = {ci.id for ci in universe("weighted", 5)[5]}
+    assert set(kc.absent) == order5
+    assert set(kc.values) == set(m.values) - order5
+    reason = (f"needs moment of {matching.serialize()}, class unrealizable "
+              f"at n=9")
+    assert set(kc.absent.values()) == {reason, m.absent[matching]}
+    assert kc.absent[named_class("weighted", "diamond").id] == reason
+    assert kc.absent == fraction_kappa_check(m).absent
+
+
+def test_disconnected_kappa_check_plan_must_vanish(monkeypatch):
+    plans = unbiased._kappa_check_plans.__wrapped__
+    two_edges = named_class("simple", "two-parallel").id
+    assert plans("simple", 2, 2)[two_edges] == (False, ((two_edges, 0),))
+    poly = unbiased.cumulant_moment_polynomial
+
+    def skewed(cg, mode):
+        # one more of every two-factor monomial: the plan of two disjoint
+        # edges then sums to mu(two edges) instead of zero
+        return {mono: c + (len(mono) == 2) for mono, c in
+                poly(cg, mode).items()}
+
+    monkeypatch.setattr(unbiased, "cumulant_moment_polynomial", skewed)
+    with pytest.raises(AssertionError, match="not identically zero"):
+        plans("simple", 2, 2)
 
 
 def test_unbiasing_config_population():
