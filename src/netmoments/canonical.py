@@ -13,12 +13,15 @@ nonnegative integers (multiplicities); node colors are integers below 256.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 
 
 @dataclass(frozen=True)
 class CanonicalResult:
     key: bytes      # canonical encoding, identical for all isomorphic inputs
     aut: int        # order of the automorphism group
+    order: tuple    # the input node at each canonical slot
+    generators: tuple   # permutations (perm[v] = image of v) generating Aut
 
 
 def _refine_colors(k, colors, adj):
@@ -26,16 +29,23 @@ def _refine_colors(k, colors, adj):
 
     adj is a k x k array of edge values (for undirected graphs it is
     symmetric).  Returns a tuple of stable integer colors.
+
+    Node i's signature is its color followed by the sorted codes
+    color_j << 16 | adj[i][j] << 8 | adj[j][i] over j != i.  Edge values
+    lie below 256, so the codes sort as the (color, out, in) triples they
+    encode, and the colors rank as with the triples themselves.
     """
+    rows = [[adj[i][j] << 8 | adj[j][i] for j in range(k)] for i in range(k)]
     colors = list(colors)
     while True:
+        high = [c << 16 for c in colors]
         sigs = []
         for i in range(k):
-            nbr = sorted((colors[j], adj[i][j], adj[j][i])
-                         for j in range(k) if j != i)
-            sigs.append((colors[i], tuple(nbr)))
-        order = sorted(set(sigs))
-        rank = {s: c for c, s in enumerate(order)}
+            codes = list(map(or_, high, rows[i]))
+            del codes[i]
+            codes.sort()
+            sigs.append((colors[i], *codes))
+        rank = {s: c for c, s in enumerate(sorted(set(sigs)))}
         new_colors = [rank[s] for s in sigs]
         if new_colors == colors:
             return tuple(colors)
@@ -47,6 +57,8 @@ def canonicalize(k, edges, directed=False, colors=None):
 
     edges: iterable of (u, v, value) with value >= 1; for undirected graphs
     each unordered pair appears once.  colors: per-node ints (default all 0).
+    The result also holds one canonical ordering and generators of the
+    automorphism group, read from the orderings the search ends on.
     """
     if colors is None:
         colors = (0,) * k
@@ -64,19 +76,23 @@ def canonicalize(k, edges, directed=False, colors=None):
             adj[v][u] = val
 
     if k == 0:
-        return CanonicalResult(key=bytes([0, int(directed)]), aut=1)
+        return CanonicalResult(key=bytes([0, int(directed)]), aut=1,
+                               order=(), generators=())
 
     refined = _refine_colors(k, colors, adj)
-    row, aut = _search(k, adj, refined, directed)
+    earlier_twin, twin_factor = _twins(k, adj, refined, directed)
+    row, orders = _search(k, adj, refined, directed, earlier_twin)
     # Refinement only splits colors, so the cells in slot order carry the
     # input colors in ascending order.
     key = bytes([k, int(directed)]) + bytes(sorted(colors)) + bytes(row)
-    return CanonicalResult(key=key, aut=aut)
+    return CanonicalResult(key=key, aut=len(orders) * twin_factor,
+                           order=orders[0],
+                           generators=_generators(k, orders, earlier_twin))
 
 
-def _search(k, adj, refined, directed):
+def _search(k, adj, refined, directed, earlier_twin):
     """Smallest row-major encoding over the orderings the refined cells
-    allow, and the number of orderings that reach it.
+    allow, and the orderings (node per slot) that reach it.
 
     Row d holds the values from the node at slot d to the later slots, and
     for directed graphs first to the earlier slots too.  Slots are filled in
@@ -95,7 +111,6 @@ def _search(k, adj, refined, directed):
     alone) always share a cell, so they are placed in index order only, and
     each twin class multiplies the count by |class|!.
     """
-    earlier_twin, twin_factor = _twins(k, adj, refined, directed)
     live = [((), dict(enumerate(refined)))]
     key = []
     for d in range(k):
@@ -122,7 +137,30 @@ def _search(k, adj, refined, directed):
             key += best[:d]
             best = best[d:]
         key += [c & 255 for c in best]
-    return key, len(live) * twin_factor
+    return key, [placed for placed, _ in live]
+
+
+def _generators(k, orders, earlier_twin):
+    """Permutations that generate the automorphism group.
+
+    The orderings the search ends on are the canonical orderings that place
+    twins in index order, one per coset of the twin swaps.  Mapping slot s
+    of the first ordering to slot s of another is an automorphism, and
+    every automorphism is one of these composed with twin swaps; swapping
+    each twin with the one before it generates the swaps.
+    """
+    gens = []
+    for other in orders[1:]:
+        perm = [0] * k
+        for u, v in zip(orders[0], other):
+            perm[u] = v
+        gens.append(tuple(perm))
+    for v, u in enumerate(earlier_twin):
+        if u is not None:
+            perm = list(range(k))
+            perm[u], perm[v] = v, u
+            gens.append(tuple(perm))
+    return tuple(gens)
 
 
 def _twins(k, adj, refined, directed):

@@ -64,6 +64,10 @@ def _block_masks(r):
 
 @lru_cache(maxsize=None)
 def _expansion_for_graph(cg: ClassGraph, mode: str):
+    """The class's expansion terms, checked once per (class graph, mode):
+    sorted by block count, so the one-block term comes first."""
+    if cg.r > 6:
+        raise ValueError("partition expansion capped at order 6")
     sub = unit_subclasses(cg, mode)
     agg = {}
     for masks in _block_masks(cg.r):
@@ -71,7 +75,21 @@ def _expansion_for_graph(cg: ClassGraph, mode: str):
                            key=lambda s: (s.r, s.key)))
         agg[key] = agg.get(key, 0) + 1
     terms = tuple(sorted(agg.items(), key=lambda kv: (len(kv[0]), kv[0][0].key)))
+    _check_expansion(sub[-1], terms)
     return terms
+
+
+def _check_expansion(sid, terms):
+    """The partition multiplicities sum to Bell(r), and the one-block
+    term is the subject itself, once."""
+    total = sum(m for _, m in terms)
+    if total != BELL[sid.r]:
+        raise AssertionError(
+            f"partition multiplicities of {sid.serialize()} sum to "
+            f"{total}, not Bell({sid.r}) = {BELL[sid.r]}")
+    if terms[0] != ((sid,), 1):
+        raise AssertionError(
+            f"self multiplicity of {sid.serialize()} is not 1")
 
 
 def edge_partitions(ci_or_graph, mode="simple"):
@@ -86,19 +104,8 @@ def edge_partitions(ci_or_graph, mode="simple"):
         cg = ci_or_graph.graph
         sid = ci_or_graph.id
         mode = sid.mode
-    if sid.r > 6:
-        raise ValueError("partition expansion capped at order 6")
-    terms = _expansion_for_graph(cg, mode)
-    exp = EdgePartitionExpansion(subject=sid, terms=terms)
-    if exp.total_multiplicity() != BELL[sid.r]:
-        raise AssertionError(
-            f"partition multiplicities of {sid.serialize()} sum to "
-            f"{exp.total_multiplicity()}, not Bell({sid.r}) = {BELL[sid.r]}")
-    # terms are sorted by block count: the one-block term comes first
-    if terms[0] != ((sid,), 1):
-        raise AssertionError(
-            f"self multiplicity of {sid.serialize()} is not 1")
-    return exp
+    return EdgePartitionExpansion(subject=sid,
+                                  terms=_expansion_for_graph(cg, mode))
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +166,8 @@ def moments_to_cumulants(m: MomentVector):
 def cumulants_to_moments(k: MomentVector):
     """Evaluate each class's partition expansion on the cumulants; exact
     inverse of moments_to_cumulants."""
-    return _evaluate(k, lambda ci: edge_partitions(ci).terms, "cumulant")
+    return _evaluate(k, lambda ci: _expansion_for_graph(ci.graph, k.mode),
+                     "cumulant")
 
 
 def edge_class_id(mode):

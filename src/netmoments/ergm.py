@@ -10,23 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .canonical import canonicalize
 from .classes import complete_count, universe_index
 from .counting import full_counts
-from .graphs import make_graph
+from .graphs import SizeCapError, make_graph
 from .moments import MomentVector
 
 _CLASS_TABLE_CACHE = {}
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
                       8: 12346, 9: 274668, 10: 12005168}
-
-
-class SizeCapError(ValueError):
-    """Enumeration size cap exceeded."""
 
 
 @dataclass
@@ -56,35 +53,27 @@ class GraphClassTable:
 
 def enumerate_classes(n, allow_large=False):
     """All isomorphism classes of simple graphs on n nodes, with labeled
-    multiplicities, by node-by-node augmentation with canonical dedupe."""
+    multiplicities.
+
+    Classes on k + 1 nodes grow from the classes on k nodes by adding node
+    k with a neighbour mask.  _augment finds each class once, and
+    _first_children puts them in the order, and with the representatives,
+    of the walk over (parent in table order, mask ascending) that keeps
+    the first child of each class.
+    """
     if n > 10 or (n > 9 and not allow_large):
         raise SizeCapError(
             f"class enumeration capped at n=9 (n=10 behind allow_large); "
             f"got n={n}")
     if n in _CLASS_TABLE_CACHE:
         return _CLASS_TABLE_CACHE[n]
-    classes = {None: ((), 1)}  # key -> (edges, aut); start with no nodes
+    grown = [((), ())]                     # the graph with no nodes
+    reps, keys, auts = [()], [None], [1]
     for k in range(n):
-        nxt = {}
-        for edges, _ in classes.values():
-            for mask in range(1 << k):
-                new_edges = list(edges)
-                mm = mask
-                while mm:
-                    j = (mm & -mm).bit_length() - 1
-                    new_edges.append((j, k))
-                    mm &= mm - 1
-                res = canonicalize(k + 1, [(u, v, 1) for u, v in new_edges])
-                if res.key not in nxt:
-                    nxt[res.key] = (tuple(new_edges), res.aut)
-        classes = nxt
+        grown, found = _augment(k, grown)
+        reps, keys, auts = _first_children(k, reps, *found)
     nfact = math.factorial(n)
-    reps, keys, auts, mults = [], [], [], []
-    for key, (edges, aut) in classes.items():
-        reps.append(edges)
-        keys.append(key)
-        auts.append(aut)
-        mults.append(nfact // aut)
+    mults = [nfact // aut for aut in auts]
     expected = KNOWN_CLASS_COUNTS.get(n)
     if expected is not None and len(reps) != expected:
         raise AssertionError(
@@ -98,6 +87,151 @@ def enumerate_classes(n, allow_large=False):
                             mults=mults)
     _CLASS_TABLE_CACHE[n] = table
     return table
+
+
+def _child_edges(parent, k, mask):
+    """The parent's edges, then (j, k) for every bit j of mask, ascending."""
+    return parent + tuple((j, k) for j in range(k) if mask >> j & 1)
+
+
+@lru_cache(maxsize=None)
+def _mask_bits(k):
+    """Row mask holds the bits of mask over columns 0..k-1 (read-only, as
+    every caller shares it)."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    bits.setflags(write=False)
+    return bits
+
+
+def _node_codes(parent, k):
+    """Invariant code of every node (column) of every child (row, by mask)
+    of a k-node parent.  A code packs the node's degree, the edges among
+    its neighbours and its 2- and 3-step walk counts, in that order of
+    significance; each field fits its bits for up to 10 nodes."""
+    adj = np.zeros((k, k), dtype=np.int64)
+    for u, v in parent:
+        adj[u, v] = adj[v, u] = 1
+    bits = _mask_bits(k)
+
+    def walk(x):
+        """x summed over each node's neighbours in every child."""
+        out = np.empty_like(x)
+        out[:, :k] = x[:, :k] @ adj + bits * x[:, k:]
+        out[:, k] = (bits * x[:, :k]).sum(axis=1)
+        return out
+
+    deg = walk(np.ones((1 << k, k + 1), dtype=np.int64))
+    walk2 = walk(deg)
+    inside = bits @ adj                 # neighbours of node j in the mask
+    tri = np.empty_like(deg)
+    tri[:, :k] = ((adj @ adj) * adj).sum(axis=1) // 2 + bits * inside
+    tri[:, k] = (bits * inside).sum(axis=1) // 2
+    return deg << 23 | tri << 17 | walk2 << 10 | walk(walk2)
+
+
+def _invariants(codes):
+    """One hashable invariant per row: the row's codes, sorted, as bytes."""
+    codes = np.sort(codes, axis=1)
+    return codes.view(f"S{codes.itemsize * codes.shape[1]}").ravel().tolist()
+
+
+def _orbit_minima(k, generators):
+    """Which masks over k nodes are the least of their orbit under the
+    group the node permutations generate."""
+    masks = np.arange(1 << k)
+    least = masks
+    images = [_mask_bits(k) @ (1 << np.array(g)) for g in generators]
+    while True:
+        prev = least
+        for image in images:
+            least = np.minimum(least, least[image])
+        if np.array_equal(least, prev):
+            return least == masks
+
+
+def _orbit(v, generators):
+    """The nodes the permutations map v to, v included."""
+    seen, todo = {v}, [v]
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            if g[x] not in seen:
+                seen.add(g[x])
+                todo.append(g[x])
+    return seen
+
+
+def _augment(k, grown):
+    """Each class on k + 1 nodes once, by canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 1998).
+
+    grown holds one graph per class on k nodes with generators of its
+    automorphism group.  Each graph takes one mask per orbit of its
+    automorphisms, and the child is kept only if node k lies in the
+    automorphism orbit of the child's canonical node: the first node in
+    canonical order among those with the largest invariant code.  Comparing
+    codes drops most children before any canonical search.  Returns the
+    kept children with their generators, and the (keys, auts, invariants)
+    of their classes.
+    """
+    nxt, keys, auts, invariants = [], [], [], []
+    seen = set()
+    for parent, generators in grown:
+        codes = _node_codes(parent, k)
+        top = codes[:, k]
+        rest = codes[:, :k].max(axis=1, initial=-1)
+        keep = (top >= rest) & _orbit_minima(k, generators)
+        for mask in np.flatnonzero(keep).tolist():
+            edges = _child_edges(parent, k, mask)
+            res = canonicalize(k + 1, [(u, v, 1) for u, v in edges])
+            if top[mask] == rest[mask]:
+                row = codes[mask].tolist()
+                first = next(v for v in res.order if row[v] == row[k])
+                if k not in _orbit(first, res.generators):
+                    continue
+            if res.key in seen:
+                raise AssertionError(
+                    f"canonical augmentation made a class on {k + 1} nodes "
+                    "twice")
+            seen.add(res.key)
+            nxt.append((edges, res.generators))
+            keys.append(res.key)
+            auts.append(res.aut)
+            invariants.append(_invariants(codes[mask:mask + 1])[0])
+    return nxt, (keys, auts, invariants)
+
+
+def _first_children(k, parents, keys, auts, invariants):
+    """(reps, keys, auts) of the classes on k + 1 nodes in the order in
+    which the walk over (parent, mask ascending) first reaches them, each
+    with that first child as representative.  A child's class is read from
+    its invariant when only one class has it, and from its canonical key
+    otherwise."""
+    classes_of = {}                 # invariant -> classes that have it
+    for c, inv in enumerate(invariants):
+        classes_of.setdefault(inv, []).append(c)
+    unseen = {inv: len(cs) for inv, cs in classes_of.items()}
+    index = {key: c for c, key in enumerate(keys)}
+    reps = {}                       # class -> first child, in walk order
+    for parent in parents:
+        for mask, inv in enumerate(_invariants(_node_codes(parent, k))):
+            if not unseen.get(inv, 1):
+                continue
+            edges = _child_edges(parent, k, mask)
+            cs = classes_of.get(inv, ())
+            c = cs[0] if len(cs) == 1 else index.get(canonicalize(
+                k + 1, [(u, v, 1) for u, v in edges]).key)
+            if c is None:
+                raise AssertionError(
+                    f"a child on {k + 1} nodes matches no enumerated class")
+            if c not in reps:
+                reps[c] = edges
+                unseen[inv] -= 1
+        if len(reps) == len(keys):
+            break
+    order = list(reps)
+    return (list(reps.values()), [keys[c] for c in order],
+            [auts[c] for c in order])
 
 
 class InfeasibleTargetError(ValueError):

@@ -10,6 +10,10 @@ class GraphDataError(ValueError):
     """Malformed input data (edge lists, attribute files, flags)."""
 
 
+class SizeCapError(ValueError):
+    """Enumeration or generation size cap exceeded."""
+
+
 UNIT = Fraction(1)  # the weight of every unweighted edge
 
 

@@ -11,11 +11,27 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphDataError, make_graph
+from .graphs import Graph, GraphDataError, SizeCapError, make_graph
+
+# Node pairs a generator may draw over.  er and ssbm hold about 33 bytes
+# per pair of an n-node graph (two int64 indices, a uniform draw, a mask
+# and for ssbm the pair's probability); bipartite_geometric holds the dot
+# products of the two halves.  2^24 pairs allow n = 5,793 for er and ssbm
+# and n = 8,192 for bipartite_geometric, about 0.6 GB at the cap.
+MAX_PAIRS = 1 << 24
 
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _check_pairs(model, n, pairs):
+    """Refuse before any pair array exists (n <= 0 is make_graph's to
+    reject)."""
+    if n > 0 and pairs > MAX_PAIRS:
+        raise SizeCapError(
+            f"{model} with n={n} draws over {pairs} node pairs; generators "
+            f"are capped at 2^24 = {MAX_PAIRS} pairs")
 
 
 @dataclass
@@ -37,6 +53,7 @@ def generate(spec: ModelSpec):
 
 def er(n, p, seed=0):
     """Erdos-Renyi G(n, p)."""
+    _check_pairs("er", n, n * (n - 1) // 2)
     p = float(p)
     if not 0 <= p <= 1:
         raise GraphDataError("p must lie in [0, 1]")
@@ -75,6 +92,7 @@ def ssbm(n, a=None, b=None, assortativity=None, mean_degree=None, seed=0):
     coordinates (assortativity, mean_degree); see ssbm_rates for the
     mapping.
     """
+    _check_pairs("ssbm", n, n * (n - 1) // 2)
     if a is None or b is None:
         if assortativity is None or mean_degree is None:
             raise GraphDataError(
@@ -101,6 +119,7 @@ def bipartite_geometric(n, f, mean_degree, seed=0):
     """
     if n % 2:
         raise GraphDataError("bipartite model needs even n")
+    _check_pairs("bipartite-geometric", n, (n // 2) ** 2)
     f = float(f)
     if not 0 <= f < 1:
         raise GraphDataError("f must lie in [0, 1)")
@@ -110,17 +129,19 @@ def bipartite_geometric(n, f, mean_degree, seed=0):
     half = n // 2
     # cap of geodesic half-angle theta has area fraction (1 - cos theta)/2
     cos_min = 2 * f - 1
-    cand = [(u, v) for u in range(half) for v in range(half, n)
-            if float(pts[u] @ pts[v]) >= cos_min]
+    # every (left, right) dot product as a 1x3 @ 3x1 product, the
+    # arithmetic of pts[u] @ pts[v]; nonzero lists pairs row by row
+    dots = np.matmul(pts[:half, None, None, :], pts[None, half:, :, None])
+    cu, cv = np.nonzero(dots[:, :, 0, 0] >= cos_min)
     target = round(n * float(mean_degree) / 2)
-    if target > len(cand):
+    if target > cu.size:
         raise GraphDataError(
             f"mean degree {mean_degree} infeasible: wants {target} edges "
-            f"but only {len(cand)} admissible pairs")
-    keep = rng.choice(len(cand), size=target, replace=False)
+            f"but only {cu.size} admissible pairs")
+    keep = rng.choice(cu.size, size=target, replace=False)
     attrs = {v: ("left" if v < half else "right") for v in range(n)}
-    return make_graph(n, [cand[int(i)] for i in keep], node_attrs=attrs,
-                      bipartite=True)
+    return make_graph(n, zip(cu[keep].tolist(), (cv[keep] + half).tolist()),
+                      node_attrs=attrs, bipartite=True)
 
 
 def shuffle(G: Graph, mode, seed=0):

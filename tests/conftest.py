@@ -181,3 +181,29 @@ def fraction_kappa_check(m):
     kv = vector_like(m, out)
     kv.absent = absent
     return kv
+
+
+# ---------------------------------------------------------------------------
+# Class enumeration that canonicalizes every child: the reference for the
+# canonical augmentation in ergm.enumerate_classes.
+
+def dedupe_all_classes(n):
+    """(reps, keys, auts, mults) of the classes on n nodes: every (parent,
+    neighbour mask) child is canonicalized, parents in order and masks
+    ascending, and the first child of each key is kept."""
+    import math
+    from netmoments.canonical import canonicalize
+    classes = {None: ((), 1)}  # key -> (edges, aut); start with no nodes
+    for k in range(n):
+        nxt = {}
+        for edges, _ in classes.values():
+            for mask in range(1 << k):
+                child = edges + tuple((j, k) for j in range(k)
+                                      if mask >> j & 1)
+                res = canonicalize(k + 1, [(u, v, 1) for u, v in child])
+                nxt.setdefault(res.key, (child, res.aut))
+        classes = nxt
+    nfact = math.factorial(n)
+    return ([edges for edges, _ in classes.values()], list(classes),
+            [aut for _, aut in classes.values()],
+            [nfact // aut for _, aut in classes.values()])

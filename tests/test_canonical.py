@@ -97,3 +97,40 @@ def test_one_byte_limits():
         canonicalize(2, [(0, 1, 1)], colors=(256, 0))
     with pytest.raises(ValueError, match="edge values"):
         canonicalize(2, [(0, 1, 256)])
+
+
+def _closure(k, generators):
+    group, todo = {tuple(range(k))}, [tuple(range(k))]
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs())
+def test_group_generators_and_canonical_order(graph):
+    k, edges, directed, colors = graph
+    res = canonicalize(k, edges, directed=directed, colors=colors)
+    adj = {}
+    for u, v, val in edges:
+        adj[(u, v)] = val
+        if not directed:
+            adj[(v, u)] = val
+    for g in res.generators:
+        assert all(colors[g[x]] == colors[x] for x in range(k))
+        assert {(g[u], g[v]): val for (u, v), val in adj.items()} == adj
+    assert len(_closure(k, res.generators)) == res.aut
+    # the order lays the graph out as the key's rows
+    order = res.order
+    assert sorted(order) == list(range(k))
+    rows = []
+    for d in range(k):
+        if directed:
+            rows += [adj.get((order[d], order[e]), 0) for e in range(d)]
+        rows += [adj.get((order[d], order[e]), 0) for e in range(d + 1, k)]
+    assert res.key[2 + k:] == bytes(rows)

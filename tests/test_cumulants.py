@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netmoments import counting
-from netmoments.classes import named_class, universe
+from netmoments import counting, cumulants
+from netmoments.classes import named_class, universe, universe_index
 from netmoments.cumulants import (BELL, clustering_coefficients,
                                   cumulant_moment_polynomial,
                                   cumulants_to_moments, edge_partitions,
@@ -239,6 +239,25 @@ def test_conversions_build_one_fraction_per_class(monkeypatch):
         del made[:]
         out = convert(m)
         assert len(made) == len(m.values) == len(out.values)
+
+
+def test_partition_expansion_checked_once_per_class(monkeypatch):
+    k = moments_to_cumulants(moments(random_graph(random.Random(5), 10), 5))
+    checked = []
+    check = cumulants._check_expansion
+
+    def counted(sid, terms):
+        checked.append(sid)
+        check(sid, terms)
+
+    monkeypatch.setattr(cumulants, "_check_expansion", counted)
+    cumulants._expansion_for_graph.cache_clear()
+    for _ in range(3):
+        cumulants_to_moments(k)
+        for sid in k.values:
+            edge_partitions(universe_index("simple", 5)[sid.key])
+    assert sorted(checked, key=lambda s: (s.r, s.key)) == \
+        sorted(k.values, key=lambda s: (s.r, s.key))
 
 
 # SHA-256 over the edge-partition expansions, the kappa polynomials (as sets

@@ -1,9 +1,11 @@
 """Exact small-n maximum-entropy models: enumeration, fitting, histograms."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from netmoments.ergm import (degeneracy_diagnostics, enumerate_classes,
                              InfeasibleTargetError, SizeCapError)
 from netmoments.moments import MomentVector
 
-from conftest import brute_canonical
+from conftest import brute_canonical, dedupe_all_classes
 
 nc = lambda a: named_class("simple", a).id
 
@@ -36,6 +38,59 @@ def test_enumeration_counts():
         t = enumerate_classes(n)
         assert t.keys == [canonicalize(n, [(u, v, 1) for u, v in edges]).key
                           for edges in t.reps]
+
+
+# SHA-256 over the rows (rep, key, aut, mult) of the n=8 table, recorded
+# with the enumeration that canonicalized every child.  The row order
+# reaches every fit through the order of its sums, and so the printed beta.
+TABLE_DIGEST_8 = ("4ec916e628c6de7763c1ff3d4ca44d58"
+                  "0d114eb3a4e5a50392190d24d50df7d5")
+
+
+def table_digest(t):
+    h = hashlib.sha256()
+    for row in zip(t.reps, t.keys, t.auts, t.mults):
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumeration_matches_dedupe_all(n):
+    t = enumerate_classes(n)
+    assert (t.reps, t.keys, t.auts, t.mults) == dedupe_all_classes(n)
+
+
+def test_enumeration_n8_matches_pinned_digest():
+    assert table_digest(enumerate_classes(8)) == TABLE_DIGEST_8
+
+
+def test_enumeration_counts_match_graph_atlas():
+    atlas = {}
+    for g in nx.graph_atlas_g():
+        nm = (g.number_of_nodes(), g.number_of_edges())
+        atlas[nm] = atlas.get(nm, 0) + 1
+    ours = {}
+    for n in range(8):
+        for rep in enumerate_classes(n).reps:
+            ours[(n, len(rep))] = ours.get((n, len(rep)), 0) + 1
+    assert ours == atlas
+
+
+def test_enumeration_canonicalizes_once_per_class(monkeypatch):
+    calls = []
+    canonicalize = ergm.canonicalize
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return canonicalize(*args, **kwargs)
+
+    monkeypatch.setattr(ergm, "canonicalize", counted)
+    monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
+    enumerate_classes(7)
+    assert len(calls) < 4000   # every child of every parent: 11,291
+    # up to 7 nodes no child is canonicalized only to be rejected, and no
+    # two classes share an invariant, so each class costs one search
+    assert len(calls) == sum(ergm.KNOWN_CLASS_COUNTS[k] for k in range(1, 8))
 
 
 def test_enumeration_multiplicities_n3():

@@ -1,11 +1,14 @@
 """Seeded generators and shuffling null models."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from netmoments.graphs import Graph, GraphDataError, make_graph
+from netmoments import models
+from netmoments.cli import main
+from netmoments.graphs import Graph, GraphDataError, SizeCapError, make_graph
 from netmoments.models import (bipartite_geometric, er, generate, ModelSpec,
                                shuffle, ssbm, ssbm_rates)
 
@@ -105,6 +108,55 @@ def test_bipartite_geometric():
         bipartite_geometric(40, 0.9, 4.0, seed=6)   # cap too tight
     with pytest.raises(GraphDataError):
         bipartite_geometric(21, 0.5, 3.0)
+
+
+def _bipartite_by_list(n, f, mean_degree, seed):
+    """bipartite_geometric's edges, its candidate pairs from a loop over
+    every (left, right) pair."""
+    rng = _rng(seed)
+    pts = rng.normal(size=(n, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    half = n // 2
+    cand = [(u, v) for u in range(half) for v in range(half, n)
+            if float(pts[u] @ pts[v]) >= 2 * f - 1]
+    keep = rng.choice(len(cand), size=round(n * mean_degree / 2),
+                      replace=False)
+    return [cand[int(i)] for i in keep]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_bipartite_geometric_matches_pair_loop(seed):
+    for n, f, d in ((2, 0.0, 1.0), (20, 0.5, 3.0), (60, 0.0, 5.0),
+                    (120, 0.8, 4.0), (200, 0.3, 10.0)):
+        G = bipartite_geometric(n, f, d, seed=seed)
+        assert list(G.edges) == _bipartite_by_list(n, f, d, seed)
+
+
+def test_generators_refuse_past_the_pair_cap(monkeypatch, capsys):
+    tracemalloc.start()
+    try:
+        for args in (["er", "--p", "0.001"],
+                     ["ssbm", "--a", "0.1", "--b", "0.01"],
+                     ["bipartite-geometric", "--f", "0.5",
+                      "--mean-degree", "3"]):
+            assert main(["generate", "--n", "100000", "--model", *args]) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20   # er alone would hold about 165 GB of pairs
+    assert capsys.readouterr().err.count("2^24") == 3
+    with pytest.raises(SizeCapError):
+        er(5794, 0.1)       # C(5794, 2) is just past 2^24
+    # the cap counts the pairs each model draws over
+    monkeypatch.setattr(models, "MAX_PAIRS", 45)
+    assert er(10, 1.0).m == ssbm(10, a=1, b=1).m == 45
+    assert bipartite_geometric(12, 0.0, 6.0).m == 36
+    with pytest.raises(SizeCapError):
+        er(11, 0.5)
+    with pytest.raises(SizeCapError):
+        ssbm(12, a=0.5, b=0.5)
+    with pytest.raises(SizeCapError):
+        bipartite_geometric(14, 0.0, 1.0)
 
 
 def test_shuffle_attributes():
