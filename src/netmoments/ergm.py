@@ -90,8 +90,16 @@ def enumerate_classes(n, allow_large=False):
 
 
 def _child_edges(parent, k, mask):
-    """The parent's edges, then (j, k) for every bit j of mask, ascending."""
-    return parent + tuple((j, k) for j in range(k) if mask >> j & 1)
+    """The parent's edges, then (j, k) for every bit j of mask, ascending.
+    The (j, k) pairs are shared by every child on k + 1 nodes."""
+    pairs = _new_pairs(k)
+    return parent + tuple(pairs[j] for j in range(k) if mask >> j & 1)
+
+
+@lru_cache(maxsize=None)
+def _new_pairs(k):
+    """The edges (j, k) that can join node k to nodes 0..k-1, by j."""
+    return tuple((j, k) for j in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -278,13 +286,15 @@ class ErgmModel:
         }
 
 
-def _check_hull(X, w, t):
-    """Raise InfeasibleTargetError when t is outside (or provably on the
-    boundary of) the convex hull of the rows of X.
+def _check_hull(X, t):
+    """Raise InfeasibleTargetError when t is outside the convex hull of the
+    rows of X, or on an axis-aligned face of it (some component at its
+    column's minimum or maximum).
 
     Finds a maximum-margin separating direction via linear programming; a
     nonnegative optimal margin means no point of the hull lies strictly
-    beyond t in that direction.
+    beyond t in that direction.  A target on any other face of the hull
+    passes and is left to the fit.
     """
     from scipy.optimize import linprog
 
@@ -334,6 +344,12 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, allow_large=False,
     Damped Newton on the convex dual f(beta) = ln Z - beta.t with Armijo
     backtracking; the Hessian is the statistic covariance, PSD by
     construction.
+
+    A fit that reaches tol is a distribution over the classes whose mean
+    is t, so t is in the hull and no LP is needed.  The hull is checked
+    (with scipy's linprog) only for a target on or outside some column's
+    support range, or when the fit fails: a target outside the hull then
+    reports the hull's error, as if it had been checked first.
     """
     if statistic_ids is None:
         statistic_ids = sorted(targets.values, key=lambda s: (s.r, s.key))
@@ -345,9 +361,25 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, allow_large=False,
     t = np.array([float(targets.values[sid]
                         * complete_count(index[sid.key], n))
                   for sid in statistic_ids])
-    _check_hull(X, table.mults, t)
+    if not np.all((X.min(axis=0) < t) & (t < X.max(axis=0))):
+        _check_hull(X, t)       # raises: t is on or past some column's range
+    try:
+        beta, lz, logp, achieved, residual = _newton(X, logw, t, tol,
+                                                     max_iter)
+    except Exception:
+        _check_hull(X, t)
+        raise
+    return ErgmModel(n=n, statistics=statistic_ids,
+                     beta={sid: float(b) for sid, b
+                           in zip(statistic_ids, beta)},
+                     log_z=float(lz), target_counts=t,
+                     achieved_counts=achieved, residual=residual,
+                     table=table, stat_matrix=X, log_probs=logp)
 
-    beta = np.zeros(len(statistic_ids))
+
+def _newton(X, logw, t, tol, max_iter):
+    """(beta, ln Z, log p, achieved counts, residual) of the fit to t."""
+    beta = np.zeros(X.shape[1])
 
     def dual(b):
         return _logsumexp(logw + X @ b) - b @ t
@@ -412,12 +444,7 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, allow_large=False,
         raise InfeasibleTargetError(
             f"fit did not reach tolerance (residual {residual:.3e}); target "
             "may lie too close to the hull boundary")
-    return ErgmModel(n=n, statistics=statistic_ids,
-                     beta={sid: float(b) for sid, b
-                           in zip(statistic_ids, beta)},
-                     log_z=float(lz), target_counts=t,
-                     achieved_counts=achieved, residual=residual,
-                     table=table, stat_matrix=X, log_probs=logp)
+    return beta, lz, logp, achieved, residual
 
 
 @dataclass

@@ -207,3 +207,34 @@ def dedupe_all_classes(n):
     return ([edges for edges, _ in classes.values()], list(classes),
             [aut for _, aut in classes.values()],
             [nfact // aut for _, aut in classes.values()])
+
+
+# ---------------------------------------------------------------------------
+# The ERGM fit that checks the hull with an LP before every Newton fit: the
+# reference for ergm.fit_ergm, which runs the LP only when a target fails.
+
+def lp_first_fit_ergm(targets, n, statistic_ids=None, tol=1e-8,
+                      max_iter=200):
+    """fit_ergm with _check_hull ahead of the fit, for every target."""
+    import numpy as np
+    from netmoments import ergm
+    from netmoments.classes import complete_count, universe_index
+    if statistic_ids is None:
+        statistic_ids = sorted(targets.values, key=lambda s: (s.r, s.key))
+    statistic_ids = tuple(statistic_ids)
+    table = ergm.enumerate_classes(n)
+    X = table.statistic_counts(statistic_ids)
+    logw = np.log(np.array(table.mults, dtype=np.float64))
+    index = universe_index("simple", max(s.r for s in statistic_ids))
+    t = np.array([float(targets.values[sid]
+                        * complete_count(index[sid.key], n))
+                  for sid in statistic_ids])
+    ergm._check_hull(X, t)
+    beta, lz, logp, achieved, residual = ergm._newton(X, logw, t, tol,
+                                                      max_iter)
+    return ergm.ErgmModel(n=n, statistics=statistic_ids,
+                          beta={sid: float(b) for sid, b
+                                in zip(statistic_ids, beta)},
+                          log_z=float(lz), target_counts=t,
+                          achieved_counts=achieved, residual=residual,
+                          table=table, stat_matrix=X, log_probs=logp)

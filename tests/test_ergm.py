@@ -3,23 +3,31 @@
 import hashlib
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import netmoments
 from netmoments import ergm
 from netmoments.canonical import canonicalize
-from netmoments.classes import (ClassGraph, class_id, named_class, universe,
-                                universe_index)
+from netmoments.classes import (ClassGraph, class_id, complete_count,
+                                named_class, universe, universe_index)
 from netmoments.counting import full_counts
 from netmoments.ergm import (degeneracy_diagnostics, enumerate_classes,
                              ergm_distribution, fit_ergm,
                              InfeasibleTargetError, SizeCapError)
 from netmoments.moments import MomentVector
 
-from conftest import brute_canonical, dedupe_all_classes
+from conftest import brute_canonical, dedupe_all_classes, lp_first_fit_ergm
 
 nc = lambda a: named_class("simple", a).id
 
@@ -91,6 +99,19 @@ def test_enumeration_canonicalizes_once_per_class(monkeypatch):
     # up to 7 nodes no child is canonicalized only to be rejected, and no
     # two classes share an invariant, so each class costs one search
     assert len(calls) == sum(ergm.KNOWN_CLASS_COUNTS[k] for k in range(1, 8))
+
+
+def test_enumeration_n7_peak_memory(monkeypatch):
+    # each child's new edges are shared (j, k) pairs, not fresh tuples:
+    # the n=7 traced peak was 1.8 MiB with a tuple per neighbour
+    monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
+    tracemalloc.start()
+    try:
+        enumerate_classes(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_enumeration_multiplicities_n3():
@@ -230,3 +251,135 @@ def test_statistic_counts_one_full_count_per_row(monkeypatch):
     sids = (nc("edge"), nc("triangle"), nc("square"), _PATH4)
     table.statistic_counts(sids)
     assert calls == [4] * len(table)
+
+
+# ---------------------------------------------------------------------------
+# fit_ergm runs the hull LP only for a target on or past some column's
+# range, or when the fit fails; the reference checks the hull first.
+
+_STAT_SETS = (("edge",), ("edge", "wedge"), ("edge", "wedge", "two-parallel"),
+              ("edge", "triangle"))
+
+
+@lru_cache(maxsize=None)
+def _support(n, aliases):
+    """The distinct rows of the statistic matrix, and the hull facets
+    (vertices, outward normal) that no axis is normal to."""
+    from scipy.spatial import ConvexHull
+    X = enumerate_classes(n).statistic_counts(tuple(nc(a) for a in aliases))
+    pts = np.unique(X, axis=0)
+    facets = []
+    if len(aliases) > 1:
+        hull = ConvexHull(pts)
+        facets = [(pts[simplex], eq[:-1]) for simplex, eq
+                  in zip(hull.simplices, hull.equations)
+                  if np.count_nonzero(np.abs(eq[:-1]) > 1e-9) > 1]
+    return pts, facets
+
+
+def _mixture(draw, rows):
+    """A convex combination of rows with positive rational weights."""
+    ws = draw(st.lists(st.integers(1, 5), min_size=len(rows),
+                       max_size=len(rows)))
+    return [sum(Fraction(int(x)) * w for x, w in zip(col, ws)) / sum(ws)
+            for col in np.asarray(rows).T]
+
+
+@st.composite
+def _fit_case(draw):
+    """(n, aliases, target counts) of one of five kinds: a mixture of class
+    rows, a point with one component at its range's end, a point on a
+    non-axis facet, a point past such a facet, or a point in the box."""
+    n = draw(st.integers(5, 7))
+    kind = draw(st.sampled_from(["mixture", "axis", "facet", "outside",
+                                 "box"]))
+    sets = _STAT_SETS[1:] if kind in ("facet", "outside") else _STAT_SETS
+    aliases = draw(st.sampled_from(sets))
+    pts, facets = _support(n, aliases)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    if kind in ("facet", "outside"):
+        verts, normal = draw(st.sampled_from(facets))
+        t = _mixture(draw, verts)
+        if kind == "outside":
+            s = Fraction(draw(st.integers(1, 24)), 8)
+            t = [x + s * Fraction(float(d)) for x, d in zip(t, normal)]
+    elif kind == "box":
+        t = [Fraction(int(a)) + Fraction(int(b - a))
+             * Fraction(draw(st.integers(1, 99)), 100)
+             for a, b in zip(lo, hi)]
+    else:
+        picks = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1,
+                              max_size=4))
+        t = _mixture(draw, pts[picks])
+        if kind == "axis":
+            j = draw(st.integers(0, len(t) - 1))
+            t[j] = Fraction(int(draw(st.sampled_from([lo[j], hi[j]]))))
+    return n, aliases, t
+
+
+def _fit_outcome(fit, n, aliases, t):
+    """The fit's beta and ln Z as hex floats, or its error's type, message
+    and direction."""
+    index = universe_index("simple", 3)
+    targets = _targets(n, {nc(a): x / complete_count(index[nc(a).key], n)
+                           for a, x in zip(aliases, t)})
+    try:
+        model = fit(targets, n)
+    except Exception as exc:
+        d = getattr(exc, "direction", None)
+        return type(exc), str(exc), None if d is None else d.tolist()
+    return [b.hex() for b in model.beta.values()], model.log_z.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fit_case())
+@example((7, ("edge", "wedge", "two-parallel"),     # a facet's centroid,
+          [Fraction(23, 3), Fraction(62, 3), Fraction(19, 3)]))  # diverges
+def test_fit_matches_lp_first_reference(case):
+    n, aliases, t = case
+    assert (_fit_outcome(fit_ergm, n, aliases, t)
+            == _fit_outcome(lp_first_fit_ergm, n, aliases, t))
+
+
+_FRESH_CLI = """
+import sys
+from netmoments.cli import main
+code = main(sys.argv[1:])
+print(f"exit={code} scipy.optimize={'scipy.optimize' in sys.modules}",
+      file=sys.stderr)
+"""
+
+
+def _fresh_cli(*argv):
+    """(exit code, scipy.optimize imported, stderr) of main(argv) in a new
+    interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(netmoments.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    *_, last = proc.stderr.strip().splitlines()
+    code, imported = (field.split("=")[1] for field in last.split())
+    return int(code), imported == "True", proc.stderr
+
+
+@pytest.mark.parametrize("command", [["fit"], ["dist", "--statistic",
+                                                "wedge"]])
+def test_feasible_cli_fit_skips_scipy_optimize(tmp_path, command):
+    path = tmp_path / "p4.txt"
+    path.write_text("0 1\n1 2\n2 3\n")
+    code, imported, err = _fresh_cli("ergm", command[0], str(path),
+                                     "--order", "2", *command[1:])
+    assert code == 0, err
+    assert not imported
+
+
+def test_infeasible_cli_fit_reports_the_hull_direction(tmp_path):
+    path = tmp_path / "p4.txt"
+    path.write_text("0 1\n1 2\n2 3\n")
+    code, imported, err = _fresh_cli("ergm", "fit", str(path), "--order",
+                                     "2", "--eta", "1/3")
+    assert code == 3
+    assert imported
+    assert ("target lies outside the convex hull of realizable counts; "
+            "violated support direction" in err)
