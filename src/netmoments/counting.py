@@ -1,40 +1,47 @@
-"""Subgraph counting: connected counts from homomorphism counts (simple
-graphs) or by enumeration (every other mode), disconnected counts derived
-from connected ones.
+"""Subgraph counting: connected counts from homomorphism counts in every
+mode, disconnected counts derived from connected ones.
 
 Counts are per edge-subset instance (automorphism-deduplicated).  In weighted
 mode each instance is a multiset of edge slots and is counted with
 multiplicity equal to the product of its edge weights (a slot used k times
-contributes its weight to the k-th power).
+contributes its weight to the k-th power).  Weights combine with no other
+mode: such a graph is refused with GraphDataError.
 
-Simple graphs use the homomorphism basis (Curticapean, Dell & Marx,
-"Homomorphisms are a good basis for counting small subgraphs", STOC 2017).
-Every injective map of a connected class H into G is a homomorphism of one
-quotient H/pi, and Moebius inversion over the partition lattice gives
+Connected counts use the homomorphism basis (Curticapean, Dell & Marx,
+"Homomorphisms are a good basis for counting small subgraphs", STOC 2017;
+Lovasz, "Large Networks and Graph Limits", 2012, for weighted and
+node-coloured homomorphism numbers).  Every injective map of a connected
+class H into G is a homomorphism of one quotient H/pi, and Moebius inversion
+over the partition lattice gives
 
     c_H = (1 / |Aut H|) * sum over pi of mu(pi) * hom(H/pi, G),
     mu(pi) = prod over blocks B of pi of (-1)^(|B|-1) (|B|-1)!
 
-where pi ranges over the partitions of H's nodes into independent sets (any
-other quotient has a loop, and no homomorphism into a simple graph).  The
-coefficients are graph-independent: _hom_basis builds them once per order
-and compiles hom(F, G) of every quotient class F into one program whose
-steps are shared between patterns.  A pattern's pendant trees become
-per-node weight vectors (the tree message A @ w, read from the adjacency
-lists); a triangle core is summed over the host's triangle list and K4 over
-its triangles' common neighbours, so orders <= 3 never build an n x n
-array; any other core is contracted with sparse matrix products over the
-non-isolated nodes, one node with at most two neighbours at a time, each
-product as large as the walks it counts.  The arithmetic is float64 while
-the bound 2m * Delta^(k-2) on every partial sum (m edges, maximum degree
-Delta, k the largest pattern's node count) stays below 2^53, int64 below
-2^63; past that, or past MATRIX_WALKS walks for the matrix products, the
-order is refused with OrderCapError before any array is built.  Hom values
-enter the sums as Python ints, and each division by |Aut H| is checked.
+where pi ranges over the partitions of H's nodes into independent sets of
+one colour (any other quotient has a loop or a two-coloured node, and no
+homomorphism).  Pattern edges onto one pair of blocks merge: arcs of one
+orientation into one arc, weighted edges into one edge of their summed
+value.  On the host a pattern edge is a matrix factor: ADJ, the arc matrix
+A or its transpose by orientation (a reciprocal pair is A o A^T), or for
+value v the elementwise power W^v of the weight matrix.  A labelled pattern
+node starts from its label's indicator vector.
 
-Every other mode enumerates each connected edge subset (ESU on the line
-graph) and classifies it.  esu_counts runs that engine on any graph, and is
-the oracle the simple-mode counts are tested against.
+The coefficients are graph-independent: _hom_basis builds them once per
+(order, mode, labels) and compiles hom(F, G) of every quotient class F into
+one program whose steps are shared between patterns.  A pattern's pendant
+trees become per-node weight vectors (the tree message F @ w); a triangle
+core of ADJ factors is summed over the host's triangle list and K4 over
+its triangles' common neighbours, so simple graphs at orders <= 3 never
+build an n x n array; any other core is contracted with sparse matrix
+products, one node with at most two neighbours at a time, each product as
+large as the walks it counts.  _Host holds the graph's arrays, picks an
+exact dtype and refuses (OrderCapError) a program past MATRIX_WALKS walks.
+Hom values enter the sums as Python ints, and each division by |Aut H| is
+checked.
+
+connected_edge_subsets (ESU on the line graph) is no count path: the
+benchmark (perfbench/run.py) times it alone, and the tests classify its
+subsets as the counting oracle.
 
 Disconnected counts are never enumerated.  For a disconnected class
 g = c (+) h (first component and remainder), counting ordered pairs of an
@@ -72,14 +79,15 @@ from functools import lru_cache
 import numpy as np
 
 from .classes import ClassGraph, class_id, unit_subclasses, universe
+from .graphs import GraphDataError
 
 ORDER_CAPS = {"simple": 6, "directed": 5, "weighted": 5, "attributed": 3,
               "bipartite": 4}
 
 
 class OrderCapError(ValueError):
-    """Requested order exceeds the supported cap for the mode, or the exact
-    integer range of simple-mode counting on the given graph."""
+    """Requested order exceeds the supported cap for the mode, or the walks
+    its matrix products would enumerate on the given graph."""
 
 
 def check_order(mode, r_max):
@@ -91,51 +99,18 @@ def check_order(mode, r_max):
         raise ValueError("order must be at least 1")
 
 
-# ---------------------------------------------------------------------------
-# Classification of small edge sets
-
-class _Classifier:
-    """Maps concrete edge sets of a host graph to SubgraphIds, memoized on a
-    relabeled signature so canonicalization runs once per shape."""
-
-    def __init__(self, mode, directed, host_colors=None):
-        self.mode = mode
-        self.directed = directed
-        self.host_colors = host_colors  # node -> color, or None
-        self.cache = {}
-
-    def classify(self, slots, mults=None):
-        """slots: tuple of (u, v) host pairs (ordered if directed);
-        mults: per-slot multiplicities (weighted mode)."""
-        remap = {}
-        sig_edges = []
-        for idx, (u, v) in enumerate(slots):
-            a = remap.setdefault(u, len(remap))
-            b = remap.setdefault(v, len(remap))
-            val = 1 if mults is None else mults[idx]
-            sig_edges.append((a, b, val))
-        if self.host_colors is None:
-            colors = (0,) * len(remap)
-        else:
-            colors = tuple(self.host_colors[x] for x in remap)
-        sig = (tuple(sig_edges), colors)
-        sid = self.cache.get(sig)
-        if sid is None:
-            cg = ClassGraph.make(len(remap), sig_edges, directed=self.directed,
-                                 colors=colors)
-            sid = class_id(cg, self.mode)
-            self.cache[sig] = sid
-        return sid
-
-
-def graph_mode_colors(G):
-    """(mode, per-node color list or None) for a host Graph."""
+def graph_mode(G):
+    """(mode, label count) of a host Graph: the key of its class universe.
+    Weighted classes are undirected and unlabelled, so weights on a graph
+    of another mode are refused, not counted against classes without
+    them."""
     mode = G.mode()
-    if mode in ("attributed", "bipartite"):
-        labs = G.labels()
-        idx = {l: i for i, l in enumerate(labs)}
-        return mode, [idx[G.node_attrs[v]] for v in range(G.n)]
-    return mode, None
+    if G.weighted and mode != "weighted":
+        raise GraphDataError(
+            f"edge weights cannot be combined with {mode} mode: weighted "
+            "classes are undirected and unlabelled; count the graph "
+            "without weights (drop --weighted)")
+    return mode, len(G.labels()) if G.node_attrs is not None else 2
 
 
 # ---------------------------------------------------------------------------
@@ -181,77 +156,21 @@ def connected_edge_subsets(slots, max_size):
         yield from extend([root], ext, adj[root] | {root}, root)
 
 
+# ---------------------------------------------------------------------------
+# Connected counts from homomorphism counts
+
 def count_connected(G, r_max):
     """Connected-class counts for every connected class with <= r_max edges.
 
     Returns dict SubgraphId -> count (int for unweighted modes, Fraction for
-    weighted).  Classes that do not occur are absent from the dict.  Simple
-    graphs are counted from homomorphism counts, every other mode by ESU.
+    weighted).  Classes that count zero are absent from the dict.  Every
+    mode runs one hom program on the graph (see _hom_basis and _Host), then
+    each class's Moebius sum is divided by |Aut|, checked, and in weighted
+    mode by D^r.
     """
-    if G.mode() == "simple":
-        check_order("simple", r_max)
-        return _count_simple(G, r_max)
-    return esu_counts(G, r_max)
-
-
-def esu_counts(G, r_max):
-    """count_connected by enumeration: every connected edge subset of G with
-    <= r_max edges is classified, in any mode."""
-    mode, colors = graph_mode_colors(G)
+    mode, labels = graph_mode(G)
     check_order(mode, r_max)
-    slots = sorted(G.edges)
-    weighted = G.weighted
-    clf = _Classifier(mode, G.directed, colors)
-    counts = {}
-    if not weighted:
-        for sub in connected_edge_subsets(slots, r_max):
-            sid = clf.classify(tuple(slots[i] for i in sub))
-            counts[sid] = counts.get(sid, 0) + 1
-        return counts
-
-    # weighted: distribute multiplicities over each connected slot subset
-    weights = [G.edges[s] for s in slots]
-    comp_cache = {}
-    for sub in connected_edge_subsets(slots, r_max):
-        s = len(sub)
-        pair = tuple(slots[i] for i in sub)
-        for mults in _compositions_upto(s, r_max, comp_cache):
-            sid = clf.classify(pair, mults)
-            w = Fraction(1)
-            for i, mexp in zip(sub, mults):
-                w *= weights[i] ** mexp
-            counts[sid] = counts.get(sid, Fraction(0)) + w
-    return counts
-
-
-def _compositions_upto(s, r_max, cache):
-    """All tuples of s positive ints with sum <= r_max."""
-    got = cache.get(s)
-    if got is None:
-        got = []
-        for total in range(s, r_max + 1):
-            got.extend(_compositions(total, s))
-        cache[s] = got
-    return got
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Simple graphs: counts from homomorphism counts
-
-def _count_simple(G, r_max):
-    """count_connected of a simple graph: one run of the hom program, then
-    each class's Moebius sum divided by |Aut|, checked."""
-    rows, program, pattern_nodes, walk = _hom_basis(r_max)
+    rows, program, pattern_nodes, walk = _hom_basis(r_max, mode, labels)
     if not G.edges:
         return {}
     host = _Host(G, pattern_nodes, walk, r_max)
@@ -269,14 +188,14 @@ def _count_simple(G, r_max):
                 f"homomorphism sum {total} for {sid.serialize()} is not "
                 f"a count times |Aut| = {aut}")
         if value:
-            counts[sid] = value
+            counts[sid] = value if host.scale is None else Fraction(
+                value, host.scale ** sid.r)
     return counts
 
 
 @lru_cache(maxsize=None)
-def _hom_basis(r_max):
-    """The graph-independent half of simple-mode counting, built once per
-    order.
+def _hom_basis(r_max, mode, labels):
+    """The graph-independent half of counting, built once per universe.
 
     Returns (rows, program, pattern nodes, walk length).  Each row is
     (id, |Aut|, program slots, coefficients) for one connected class with
@@ -284,27 +203,27 @@ def _hom_basis(r_max):
     The program runs once per graph (see _Host); each step lists the
     slots no later step or row reads, freed once it has run.  Pattern
     nodes is the largest quotient's node count, which sets the exactness
-    bound, and walk length the longest walk a matrix step enumerates (0 if
-    none).
+    bound, and walk length the longest walk a matrix product enumerates (0
+    if none).
     """
     connected = {ci.id.key: ci
-                 for infos in universe("simple", r_max, 2).values()
+                 for infos in universe(mode, r_max, labels).values()
                  for ci in infos if ci.connected}
     quotient_keys = {}
     rows = []
     for ci in connected.values():
         terms = {}
-        for blocks, edges, mu in _quotients(ci.graph):
-            key = quotient_keys.get((blocks, edges))
+        for quotient, mu in _quotients(ci.graph, mode):
+            key = quotient_keys.get(quotient)
             if key is None:
-                quotient = ClassGraph.make(blocks,
-                                           [(a, b, 1) for a, b in edges])
-                key = quotient_keys[blocks, edges] = class_id(
-                    quotient, "simple").key
+                blocks, edges, tint = quotient
+                key = quotient_keys[quotient] = class_id(ClassGraph.make(
+                    blocks, edges, directed=ci.graph.directed, colors=tint),
+                    mode).key
             terms[key] = terms.get(key, 0) + mu
         rows.append((ci, {key: c for key, c in terms.items() if c}))
     patterns = sorted({key for _, terms in rows for key in terms})
-    exprs = [_hom_expression(connected[key].graph) for key in patterns]
+    exprs = [_hom_expression(connected[key].graph, mode) for key in patterns]
     slots, program = _compile(exprs)
     slot = dict(zip(patterns, slots))
     rows = tuple((ci.id, ci.aut, tuple(slot[key] for key in sorted(terms)),
@@ -319,16 +238,19 @@ def _hom_basis(r_max):
             max(map(_walk_length, exprs)))
 
 
-def _quotients(cg):
-    """(block count, quotient edges, mu) for every partition of cg's nodes
-    into independent sets.  Nodes join blocks in index order, each one only
-    a block holding none of its neighbours, so no other partition is
-    built."""
+def _quotients(cg, mode):
+    """((block count, edges, block colours), mu) for every partition of
+    cg's nodes into independent sets of one colour.  Nodes join blocks in
+    index order, each one only a block of its colour holding none of its
+    neighbours, so no other partition is built.  Edges onto one pair of
+    blocks merge: into one arc per orientation, or in weighted mode into
+    one edge of their summed value."""
     nbrs = [0] * cg.k
     for u, v, _ in cg.edges:
         nbrs[u] |= 1 << v
         nbrs[v] |= 1 << u
     members = []
+    tint = []
     block = [0] * cg.k
     out = []
 
@@ -338,29 +260,43 @@ def _quotients(cg):
             for m in members:
                 mu *= (-1) ** (m.bit_count() - 1) * math.factorial(
                     m.bit_count() - 1)
-            edges = {(min(block[a], block[b]), max(block[a], block[b]))
-                     for a, b, _ in cg.edges}
-            out.append((len(members), tuple(sorted(edges)), mu))
+            edges = {}
+            for a, b, val in cg.edges:
+                x, y = block[a], block[b]
+                if not cg.directed and x > y:
+                    x, y = y, x
+                merged = edges.get((x, y), 0) + val
+                edges[x, y] = merged if mode == "weighted" else 1
+            out.append(((len(members),
+                         tuple((x, y, val) for (x, y), val
+                               in sorted(edges.items())),
+                         tuple(tint)), mu))
             return
         for i, m in enumerate(members):
-            if not nbrs[v] & m:
+            if not nbrs[v] & m and tint[i] == cg.colors[v]:
                 members[i] = m | 1 << v
                 block[v] = i
                 place(v + 1)
                 members[i] = m
         block[v] = len(members)
         members.append(1 << v)
+        tint.append(cg.colors[v])
         place(v + 1)
         members.pop()
+        tint.pop()
 
     place(0)
     return out
 
 
 # Expressions of hom(F, G) are nested tuples (op, *operands) over the host's
-# arrays: vectors over its nodes, matrices over pairs, and Python ints.
+# arrays: vectors over its nodes, matrices over pairs, and Python ints.  An
+# operand that is not a tuple is a literal, such as a label's colour.
 ONE = ("one",)
-ADJ = ("adj",)
+ADJ = ("adj",)          # the adjacency matrix of an undirected graph
+ARC = ("arc",)          # A[x, y] = 1 for an arc x -> y
+ARC_T = ("arc_t",)      # A transposed
+WEIGHT = ("weight",)    # the integer-scaled weight matrix
 
 
 def _product(op, factors):
@@ -380,12 +316,12 @@ def _mul(*vectors):
 
 
 def _transpose(m):
-    """The transpose, pushed down to the (symmetric) adjacency matrix."""
+    """The transpose, pushed down to the host's matrices."""
     if m[0] == "path":
         return ("path", _transpose(m[3]), m[2], _transpose(m[1]))
     if m[0] == "had":
         return _product("had", [_transpose(x) for x in m[1:]])
-    return m
+    return {ARC: ARC_T, ARC_T: ARC}.get(m, m)
 
 
 def _total(w):
@@ -405,29 +341,35 @@ def _apply(m, w):
     return _spread(w) if m == ADJ else ("mv", m, w)
 
 
-def _hom_expression(cg):
+def _hom_expression(cg, mode):
     """hom(cg, G) as an expression.
 
     Pendant trees are stripped in rounds of leaves, each leaf's weight
-    moving to its neighbour as A @ w.  A tree ends at its centre: one node
-    (the sum of its weight) or one edge (the sum over arcs x -> y of
-    w_x w_y, which is the degree-weighted sum when one side is 1).  A
-    triangle core is read from the host's triangle list and a K4 core
-    from its triangles' common neighbours.  Any other core is eliminated
-    one node at a time: a node with one neighbour x multiplies x's weight
-    by (F_xv @ w_v), a node with two neighbours x, y joins
+    moving to its neighbour as F @ w.  A tree ends at its centre: one node
+    (the sum of its weight) or one edge, the quadratic form w_x F w_y,
+    which for F = ADJ is the sum over arcs x -> y of w_x w_y (the
+    degree-weighted sum when one side is 1).  A triangle core of ADJ
+    factors is read from the host's triangle list and a K4 core from its
+    triangles' common neighbours.  Any other core is eliminated one node
+    at a time: a node with one neighbour x multiplies x's weight by
+    (F_xv @ w_v), a node with two neighbours x, y joins
     F_xv diag(w_v) F_vy to the factor between x and y, and the last pair
     is the quadratic form w_x F_xy w_y.  _elimination_order keeps the
     walks the products count short: the square needs only A @ A, and no
     core within the order cap walks further than three steps.  Within the
     order cap every core other than K4 has such a node at every step."""
-    weight = [ONE] * cg.k
+    if mode in ("attributed", "bipartite"):
+        weight = [("label", c) for c in cg.colors]
+    else:
+        weight = [ONE] * cg.k
     nbrs = {v: set() for v in range(cg.k)}
     factors = {}
-    for u, v, _ in cg.edges:
+    for u, v, val in cg.edges:   # each factor oriented from min to max
         nbrs[u].add(v)
         nbrs[v].add(u)
-        factors[u, v] = [ADJ]
+        factors.setdefault((min(u, v), max(u, v)), []).extend(
+            [WEIGHT] * val if mode == "weighted" else
+            [ARC if u < v else ARC_T] if mode == "directed" else [ADJ])
 
     def factor(x, y):
         m = _product("had", factors[min(x, y), max(x, y)])
@@ -445,21 +387,22 @@ def _hom_expression(cg):
         for v in leaves:
             if len(nbrs) > 1 and len(nbrs[v]) == 1:
                 (x,) = nbrs[v]
-                weight[x] = _mul(weight[x], _spread(weight[v]))
+                weight[x] = _mul(weight[x], _apply(factor(x, v), weight[v]))
                 remove(v)
     core = sorted(nbrs)
+    plain = all(f == [ADJ] for f in factors.values())
     if len(core) == 1:
         return _total(weight[core[0]])
-    if len(core) == 2:
+    if len(core) == 2 and plain:
         x, y = (weight[v] for v in core)
         if ONE in (x, y):
             return _total(_mul(_spread(ONE), x, y))
         return ("edge",) + tuple(sorted((x, y), key=repr))
-    if len(core) == 3:
+    if len(core) == 3 and plain:
         if all(weight[v] == ONE for v in core):
             return ("tri",)
         return ("tri",) + tuple(sorted((weight[v] for v in core), key=repr))
-    if len(core) == 4 and len(factors) == 6:
+    if len(core) == 4 and len(factors) == 6 and plain:
         if any(weight[v] != ONE for v in core):
             raise AssertionError("K4 with pendant trees is beyond the cap")
         return ("k4",)
@@ -533,13 +476,13 @@ def _length(m):
 
 
 def _walk_length(e):
-    """The longest _length of a matrix step in e, 0 if it has none.  A
-    step of length L builds at most as many entries as the host has walks
-    of length L."""
+    """The longest _length of a matrix product in e, 0 if it has none.  A
+    product of length L builds at most as many entries as the host has
+    walks of length L; the host's own matrices hold one entry per arc."""
+    if not isinstance(e, tuple):
+        return 0
     inner = max(map(_walk_length, e[1:]), default=0)
-    if e[0] in ("adj", "path", "had"):
-        return max(inner, _length(e))
-    return inner
+    return max(inner, _length(e)) if e[0] == "path" else inner
 
 
 def _compile(exprs):
@@ -552,8 +495,11 @@ def _compile(exprs):
     def visit(e):
         got = slots.get(e)
         if got is None:
-            args = tuple(visit(a) for a in e[1:])
-            program.append((_OPS[e[0]], args))
+            if isinstance(e, tuple):
+                args = tuple(visit(a) for a in e[1:])
+                program.append((_OPS[e[0]], args))
+            else:
+                program.append((functools.partial(_op_literal, e), ()))
             got = slots[e] = len(program) - 1
         return got
 
@@ -567,52 +513,72 @@ MATRIX_WALKS = 2 ** 22
 
 
 class _Host:
-    """The non-isolated nodes of a simple graph, numbered 0..n'-1 by
-    (degree, id), in the arrays a hom program reads: the edges as (u, v)
-    pairs with u < v and the degrees, then on first use the sorted edges,
-    the adjacency lists (which are the sparse adjacency matrix) and the
-    triangles.
+    """The non-isolated nodes of a graph, in the arrays a hom program reads.
+
+    The skeleton is the simple graph of the linked node pairs; its nodes
+    are numbered 0..n'-1 by (skeleton degree, id).  Built at once: the
+    skeleton's edges u < v and degrees, the arcs (tail, head) in G.edges
+    order, each node's label index and the weights scaled to integers by
+    scale, the lcm of their denominators (None if unweighted).  Built on
+    first use: the sorted skeleton edges, the adjacency lists (the sparse
+    matrix ADJ), the triangles, and the sparse matrices A, A^T and W.
 
     Numbering by degree puts the apex of every wedge b - a - c with
     a < b < c at its lowest-degree node, so there are O(m sqrt(m)) of them
-    and a star has none.  The dtype is float64 while 2m * Delta^(k-2)
-    (k = pattern nodes) bounds every partial sum below 2^53, int64 below
-    2^63: each partial sum is the hom count of a connected pattern with at
-    most k nodes, one arc and k-2 steps along a spanning tree.  A program
-    whose matrix steps reach walks of length L also needs at most
-    MATRIX_WALKS walks of that length.  Either cap is checked before
-    anything but the edge list and degrees is built."""
+    and a star has none.  The dtype is float64 while 2m * Delta^(k-2) *
+    W^r (m skeleton edges, Delta its maximum degree, k = pattern nodes, W
+    the largest scaled weight, r = r_max) bounds every partial sum below
+    2^53, int64 below 2^63, and object (Python ints) past that: each
+    partial sum is a hom value of a connected pattern with at most k nodes
+    and r edge units, one arc and k-2 steps along a spanning tree.  A
+    program whose products walk L steps needs at most MATRIX_WALKS skeleton
+    walks of that length, checked before any matrix is built."""
 
     def __init__(self, G, pattern_nodes, walk, r_max):
         ends = np.fromiter(itertools.chain.from_iterable(G.edges),
                            dtype=np.int64, count=2 * len(G.edges))
+        pairs = ends
+        if G.directed:   # a reciprocal pair of arcs is one skeleton edge
+            codes = np.unique(np.minimum(ends[0::2], ends[1::2]) * G.n
+                              + np.maximum(ends[0::2], ends[1::2]))
+            pairs = np.stack(np.divmod(codes, G.n), axis=1).ravel()
         # the ends sorted by id come in one run per node; each run's
         # length is the node's degree, and the runs are renumbered by rank
-        order = ends.argsort()
-        ids = ends[order]
-        run = np.ones(len(ends) + 1, dtype=bool)
+        order = pairs.argsort()
+        ids = pairs[order]
+        run = np.ones(len(pairs) + 1, dtype=bool)
         np.not_equal(ids[1:], ids[:-1], out=run[1:-1])
         starts = np.flatnonzero(run)
         deg = starts[1:] - starts[:-1]
         by_degree = deg.argsort(kind="stable")
-        ends[order] = by_degree.argsort().repeat(deg)
-        a, b = ends[0::2], ends[1::2]
+        rank = by_degree.argsort()
+        ids = ids[starts[:-1]]
+        pairs[order] = rank.repeat(deg)   # renumbers ends too if undirected
+        if G.directed:
+            ends = rank[ids.searchsorted(ends)]
+        self.tail, self.head = ends[0::2], ends[1::2]
+        a, b = pairs[0::2], pairs[1::2]
         self.first, self.second = np.minimum(a, b), np.maximum(a, b)
         self.deg, self.n = deg[by_degree], len(deg)
+        if G.node_attrs is not None:
+            index = {label: i for i, label in enumerate(G.labels())}
+            self.color = np.array([index[G.node_attrs[v]]
+                                   for v in ids[by_degree].tolist()])
+        self.scale, top_weight = None, 1
+        if G.weighted:
+            self.scale = math.lcm(*(w.denominator for w in G.edges.values()))
+            self.weights = [w.numerator * (self.scale // w.denominator)
+                            for w in G.edges.values()]
+            top_weight = max(max(self.weights), 1)
         top = int(self.deg[-1])
-        bound = len(ends) * top ** (pattern_nodes - 2)
-        if bound >= 2 ** 63:
-            raise OrderCapError(
-                f"order {r_max} on a graph with {len(G.edges)} edges and "
-                f"maximum degree {top} needs counts up to 2*{len(G.edges)}*"
-                f"{top}^{pattern_nodes - 2} >= 2^63, beyond exact 64-bit "
-                "arithmetic; use a lower order")
-        self.dtype = np.float64 if bound < 2 ** 53 else np.int64
+        bound = len(pairs) * top ** (pattern_nodes - 2) * top_weight ** r_max
+        self.dtype = (np.float64 if bound < 2 ** 53 else
+                      np.int64 if bound < 2 ** 63 else object)
         if walk:
-            w = self.deg.astype(self.dtype)
+            w = self.deg.astype(np.float64)
             for _ in range(walk - 1):
                 w = _op_spread(self, w)
-            if int(w.sum()) > MATRIX_WALKS:
+            if w.sum() > MATRIX_WALKS:
                 raise OrderCapError(
                     f"order {r_max} needs the graph's {int(w.sum())} walks "
                     f"of length {walk}, more than the {MATRIX_WALKS} the "
@@ -620,9 +586,9 @@ class _Host:
 
     @functools.cached_property
     def edges(self):
-        """(codes, u, v, ends of the runs): the edges u < v as codes
-        u * n' + v, sorted, so the neighbours of x above it run up to
-        ends[x]."""
+        """(codes, u, v, ends of the runs): the skeleton edges u < v as
+        codes u * n' + v, sorted, so the neighbours of x above it run up
+        to ends[x]."""
         codes = self.first * self.n + self.second
         codes.sort()
         u, v = np.divmod(codes, self.n)
@@ -631,14 +597,15 @@ class _Host:
     @functools.cached_property
     def lists(self):
         """(arcs, neighbours, start of each node's run): both directions
-        of every edge as sorted codes x * n' + y, and adjacency lists."""
+        of every skeleton edge as sorted codes x * n' + y, and adjacency
+        lists."""
         codes, u, v, _ = self.edges
         arcs = np.concatenate((codes, v * self.n + u))
         arcs.sort()
         return arcs, arcs % self.n, self.deg.cumsum() - self.deg
 
     def has_edge(self, a, b):
-        """Elementwise: is (a, b), a < b, an edge?"""
+        """Elementwise: is (a, b), a < b, a skeleton edge?"""
         codes = self.edges[0]
         want = a * self.n + b
         return codes.take(codes.searchsorted(want), mode="clip") == want
@@ -662,6 +629,14 @@ class _Host:
         a = self.edges[1].repeat(count)
         return a[closed], b[closed], c[closed]
 
+    def matrix(self, rows, cols, values=None):
+        """The sparse matrix with these entries (ones by default)."""
+        codes = rows * self.n + cols
+        order = codes.argsort()
+        if values is None:
+            return codes[order], np.ones(len(codes), dtype=self.dtype)
+        return codes[order], np.array(values, dtype=self.dtype)[order]
+
 
 def _runs(stops, counts):
     """The positions stops[i] - counts[i] .. stops[i] - 1, for each i in
@@ -669,8 +644,16 @@ def _runs(stops, counts):
     return np.arange(counts.sum()) + (stops - counts.cumsum()).repeat(counts)
 
 
+def _op_literal(value, h):
+    return value
+
+
 def _op_one(h):
     return np.ones(h.n, dtype=h.dtype)
+
+
+def _op_label(h, color):
+    return (h.color == color).astype(h.dtype)
 
 
 def _op_deg(h):
@@ -731,6 +714,19 @@ def _op_adj(h):
     return arcs, np.ones(len(arcs), dtype=h.dtype)
 
 
+def _op_arc(h):
+    return h.matrix(h.tail, h.head)
+
+
+def _op_arc_t(h):
+    return h.matrix(h.head, h.tail)
+
+
+def _op_weight(h):
+    return h.matrix(np.concatenate((h.tail, h.head)),
+                    np.concatenate((h.head, h.tail)), h.weights * 2)
+
+
 def _op_path(h, left, w, right):
     """left @ diag(w) @ right: every walk i -> k in left continued by one
     k -> j in right, summed per (i, j)."""
@@ -773,11 +769,12 @@ def _op_quad(h, x, m, y):
     return int((x[i] * vals) @ y[j])
 
 
-_OPS = {"one": _op_one, "deg": _op_deg, "spread": _op_spread,
-        "mul": _op_product, "sum": _op_sum, "dot": _op_dot,
-        "edge": _op_edge, "tri": _op_tri, "k4": _op_k4, "adj": _op_adj,
-        "path": _op_path, "had": _op_had, "mv": _op_mv,
-        "quad": _op_quad}
+_OPS = {"one": _op_one, "label": _op_label, "deg": _op_deg,
+        "spread": _op_spread, "mul": _op_product, "sum": _op_sum,
+        "dot": _op_dot, "edge": _op_edge, "tri": _op_tri, "k4": _op_k4,
+        "adj": _op_adj, "arc": _op_arc, "arc_t": _op_arc_t,
+        "weight": _op_weight, "path": _op_path, "had": _op_had,
+        "mv": _op_mv, "quad": _op_quad}
 
 
 # ---------------------------------------------------------------------------
@@ -868,9 +865,8 @@ def derive_disconnected(connected_counts, G, r_max):
     split coefficients come from _derivation_plan.  Raises ValueError on a
     negative derived count, which signals inconsistent input counts.
     """
-    mode, _ = graph_mode_colors(G)
+    mode, labels = graph_mode(G)
     check_order(mode, r_max)
-    labels = len(G.labels()) if G.node_attrs is not None else 2
     connected, steps = _derivation_plan(mode, r_max, labels)
     zero = Fraction(0) if G.weighted else 0
     counts = {sid: connected_counts.get(sid, zero) for sid in connected}

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classes import complete_count, universe
-from .counting import full_counts, graph_mode_colors, check_order
+from .counting import full_counts, graph_mode, check_order
 
 
 @dataclass
@@ -56,11 +56,10 @@ class MomentVector:
 
 def moments(G, r_max):
     """Moments of every realizable class with at most r_max edges."""
-    mode, _ = graph_mode_colors(G)
+    mode, labels = graph_mode(G)
     check_order(mode, r_max)
     counts = full_counts(G, r_max)
     label_counts = G.label_counts() if G.node_attrs is not None else None
-    labels = len(G.labels()) if G.node_attrs is not None else 2
     return moments_from_counts(counts, G.n, mode, r_max,
                                labels=labels, label_counts=label_counts)
 

@@ -238,3 +238,88 @@ def lp_first_fit_ergm(targets, n, statistic_ids=None, tol=1e-8,
                           log_z=float(lz), target_counts=t,
                           achieved_counts=achieved, residual=residual,
                           table=table, stat_matrix=X, log_probs=logp)
+
+
+# ---------------------------------------------------------------------------
+# Counting by enumeration: every connected edge subset (ESU on the line
+# graph) classified on the spot.  The reference for counting.count_connected,
+# which counts every mode from homomorphism counts.
+
+class Classifier:
+    """Maps concrete edge sets of a host graph to SubgraphIds, memoized on a
+    relabeled signature so canonicalization runs once per shape."""
+
+    def __init__(self, mode, directed, host_colors=None):
+        self.mode = mode
+        self.directed = directed
+        self.host_colors = host_colors  # node -> color, or None
+        self.cache = {}
+
+    def classify(self, slots, mults=None):
+        """slots: tuple of (u, v) host pairs (ordered if directed);
+        mults: per-slot multiplicities (weighted mode)."""
+        from netmoments.classes import ClassGraph, class_id
+        remap = {}
+        sig_edges = []
+        for idx, (u, v) in enumerate(slots):
+            a = remap.setdefault(u, len(remap))
+            b = remap.setdefault(v, len(remap))
+            val = 1 if mults is None else mults[idx]
+            sig_edges.append((a, b, val))
+        if self.host_colors is None:
+            colors = (0,) * len(remap)
+        else:
+            colors = tuple(self.host_colors[x] for x in remap)
+        sig = (tuple(sig_edges), colors)
+        sid = self.cache.get(sig)
+        if sid is None:
+            cg = ClassGraph.make(len(remap), sig_edges, directed=self.directed,
+                                 colors=colors)
+            sid = class_id(cg, self.mode)
+            self.cache[sig] = sid
+        return sid
+
+
+def esu_counts(G, r_max):
+    """count_connected by enumeration: every connected edge subset of G with
+    <= r_max edges is classified, in any mode.  Weighted counts are
+    Fractions, zero counts of zero-weight edges included."""
+    from netmoments.counting import check_order, connected_edge_subsets
+    mode = G.mode()
+    check_order(mode, r_max)
+    colors = None
+    if mode in ("attributed", "bipartite"):
+        colors = [G.color_of(v) for v in range(G.n)]
+    slots = sorted(G.edges)
+    clf = Classifier(mode, G.directed, colors)
+    counts = {}
+    if not G.weighted:
+        for sub in connected_edge_subsets(slots, r_max):
+            sid = clf.classify(tuple(slots[i] for i in sub))
+            counts[sid] = counts.get(sid, 0) + 1
+        return counts
+
+    # weighted: distribute multiplicities over each connected slot subset
+    weights = [G.edges[s] for s in slots]
+    for sub in connected_edge_subsets(slots, r_max):
+        pair = tuple(slots[i] for i in sub)
+        for mults in compositions_upto(len(sub), r_max):
+            sid = clf.classify(pair, mults)
+            w = Fraction(1)
+            for i, mexp in zip(sub, mults):
+                w *= weights[i] ** mexp
+            counts[sid] = counts.get(sid, Fraction(0)) + w
+    return counts
+
+
+def compositions_upto(s, r_max):
+    """All tuples of s positive ints with sum <= r_max."""
+    return [c for total in range(s, r_max + 1)
+            for c in compositions(total, s)]
+
+
+def compositions(total, parts):
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(1, total - parts + 2)
+            for rest in compositions(total - first, parts - 1)]

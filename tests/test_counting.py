@@ -1,5 +1,5 @@
 """Subgraph counting: brute-force parity, caps, closed-form identities,
-and the simple-mode homomorphism engine against ESU."""
+and the homomorphism engine of every mode against ESU."""
 
 import hashlib
 import itertools
@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from netmoments.classes import class_id, ClassGraph, named_class
+from netmoments.classes import (class_id, ClassGraph, named_class,
+                                universe_index)
 from netmoments import counting
 from netmoments.cli import main
 from netmoments.counting import (ORDER_CAPS, OrderCapError, check_order,
-                                 count_connected, esu_counts, full_counts)
-from netmoments.graphs import Graph, make_graph
+                                 count_connected, full_counts)
+from netmoments.graphs import Graph, GraphDataError, make_graph, UNIT
+from netmoments.moments import moments
 
-from conftest import brute_canonical, random_graph, random_weighted_graph
+from conftest import (brute_canonical, esu_counts, random_graph,
+                      random_weighted_graph)
 
 
 def brute_counts(G, r_max):
@@ -166,7 +169,7 @@ def test_second_order_pair_identity(n, bits):
 
 
 # ---------------------------------------------------------------------------
-# Simple mode: homomorphism counts against ESU and the brute-force oracle
+# Homomorphism counts against ESU and the brute-force oracle
 
 def _as_brute(G, counts):
     """Counts keyed by the oracle's canonical form."""
@@ -217,7 +220,96 @@ def test_simple_counts_match_esu_and_brute(n, pairs, extra, shift, r):
     assert _as_brute(G, got) == _connected_brute(G, r)
 
 
-def test_simple_mode_never_enumerates(monkeypatch):
+# Weights: zero, small integers, and fractions over large coprime primes,
+# whose common denominator puts order-5 sums past 2^63
+_WEIGHTS = st.builds(Fraction, st.integers(0, 9),
+                     st.sampled_from([1, 1, 2, 3, 998_244_353,
+                                      1_000_000_007]))
+_ARCS8 = [(u, v) for u in range(8) for v in range(8) if u != v]
+
+
+@st.composite
+def mode_graphs(draw, mode):
+    """A graph of the mode on 2-8 nodes with at most 12 edges (or arcs)."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u, v in (_ARCS8 if mode == "directed" else _PAIRS8)
+             if v < n and u < n]
+    attrs = None
+    if mode == "attributed":
+        alphabet = draw(st.integers(1, 3))
+        attrs = {v: "abc"[draw(st.integers(0, alphabet - 1))]
+                 for v in range(n)}
+    elif mode == "bipartite":
+        attrs = {v: draw(st.sampled_from("ab")) for v in range(2, n)}
+        attrs.update({0: "a", 1: "b"})
+        pairs = [(u, v) for u, v in pairs if attrs[u] != attrs[v]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=12))
+    weights = [draw(_WEIGHTS) if mode == "weighted" else UNIT
+               for _ in chosen]
+    return Graph(n=n, edges=dict(zip(chosen, weights)),
+                 directed=mode == "directed", weighted=mode == "weighted",
+                 node_attrs=attrs, bipartite=mode == "bipartite")
+
+
+@pytest.mark.parametrize("mode", ["simple", "directed", "weighted",
+                                  "attributed", "bipartite"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_counts_match_esu_in_every_mode(mode, data):
+    G = data.draw(mode_graphs(mode))
+    r = ORDER_CAPS[mode]
+    want = {sid: c for sid, c in esu_counts(G, r).items() if c}
+    got = count_connected(G, r)
+    assert got == want
+    kind = Fraction if mode == "weighted" else int
+    assert all(type(c) is kind for c in got.values())
+
+
+def _weighted_star(weights):
+    return Graph(n=len(weights) + 1, weighted=True,
+                 edges={(0, i + 1): Fraction(w) for i, w in
+                        enumerate(weights)})
+
+
+@pytest.mark.parametrize("weights, dtype", [
+    ([1, 2, 3, 1, 2], np.float64),
+    ([2 ** 9, 3, 2 ** 9 - 1, 5, 2 ** 8, 1], np.int64),
+    ([Fraction(1, 998_244_353), Fraction(5, 1_000_000_007), 2, 0, 7],
+     object),
+])
+def test_weighted_dtypes_match_esu(weights, dtype):
+    # float64, int64 and Python ints each count what ESU counts
+    G = _weighted_star(weights)
+    _, _, nodes, walk = counting._hom_basis(5, "weighted", 2)
+    assert counting._Host(G, nodes, walk, 5).dtype == dtype
+    assert count_connected(G, 5) == {
+        sid: c for sid, c in esu_counts(G, 5).items() if c}
+
+
+def test_counts_past_int64_are_exact():
+    # a weighted star: each connected class is a star of edge multiplicities
+    # m_1..m_k, counted by the sum over ordered k-tuples of distinct leaves
+    # of the products of w_i^m_i, divided by the orders of equal m_i; the
+    # order-5 sums are far past 2^63
+    rng = random.Random(23)
+    weights = [rng.randrange(2 ** 40, 2 ** 41) for _ in range(10)]
+    G = _weighted_star(weights)
+    _, _, nodes, walk = counting._hom_basis(5, "weighted", 2)
+    assert counting._Host(G, nodes, walk, 5).dtype is object
+    got = count_connected(G, 5)
+    index = universe_index("weighted", 5)
+    assert len(got) == 18   # the partitions of 1..5
+    for sid, c in got.items():
+        mults = [val for _, _, val in index[sid.key].graph.edges]
+        ties = math.prod(math.factorial(mults.count(m)) for m in set(mults))
+        want = sum(math.prod(w ** m for w, m in zip(leaves, mults))
+                   for leaves in itertools.permutations(weights, len(mults)))
+        assert c == want // ties and want % ties == 0
+    assert got[class_id(_star(5), "weighted")] > 2 ** 200
+
+
+def test_no_mode_enumerates(monkeypatch):
     calls = []
     real = counting.connected_edge_subsets
 
@@ -226,12 +318,50 @@ def test_simple_mode_never_enumerates(monkeypatch):
         return real(slots, max_size)
 
     monkeypatch.setattr(counting, "connected_edge_subsets", counted)
-    G = random_graph(random.Random(21), 9, 0.5)
-    for r in range(1, ORDER_CAPS["simple"] + 1):
-        full_counts(G, r)
+    rng = random.Random(21)
+    G = random_graph(rng, 9, 0.5)
+    arcs = [(u, v) for u in range(7) for v in range(7)
+            if u != v and rng.random() < 0.3]
+    labels = {v: "ab"[v % 2] for v in range(9)}
+    graphs = [
+        G,
+        make_graph(7, arcs, directed=True),
+        random_weighted_graph(rng, 8, 0.5),
+        Graph(n=9, edges=dict(G.edges), node_attrs=labels),
+        Graph(n=9, edges={(u, v): w for (u, v), w in G.edges.items()
+                          if (u + v) % 2}, node_attrs=labels,
+              bipartite=True),
+    ]
+    for H in graphs:
+        for r in range(1, ORDER_CAPS[H.mode()] + 1):
+            moments(H, r)
     assert calls == []
     esu_counts(G, 2)
     assert calls == [2]
+
+
+@pytest.mark.parametrize("flag", [["--directed"],
+                                  ["--bipartite", "--attributes", "{attrs}"],
+                                  ["--attributes", "{attrs}"]])
+def test_weights_with_another_mode_are_refused(flag, tmp_path, capsys):
+    # the classes of these modes carry no edge values; counting weights
+    # against them gave wrong derived counts
+    arcs = make_graph(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1)], directed=True,
+                      weighted=True)
+    labels = {0: "a", 1: "b", 2: "a", 3: "b"}
+    labelled = Graph(n=4, edges={(0, 1): Fraction(2), (2, 3): Fraction(5)},
+                     weighted=True, node_attrs=labels)
+    for G in (arcs, labelled):
+        for fn in (count_connected, full_counts, moments):
+            with pytest.raises(GraphDataError, match="--weighted"):
+                fn(G, 2)
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1 2\n1 2 3\n2 3 1\n")
+    attrs = tmp_path / "attrs.txt"
+    attrs.write_text("".join(f"{v}\t{labels[v]}\n" for v in range(4)))
+    flag = [str(attrs) if a == "{attrs}" else a for a in flag]
+    assert main(["count", str(graph), "--weighted", *flag]) == 2
+    assert "cannot be combined" in capsys.readouterr().err
 
 
 def _star(k):
@@ -243,19 +373,21 @@ def test_star_counts_are_exact_in_int64():
     assert 2 ** 53 < 2 * 500 ** 6 < 2 ** 63
     G = make_graph(501, [(0, i) for i in range(1, 501)])
     for r, dtype in ((5, np.float64), (6, np.int64)):
-        _, _, nodes, walk = counting._hom_basis(r)
+        _, _, nodes, walk = counting._hom_basis(r, "simple", 2)
         assert counting._Host(G, nodes, walk, r).dtype == dtype
     want = {class_id(_star(k), "simple"): math.comb(500, k)
             for k in range(1, 7)}
     assert count_connected(G, 6) == want
 
 
-def test_exactness_cap_refuses_before_allocating(tmp_path, capsys):
+def test_star_order_six_refuses_before_allocating(tmp_path, capsys):
+    # 2 * 2000 * 2000^5 is past 2^63, which only moves the sums to Python
+    # ints; the 8,000,000 walks of length 3 are past the walk cap
     G = make_graph(2001, [(0, i) for i in range(1, 2001)])
-    counting._hom_basis(6)
+    counting._hom_basis(6, "simple", 2)
     tracemalloc.start()
     try:
-        with pytest.raises(OrderCapError, match="2\\^63"):
+        with pytest.raises(OrderCapError, match="walks of length 3"):
             count_connected(G, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -266,13 +398,24 @@ def test_exactness_cap_refuses_before_allocating(tmp_path, capsys):
     path = tmp_path / "star.txt"
     path.write_text("".join(f"0 {i}\n" for i in range(1, 2001)))
     assert main(["count", str(path), "--order", "6"]) == 4
-    assert "2^63" in capsys.readouterr().err
+    assert "walks" in capsys.readouterr().err
+
+
+def test_walk_cap_covers_every_mode():
+    # the same 3,000-leaf star, as arcs both ways and as weighted edges
+    leaves = range(1, 3001)
+    arcs = make_graph(3001, [(0, i) for i in leaves]
+                      + [(i, 0) for i in leaves], directed=True)
+    weighted = make_graph(3001, [(0, i, i) for i in leaves], weighted=True)
+    for G in (arcs, weighted):
+        with pytest.raises(OrderCapError, match="walks of length 2"):
+            count_connected(G, 4)
 
 
 def test_walk_cap_refuses_before_allocating(tmp_path, capsys):
     # A @ A of a star with 3,000 leaves has 9,000,000 entries
     G = make_graph(3001, [(0, i) for i in range(1, 3001)])
-    counting._hom_basis(4)
+    counting._hom_basis(4, "simple", 2)
     tracemalloc.start()
     try:
         with pytest.raises(OrderCapError, match="walks of length 2"):
@@ -299,7 +442,7 @@ def _peak_bytes(fn):
 def test_matrix_products_walk_at_most_three_steps():
     # the square needs A @ A; the six-cycle, eliminated greedily by the
     # shortest product, would need four-step walks
-    assert [counting._hom_basis(r)[3] for r in range(1, 7)] == \
+    assert [counting._hom_basis(r, "simple", 2)[3] for r in range(1, 7)] == \
         [0, 0, 0, 2, 3, 3]
 
 

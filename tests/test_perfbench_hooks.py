@@ -37,3 +37,12 @@ def test_reported_caches_have_cache_info():
     for mod, name in _tracer().CACHES.values():
         assert callable(getattr(getattr(_module(mod), name), "cache_info",
                                 None)), (mod, name)
+
+
+def test_esu_side_run_import_resolves():
+    # perfbench/run.py times connected_edge_subsets on its own; no count
+    # path calls it any more, so only this test notices if it goes
+    run = TRACER.with_name("run.py").read_text()
+    assert "from netmoments.counting import connected_edge_subsets" in run
+    assert callable(getattr(_module("counting"), "connected_edge_subsets",
+                            None))
