@@ -230,6 +230,8 @@ def _cmd_ergm_dist(args):
 def _cmd_editgraph(args):
     if args.nodes is None:
         raise UsageError("editgraph needs --nodes")
+    if args.nodes < 0:
+        raise UsageError(f"--nodes must be nonnegative, got {args.nodes}")
     h = build_edit_graph(args.nodes)
     spectrum, residual = laplacian_spectrum(h)
     return {"n": args.nodes, "nodes": len(h),

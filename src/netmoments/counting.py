@@ -65,6 +65,16 @@ remainder, and its table) is built once per (mode, r_max, labels) by
 _derivation_plan; a call to derive_disconnected only does the arithmetic.
 full_counts is the one count path: every other module that needs class
 counts of a graph, the ERGM statistic matrix included, goes through it.
+
+Counting many small graphs, such as the rows of a class table, takes one
+host for their disjoint union.  Hom counts of connected patterns add over a
+disjoint union, and no walk leaves its component, so with block = n every
+scalar step of the program sums its terms per block of n nodes (into the
+block of each term's first node), the Moebius sums run on the blocks'
+columns at once and derive_disconnected runs per block.  Numbering by
+degree orders each block's nodes by degree too, so a block has the wedges
+it has alone.  block_runs cuts a sequence of graphs into runs whose unions
+stay within MATRIX_WALKS.
 """
 
 from __future__ import annotations
@@ -159,7 +169,7 @@ def connected_edge_subsets(slots, max_size):
 # ---------------------------------------------------------------------------
 # Connected counts from homomorphism counts
 
-def count_connected(G, r_max):
+def count_connected(G, r_max, block=None):
     """Connected-class counts for every connected class with <= r_max edges.
 
     Returns dict SubgraphId -> count (int for unweighted modes, Fraction for
@@ -167,18 +177,27 @@ def count_connected(G, r_max):
     mode runs one hom program on the graph (see _hom_basis and _Host), then
     each class's Moebius sum is divided by |Aut|, checked, and in weighted
     mode by D^r.
+
+    With block = n, G is the disjoint union of G.n / n graphs, block b on
+    nodes b*n .. b*n + n - 1, and the result is an iterator over one such
+    dict per block, in block order.  The program runs once on the union
+    and every check runs before the first dict is returned.
     """
     mode, labels = graph_mode(G)
     check_order(mode, r_max)
+    if block is not None and (block < 1 or G.n % block):
+        raise ValueError(f"{G.n} nodes do not split into blocks of {block}")
     rows, program, pattern_nodes, walk = _hom_basis(r_max, mode, labels)
     if not G.edges:
-        return {}
-    host = _Host(G, pattern_nodes, walk, r_max)
+        return {} if block is None else ({} for _ in range(G.n // block))
+    host = _Host(G, pattern_nodes, walk, r_max, block)
     vals = []
     for op, args, dead in program:
         vals.append(op(host, *map(vals.__getitem__, args)))
         for slot in dead:
             vals[slot] = None
+    if block is not None:
+        return _block_counts(host, rows, vals)
     counts = {}
     for sid, aut, slots, coeffs in rows:
         total = sum(map(operator.mul, coeffs, map(vals.__getitem__, slots)))
@@ -191,6 +210,62 @@ def count_connected(G, r_max):
             counts[sid] = value if host.scale is None else Fraction(
                 value, host.scale ** sid.r)
     return counts
+
+
+def _block_counts(host, rows, vals):
+    """count_connected's dicts per block, from hom values that are columns
+    over the blocks (object arrays of Python ints)."""
+    columns = []
+    for sid, aut, slots, coeffs in rows:
+        total = sum(map(operator.mul, coeffs, map(vals.__getitem__, slots)))
+        value = total // aut
+        if (total % aut).any() or (value < 0).any():
+            raise AssertionError(
+                f"homomorphism sums for {sid.serialize()} are not counts "
+                f"times |Aut| = {aut} in every block")
+        if host.scale is not None:
+            value = np.array([Fraction(v, host.scale ** sid.r)
+                              for v in value.tolist()], dtype=object)
+        columns.append((sid, value))
+    return ({sid: value[b] for sid, value in columns if value[b]}
+            for b in range(host.blocks))
+
+
+def block_runs(graphs, n, r_max):
+    """Cut a sequence of simple graphs on n nodes (edge lists) into runs
+    that count_connected takes as one disjoint union at order r_max.
+
+    Yields (start, stop) for each run in turn.  A run ends before the graph
+    that would take its union's walks past MATRIX_WALKS; a graph past the
+    cap on its own makes a run of one, which count_connected refuses as it
+    refuses that graph alone."""
+    check_order("simple", r_max)
+    walk = _hom_basis(r_max, "simple", 2)[3]
+    start = total = 0
+    if walk:
+        for i, edges in enumerate(graphs):
+            walks = _walks(edges, n, walk)
+            if total + walks > MATRIX_WALKS and i > start:
+                yield start, i
+                start, total = i, 0
+            total += walks
+    yield start, len(graphs)
+
+
+def _walks(edges, n, length):
+    """The walks of this length in the simple graph with these edges on n
+    nodes: what _Host counts before it builds any matrix."""
+    w = [0] * n
+    for u, v in edges:
+        w[u] += 1
+        w[v] += 1
+    for _ in range(length - 1):
+        step = [0] * n
+        for u, v in edges:
+            step[u] += w[v]
+            step[v] += w[u]
+        w = step
+    return sum(w)
 
 
 @lru_cache(maxsize=None)
@@ -516,7 +591,9 @@ class _Host:
     """The non-isolated nodes of a graph, in the arrays a hom program reads.
 
     The skeleton is the simple graph of the linked node pairs; its nodes
-    are numbered 0..n'-1 by (skeleton degree, id).  Built at once: the
+    are numbered 0..n'-1 by (skeleton degree, id).  With block = n, block
+    holds each node's block id // n and blocks their number (G.n / n);
+    block is None for one graph.  Built at once: the
     skeleton's edges u < v and degrees, the arcs (tail, head) in G.edges
     order, each node's label index and the weights scaled to integers by
     scale, the lcm of their denominators (None if unweighted).  Built on
@@ -532,16 +609,21 @@ class _Host:
     partial sum is a hom value of a connected pattern with at most k nodes
     and r edge units, one arc and k-2 steps along a spanning tree.  A
     program whose products walk L steps needs at most MATRIX_WALKS skeleton
-    walks of that length, checked before any matrix is built."""
+    walks of that length, checked before any matrix is built.  The bound
+    and the cap hold for the union of the blocks, so each block's sums are
+    exact too."""
 
-    def __init__(self, G, pattern_nodes, walk, r_max):
+    def __init__(self, G, pattern_nodes, walk, r_max, block=None):
         ends = np.fromiter(itertools.chain.from_iterable(G.edges),
                            dtype=np.int64, count=2 * len(G.edges))
         pairs = ends
         if G.directed:   # a reciprocal pair of arcs is one skeleton edge
-            codes = np.unique(np.minimum(ends[0::2], ends[1::2]) * G.n
-                              + np.maximum(ends[0::2], ends[1::2]))
-            pairs = np.stack(np.divmod(codes, G.n), axis=1).ravel()
+            # pairs are coded over the ranks of the ids: a code over the
+            # ids themselves passes 2^63 for ids past about 3 * 10^9
+            ids, rank = np.unique(ends, return_inverse=True)
+            a, b = rank[0::2], rank[1::2]
+            codes = np.unique(np.minimum(a, b) * len(ids) + np.maximum(a, b))
+            pairs = ids[np.stack(np.divmod(codes, len(ids)), axis=1).ravel()]
         # the ends sorted by id come in one run per node; each run's
         # length is the node's degree, and the runs are renumbered by rank
         order = pairs.argsort()
@@ -553,6 +635,9 @@ class _Host:
         by_degree = deg.argsort(kind="stable")
         rank = by_degree.argsort()
         ids = ids[starts[:-1]]
+        self.block = None
+        if block is not None:
+            self.block, self.blocks = (ids // block)[by_degree], G.n // block
         pairs[order] = rank.repeat(deg)   # renumbers ends too if undirected
         if G.directed:
             ends = rank[ids.searchsorted(ends)]
@@ -629,6 +714,16 @@ class _Host:
         a = self.edges[1].repeat(count)
         return a[closed], b[closed], c[closed]
 
+    def block_sums(self, values, nodes=None):
+        """The sums of values per block, as Python ints in an object
+        array; values[i] belongs to node nodes[i] (node i by default)."""
+        if values.dtype != object:
+            values = values.astype(np.int64)
+        out = np.zeros(self.blocks, dtype=values.dtype)
+        np.add.at(out, self.block if nodes is None else self.block[nodes],
+                  values)
+        return out.astype(object)
+
     def matrix(self, rows, cols, values=None):
         """The sparse matrix with these entries (ones by default)."""
         codes = rows * self.n + cols
@@ -669,29 +764,42 @@ def _op_product(h, *operands):
     return functools.reduce(operator.mul, operands)
 
 
+# The scalar steps (sum, dot, edge, tri, k4, quad) return a Python int, or
+# with blocks an object array of one Python int per block, each term summed
+# into the block of its first node.
+
 def _op_sum(h, w):
-    return int(w.sum())
+    if h.block is None:
+        return int(w.sum())
+    return h.block_sums(w)
 
 
 def _op_dot(h, x, y):
-    return int(x @ y)
+    if h.block is None:
+        return int(x @ y)
+    return h.block_sums(x * y)
 
 
 def _op_edge(h, x, y):
     a, b = h.first, h.second
+    if h.block is not None:
+        return h.block_sums(x[a] * y[b] + x[b] * y[a], a)
     if x is y:
         return 2 * int(x[a] @ x[b])
     return int(x[a] @ y[b] + x[b] @ y[a])
 
 
 def _op_tri(h, *w):
-    if not w:
+    if not w and h.block is None:
         return 6 * int(np.count_nonzero(h.wedges[3]))
     a, b, c = h.triangles
+    if not w:
+        return h.block_sums(np.full(len(a), 6), a)
     x, y, z = w
-    return int((x[a] * (y[b] * z[c] + y[c] * z[b])
-                + x[b] * (y[a] * z[c] + y[c] * z[a])
-                + x[c] * (y[a] * z[b] + y[b] * z[a])).sum())
+    terms = (x[a] * (y[b] * z[c] + y[c] * z[b])
+             + x[b] * (y[a] * z[c] + y[c] * z[a])
+             + x[c] * (y[a] * z[b] + y[b] * z[a]))
+    return int(terms.sum()) if h.block is None else h.block_sums(terms, a)
 
 
 def _op_k4(h):
@@ -702,8 +810,11 @@ def _op_k4(h):
     stop = ends[c]
     count = stop - codes.searchsorted(c * (h.n + 1))
     d = v[_runs(stop, count)]
-    return 24 * int(np.count_nonzero(h.has_edge(a.repeat(count), d)
-                                     & h.has_edge(b.repeat(count), d)))
+    a = a.repeat(count)
+    hit = h.has_edge(a, d) & h.has_edge(b.repeat(count), d)
+    if h.block is None:
+        return 24 * int(np.count_nonzero(hit))
+    return h.block_sums(24 * hit, a)
 
 
 # A matrix over node pairs is sparse: (codes, values), the codes x * n' + y
@@ -766,7 +877,9 @@ def _op_mv(h, m, w):
 def _op_quad(h, x, m, y):
     codes, vals = m
     i, j = np.divmod(codes, h.n)
-    return int((x[i] * vals) @ y[j])
+    if h.block is None:
+        return int((x[i] * vals) @ y[j])
+    return h.block_sums(x[i] * vals * y[j], i)
 
 
 _OPS = {"one": _op_one, "label": _op_label, "deg": _op_deg,
@@ -890,6 +1003,14 @@ def derive_disconnected(connected_counts, G, r_max):
     return counts
 
 
-def full_counts(G, r_max):
-    """Connected enumeration plus disconnected derivation."""
-    return derive_disconnected(count_connected(G, r_max), G, r_max)
+def full_counts(G, r_max, block=None):
+    """Connected counts plus disconnected derivation.
+
+    With block = n, G is the disjoint union of G.n / n graphs, block b on
+    nodes b*n .. b*n + n - 1, and the result is an iterator over each
+    block's counts in block order (see count_connected), each derived when
+    it is reached."""
+    if block is None:
+        return derive_disconnected(count_connected(G, r_max), G, r_max)
+    return (derive_disconnected(counts, G, r_max)
+            for counts in count_connected(G, r_max, block))

@@ -6,6 +6,10 @@ edge) turn a representative of class i into a graph of class j.  Every
 node's out-degree is C(n,2).  The Laplacian L = D_out - A^T has an exactly
 integral spectrum: the multiplicity of eigenvalue r equals the number of
 distinct subgraph classes with exactly r edges embeddable in n nodes.
+
+build_edit_graph classifies one edge removal per automorphism orbit of
+each representative's edges and derives every addition from the removals
+through the classes' multiplicities (see its docstring).
 """
 
 from __future__ import annotations
@@ -45,28 +49,58 @@ class EditGraph:
 
 
 def build_edit_graph(n):
-    """Construct H_n by toggling every node pair of every class
-    representative and classifying the result."""
+    """Construct H_n from edge removals.
+
+    Each representative is canonicalized once for generators of its
+    automorphism group.  Removing edges of one automorphism orbit gives
+    isomorphic graphs (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998), so one removal per edge orbit is classified and
+    weighted by the orbit's size.  Additions follow from the removals: the
+    labelled graphs of class i and of class j one edge apart are counted
+    from either side, so mult_i * w(i -> j) = mult_j * w(j -> i), and each
+    division is checked to be exact."""
     if n > EDIT_NODE_CAP:
         raise SizeCapError(f"edit graph capped at n={EDIT_NODE_CAP}")
     table = enumerate_classes(n)
     key_to_index = {key: i for i, key in enumerate(table.keys)}
     k = len(table)
     adj = np.zeros((k, k), dtype=np.int64)
-    for i, edges in enumerate(table.reps):
-        es = set(edges)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) in es:
-                    toggled = es - {(u, v)}
-                else:
-                    toggled = es | {(u, v)}
-                key = canonicalize(n, [(a, b, 1) for a, b in toggled]).key
-                adj[i, key_to_index[key]] += 1
+    for j, edges in enumerate(table.reps):
+        generators = canonicalize(n, [(u, v, 1) for u, v in edges]).generators
+        for removed, size in _edge_orbits(edges, generators):
+            key = canonicalize(n, [(u, v, 1) for u, v in edges
+                                   if (u, v) != removed]).key
+            adj[j, key_to_index[key]] += size
+    mults = table.mults
+    for j, i in zip(*np.nonzero(adj)):   # removals j -> i, additions i -> j
+        added, rem = divmod(mults[j] * int(adj[j, i]), mults[i])
+        if rem:
+            raise AssertionError(
+                f"edit-graph weights of classes {i} and {j} do not balance "
+                "their multiplicities")
+        adj[i, j] = added
     if not (adj.sum(axis=1) == n * (n - 1) // 2).all():
         raise AssertionError(
             f"edit-graph out-degrees differ from C({n},2)")
     return EditGraph(n=n, table=table, adjacency=adj)
+
+
+def _edge_orbits(edges, generators):
+    """(first edge, size) of each orbit of the node permutations on the
+    edges u < v, in order of first edge."""
+    seen = set()
+    for first in edges:
+        if first in seen:
+            continue
+        seen.add(first)
+        orbit = [first]
+        for u, v in orbit:
+            for g in generators:
+                image = (g[u], g[v]) if g[u] < g[v] else (g[v], g[u])
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        yield first, len(orbit)
 
 
 def laplacian_spectrum(h: EditGraph, tol=1e-8):

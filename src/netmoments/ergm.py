@@ -8,7 +8,9 @@ multiplicity n!/|Aut| as base-measure weight.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -16,8 +18,8 @@ import numpy as np
 
 from .canonical import canonicalize
 from .classes import complete_count, universe_index
-from .counting import full_counts
-from .graphs import SizeCapError, make_graph
+from .counting import block_runs, full_counts
+from .graphs import UNIT, Graph, SizeCapError
 from .moments import MomentVector
 
 _CLASS_TABLE_CACHE = {}
@@ -38,17 +40,56 @@ class GraphClassTable:
         return len(self.reps)
 
     def statistic_counts(self, sids):
-        """Matrix of c_g per class row for the given statistic ids.
+        """Matrix of c_g per class row for the given statistic ids, rows in
+        table order.
 
-        One full_counts call per class row, through the largest statistic
-        order; every column is read from that row's count dict.
+        Counts through the largest statistic order with one full_counts
+        call per run of rows (counting.block_runs): the call counts the
+        disjoint union of the run's representatives, row i of the run on
+        nodes i*n .. i*n + n - 1, on one host, and hands back each row's
+        counts in turn.  Every column is read from those counts.
         """
         r_max = max((sid.r for sid in sids), default=1)
         cols = np.empty((len(self.reps), len(sids)), dtype=np.float64)
-        for i, edges in enumerate(self.reps):
-            counts = full_counts(make_graph(self.n, list(edges)), r_max)
-            cols[i] = [counts.get(sid, 0) for sid in sids]
+        n = self.n
+        for start, stop in block_runs(self.reps, n, r_max):
+            union = Graph(n=(stop - start) * n,
+                          edges=_RowUnion(self.reps[start:stop], n))
+            for i, counts in enumerate(full_counts(union, r_max, n), start):
+                cols[i] = [counts.get(sid, 0) for sid in sids]
         return cols
+
+
+class _RowUnion(Mapping):
+    """The edge map of the disjoint union of representatives on n nodes
+    each, row i on nodes i*n .. i*n + n - 1, read from the rows on the fly:
+    the union's edges are never held as objects of their own."""
+
+    def __init__(self, rows, n):
+        self.rows, self.n = rows, n
+        self.m = sum(map(len, rows))
+
+    def __len__(self):
+        return self.m
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(
+            [(u + at, v + at) for u, v in edges]
+            for at, edges in zip(range(0, len(self.rows) * self.n, self.n),
+                                 self.rows))
+
+    def __getitem__(self, pair):
+        u, v = pair
+        at = u - u % self.n
+        if not 0 <= at < len(self.rows) * self.n or \
+                (u - at, v - at) not in self.rows[at // self.n]:
+            raise KeyError(pair)
+        return UNIT
+
+    def items(self):
+        # Graph validates every (edge, weight) once; pairing the edges with
+        # UNIT skips the per-edge lookup of the Mapping default
+        return zip(self, itertools.repeat(UNIT))
 
 
 def enumerate_classes(n, allow_large=False):
@@ -61,6 +102,8 @@ def enumerate_classes(n, allow_large=False):
     of the walk over (parent in table order, mask ascending) that keeps
     the first child of each class.
     """
+    if n < 0:
+        raise ValueError(f"node count must be nonnegative, got n={n}")
     if n > 10 or (n > 9 and not allow_large):
         raise SizeCapError(
             f"class enumeration capped at n=9 (n=10 behind allow_large); "

@@ -210,6 +210,41 @@ def dedupe_all_classes(n):
 
 
 # ---------------------------------------------------------------------------
+# Class-table passes one row at a time: the references for the bulk
+# ergm.GraphClassTable.statistic_counts and editgraph.build_edit_graph.
+
+def per_row_statistic_counts(table, sids):
+    """The statistic matrix from one full_counts call per class row."""
+    import numpy as np
+    from netmoments.counting import full_counts
+    r_max = max((sid.r for sid in sids), default=1)
+    cols = np.empty((len(table.reps), len(sids)), dtype=np.float64)
+    for i, edges in enumerate(table.reps):
+        counts = full_counts(make_graph(table.n, list(edges)), r_max)
+        cols[i] = [counts.get(sid, 0) for sid in sids]
+    return cols
+
+
+def toggle_edit_graph(n):
+    """The edit graph's adjacency from toggling every node pair of every
+    class representative and canonicalizing the result."""
+    import numpy as np
+    from netmoments.canonical import canonicalize
+    from netmoments.ergm import enumerate_classes
+    table = enumerate_classes(n)
+    key_to_index = {key: i for i, key in enumerate(table.keys)}
+    adj = np.zeros((len(table), len(table)), dtype=np.int64)
+    for i, edges in enumerate(table.reps):
+        es = set(edges)
+        for u in range(n):
+            for v in range(u + 1, n):
+                toggled = es ^ {(u, v)}
+                key = canonicalize(n, [(a, b, 1) for a, b in toggled]).key
+                adj[i, key_to_index[key]] += 1
+    return adj
+
+
+# ---------------------------------------------------------------------------
 # The ERGM fit that checks the hull with an LP before every Newton fit: the
 # reference for ergm.fit_ergm, which runs the LP only when a target fails.
 

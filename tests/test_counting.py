@@ -3,6 +3,7 @@ and the homomorphism engine of every mode against ESU."""
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -264,6 +265,88 @@ def test_counts_match_esu_in_every_mode(mode, data):
     assert got == want
     kind = Fraction if mode == "weighted" else int
     assert all(type(c) is kind for c in got.values())
+
+
+@st.composite
+def block_unions(draw, mode):
+    """(union, size, blocks): 1-4 graphs of the mode on `size` nodes and
+    their disjoint union, block b on nodes b*size .. b*size + size - 1.
+    Every block uses the whole label alphabet, so the union and each block
+    count against one class universe; blocks may have no edges."""
+    size = draw(st.integers(3, 6))
+    alphabet = draw(st.integers(1, 3)) if mode == "attributed" else 2
+    pairs = [(u, v) for u, v in (_ARCS8 if mode == "directed" else _PAIRS8)
+             if u < size and v < size]
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        attrs = None
+        if mode in ("attributed", "bipartite"):
+            attrs = {v: "abc"[v] for v in range(alphabet)}
+            attrs.update({v: "abc"[draw(st.integers(0, alphabet - 1))]
+                          for v in range(alphabet, size)})
+        ok = [(u, v) for u, v in pairs
+              if mode != "bipartite" or attrs[u] != attrs[v]]
+        chosen = draw(st.lists(st.sampled_from(ok), unique=True, max_size=8))
+        weights = [draw(_WEIGHTS) if mode == "weighted" else UNIT
+                   for _ in chosen]
+        blocks.append(Graph(n=size, edges=dict(zip(chosen, weights)),
+                            directed=mode == "directed",
+                            weighted=mode == "weighted", node_attrs=attrs,
+                            bipartite=mode == "bipartite"))
+    first = blocks[0]
+    union = Graph(
+        n=size * len(blocks),
+        edges={(u + b * size, v + b * size): w
+               for b, H in enumerate(blocks) for (u, v), w in H.edges.items()},
+        directed=first.directed, weighted=first.weighted,
+        node_attrs=None if first.node_attrs is None else {
+            v + b * size: label for b, H in enumerate(blocks)
+            for v, label in H.node_attrs.items()},
+        bipartite=first.bipartite)
+    return union, size, blocks
+
+
+@pytest.mark.parametrize("mode", ["simple", "directed", "weighted",
+                                  "attributed", "bipartite"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_block_counts_match_each_block(mode, data):
+    # hom counts of connected patterns add over a disjoint union, so one
+    # host over the union gives every block's own counts
+    union, size, blocks = data.draw(block_unions(mode))
+    r = data.draw(st.integers(1, ORDER_CAPS[mode]))
+    assert list(count_connected(union, r, size)) == [
+        count_connected(H, r) for H in blocks]
+    assert list(full_counts(union, r, size)) == [
+        full_counts(H, r) for H in blocks]
+
+
+def test_blocks_must_split_the_nodes():
+    G = make_graph(7, [(0, 1)])
+    for block in (0, 2, 4):
+        with pytest.raises(ValueError, match="blocks of"):
+            count_connected(G, 2, block)
+    assert list(full_counts(make_graph(6, []), 2, 3)) == [
+        full_counts(make_graph(3, []), 2)] * 2
+
+
+@pytest.mark.parametrize("shift", [3_100_000_000, 5_000_000_000, 10 ** 12])
+def test_directed_counts_with_large_node_ids(shift, tmp_path, capsys):
+    # pairs were coded as min * n + max over the ids, past 2^63 from about
+    # sqrt(2^63) = 3.04e9
+    arcs = [(0, 1), (1, 0), (1, 2), (3, 1)]
+    small = make_graph(4, arcs, directed=True)
+    big = make_graph(shift + 4, [(u if u == 0 else u + shift,
+                                  v if v == 0 else v + shift)
+                                 for u, v in arcs], directed=True)
+    assert full_counts(big, 3) == full_counts(small, 3)
+    path = tmp_path / "arcs.txt"
+    path.write_text(f"0 {shift}\n{shift} 0\n{shift} {shift + 1}\n")
+    assert main(["count", str(path), "--directed", "--order", "2"]) == 0
+    got = {c["alias"]: c["value"]["numer"] for c in
+           json.loads(capsys.readouterr().out)["result"]["counts"]}
+    assert got["edge"] == "3" and got["reciprocal"] == "1"
+    assert got["wedge-out-out"] == got["wedge-in-out"] == "1"
 
 
 def _weighted_star(weights):

@@ -1,12 +1,18 @@
 """Edit-graph construction and Laplacian spectrum."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from netmoments import editgraph
 from netmoments.classes import universe
+from netmoments.cli import main
 from netmoments.editgraph import (build_edit_graph, laplacian_spectrum,
                                   zero_eigenvector_residuals)
-from netmoments.ergm import SizeCapError
+from netmoments.ergm import SizeCapError, enumerate_classes
+
+from conftest import toggle_edit_graph
 
 
 def count_vectors(h, r_max):
@@ -78,3 +84,64 @@ def test_left_eigenspace_spans_count_vectors_n5():
 def test_node_cap():
     with pytest.raises(SizeCapError):
         build_edit_graph(7)
+
+
+def test_negative_node_count_is_refused(capsys):
+    for fn in (enumerate_classes, build_edit_graph):
+        with pytest.raises(ValueError, match="nonnegative, got n=-1"):
+            fn(-1)
+    assert main(["editgraph", "--nodes", "-2"]) == 1
+    assert "--nodes must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_adjacency_matches_toggle_reference(n):
+    h = build_edit_graph(n)
+    want = toggle_edit_graph(n)
+    assert h.adjacency.dtype == want.dtype
+    assert h.adjacency.tobytes() == want.tobytes()
+
+
+def _counted_canonicalize(monkeypatch):
+    calls = []
+    real = editgraph.canonicalize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(editgraph, "canonicalize", counted)
+    return calls
+
+
+def test_one_canonicalization_per_edge_orbit(monkeypatch):
+    # 156 representatives and 572 edge orbits at n=6; toggling every node
+    # pair took 156 * 15 = 2,340
+    enumerate_classes(6)
+    calls = _counted_canonicalize(monkeypatch)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        build_edit_graph(6)
+        counts.append(len(calls))
+    assert counts == [728, 728]
+
+
+def test_broken_multiplicities_are_refused(monkeypatch):
+    table = enumerate_classes(5)
+    mults = list(table.mults)
+    mults[3] += 1
+    monkeypatch.setattr(editgraph, "enumerate_classes",
+                        lambda n: dataclasses.replace(table, mults=mults))
+    with pytest.raises(AssertionError, match="do not balance"):
+        build_edit_graph(5)
+
+
+def test_missing_removals_are_refused(monkeypatch):
+    # dropping every orbit after the first keeps the multiplicity identity
+    # (additions follow removals) but leaves rows short of C(n,2)
+    real = editgraph._edge_orbits
+    monkeypatch.setattr(editgraph, "_edge_orbits",
+                        lambda edges, gens: list(real(edges, gens))[:1])
+    with pytest.raises(AssertionError, match="out-degrees"):
+        build_edit_graph(5)

@@ -17,17 +17,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import netmoments
-from netmoments import ergm
+from netmoments import counting, ergm
 from netmoments.canonical import canonicalize
 from netmoments.classes import (ClassGraph, class_id, complete_count,
                                 named_class, universe, universe_index)
-from netmoments.counting import full_counts
+from netmoments.counting import OrderCapError, full_counts
+from netmoments.graphs import make_graph
 from netmoments.ergm import (degeneracy_diagnostics, enumerate_classes,
                              ergm_distribution, fit_ergm,
                              InfeasibleTargetError, SizeCapError)
 from netmoments.moments import MomentVector
 
-from conftest import brute_canonical, dedupe_all_classes, lp_first_fit_ergm
+from conftest import (brute_canonical, dedupe_all_classes, lp_first_fit_ergm,
+                      per_row_statistic_counts)
 
 nc = lambda a: named_class("simple", a).id
 
@@ -239,18 +241,119 @@ def test_statistic_counts_order_four(group):
         assert h.probabilities == pytest.approx(want, rel=1e-12)
 
 
-def test_statistic_counts_one_full_count_per_row(monkeypatch):
+def test_statistic_counts_one_full_count_per_run(monkeypatch):
+    # one host counts every row of a run; n=6 at order 4 is one run, and a
+    # lower walk cap cuts the table into runs in table order
     table = enumerate_classes(6)
     calls = []
 
-    def counted(G, r_max):
-        calls.append(r_max)
-        return full_counts(G, r_max)
+    def counted(G, r_max, block=None):
+        calls.append((G.n // block, r_max))
+        return full_counts(G, r_max, block)
 
     monkeypatch.setattr(ergm, "full_counts", counted)
     sids = (nc("edge"), nc("triangle"), nc("square"), _PATH4)
-    table.statistic_counts(sids)
-    assert calls == [4] * len(table)
+    X = table.statistic_counts(sids)
+    assert calls == [(len(table), 4)]
+    calls.clear()
+    monkeypatch.setattr(counting, "MATRIX_WALKS", 3000)
+    assert (table.statistic_counts(sids) == X).all()
+    assert len(calls) > 1 and all(r == 4 for _, r in calls)
+    assert sum(rows for rows, _ in calls) == len(table)
+
+
+def _all_ids(r):
+    return tuple(ci.id for infos in universe("simple", r).values()
+                 for ci in infos)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_statistic_counts_match_per_row_reference(n):
+    # every class through each order, compared row for row (same order)
+    table = enumerate_classes(n)
+    for r in range(1, 5):
+        sids = _all_ids(r)
+        assert table.statistic_counts(sids).tobytes() == \
+            per_row_statistic_counts(table, sids).tobytes()
+
+
+@pytest.mark.parametrize("n, r, cap", [(6, 4, 400), (6, 5, 2500),
+                                       (7, 4, 1000), (5, 6, 400)])
+def test_statistic_counts_in_several_runs(monkeypatch, n, r, cap):
+    # with a lower walk cap the table splits into runs, each within the
+    # cap unless it is one row, and the matrix does not change
+    table = enumerate_classes(n)
+    sids = _all_ids(r)
+    want = per_row_statistic_counts(table, sids)
+    monkeypatch.setattr(counting, "MATRIX_WALKS", cap)
+    walk = counting._hom_basis(r, "simple", 2)[3]
+    runs = list(counting.block_runs(table.reps, n, r))
+    assert len(runs) > 2
+    assert [a for a, _ in runs[1:]] == [b for _, b in runs[:-1]]
+    assert runs[0][0] == 0 and runs[-1][1] == len(table)
+    for start, stop in runs:
+        walks = [counting._walks(table.reps[i], n, walk)
+                 for i in range(start, stop)]
+        assert sum(walks) <= cap or stop == start + 1
+        if stop < len(table):   # the next row would have passed the cap
+            assert sum(walks) + counting._walks(table.reps[stop], n,
+                                                walk) > cap
+    assert table.statistic_counts(sids).tobytes() == want.tobytes()
+
+
+def test_row_union_is_the_disjoint_union():
+    rows = enumerate_classes(4).reps[3:7]
+    union = ergm._RowUnion(rows, 4)
+    want = {(u + 4 * i, v + 4 * i): 1 for i, edges in enumerate(rows)
+            for u, v in edges}
+    assert len(union) == len(want) and dict(union.items()) == want
+    assert dict(union) == want and list(union.values()) == [1] * len(want)
+    for pair in [(0, 5), (4, 5), (-4, -3), (16, 17)] + list(want):
+        assert (pair in union) == (pair in want)
+
+
+def test_walks_match_the_host():
+    # block_runs reads each row's walks the way _Host counts them
+    table = enumerate_classes(6)
+    for r in (4, 5):
+        _, _, nodes, walk = counting._hom_basis(r, "simple", 2)
+        for edges in table.reps[1:]:
+            host = counting._Host(make_graph(6, list(edges)), nodes, walk, r)
+            w = host.deg.astype(np.float64)
+            for _ in range(walk - 1):
+                w = counting._op_spread(host, w)
+            assert counting._walks(edges, 6, walk) == w.sum()
+
+
+def test_row_past_the_walk_cap_is_refused(monkeypatch):
+    # K6 has 150 walks of length 2; a row past the cap alone exits 4, as
+    # it does when rows are counted one at a time
+    monkeypatch.setattr(counting, "MATRIX_WALKS", 149)
+    table = enumerate_classes(6)
+    sids = (nc("square"),)
+    with pytest.raises(OrderCapError, match="walks of length 2"):
+        per_row_statistic_counts(table, sids)
+    with pytest.raises(OrderCapError, match="walks of length 2"):
+        table.statistic_counts(sids)
+    runs = list(counting.block_runs(table.reps, 6, 4))
+    assert runs[-1] == (len(table) - 1, len(table))   # K6 is the last row
+
+
+def test_order_five_counts_at_n8():
+    # the n=8 table's union needs 5,734,752 walks of length 3, past the
+    # cap, so it is counted in two runs; sampled rows match the reference
+    table = enumerate_classes(8)
+    assert list(counting.block_runs(table.reps, 8, 5)) == [
+        (0, 10573), (10573, 12346)]
+    sids = (nc("edge"), nc("triangle"), _PATH4, _ORDER_FOUR["connected"][0],
+            class_id(ClassGraph.make(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1),
+                                         (3, 4, 1), (4, 5, 1)]), "simple"))
+    X = table.statistic_counts(sids)
+    rows = list(range(0, len(table), 97)) + [10572, 10573, len(table) - 1]
+    sample = ergm.GraphClassTable(
+        n=8, reps=[table.reps[i] for i in rows], keys=None, auts=None,
+        mults=None)
+    assert (X[rows] == per_row_statistic_counts(sample, sids)).all()
 
 
 # ---------------------------------------------------------------------------

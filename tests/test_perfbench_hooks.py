@@ -46,3 +46,33 @@ def test_esu_side_run_import_resolves():
     assert "from netmoments.counting import connected_edge_subsets" in run
     assert callable(getattr(_module("counting"), "connected_edge_subsets",
                             None))
+
+
+def test_class_table_passes_leave_the_spans_a_trace_reads():
+    # perfbench/layers.py reads ergm.stat_matrix_fallback_rows from the
+    # full_counts spans inside ergm.stat_matrix and editgraph.
+    # canonicalizations from the canonicalize calls build_edit_graph makes
+    # itself; without either, `run.py --trace 1` exits 3
+    tracer_mod = _tracer()
+    NAME, PARENT, ATTRS = tracer_mod.NAME, tracer_mod.PARENT, tracer_mod.ATTRS
+    ergm, editgraph = _module("ergm"), _module("editgraph")
+    edge = _module("classes").named_class("simple", "edge").id
+    table = ergm.enumerate_classes(5)
+    tracer = tracer_mod.Tracer()
+    with tracer.instrument():
+        table.statistic_counts((edge,))
+        editgraph.build_edit_graph(5)
+    spans = tracer.spans
+
+    def inside(i, name):
+        while spans[i][PARENT] is not None:
+            i = spans[i][PARENT]
+            if spans[i][NAME] == name:
+                return True
+        return False
+
+    assert any(s[NAME] == "counting.full_counts"
+               and inside(i, "ergm.stat_matrix")
+               for i, s in enumerate(spans))
+    builds = [s for s in spans if s[NAME] == "editgraph.build"]
+    assert builds and builds[0][ATTRS].get("canon", 0) > 0
