@@ -321,6 +321,16 @@ def universe(mode, r_max, labels=2):
     return out
 
 
+@lru_cache(maxsize=None)
+def universe_positions(mode, r_max, labels=2):
+    """(ClassInfos, {key: position}) over every class of the universe,
+    ordered by edge count then key: the positions that compiled plans index
+    a universe by, so a vector is read into a list once per call."""
+    infos = tuple(ci for r in range(1, r_max + 1)
+                  for ci in universe(mode, r_max, labels)[r])
+    return infos, {ci.id.key: p for p, ci in enumerate(infos)}
+
+
 def universe_index(mode, r_max, labels=2):
     """Map canonical key -> ClassInfo over all orders of the universe."""
     table = {}

@@ -587,6 +587,21 @@ def _compile(exprs):
 MATRIX_WALKS = 2 ** 22
 
 
+def unique(values, inverse=False):
+    """np.unique of a 1-d array (and its inverse), by a sort and a mask of
+    the sorted values that differ from their left neighbour: np.unique
+    itself imports numpy.ma on its first call."""
+    order = values.argsort(kind="stable") if inverse else None
+    ordered = values[order] if inverse else np.sort(values)
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if not inverse:
+        return ordered[first]
+    rank = np.empty(len(ordered), dtype=np.intp)
+    rank[order] = first.cumsum() - 1
+    return ordered[first], rank
+
+
 class _Host:
     """The non-isolated nodes of a graph, in the arrays a hom program reads.
 
@@ -620,9 +635,9 @@ class _Host:
         if G.directed:   # a reciprocal pair of arcs is one skeleton edge
             # pairs are coded over the ranks of the ids: a code over the
             # ids themselves passes 2^63 for ids past about 3 * 10^9
-            ids, rank = np.unique(ends, return_inverse=True)
+            ids, rank = unique(ends, inverse=True)
             a, b = rank[0::2], rank[1::2]
-            codes = np.unique(np.minimum(a, b) * len(ids) + np.maximum(a, b))
+            codes = unique(np.minimum(a, b) * len(ids) + np.maximum(a, b))
             pairs = ids[np.stack(np.divmod(codes, len(ids)), axis=1).ravel()]
         # the ends sorted by id come in one run per node; each run's
         # length is the node's degree, and the runs are renumbered by rank
@@ -970,37 +985,52 @@ def _derivation_plan(mode, r_max, labels):
     return tuple(connected), tuple(steps)
 
 
+@lru_cache(maxsize=None)
+def _derivation_positions(mode, r_max, labels):
+    """_derivation_plan compiled to positions: (ids, connected count,
+    steps).  ids lists the connected ids, then each step's id in solving
+    order, and a step is (first-component position, remainder position,
+    other terms as (position, coefficient) pairs, self coefficient)."""
+    connected, steps = _derivation_plan(mode, r_max, labels)
+    ids = connected + tuple(step[0] for step in steps)
+    at = {sid: p for p, sid in enumerate(ids)}
+    return ids, len(connected), tuple(
+        (at[c_id], at[h_id], tuple((at[gid], coeff) for gid, coeff in terms),
+         self_coeff) for _, c_id, h_id, terms, self_coeff in steps)
+
+
 def derive_disconnected(connected_counts, G, r_max):
     """Extend connected counts to every class with <= r_max edges.
 
     Returns dict SubgraphId -> count covering the full universe (zero counts
-    included).  Only arithmetic runs per call: the solving order and the
-    split coefficients come from _derivation_plan.  Raises ValueError on a
-    negative derived count, which signals inconsistent input counts.
+    included).  Only arithmetic runs per call, on a list indexed by the
+    positions of _derivation_positions.  Raises ValueError on a negative
+    derived count, which signals inconsistent input counts.
     """
     mode, labels = graph_mode(G)
     check_order(mode, r_max)
-    connected, steps = _derivation_plan(mode, r_max, labels)
+    ids, n_connected, steps = _derivation_positions(mode, r_max, labels)
     zero = Fraction(0) if G.weighted else 0
-    counts = {sid: connected_counts.get(sid, zero) for sid in connected}
-    for sid, c_id, h_id, terms, self_coeff in steps:
-        acc = counts[c_id] * counts[h_id]
-        for gid, coeff in terms:
-            acc -= coeff * counts[gid]
+    counts = [connected_counts.get(sid, zero) for sid in ids[:n_connected]]
+    for c, h, terms, self_coeff in steps:
+        acc = counts[c] * counts[h]
+        for g, coeff in terms:
+            acc -= coeff * counts[g]
         if G.weighted:
             value = Fraction(acc, self_coeff)
         else:
             value, rem = divmod(acc, self_coeff)
             if rem:
                 raise AssertionError(
-                    f"non-integer derived count for {sid.serialize()}")
+                    f"non-integer derived count for "
+                    f"{ids[len(counts)].serialize()}")
             value = int(value)
         if value < 0:
             raise ValueError(
-                f"negative derived count for {sid.serialize()}: "
+                f"negative derived count for {ids[len(counts)].serialize()}: "
                 "inconsistent input counts")
-        counts[sid] = value
-    return counts
+        counts.append(value)
+    return dict(zip(ids, counts))
 
 
 def full_counts(G, r_max, block=None):

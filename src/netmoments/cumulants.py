@@ -1,4 +1,4 @@
-"""Moment/cumulant conversion: Moebius inversion on the partition lattice.
+"""Moment/cumulant conversion on the partition lattice.
 
 A moment factors over set partitions of the subject's edge units:
 
@@ -12,9 +12,15 @@ subject's node colors.  The Moebius function of the partition lattice
 
 with b the number of blocks.  Both sums group partitions by the multiset of
 block classes, and every block class is read from the class's unit-subset
-table (classes.unit_subclasses).  One evaluator serves both directions:
-cumulants_to_moments evaluates the expansion on kappa, moments_to_cumulants
-evaluates the kappa polynomial on mu.
+table (classes.unit_subclasses).  The expansion and the kappa polynomial
+are kept for the unbiased estimator and for inspection; the conversions
+run the first-unit recursion instead (Smith 1995).  Every partition of g's
+units is the block B holding unit 0 plus a partition of the rest, so
+
+    mu_g = sum over B holding unit 0 of kappa_{g_B} mu_{g minus B}
+
+(mu of no units is 1), one binary product per unit subset that holds
+unit 0.  Solved for kappa_g, the same terms convert the other way.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classes import (ClassGraph, SubgraphId, class_id, unit_subclasses,
-                      universe_index)
+                      universe_positions)
 from .moments import MomentVector, vector_like
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -121,53 +127,109 @@ class IncompleteVectorError(ValueError):
     """A required class is missing from the input vector."""
 
 
-def common_denominator(values):
-    """(L, {id: L * value}) for L the lcm of the values' denominators: the
-    numerators over one common denominator, as ints."""
+def scaled_positions(values, at, size):
+    """(L, x) for L the lcm of the values' denominators: x[at[id.key]] is
+    L * value as an int, None where the vector has no value."""
     lcm = math.lcm(*(v.denominator for v in values.values()))
-    return lcm, {sid: v.numerator * (lcm // v.denominator)
-                 for sid, v in values.items()}
+    x = [None] * size
+    for sid, v in values.items():
+        x[at[sid.key]] = v.numerator * (lcm // v.denominator)
+    return lcm, x
 
 
-def _evaluate(v: MomentVector, terms_of, what):
-    """Each class's sum of coeff * prod of values over its (monomial,
-    coeff) terms, classes by order.  With every value N/L, a term of b
-    blocks is scaled by L^(r - b), r >= b being the class's edge units, so
-    each class sums ints and builds one Fraction over L^r."""
-    index = universe_index(v.mode, v.r_max, v.labels)
-    lcm, num = common_denominator(v.values)
-    powers = [lcm ** b for b in range(v.r_max + 1)]
-    out = {}
-    for sid in sorted(v.values, key=lambda s: (s.r, s.key)):
-        ci = index[sid.key]
-        acc = 0
-        for parts, coeff in terms_of(ci):
-            prod = coeff * powers[sid.r - len(parts)]
-            try:
-                for pid in parts:
-                    prod *= num[pid]
-            except KeyError as exc:
-                pid = exc.args[0]
-                raise IncompleteVectorError(
+def _first_unit_pairs(cg: ClassGraph, mode: str):
+    """{(class of B, class of the rest): count} over the unit subsets B
+    that hold unit 0 and not every unit: the odd masks of the class's
+    unit-subset table, short of the full mask."""
+    sub = unit_subclasses(cg, mode)
+    full = len(sub) - 1
+    pairs = {}
+    for mask in range(1, full, 2):
+        key = (sub[mask], sub[full ^ mask])
+        pairs[key] = pairs.get(key, 0) + 1
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _conversion_plans(mode: str, r_max: int, labels: int):
+    """The first-unit recursion of every class of a universe, compiled to
+    positions (classes.universe_positions): one plan per direction, keyed
+    by what the input vector holds ("moment" or "cumulant").
+
+    Each plan holds (r, terms) per position, terms (a, b, coeff, e) read
+    as coeff * out[a] * in[b] * L^e: inputs are scaled by L and outputs by
+    L^r, r being the class's edge units:
+        to cumulants (M = mu L, K_S = kappa_S L^r):
+            K_S = M_S L^(r-1) - sum c K_B M_rest L^(r-|B|-1)
+        to moments (K = kappa L, M_S = mu_S L^r):
+            M_S = K_S L^(r-1) + sum c K_B M_rest L^(|B|-1)"""
+    infos, at = universe_positions(mode, r_max, labels)
+    to_cumulants, to_moments = [], []
+    for ci in infos:
+        r = ci.id.r
+        pairs = _first_unit_pairs(ci.graph, mode)
+        total = sum(pairs.values())
+        if total != 2 ** (r - 1) - 1:
+            raise AssertionError(
+                f"first-unit pairs of {ci.id.serialize()} count {total} "
+                f"unit subsets, not 2^{r - 1} - 1 = {2 ** (r - 1) - 1}")
+        to_cumulants.append((r, tuple(
+            (at[b.key], at[rest.key], -c, r - b.r - 1)
+            for (b, rest), c in pairs.items())))
+        to_moments.append((r, tuple(
+            (at[rest.key], at[b.key], c, b.r - 1)
+            for (b, rest), c in pairs.items())))
+    return {"moment": tuple(to_cumulants), "cumulant": tuple(to_moments)}
+
+
+def _missing_factor(v, ci, what):
+    """The error for a class whose expansion reads a class the vector
+    lacks: the first such factor in expansion-term order."""
+    for parts, _ in _expansion_for_graph(ci.graph, v.mode):
+        for pid in parts:
+            if pid not in v.values:
+                return IncompleteVectorError(
                     f"{what} vector lacks class {pid.serialize()} "
                     f"(alias {pid.alias}) needed for "
-                    f"{ci.id.alias or ci.id.serialize()}") from None
-            acc += prod
-        out[ci.id] = Fraction(acc, powers[sid.r])
+                    f"{ci.id.alias or ci.id.serialize()}")
+
+
+def _convert(v: MomentVector, what):
+    """Run the plan for a vector of `what` values in (r, key) order over Python ints on the
+    vector's common denominator L, building one Fraction per class.  A
+    class whose recursion reads an absent value raises, as it would from
+    the full expansion: both read every proper sub-edge-set class."""
+    infos, at = universe_positions(v.mode, v.r_max, v.labels)
+    plan = _conversion_plans(v.mode, v.r_max, v.labels)[what]
+    lcm, x = scaled_positions(v.values, at, len(infos))
+    powers = [lcm ** e for e in range(v.r_max + 1)]
+    y = [None] * len(infos)
+    out = {}
+    for p, value in enumerate(x):
+        if value is None:
+            continue
+        r, terms = plan[p]
+        acc = value * powers[r - 1]
+        try:
+            for a, b, coeff, e in terms:
+                acc += coeff * y[a] * x[b] * powers[e]
+        except TypeError:
+            raise _missing_factor(v, infos[p], what) from None
+        y[p] = acc
+        out[infos[p].id] = Fraction(acc, powers[r])
     return vector_like(v, out)
 
 
 def moments_to_cumulants(m: MomentVector):
-    """Evaluate each class's kappa polynomial on the moments."""
-    return _evaluate(m, lambda ci: cumulant_moment_polynomial(
-        ci.graph, m.mode).items(), "moment")
+    """kappa_S = mu_S - sum over unit subsets B holding S's first unit,
+    B != S, of kappa_B mu_(S minus B)."""
+    return _convert(m, "moment")
 
 
 def cumulants_to_moments(k: MomentVector):
-    """Evaluate each class's partition expansion on the cumulants; exact
-    inverse of moments_to_cumulants."""
-    return _evaluate(k, lambda ci: _expansion_for_graph(ci.graph, k.mode),
-                     "cumulant")
+    """mu_S = sum over unit subsets B holding S's first unit of kappa_B
+    mu_(S minus B); exact inverse of moments_to_cumulants."""
+    return _convert(k, "cumulant")
 
 
 def edge_class_id(mode):
@@ -207,14 +269,27 @@ def scale_cumulants(k: MomentVector, root_exponent=None):
     return vector_like(k, scaled), roots
 
 
-def _find_moment(m: MomentVector, k, edges, colors=None):
-    cg = ClassGraph.make(k, [(u, v, 1) for u, v in edges],
-                         directed=False, colors=colors)
-    sid = class_id(cg, m.mode)
-    if sid not in m.values:
+@lru_cache(maxsize=None)
+def _clustering_ids(mode):
+    """(wedge, triangle, three-path, square) ids of a mode; bipartite
+    paths and squares alternate labels."""
+    alternating = (0, 1, 0, 1) if mode == "bipartite" else None
+
+    def sid(k, edges, colors=None):
+        return class_id(ClassGraph.make(k, [(u, v, 1) for u, v in edges],
+                                        colors=colors), mode)
+
+    return (sid(3, [(0, 1), (1, 2)]), sid(3, [(0, 1), (1, 2), (0, 2)]),
+            sid(4, [(0, 1), (1, 2), (2, 3)], alternating),
+            sid(4, [(0, 1), (1, 2), (2, 3), (0, 3)], alternating))
+
+
+def _find_moment(m: MomentVector, sid):
+    value = m.values.get(sid)
+    if value is None:
         raise IncompleteVectorError(
             f"moment vector lacks class {sid.serialize()}")
-    return m.values[sid]
+    return value
 
 
 def clustering_coefficients(m: MomentVector):
@@ -225,25 +300,26 @@ def clustering_coefficients(m: MomentVector):
     in the vector, and raises on a zero denominator.
     """
     out = {}
+    if m.mode not in ("simple", "weighted", "bipartite"):
+        return out
+    wedge_id, tri_id, path_id, square_id = _clustering_ids(m.mode)
     if m.mode in ("simple", "weighted"):
-        wedge = _find_moment(m, 3, [(0, 1), (1, 2)])
+        wedge = _find_moment(m, wedge_id)
         if m.r_max >= 3:
-            tri = _find_moment(m, 3, [(0, 1), (1, 2), (0, 2)])
+            tri = _find_moment(m, tri_id)
             if wedge == 0:
                 raise ZeroDivisionError("C_triangle undefined: no wedges")
             out["C_triangle"] = tri / wedge
     if m.mode == "bipartite" and m.r_max >= 4:
         # alternating-label path and square
-        path = _find_moment(m, 4, [(0, 1), (1, 2), (2, 3)],
-                            colors=(0, 1, 0, 1))
-        square = _find_moment(m, 4, [(0, 1), (1, 2), (2, 3), (0, 3)],
-                              colors=(0, 1, 0, 1))
+        path = _find_moment(m, path_id)
+        square = _find_moment(m, square_id)
         if path == 0:
             raise ZeroDivisionError("C_square undefined: no three-paths")
         out["C_square"] = square / path
     elif m.mode == "simple" and m.r_max >= 4:
-        path = _find_moment(m, 4, [(0, 1), (1, 2), (2, 3)])
-        square = _find_moment(m, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        path = _find_moment(m, path_id)
+        square = _find_moment(m, square_id)
         if path != 0:
             out["C_square"] = square / path
     return out

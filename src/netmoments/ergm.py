@@ -18,7 +18,7 @@ import numpy as np
 
 from .canonical import canonicalize
 from .classes import complete_count, universe_index
-from .counting import block_runs, full_counts
+from .counting import block_runs, full_counts, unique
 from .graphs import UNIT, Graph, SizeCapError
 from .moments import MomentVector
 
@@ -518,7 +518,7 @@ def ergm_distribution(model: ErgmModel, sid):
     else:
         col = model.table.statistic_counts((sid,))[:, 0]
     p = np.exp(model.log_probs)
-    support = np.unique(col)
+    support = unique(col)
     probs = np.array([p[col == s].sum() for s in support])
     mean = float((p * col).sum())
     modes, modality = _modes(probs)

@@ -212,6 +212,8 @@ def parse_graph(text, directed=False, weighted=False, nodes=None,
             attrs[v] = parts[1].strip()
             max_id = max(max_id, v)
 
+    if nodes is not None and nodes <= 0:
+        raise GraphDataError(f"--nodes must be positive, got {nodes}")
     n = nodes if nodes is not None else max_id + 1
     if n <= 0:
         raise GraphDataError("empty input and no --nodes given")

@@ -17,37 +17,39 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .classes import ClassGraph, class_id, named_class, universe_index
-from .cumulants import (common_denominator, cumulant_moment_polynomial,
-                        IncompleteVectorError)
+from .classes import ClassGraph, class_id, named_class, universe_positions
+from .cumulants import (cumulant_moment_polynomial, IncompleteVectorError,
+                        scaled_positions)
 from .moments import MomentVector, vector_like
 
 
 @lru_cache(maxsize=None)
 def _kappa_check_plans(mode: str, r_max: int, labels: int):
-    """{id: (connected, ((disjoint-union id, coeff), ...))} over a
-    universe: each class's moment polynomial with every monomial replaced
-    by the class of the disjoint union of its factors, like terms summed
-    in order of first appearance.  Terms that sum to zero stay, so a union
-    absent from the vector still makes the estimator absent.  Monomials
-    recur across classes, so each union is classified once."""
-    index = universe_index(mode, r_max, labels)
+    """Per universe position (classes.universe_positions), (connected,
+    ((union position, coeff), ...)): each class's moment polynomial with
+    every monomial replaced by the class of the disjoint union of its
+    factors, like terms summed in order of first appearance.  A union has
+    the class's edge count, so it is in the same universe.  Terms that sum
+    to zero stay, so a union absent from the vector still makes the
+    estimator absent.  Monomials recur across classes, so each union is
+    classified once."""
+    infos, at = universe_positions(mode, r_max, labels)
     unions = {}
-    plans = {}
-    for ci in index.values():
+    plans = []
+    for ci in infos:
         plan = {}
         for mono, coeff in cumulant_moment_polynomial(ci.graph, mode).items():
-            uid = unions.get(mono)
-            if uid is None:
-                uid = unions[mono] = class_id(ClassGraph.disjoint_union(
-                    [index[pid.key].graph for pid in mono]), mode)
-            plan[uid] = plan.get(uid, 0) + coeff
+            u = unions.get(mono)
+            if u is None:
+                u = unions[mono] = at[class_id(ClassGraph.disjoint_union(
+                    [infos[at[pid.key]].graph for pid in mono]), mode).key]
+            plan[u] = plan.get(u, 0) + coeff
         if not ci.connected and any(plan.values()):
             raise AssertionError(
                 f"unbiased cumulant of disconnected class "
                 f"{ci.id.serialize()} is not identically zero")
-        plans[ci.id] = (ci.connected, tuple(plan.items()))
-    return plans
+        plans.append((ci.connected, tuple(plan.items())))
+    return tuple(plans)
 
 
 def unbiased_cumulants(m: MomentVector):
@@ -59,28 +61,27 @@ def unbiased_cumulants(m: MomentVector):
     is linear in the moments, so each class sums integer numerators over
     the vector's common denominator and builds one Fraction.
     """
+    infos, at = universe_positions(m.mode, m.r_max, m.labels)
     plans = _kappa_check_plans(m.mode, m.r_max, m.labels)
-    lcm, num = common_denominator(m.values)
+    lcm, x = scaled_positions(m.values, at, len(infos))
     out = {}
     absent = dict(m.absent)
     for sid in m.values:
-        connected, plan = plans[sid]
+        connected, plan = plans[at[sid.key]]
         acc = 0
-        for uid, coeff in plan:
-            value = num.get(uid)
-            if value is None:
-                if uid in m.absent:
-                    absent[sid] = (f"needs moment of "
-                                   f"{uid.alias or uid.serialize()}, "
-                                   f"{m.absent[uid]}")
-                    acc = None
-                    break
+        try:
+            for u, coeff in plan:
+                acc += coeff * x[u]
+        except TypeError:
+            uid = next(infos[u].id for u, _ in plan if x[u] is None)
+            if uid not in m.absent:
                 raise IncompleteVectorError(
                     f"moment vector lacks disjoint-union class "
                     f"{uid.alias or uid.serialize()} needed for unbiased "
-                    f"{sid.alias or sid.serialize()}")
-            acc += coeff * value
-        if acc is None:
+                    f"{sid.alias or sid.serialize()}") from None
+            absent[sid] = (f"needs moment of "
+                           f"{uid.alias or uid.serialize()}, "
+                           f"{m.absent[uid]}")
             continue
         if not connected and acc != 0:
             raise AssertionError(

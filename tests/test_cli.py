@@ -172,6 +172,21 @@ def test_exit_codes(capsys, tmp_path, p4):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("nodes", ["0", "-2"])
+def test_nonpositive_nodes_is_a_data_error(capsys, p4, nodes):
+    assert main(["count", p4, "--nodes", nodes]) == 2
+    err = capsys.readouterr().err
+    assert f"--nodes must be positive, got {nodes}" in err
+    assert "empty input" not in err
+
+
+def test_empty_input_without_nodes_is_a_data_error(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no edges\n")
+    assert main(["count", str(empty)]) == 2
+    assert "empty input and no --nodes given" in capsys.readouterr().err
+
+
 def test_too_many_labels_is_a_data_error(capsys, tmp_path):
     n = 257
     graph = tmp_path / "path.txt"

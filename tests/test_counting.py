@@ -147,6 +147,7 @@ def test_split_tables_are_shared_across_orders():
     # The split tables of one order |c| + |h| are built together, once, and
     # serve every derivation plan that reaches that order.
     G = random_graph(random.Random(5), 6, 0.6)
+    counting._derivation_positions.cache_clear()
     counting._derivation_plan.cache_clear()
     counting._split_coefficients.cache_clear()
     full_counts(G, 5)

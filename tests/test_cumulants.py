@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netmoments import counting, cumulants
-from netmoments.classes import named_class, universe, universe_index
+from netmoments.classes import (named_class, unit_subclasses, universe,
+                                universe_index)
 from netmoments.cumulants import (BELL, clustering_coefficients,
                                   cumulant_moment_polynomial,
                                   cumulants_to_moments, edge_partitions,
@@ -18,7 +19,7 @@ from netmoments.graphs import make_graph
 from netmoments.moments import moments, MomentVector
 from netmoments.unbiased import unbiased_cumulants
 
-from conftest import fraction_conversion, random_graph
+from conftest import fraction_conversion, fraction_kappa_check, random_graph
 
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -198,6 +199,102 @@ def test_conversions_match_fraction_evaluation(case, data):
             assert all(type(x) is Fraction for x in got.values.values())
 
 
+CAP_CASES = tuple((mode, cap, 3 if mode == "attributed" else 2)
+                  for mode, cap in counting.ORDER_CAPS.items())
+
+
+def _outcome(fn, v):
+    """(result, None) or (None, (exception type, message)) of fn(v)."""
+    try:
+        return fn(v), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CAP_CASES), st.data())
+def test_recursion_matches_fraction_references_at_the_caps(case, data):
+    # classes on more than n nodes are absent, as in moments at n; the
+    # present values come in a shuffled key order, and one or two classes
+    # that a present class's expansion reads may be missing
+    mode, cap, labels = case
+    infos = [ci for infos in universe(mode, cap, labels).values()
+             for ci in infos]
+    n = data.draw(st.integers(2, 2 * cap - 1))
+    present = [ci for ci in infos if ci.graph.k <= n]
+    values = {ci.id: data.draw(RATIONALS) for ci in present}
+    values = {sid: values[sid]
+              for sid in data.draw(st.permutations(list(values)))}
+    absent = {ci.id: f"class unrealizable at n={n}" for ci in infos
+              if ci.graph.k > n}
+    required = sorted({sid for ci in present
+                       for sid in unit_subclasses(ci.graph, mode)[1:-1]},
+                      key=lambda s: (s.r, s.key))
+    deleted = bool(required) and data.draw(st.booleans())
+    if deleted:
+        for sid in data.draw(st.lists(st.sampled_from(required), min_size=1,
+                                      max_size=2, unique=True)):
+            del values[sid]
+    v = MomentVector(n=n, mode=mode, r_max=cap, values=values,
+                     absent=absent, labels=labels)
+    for convert, direction in ((moments_to_cumulants, "moment"),
+                               (cumulants_to_moments, "cumulant")):
+        got, err = _outcome(convert, v)
+        want, want_err = _outcome(
+            lambda x: fraction_conversion(x, direction), v)
+        assert err == want_err
+        assert (err is not None) == deleted
+        if err is None:
+            assert got.values == want.values
+            assert list(got.values) == list(want.values)
+    if not deleted:
+        got, want = unbiased_cumulants(v), fraction_kappa_check(v)
+        assert got.values == want.values
+        assert got.absent == want.absent
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RATIONAL_CASES), st.data())
+def test_missing_classes_raise_the_reference_error(case, data):
+    # with several classes missing, the error names the first one in the
+    # expansion's term order, as the reference does
+    mode, r_max, labels = case
+    infos = [ci for infos in universe(mode, r_max, labels).values()
+             for ci in infos]
+    values = {ci.id: Fraction(1, 1 + i) for i, ci in enumerate(infos)}
+    sids = [ci.id for ci in infos if ci.id.r < r_max]
+    for sid in data.draw(st.lists(st.sampled_from(sids), min_size=2,
+                                  max_size=4, unique=True)):
+        del values[sid]
+    v = MomentVector(n=9, mode=mode, r_max=r_max, values=values,
+                     labels=labels)
+    for convert, direction in ((moments_to_cumulants, "moment"),
+                               (cumulants_to_moments, "cumulant")):
+        assert _outcome(convert, v)[1] == _outcome(
+            lambda x: fraction_conversion(x, direction), v)[1]
+
+
+def test_broken_first_unit_pairs_raise(monkeypatch):
+    pairs = cumulants._first_unit_pairs
+
+    def short(cg, mode):
+        # one unit subset fewer for every class past the edge
+        out = pairs(cg, mode)
+        if out:
+            key = next(iter(out))
+            out[key] -= 1
+        return out
+
+    monkeypatch.setattr(cumulants, "_first_unit_pairs", short)
+    cumulants._conversion_plans.cache_clear()
+    try:
+        with pytest.raises(AssertionError,
+                           match=r"count 0 unit subsets, not 2\^1 - 1 = 1"):
+            moments_to_cumulants(moments(P4, 2))
+    finally:
+        cumulants._conversion_plans.cache_clear()
+
+
 def test_coprime_denominators_convert_exactly():
     # 45 classes with pairwise coprime 20-bit denominators: the common
     # denominator has about 900 bits and its fifth power about 4,500
@@ -239,6 +336,15 @@ def test_conversions_build_one_fraction_per_class(monkeypatch):
         del made[:]
         out = convert(m)
         assert len(made) == len(m.values) == len(out.values)
+
+
+def test_conversions_build_no_partition_expansion():
+    m = moments(random_graph(random.Random(6), 9, p=0.5), 6)
+    cumulants._conversion_plans.cache_clear()
+    cumulants._expansion_for_graph.cache_clear()
+    assert cumulants_to_moments(moments_to_cumulants(m)).values == m.values
+    info = cumulants._expansion_for_graph.cache_info()
+    assert info.hits == info.misses == 0
 
 
 def test_partition_expansion_checked_once_per_class(monkeypatch):

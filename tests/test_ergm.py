@@ -448,22 +448,25 @@ _FRESH_CLI = """
 import sys
 from netmoments.cli import main
 code = main(sys.argv[1:])
-print(f"exit={code} scipy.optimize={'scipy.optimize' in sys.modules}",
+print(f"exit={code} " + " ".join(f"{name}={name in sys.modules}"
+                                 for name in ("scipy.optimize", "numpy.ma")),
       file=sys.stderr)
 """
 
 
 def _fresh_cli(*argv):
-    """(exit code, scipy.optimize imported, stderr) of main(argv) in a new
-    interpreter."""
+    """(exit code, which of scipy.optimize and numpy.ma were imported,
+    stderr) of main(argv) in a new interpreter."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(netmoments.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     *_, last = proc.stderr.strip().splitlines()
-    code, imported = (field.split("=")[1] for field in last.split())
-    return int(code), imported == "True", proc.stderr
+    fields = dict(field.split("=") for field in last.split())
+    code = int(fields.pop("exit"))
+    imported = {name for name, got in fields.items() if got == "True"}
+    return code, imported, proc.stderr
 
 
 @pytest.mark.parametrize("command", [["fit"], ["dist", "--statistic",
@@ -474,7 +477,19 @@ def test_feasible_cli_fit_skips_scipy_optimize(tmp_path, command):
     code, imported, err = _fresh_cli("ergm", command[0], str(path),
                                      "--order", "2", *command[1:])
     assert code == 0, err
-    assert not imported
+    assert "scipy.optimize" not in imported
+
+
+@pytest.mark.parametrize("command, options", [
+    (["ergm", "dist"], ["--order", "2", "--statistic", "wedge"]),
+    (["count"], ["--directed", "--order", "3"])])
+def test_cold_cli_skips_numpy_ma(tmp_path, command, options):
+    # np.unique imports numpy.ma on its first call
+    path = tmp_path / "cycle.txt"
+    path.write_text("0 1\n1 2\n2 0\n2 3\n")
+    code, imported, err = _fresh_cli(*command, str(path), *options)
+    assert code == 0, err
+    assert "numpy.ma" not in imported
 
 
 def test_infeasible_cli_fit_reports_the_hull_direction(tmp_path):
@@ -483,6 +498,6 @@ def test_infeasible_cli_fit_reports_the_hull_direction(tmp_path):
     code, imported, err = _fresh_cli("ergm", "fit", str(path), "--order",
                                      "2", "--eta", "1/3")
     assert code == 3
-    assert imported
+    assert "scipy.optimize" in imported
     assert ("target lies outside the convex hull of realizable counts; "
             "violated support direction" in err)

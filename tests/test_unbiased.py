@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netmoments import unbiased
-from netmoments.classes import ClassGraph, class_id, named_class, universe
+from netmoments.classes import (ClassGraph, class_id, named_class, universe,
+                                universe_positions)
 from netmoments.counting import ORDER_CAPS
 from netmoments.cumulants import moments_to_cumulants
 from netmoments.graphs import make_graph
@@ -125,7 +126,8 @@ def test_unrealizable_unions_make_kappa_check_absent():
 
 def test_disconnected_kappa_check_plan_must_vanish(monkeypatch):
     plans = unbiased._kappa_check_plans.__wrapped__
-    two_edges = named_class("simple", "two-parallel").id
+    _, at = universe_positions("simple", 2, 2)
+    two_edges = at[named_class("simple", "two-parallel").id.key]
     assert plans("simple", 2, 2)[two_edges] == (False, ((two_edges, 0),))
     poly = unbiased.cumulant_moment_polynomial
 
