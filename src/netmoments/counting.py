@@ -32,10 +32,11 @@ one program whose steps are shared between patterns.  A pattern's pendant
 trees become per-node weight vectors (the tree message F @ w); a triangle
 core of ADJ factors is summed over the host's triangle list and K4 over
 its triangles' common neighbours, so simple graphs at orders <= 3 never
-build an n x n array; any other core is contracted with sparse matrix
-products, one node with at most two neighbours at a time, each product as
+build an n x n array; any other core is contracted with matrix products,
+one node with at most two neighbours at a time, each sparse product as
 large as the walks it counts.  _Host holds the graph's arrays, picks an
-exact dtype and refuses (OrderCapError) a program past MATRIX_WALKS walks.
+exact dtype and a matrix form, dense on a small float64 host, and refuses
+(OrderCapError) a program past MATRIX_WALKS walks.
 Hom values enter the sums as Python ints, and each division by |Aut H| is
 checked.
 
@@ -586,6 +587,12 @@ def _compile(exprs):
 # the order is refused.
 MATRIX_WALKS = 2 ** 22
 
+# A float64 host with at most this many nodes holds its matrices as dense
+# n' x n' arrays, so each matrix step is one BLAS call.  Past about 120
+# nodes OpenBLAS starts threads and a dense product costs more than the
+# sparse one.
+DENSE_NODES = 64
+
 
 def unique(values, inverse=False):
     """np.unique of a 1-d array (and its inverse), by a sort and a mask of
@@ -613,7 +620,7 @@ class _Host:
     order, each node's label index and the weights scaled to integers by
     scale, the lcm of their denominators (None if unweighted).  Built on
     first use: the sorted skeleton edges, the adjacency lists (the sparse
-    matrix ADJ), the triangles, and the sparse matrices A, A^T and W.
+    matrix ADJ), the triangles, and the matrices A, A^T and W.
 
     Numbering by degree puts the apex of every wedge b - a - c with
     a < b < c at its lowest-degree node, so there are O(m sqrt(m)) of them
@@ -626,7 +633,14 @@ class _Host:
     program whose products walk L steps needs at most MATRIX_WALKS skeleton
     walks of that length, checked before any matrix is built.  The bound
     and the cap hold for the union of the blocks, so each block's sums are
-    exact too."""
+    exact too.
+
+    dense picks the form of every matrix the program builds.  With a
+    matrix step (walk > 0), a float64 dtype and n' <= DENSE_NODES, each
+    matrix is an n' x n' float64 array and each product one BLAS call; its
+    entries are sums of nonnegative integers under the same 2^53 bound, so
+    the order BLAS sums them in cannot round.  Otherwise a matrix is
+    sparse: its nonzero entries as sorted codes x * n' + y and values."""
 
     def __init__(self, G, pattern_nodes, walk, r_max, block=None):
         ends = np.fromiter(itertools.chain.from_iterable(G.edges),
@@ -674,6 +688,8 @@ class _Host:
         bound = len(pairs) * top ** (pattern_nodes - 2) * top_weight ** r_max
         self.dtype = (np.float64 if bound < 2 ** 53 else
                       np.int64 if bound < 2 ** 63 else object)
+        self.dense = bool(walk) and self.dtype is np.float64 and \
+            self.n <= DENSE_NODES
         if walk:
             w = self.deg.astype(np.float64)
             for _ in range(walk - 1):
@@ -740,7 +756,12 @@ class _Host:
         return out.astype(object)
 
     def matrix(self, rows, cols, values=None):
-        """The sparse matrix with these entries (ones by default)."""
+        """The matrix with these entries (ones by default), in the host's
+        form; no entry is given twice."""
+        if self.dense:
+            m = np.zeros((self.n, self.n))
+            m[rows, cols] = 1 if values is None else values
+            return m
         codes = rows * self.n + cols
         order = codes.argsort()
         if values is None:
@@ -832,10 +853,14 @@ def _op_k4(h):
     return h.block_sums(24 * hit, a)
 
 
-# A matrix over node pairs is sparse: (codes, values), the codes x * n' + y
-# of its nonzero entries sorted.
+# A matrix over node pairs is an n' x n' array on a dense host (see _Host),
+# and otherwise sparse: (codes, values), the codes x * n' + y of its
+# nonzero entries sorted.
 
 def _op_adj(h):
+    if h.dense:
+        m = h.matrix(h.first, h.second)
+        return m + m.T
     arcs = h.lists[0]
     return arcs, np.ones(len(arcs), dtype=h.dtype)
 
@@ -856,6 +881,8 @@ def _op_weight(h):
 def _op_path(h, left, w, right):
     """left @ diag(w) @ right: every walk i -> k in left continued by one
     k -> j in right, summed per (i, j)."""
+    if h.dense:
+        return (left * w) @ right
     (lc, lv), (rc, rv) = left, right
     i, k = np.divmod(lc, h.n)
     stop = rc.searchsorted((k + 1) * h.n)
@@ -873,6 +900,9 @@ def _op_path(h, left, w, right):
 
 def _op_had(h, *matrices):
     """The elementwise product."""
+    if h.dense:
+        return _op_product(h, *matrices)
+
     def had(x, y):
         (xc, xv), (yc, yv) = x, y
         if not len(yc):
@@ -884,12 +914,18 @@ def _op_had(h, *matrices):
 
 
 def _op_mv(h, m, w):
+    if h.dense:
+        return m @ w
     codes, vals = m
     total = np.concatenate(([0], (vals * w[codes % h.n]).cumsum()))
     return np.diff(total[codes.searchsorted(np.arange(h.n + 1) * h.n)])
 
 
 def _op_quad(h, x, m, y):
+    if h.dense:
+        if h.block is None:
+            return int(x @ m @ y)
+        return h.block_sums(x * (m @ y))
     codes, vals = m
     i, j = np.divmod(codes, h.n)
     if h.block is None:

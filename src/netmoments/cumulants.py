@@ -297,27 +297,20 @@ def clustering_coefficients(m: MomentVector):
     C_square = mu_square / mu_threepath (the bipartite analogue).
 
     Returns a dict; each coefficient is present only when its classes exist
-    in the vector, and raises on a zero denominator.
+    in the vector and its denominator is nonzero: a graph with no wedges
+    (or no three-paths) has no C_triangle (or C_square).
     """
     out = {}
     if m.mode not in ("simple", "weighted", "bipartite"):
         return out
     wedge_id, tri_id, path_id, square_id = _clustering_ids(m.mode)
-    if m.mode in ("simple", "weighted"):
+    if m.mode in ("simple", "weighted") and m.r_max >= 3:
         wedge = _find_moment(m, wedge_id)
-        if m.r_max >= 3:
-            tri = _find_moment(m, tri_id)
-            if wedge == 0:
-                raise ZeroDivisionError("C_triangle undefined: no wedges")
+        tri = _find_moment(m, tri_id)
+        if wedge != 0:
             out["C_triangle"] = tri / wedge
-    if m.mode == "bipartite" and m.r_max >= 4:
-        # alternating-label path and square
-        path = _find_moment(m, path_id)
-        square = _find_moment(m, square_id)
-        if path == 0:
-            raise ZeroDivisionError("C_square undefined: no three-paths")
-        out["C_square"] = square / path
-    elif m.mode == "simple" and m.r_max >= 4:
+    if m.mode in ("simple", "bipartite") and m.r_max >= 4:
+        # bipartite paths and squares alternate labels
         path = _find_moment(m, path_id)
         square = _find_moment(m, square_id)
         if path != 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -15,6 +16,12 @@ class SizeCapError(ValueError):
 
 
 UNIT = Fraction(1)  # the weight of every unweighted edge
+
+# Node ids are held as int64 in the counting arrays: every id is below
+# NODE_LIMIT, so a graph has at most NODE_LIMIT nodes.
+NODE_LIMIT = 2 ** 63
+# A weight's exponent stays within the 4300 digits Python reads in an int.
+MAX_EXPONENT = 4300
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,9 @@ class Graph:
     def __post_init__(self):
         if self.n <= 0:
             raise GraphDataError("node count must be positive")
+        if self.n > NODE_LIMIT:
+            raise GraphDataError(
+                f"{self.n} nodes: node ids must be below 2^63")
         for (u, v), w in self.edges.items():
             if u == v:
                 raise GraphDataError(f"self-loop at node {u}")
@@ -103,8 +113,10 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edges
 
     def neighbors(self):
-        """Undirected adjacency sets (direction ignored)."""
-        nbr = [set() for _ in range(self.n)]
+        """Undirected adjacency sets (direction ignored) by node, over the
+        nodes with edges, so node ids may run to 2^63; any other node
+        reads as an empty set."""
+        nbr = defaultdict(set)
         for (u, v) in self.edges:
             nbr[u].add(v)
             nbr[v].add(u)
@@ -152,6 +164,19 @@ def make_graph(n, edge_list, directed=False, weighted=False, node_attrs=None,
                  node_attrs=node_attrs, bipartite=bipartite)
 
 
+def _weight(token):
+    """The exact weight a token writes, None if it is malformed.  Fraction
+    expands an exponent digit by digit (1e10000000 takes seconds), so a
+    token whose exponent is past MAX_EXPONENT is malformed too."""
+    exponent = token.lower().partition("e")[2]
+    try:
+        if exponent and abs(int(exponent)) > MAX_EXPONENT:
+            return None
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def parse_graph(text, directed=False, weighted=False, nodes=None,
                 attr_text=None, bipartite=False):
     """Parse a whitespace-separated edge list: lines "u v [w]".
@@ -177,14 +202,19 @@ def parse_graph(text, directed=False, weighted=False, nodes=None,
             raise GraphDataError(f"line {lineno}: node ids must be integers")
         if u < 0 or v < 0:
             raise GraphDataError(f"line {lineno}: negative node id")
+        if max(u, v) >= NODE_LIMIT:
+            raise GraphDataError(
+                f"line {lineno}: node id {max(u, v)} is not below 2^63")
         if u == v:
             raise GraphDataError(f"line {lineno}: self-loop at node {u}")
         w = UNIT
         if len(parts) == 3:
-            try:
-                w = Fraction(parts[2])
-            except (ValueError, ZeroDivisionError):
-                raise GraphDataError(f"line {lineno}: bad weight {parts[2]!r}")
+            w = _weight(parts[2])
+            if w is None:
+                raise GraphDataError(
+                    f"line {lineno}: bad weight {parts[2]!r}: expected a "
+                    "rational such as 3, 0.25, 2/3 or 1e-3, with an "
+                    f"exponent of at most {MAX_EXPONENT}")
             if w < 0:
                 raise GraphDataError(f"line {lineno}: negative weight")
         a, b = (u, v) if directed or u < v else (v, u)
@@ -209,6 +239,10 @@ def parse_graph(text, directed=False, weighted=False, nodes=None,
             except ValueError:
                 raise GraphDataError(
                     f"attributes line {lineno}: node id must be an integer")
+            if not 0 <= v < NODE_LIMIT:
+                raise GraphDataError(
+                    f"attributes line {lineno}: node id {v} is not in "
+                    "[0, 2^63)")
             attrs[v] = parts[1].strip()
             max_id = max(max_id, v)
 

@@ -30,8 +30,9 @@ class LocalStats:
         out = {"anchor": list(self.anchor) if isinstance(self.anchor, tuple)
                else self.anchor,
                "mode": self.mode,
-               "moments": {k: frac(v) for k, v in self.moments.items()},
-               "kappa_triangle": frac(self.kappa_triangle)}
+               "moments": {k: frac(v) for k, v in self.moments.items()}}
+        if self.kappa_triangle is not None:   # third order only
+            out["kappa_triangle"] = frac(self.kappa_triangle)
         if self.kappa_scaled is not None:
             out["kappa_scaled"] = frac(self.kappa_scaled)
             out["signed_root"] = self.kappa_root
@@ -40,7 +41,7 @@ class LocalStats:
 
 def node_local_cumulants(G, v, r_max=3):
     """Local moments anchored at node v, the local triangle cumulant, and
-    its scaled form.  Requires n >= 4 at third order."""
+    its scaled form.  Requires n >= 3, and n >= 4 at third order."""
     if r_max > 3:
         raise ValueError("local statistics implemented through order 3")
     if not (0 <= v < G.n):
@@ -48,6 +49,8 @@ def node_local_cumulants(G, v, r_max=3):
     if G.mode() != "simple":
         raise ValueError("local statistics implemented for simple graphs")
     n = G.n
+    if n < 3:   # the other-edge moment divides by C(n - 1, 2)
+        raise GraphDataError("local node moments need n >= 3")
     if r_max >= 3 and n < 4:
         raise GraphDataError("third-order local moments need n >= 4")
     nbr = G.neighbors()
@@ -105,7 +108,7 @@ def edge_local_cumulants(G, e, r_max=3):
     c_watt = (len(nbr[u]) - 1) + (len(nbr[v]) - 1)
     c_tri = sum(1 for w in nbr[u] if w in nbr[v])
     # wedges avoiding the anchor edge
-    total_wedges = sum(len(s) * (len(s) - 1) // 2 for s in nbr)
+    total_wedges = sum(len(s) * (len(s) - 1) // 2 for s in nbr.values())
     c_wdet = total_wedges - c_watt
     pairs = n * (n - 1) // 2
     mu = {"star": Fraction(1),

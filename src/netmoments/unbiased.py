@@ -20,6 +20,7 @@ from functools import lru_cache
 from .classes import ClassGraph, class_id, named_class, universe_positions
 from .cumulants import (cumulant_moment_polynomial, IncompleteVectorError,
                         scaled_positions)
+from .graphs import SizeCapError
 from .moments import MomentVector, vector_like
 
 
@@ -219,6 +220,9 @@ def z_test(sid, m: MomentVector, variance=None):
     supplied; higher orders require a (bootstrap) variance from the caller.
     """
     kc = unbiased_cumulants(m)
+    if sid not in kc.values:
+        raise ValueError(f"no kappa-check of {sid.alias or sid.serialize()}: "
+                         f"{kc.absent.get(sid, 'class not in the vector')}")
     kval = kc.values[sid]
     approx = True
     if variance is None:
@@ -244,21 +248,31 @@ def z_test(sid, m: MomentVector, variance=None):
                       approximate_variance=approx)
 
 
+# Each bootstrap sample builds an induced subgraph over a node list of the
+# subsample's size in Python.
+BOOTSTRAP_NODES = 1 << 16
+
+
 def bootstrap_variance(G, sid, r_max, num_samples=200, subsample=None,
                        seed=0):
     """Approximate Var(kappa-check) by node subsampling.
 
-    Draws induced subgraphs of `subsample` nodes (default 70% of n), computes
-    kappa-check on each, and rescales the empirical variance by the leading
-    1/n rate.  Clearly an approximation; exact closed forms exist only at
-    first order.
+    Draws induced subgraphs of `subsample` nodes (default 70% of n, and at
+    least the 2r nodes on which every class with r edges is realizable),
+    computes kappa-check on each, and rescales the empirical variance by the
+    leading 1/n rate.  Clearly an approximation; exact closed forms exist
+    only at first order.
     """
     import numpy as np
     from .moments import moments as _moments
 
     n = G.n
+    if n > BOOTSTRAP_NODES:
+        raise SizeCapError(
+            f"the bootstrap draws subgraphs from all {n} nodes, isolated "
+            f"ones too, and is capped at 2^16 = {BOOTSTRAP_NODES} nodes")
     if subsample is None:
-        subsample = max(sid.r + 2, (7 * n) // 10)
+        subsample = max(sid.r + 2, 2 * sid.r, (7 * n) // 10)
     if subsample >= n:
         raise ValueError("subsample size must be below n")
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from netmoments.graphs import Graph, make_graph
 
@@ -44,6 +45,38 @@ def random_weighted_graph(rng, n, p=0.5, max_w=3):
             if rng.random() < p:
                 edges[(u, v)] = Fraction(rng.randint(1, max_w))
     return Graph(n=n, edges=edges, weighted=True)
+
+
+def _mostly(common, rare):
+    """common three times in four, rare otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: rare if k == 0 else common)
+
+
+# Edge-list text: lines "u v [w]" with ids from negative to past 2^70 and
+# rational or malformed weights, some lines of junk tokens, and comments
+# and blank lines
+_ID = _mostly(st.integers(0, 15), _mostly(st.integers(-2, 2 ** 62), st.one_of(
+    st.integers(2 ** 63 - 2, 2 ** 63 + 1), st.integers(2 ** 63, 2 ** 70))))
+_MALFORMED = st.sampled_from([
+    "1e4300", "1e4301", "1e-999999999", "1/0", "2/-3", "0x1f", "1_0", "٣",
+    "+2", "--", "#", "a", "1e", "e5", "nan", "-inf", "9" * 5000])
+_WEIGHT = st.one_of(st.integers(0, 9).map(str),
+                    st.fractions(min_value=-1, max_value=10 ** 6).map(str),
+                    st.floats(0, 1e6).map(str), _MALFORMED)
+_PAIR = st.tuples(_ID.map(str), _ID.map(str)).map(list)
+_WEIGHTED = st.tuples(_PAIR, _WEIGHT).map(lambda e: e[0] + [e[1]])
+_JUNK = st.lists(st.one_of(_ID.map(str), _WEIGHT), max_size=4)
+
+
+def edge_lists(weighted):
+    """Edge-list text whose lines mostly carry a weight when weighted is
+    true and mostly not otherwise."""
+    edge = _mostly(_WEIGHTED, _PAIR) if weighted else _mostly(
+        _PAIR, _mostly(_PAIR, _WEIGHTED))
+    line = st.tuples(_mostly(edge, _mostly(edge, _JUNK)),
+                     st.sampled_from(["", "", "# comment", "#1 2"]))
+    return st.lists(line.map(lambda l: " ".join(l[0]) + l[1]),
+                    max_size=6).map("\n".join)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Command-line interface: payloads, manifests, exit codes, round trips."""
 
+import contextlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netmoments.cli import main
+
+from conftest import edge_lists
 
 
 def run(capsys, *argv):
@@ -209,3 +215,94 @@ def test_infeasible_exit_code(capsys, tmp_path):
     assert main(["ergm", "fit", str(k5), "--order", "2",
                  "--eta", "1/11"]) == 3
     capsys.readouterr()
+
+
+def test_node_ids_past_int64_are_a_data_error(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("0 1\n1 18446744073709551616\n")
+    assert main(["count", str(path)]) == 2
+    assert "line 2: node id 18446744073709551616 is not below 2^63" in \
+        capsys.readouterr().err
+    path.write_text(f"0 1\n1 {2 ** 63 - 1}\n")   # the largest int64 id
+    doc = run_json(capsys, "count", str(path), "--order", "2")
+    assert doc["result"]["n"] == 2 ** 63
+    got = {c["alias"]: frac(c["value"]) for c in doc["result"]["counts"]}
+    assert got["edge"] == 2 and got["wedge"] == 1
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("0 1\n2 3\n", ["--order", "3"]),                 # a perfect matching
+    ("", ["--order", "3", "--nodes", "5"]),            # no edges
+    ("0 1\n2 3\n", ["--order", "1"]),                 # no wedge class
+    ("0 1\n2 3\n", ["--order", "4", "--bipartite",    # no three-paths
+                     "--attributes"]),
+])
+def test_cumulants_leave_out_undefined_clustering(capsys, tmp_path, text,
+                                                  flags):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\ta\n1\tb\n2\ta\n3\tb\n")
+    if flags[-1] == "--attributes":
+        flags = flags + [str(labels)]
+    doc = run_json(capsys, "cumulants", str(graph), *flags)
+    assert "clustering" not in doc["result"]
+
+
+def test_local_node_moments_need_three_nodes(capsys, tmp_path, p4):
+    path = tmp_path / "g.txt"
+    for text, n in (("", "1"), ("0 1\n", "2")):
+        path.write_text(text)
+        assert main(["local", str(path), "--node", "0", "--order", "1",
+                     "--nodes", n]) == 2
+        assert "local node moments need n >= 3" in capsys.readouterr().err
+    # below third order there is no triangle cumulant
+    doc = run_json(capsys, "local", p4, "--node", "1", "--order", "2")
+    assert "kappa_triangle" not in doc["result"]
+
+
+def test_ztest_small_and_large_graphs(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert main(["ztest", str(empty), "--nodes", "1", "--order", "1"]) == 2
+    assert "no kappa-check of edge: class unrealizable at n=1" in \
+        capsys.readouterr().err
+    # the triangle's kappa-check reads the moment of three disjoint edges,
+    # so the bootstrap draws subgraphs on 6 of these 7 nodes, not on
+    # max(r + 2, 7n / 10) = 5
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n0 6\n0 3\n1 5\n0 2\n")
+    doc = run_json(capsys, "ztest", str(path), "--subgraph", "triangle",
+                   "--samples", "20")
+    assert doc["result"]["approximate_variance"] is True
+    assert doc["result"]["variance"] > 0
+    # each sample lists its nodes in Python: refused before the first
+    assert main(["ztest", str(path), "--subgraph", "triangle",
+                 "--nodes", str(2 ** 16 + 1)]) == 4
+    assert "capped at 2^16" in capsys.readouterr().err
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([["count"], ["moments"], ["cumulants"],
+                        ["cumulants", "--scaled"], ["unbiased"], ["ztest"],
+                        ["ztest", "--subgraph", "three-parallel",
+                         "--samples", "3"],
+                        ["local", "--node", "0"],
+                        ["local", "--edge", "0", "1"]]),
+       st.integers(1, 3), st.sampled_from(["simple", "directed", "weighted"]),
+       st.one_of(st.none(), st.integers(-1, 2 ** 64)), st.data())
+def test_cli_exits_with_a_documented_code(command, order, mode, nodes, data):
+    text = data.draw(edge_lists(mode == "weighted"))
+    argv = [command[0], "-", *command[1:], "--order", str(order)]
+    if mode != "simple":
+        argv.append(f"--{mode}")
+    if nodes is not None:
+        argv += ["--nodes", str(nodes)]
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in range(5)

@@ -294,17 +294,23 @@ def block_unions(draw, mode):
                             directed=mode == "directed",
                             weighted=mode == "weighted", node_attrs=attrs,
                             bipartite=mode == "bipartite"))
-    first = blocks[0]
-    union = Graph(
-        n=size * len(blocks),
-        edges={(u + b * size, v + b * size): w
-               for b, H in enumerate(blocks) for (u, v), w in H.edges.items()},
+    return _disjoint_union(blocks), size, blocks
+
+
+def _disjoint_union(parts):
+    """The graphs of one mode side by side, each part's nodes after the
+    last part's."""
+    starts = list(itertools.accumulate((H.n for H in parts), initial=0))
+    first = parts[0]
+    return Graph(
+        n=starts[-1],
+        edges={(u + at, v + at): w for at, H in zip(starts, parts)
+               for (u, v), w in H.edges.items()},
         directed=first.directed, weighted=first.weighted,
         node_attrs=None if first.node_attrs is None else {
-            v + b * size: label for b, H in enumerate(blocks)
+            v + at: label for at, H in zip(starts, parts)
             for v, label in H.node_attrs.items()},
         bipartite=first.bipartite)
-    return union, size, blocks
 
 
 @pytest.mark.parametrize("mode", ["simple", "directed", "weighted",
@@ -320,6 +326,100 @@ def test_block_counts_match_each_block(mode, data):
         count_connected(H, r) for H in blocks]
     assert list(full_counts(union, r, size)) == [
         full_counts(H, r) for H in blocks]
+
+
+# Weights of one part: small (a float64 host), 2^8 to 2^9 (int64 at order 5
+# on these parts) or fractions over large primes (object)
+_PART_WEIGHTS = [st.builds(Fraction, st.integers(0, 3)),
+                 st.builds(Fraction, st.integers(2 ** 8, 2 ** 9)),
+                 st.builds(Fraction, st.integers(0, 9),
+                           st.sampled_from([998_244_353, 1_000_000_007]))]
+
+
+@st.composite
+def sparse_unions(draw, mode):
+    """(union, parts): graphs of the mode on 8-16 nodes, each a random
+    spanning tree plus a few more edges (or arcs), drawn until their
+    disjoint union has more than DENSE_NODES nodes, none of them isolated.
+    Every part uses the whole label alphabet, and a weighted part takes one
+    kind of _PART_WEIGHTS, up to a largest kind drawn for the union."""
+    alphabet = draw(st.integers(1, 3)) if mode == "attributed" else 2
+    kinds = _PART_WEIGHTS[:draw(st.integers(1, 3))]
+    parts = []
+    while sum(H.n for H in parts) <= counting.DENSE_NODES:
+        size = draw(st.integers(8, 16))
+        attrs = None
+        if mode in ("attributed", "bipartite"):
+            attrs = {v: "abc"[v] for v in range(alphabet)}
+            attrs.update({v: "abc"[draw(st.integers(0, alphabet - 1))]
+                          for v in range(alphabet, size)})
+        ok = [(u, v) for u in range(size) for v in range(size)
+              if u != v and (mode == "directed" or u < v)
+              and (mode != "bipartite" or attrs[u] != attrs[v])]
+        chosen = set()
+        for v in range(1, size):
+            u = draw(st.sampled_from([u for u in range(v) if (u, v) in ok]))
+            chosen.add((v, u) if mode == "directed" and draw(st.booleans())
+                       else (u, v))
+        chosen.update(draw(st.lists(st.sampled_from(ok), max_size=size)))
+        weight = draw(st.sampled_from(kinds))
+        parts.append(Graph(
+            n=size, edges={e: draw(weight) if mode == "weighted" else UNIT
+                           for e in sorted(chosen)},
+            directed=mode == "directed", weighted=mode == "weighted",
+            node_attrs=attrs, bipartite=mode == "bipartite"))
+    return _disjoint_union(parts), parts
+
+
+@pytest.mark.parametrize("mode", ["simple", "directed", "weighted",
+                                  "attributed", "bipartite"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sparse_union_counts_add_up_dense_parts(mode, data):
+    # connected counts add over a disjoint union: the union's host is past
+    # DENSE_NODES and holds its matrices sparse, while each float64 part
+    # holds them dense (attributed mode has no matrix step at its cap)
+    union, parts = data.draw(sparse_unions(mode))
+    r = ORDER_CAPS[mode]
+    _, _, nodes, walk = counting._hom_basis(r, mode, 2)
+    host = counting._Host(union, nodes, walk, r)
+    assert host.n > counting.DENSE_NODES and not host.dense
+    want = {}
+    for H in parts:
+        part = counting._Host(H, nodes, walk, r)
+        assert part.dense == (bool(walk) and part.dtype is np.float64)
+        for sid, c in count_connected(H, r).items():
+            want[sid] = want.get(sid, 0) + c
+    assert count_connected(union, r) == want
+
+
+def _cycle(k):
+    return make_graph(k, [(v, v + 1) for v in range(k - 1)] + [(0, k - 1)])
+
+
+def test_dense_form_selection():
+    # dense for a float64 host with a matrix step and at most DENSE_NODES
+    # non-isolated nodes; the int64 and object hosts are in
+    # test_weighted_dtypes_match_esu
+    _, _, nodes, walk = counting._hom_basis(4, "simple", 2)
+    assert counting.DENSE_NODES == 64 and walk == 2
+    for k, dense in ((64, True), (65, False)):
+        G = _cycle(k)
+        assert counting._Host(G, nodes, walk, 4).dense is dense
+        paths = [class_id(ClassGraph.make(
+            r + 1, [(v, v + 1, 1) for v in range(r)]), "simple")
+            for r in range(1, 5)]
+        assert count_connected(G, 4) == dict.fromkeys(paths, k)
+    padded = Graph(n=1000, edges=_cycle(64).edges)   # isolated nodes
+    assert counting._Host(padded, nodes, walk, 4).dense
+    # order 3 has no matrix step: its host builds no matrix in either form
+    _, program, nodes, walk = counting._hom_basis(3, "simple", 2)
+    assert walk == 0
+    assert not counting._Host(_cycle(3), nodes, walk, 3).dense
+    matrix_ops = {counting._op_adj, counting._op_arc, counting._op_arc_t,
+                  counting._op_weight, counting._op_path, counting._op_had,
+                  counting._op_mv, counting._op_quad}
+    assert not matrix_ops & {op for op, _, _ in program}
 
 
 def test_blocks_must_split_the_nodes():
@@ -366,7 +466,9 @@ def test_weighted_dtypes_match_esu(weights, dtype):
     # float64, int64 and Python ints each count what ESU counts
     G = _weighted_star(weights)
     _, _, nodes, walk = counting._hom_basis(5, "weighted", 2)
-    assert counting._Host(G, nodes, walk, 5).dtype == dtype
+    host = counting._Host(G, nodes, walk, 5)
+    assert host.dtype == dtype
+    assert host.dense == (dtype is np.float64)   # int64 and object: sparse
     assert count_connected(G, 5) == {
         sid: c for sid, c in esu_counts(G, 5).items() if c}
 
