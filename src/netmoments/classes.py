@@ -249,8 +249,6 @@ def _extensions(cg, mode, labels):
                 continue
             if (u, v) in present:
                 continue
-            if directed and (u, v) in present:
-                continue
             if not edge_ok(cg.colors[u], cg.colors[v]):
                 continue
             out.append(ClassGraph.make(

@@ -63,7 +63,8 @@ read from its unit-subset table (classes.unit_subclasses), so no part is
 canonicalized again.  Everything in the solve that depends only on the
 universe (the solving order, each class's split into first component and
 remainder, and its table) is built once per (mode, r_max, labels) by
-_derivation_plan; a call to derive_disconnected only does the arithmetic.
+_derivation_positions; a call to derive_disconnected only does the
+arithmetic.
 full_counts is the one count path: every other module that needs class
 counts of a graph, the ERGM statistic matrix included, goes through it.
 
@@ -71,8 +72,10 @@ Counting many small graphs, such as the rows of a class table, takes one
 host for their disjoint union.  Hom counts of connected patterns add over a
 disjoint union, and no walk leaves its component, so with block = n every
 scalar step of the program sums its terms per block of n nodes (into the
-block of each term's first node), the Moebius sums run on the blocks'
-columns at once and derive_disconnected runs per block.  Numbering by
+block of each term's first node), and the Moebius sums and the
+derivation run on the blocks' columns at once: the derivation only
+multiplies, adds and divides exactly, which object arrays of Python ints
+do elementwise.  Numbering by
 degree orders each block's nodes by degree too, so a block has the wedges
 it has alone.  block_runs cuts a sequence of graphs into runs whose unions
 stay within MATRIX_WALKS.
@@ -180,9 +183,9 @@ def count_connected(G, r_max, block=None):
     mode by D^r.
 
     With block = n, G is the disjoint union of G.n / n graphs, block b on
-    nodes b*n .. b*n + n - 1, and the result is an iterator over one such
-    dict per block, in block order.  The program runs once on the union
-    and every check runs before the first dict is returned.
+    nodes b*n .. b*n + n - 1, and each count is a column: an object array
+    holding block b's count at b.  A class is absent only if it counts zero
+    in every block.
     """
     mode, labels = graph_mode(G)
     check_order(mode, r_max)
@@ -190,46 +193,26 @@ def count_connected(G, r_max, block=None):
         raise ValueError(f"{G.n} nodes do not split into blocks of {block}")
     rows, program, pattern_nodes, walk = _hom_basis(r_max, mode, labels)
     if not G.edges:
-        return {} if block is None else ({} for _ in range(G.n // block))
+        return {}
     host = _Host(G, pattern_nodes, walk, r_max, block)
     vals = []
     for op, args, dead in program:
         vals.append(op(host, *map(vals.__getitem__, args)))
         for slot in dead:
             vals[slot] = None
-    if block is not None:
-        return _block_counts(host, rows, vals)
+    nonzero = bool if block is None else np.any
     counts = {}
     for sid, aut, slots, coeffs in rows:
         total = sum(map(operator.mul, coeffs, map(vals.__getitem__, slots)))
-        value, rem = divmod(total, aut)
-        if rem or value < 0:
+        value = total // aut
+        if nonzero(total % aut) or nonzero(value < 0):
             raise AssertionError(
                 f"homomorphism sum {total} for {sid.serialize()} is not "
                 f"a count times |Aut| = {aut}")
-        if value:
-            counts[sid] = value if host.scale is None else Fraction(
-                value, host.scale ** sid.r)
+        if nonzero(value):
+            counts[sid] = value if host.scale is None else \
+                value * Fraction(1, host.scale ** sid.r)
     return counts
-
-
-def _block_counts(host, rows, vals):
-    """count_connected's dicts per block, from hom values that are columns
-    over the blocks (object arrays of Python ints)."""
-    columns = []
-    for sid, aut, slots, coeffs in rows:
-        total = sum(map(operator.mul, coeffs, map(vals.__getitem__, slots)))
-        value = total // aut
-        if (total % aut).any() or (value < 0).any():
-            raise AssertionError(
-                f"homomorphism sums for {sid.serialize()} are not counts "
-                f"times |Aut| = {aut} in every block")
-        if host.scale is not None:
-            value = np.array([Fraction(v, host.scale ** sid.r)
-                              for v in value.tolist()], dtype=object)
-        columns.append((sid, value))
-    return ({sid: value[b] for sid, value in columns if value[b]}
-            for b in range(host.blocks))
 
 
 def block_runs(graphs, n, r_max):
@@ -991,17 +974,19 @@ def _prefix_masks(cg):
 
 
 @lru_cache(maxsize=None)
-def _derivation_plan(mode, r_max, labels):
+def _derivation_positions(mode, r_max, labels):
     """The graph-independent half of derive_disconnected, built once per
     universe.
 
-    Returns (connected ids, steps).  Each step is (id, first-component id,
-    remainder id, other terms as (id, coefficient) pairs, self coefficient)
-    and the steps are in solving order: edge count, then component count.
+    Returns (ids, connected count, steps).  ids lists the connected ids,
+    then the disconnected ones in solving order: edge count, then
+    component count.  The step of the disconnected class at position p is
+    (first-component position, remainder position, other terms as
+    (position, coefficient) pairs, self coefficient).
     """
     uni = universe(mode, r_max, labels)
     connected = []
-    steps = []
+    splits = []
     for r in range(1, r_max + 1):
         connected.extend(ci.id for ci in uni[r] if ci.connected)
         disc = [(ci, ci.graph.components()) for ci in uni[r]
@@ -1015,53 +1000,48 @@ def _derivation_plan(mode, r_max, labels):
             if ci.id not in table:
                 raise AssertionError(
                     f"disjoint split missing for {ci.id.serialize()}")
-            terms = tuple((gid, coeff) for gid, coeff in table.items()
-                          if gid != ci.id)
-            steps.append((ci.id, c_id, h_id, terms, table[ci.id]))
-    return tuple(connected), tuple(steps)
-
-
-@lru_cache(maxsize=None)
-def _derivation_positions(mode, r_max, labels):
-    """_derivation_plan compiled to positions: (ids, connected count,
-    steps).  ids lists the connected ids, then each step's id in solving
-    order, and a step is (first-component position, remainder position,
-    other terms as (position, coefficient) pairs, self coefficient)."""
-    connected, steps = _derivation_plan(mode, r_max, labels)
-    ids = connected + tuple(step[0] for step in steps)
+            splits.append((ci.id, c_id, h_id, table))
+    ids = tuple(connected) + tuple(split[0] for split in splits)
     at = {sid: p for p, sid in enumerate(ids)}
     return ids, len(connected), tuple(
-        (at[c_id], at[h_id], tuple((at[gid], coeff) for gid, coeff in terms),
-         self_coeff) for _, c_id, h_id, terms, self_coeff in steps)
+        (at[c_id], at[h_id], tuple((at[gid], coeff)
+                                   for gid, coeff in table.items()
+                                   if gid != sid), table[sid])
+        for sid, c_id, h_id, table in splits)
 
 
 def derive_disconnected(connected_counts, G, r_max):
     """Extend connected counts to every class with <= r_max edges.
 
     Returns dict SubgraphId -> count covering the full universe (zero counts
-    included).  Only arithmetic runs per call, on a list indexed by the
-    positions of _derivation_positions.  Raises ValueError on a negative
-    derived count, which signals inconsistent input counts.
+    included).  The counts may be columns over blocks, as count_connected
+    returns them for a disjoint union; the steps then run on the columns,
+    and a count read from no column (a missing class is a scalar zero)
+    stands for every block.  Only arithmetic runs per call, on a list
+    indexed by the positions of _derivation_positions.  Raises ValueError
+    on a negative derived count in any block, which signals inconsistent
+    input counts.
     """
     mode, labels = graph_mode(G)
     check_order(mode, r_max)
     ids, n_connected, steps = _derivation_positions(mode, r_max, labels)
     zero = Fraction(0) if G.weighted else 0
     counts = [connected_counts.get(sid, zero) for sid in ids[:n_connected]]
+    nonzero = np.any if any(isinstance(c, np.ndarray) for c in counts) \
+        else bool
     for c, h, terms, self_coeff in steps:
         acc = counts[c] * counts[h]
         for g, coeff in terms:
             acc -= coeff * counts[g]
         if G.weighted:
-            value = Fraction(acc, self_coeff)
+            value = acc * Fraction(1, self_coeff)
         else:
-            value, rem = divmod(acc, self_coeff)
-            if rem:
+            value = acc // self_coeff
+            if nonzero(acc % self_coeff):
                 raise AssertionError(
                     f"non-integer derived count for "
                     f"{ids[len(counts)].serialize()}")
-            value = int(value)
-        if value < 0:
+        if nonzero(value < 0):
             raise ValueError(
                 f"negative derived count for {ids[len(counts)].serialize()}: "
                 "inconsistent input counts")
@@ -1070,13 +1050,7 @@ def derive_disconnected(connected_counts, G, r_max):
 
 
 def full_counts(G, r_max, block=None):
-    """Connected counts plus disconnected derivation.
-
-    With block = n, G is the disjoint union of G.n / n graphs, block b on
-    nodes b*n .. b*n + n - 1, and the result is an iterator over each
-    block's counts in block order (see count_connected), each derived when
-    it is reached."""
-    if block is None:
-        return derive_disconnected(count_connected(G, r_max), G, r_max)
-    return (derive_disconnected(counts, G, r_max)
-            for counts in count_connected(G, r_max, block))
+    """Connected counts plus disconnected derivation; with block = n, every
+    count of the disjoint union's blocks at once (see count_connected and
+    derive_disconnected)."""
+    return derive_disconnected(count_connected(G, r_max, block), G, r_max)

@@ -46,8 +46,8 @@ class GraphClassTable:
         Counts through the largest statistic order with one full_counts
         call per run of rows (counting.block_runs): the call counts the
         disjoint union of the run's representatives, row i of the run on
-        nodes i*n .. i*n + n - 1, on one host, and hands back each row's
-        counts in turn.  Every column is read from those counts.
+        nodes i*n .. i*n + n - 1, on one host, and gives each class's
+        counts as a column over the run's rows.
         """
         r_max = max((sid.r for sid in sids), default=1)
         cols = np.empty((len(self.reps), len(sids)), dtype=np.float64)
@@ -55,8 +55,9 @@ class GraphClassTable:
         for start, stop in block_runs(self.reps, n, r_max):
             union = Graph(n=(stop - start) * n,
                           edges=_RowUnion(self.reps[start:stop], n))
-            for i, counts in enumerate(full_counts(union, r_max, n), start):
-                cols[i] = [counts.get(sid, 0) for sid in sids]
+            counts = full_counts(union, r_max, n)
+            for j, sid in enumerate(sids):
+                cols[start:stop, j] = counts.get(sid, 0)
         return cols
 
 

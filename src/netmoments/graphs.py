@@ -252,12 +252,17 @@ def parse_graph(text, directed=False, weighted=False, nodes=None,
     if n <= 0:
         raise GraphDataError("empty input and no --nodes given")
     if attrs is not None:
-        missing = [v for v in range(n) if v not in attrs]
-        if missing:
-            raise GraphDataError(f"nodes without attribute label: {missing}")
         for v in attrs:
             if v >= n:
                 raise GraphDataError(f"attribute for unknown node {v}")
+        # ids run to 2^63, so the check counts the labels, not the ids
+        # below n; the first k unlabelled ids lie below len(attrs) + k
+        if len(attrs) < n:
+            first = [v for v in range(min(n, len(attrs) + 10))
+                     if v not in attrs][:10]
+            raise GraphDataError(
+                f"{n - len(attrs)} nodes without attribute label, the "
+                f"first {len(first)}: {first}")
     return Graph(n=n, edges=edges, directed=directed, weighted=weighted,
                  node_attrs=attrs, bipartite=bipartite)
 

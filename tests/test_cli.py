@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import resource
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netmoments
 from netmoments.cli import main
 
 from conftest import edge_lists
@@ -205,6 +210,33 @@ def test_too_many_labels_is_a_data_error(capsys, tmp_path):
     assert code == 2
     assert "node colors are encoded in one byte" in err
     assert "at most 256 labels" in err
+
+
+@pytest.mark.parametrize("edges, labels, message", [
+    ("0 1\n1 2\n2 3\n", "1\ta\n3\tb\n", "2 nodes without attribute "
+     "label, the first 2: [0, 2]"),
+    ("0 1\n1 300000000\n", "0\ta\n1\tb\n300000000\ta\n",
+     "299999998 nodes without attribute label, the first 10: "
+     "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]")])
+def test_unlabelled_nodes_are_a_data_error(tmp_path, edges, labels,
+                                           message):
+    # the check reads the labelled ids, not every id below n: under a
+    # 1 GiB address space a list of 299,999,998 unlabelled ids would die
+    # with a MemoryError (exit 1)
+    graph = tmp_path / "graph.txt"
+    graph.write_text(edges)
+    attrs = tmp_path / "labels.txt"
+    attrs.write_text(labels)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(netmoments.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "netmoments.cli", "count", str(graph),
+         "--attributes", str(attrs), "--order", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2 ** 30, 2 ** 30)))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
 
 
 def test_infeasible_exit_code(capsys, tmp_path):

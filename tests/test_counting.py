@@ -5,7 +5,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from netmoments.classes import (class_id, ClassGraph, named_class,
-                                universe_index)
+                                universe, universe_index)
 from netmoments import counting
 from netmoments.cli import main
 from netmoments.counting import (ORDER_CAPS, OrderCapError, check_order,
@@ -148,7 +152,6 @@ def test_split_tables_are_shared_across_orders():
     # serve every derivation plan that reaches that order.
     G = random_graph(random.Random(5), 6, 0.6)
     counting._derivation_positions.cache_clear()
-    counting._derivation_plan.cache_clear()
     counting._split_coefficients.cache_clear()
     full_counts(G, 5)
     assert counting._split_coefficients.cache_info().misses == 4  # orders 2-5
@@ -319,13 +322,59 @@ def _disjoint_union(parts):
 @given(data=st.data())
 def test_block_counts_match_each_block(mode, data):
     # hom counts of connected patterns add over a disjoint union, so one
-    # host over the union gives every block's own counts
+    # host over the union gives every block's own counts, as columns; the
+    # derivation runs on the columns, where a scalar stands for every block
     union, size, blocks = data.draw(block_unions(mode))
     r = data.draw(st.integers(1, ORDER_CAPS[mode]))
-    assert list(count_connected(union, r, size)) == [
-        count_connected(H, r) for H in blocks]
-    assert list(full_counts(union, r, size)) == [
-        full_counts(H, r) for H in blocks]
+    zero = Fraction(0) if mode == "weighted" else 0
+    for count in (count_connected, full_counts):
+        columns = count(union, r, size)
+        own = [count(H, r) for H in blocks]
+        assert set(columns) == set().union(*own)
+        for sid, column in columns.items():
+            if count is count_connected or isinstance(column, np.ndarray):
+                assert column.shape == (len(blocks),)
+            else:
+                column = [column] * len(blocks)
+            for got, counts in zip(column, own):
+                want = counts.get(sid, zero)
+                assert got == want and type(got) is type(want)
+
+
+_INCONSISTENT = """
+import numpy as np
+from netmoments.classes import named_class
+from netmoments.counting import derive_disconnected
+from netmoments.graphs import make_graph
+
+def derive(edge, wedge):
+    ids = (named_class("simple", name).id for name in ("edge", "wedge"))
+    try:
+        derive_disconnected(dict(zip(ids, (edge, wedge))),
+                            make_graph(3, [(0, 1)]), 2)
+    except ValueError as e:
+        return str(e)
+
+column = derive(np.array([3, 1], dtype=object), np.array([0, 5], dtype=object))
+print(derive(3, 0), column == derive(1, 5), column)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_inconsistent_column_raises_as_its_block(flags):
+    # one edge with five wedges has -5 two-parallel pairs; in a column with
+    # a consistent block the derivation raises what that block raises
+    # alone, and the check is no assert, so it holds under python -O
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(counting.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", _INCONSISTENT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(maxsplit=2) == [
+        "None", "True", "negative derived count for "
+        f"{named_class('simple', 'two-parallel').id.serialize()}: "
+        "inconsistent input counts\n"]
 
 
 # Weights of one part: small (a float64 host), 2^8 to 2^9 (int64 at order 5
@@ -427,8 +476,12 @@ def test_blocks_must_split_the_nodes():
     for block in (0, 2, 4):
         with pytest.raises(ValueError, match="blocks of"):
             count_connected(G, 2, block)
-    assert list(full_counts(make_graph(6, []), 2, 3)) == [
-        full_counts(make_graph(3, []), 2)] * 2
+    # no edges: no column, and every derived count is a scalar zero
+    assert count_connected(make_graph(6, []), 2, 3) == {}
+    assert full_counts(make_graph(6, []), 2, 3) == \
+        full_counts(make_graph(3, []), 2) == dict.fromkeys(
+            (ci.id for infos in universe("simple", 2).values()
+             for ci in infos), 0)
 
 
 @pytest.mark.parametrize("shift", [3_100_000_000, 5_000_000_000, 10 ** 12])

@@ -392,11 +392,13 @@ def _combinatorics_items():
                 poly = cumulant_moment_polynomial(ci.graph, mode)
                 yield "poly " + " ".join(sorted(_terms(poly.items())))
         for r in range(1, cap + 1):
-            connected, steps = counting._derivation_plan(mode, r, labels)
-            yield "plan " + _ids(connected)
-            for sid, c_id, h_id, terms, self_coeff in steps:
-                yield (f"step {_ids((sid, c_id, h_id))} {self_coeff} "
-                       + " ".join(_terms(((gid,), n) for gid, n in terms)))
+            ids, n_connected, steps = counting._derivation_positions(
+                mode, r, labels)
+            yield "plan " + _ids(ids[:n_connected])
+            for sid, (c, h, terms, self_coeff) in zip(ids[n_connected:],
+                                                      steps):
+                yield (f"step {_ids((sid, ids[c], ids[h]))} {self_coeff} "
+                       + " ".join(_terms(((ids[g],), n) for g, n in terms)))
 
 
 def test_combinatorics_match_golden_digest():

@@ -262,6 +262,22 @@ def test_statistic_counts_one_full_count_per_run(monkeypatch):
     assert sum(rows for rows, _ in calls) == len(table)
 
 
+def test_statistic_counts_derive_once_per_run(monkeypatch):
+    # the derivation runs on the run's columns, not once per row: n=7 at
+    # order 2 is one run of 1,044 rows
+    table = enumerate_classes(7)
+    calls = []
+    derive = counting.derive_disconnected
+
+    def counted(counts, G, r_max):
+        calls.append(G.n)
+        return derive(counts, G, r_max)
+
+    monkeypatch.setattr(counting, "derive_disconnected", counted)
+    table.statistic_counts((nc("edge"), nc("wedge"), nc("two-parallel")))
+    assert calls == [7 * len(table)] and len(table) == 1044
+
+
 def _all_ids(r):
     return tuple(ci.id for infos in universe("simple", r).values()
                  for ci in infos)
