@@ -35,8 +35,10 @@ its triangles' common neighbours, so simple graphs at orders <= 3 never
 build an n x n array; any other core is contracted with matrix products,
 one node with at most two neighbours at a time, each sparse product as
 large as the walks it counts.  _Host holds the graph's arrays, picks an
-exact dtype and a matrix form, dense on a small float64 host, and refuses
-(OrderCapError) a program past MATRIX_WALKS walks.
+exact dtype and a matrix form, and refuses (OrderCapError) a program past
+MATRIX_WALKS walks.  A small float64 host with a matrix step is dense: every
+step, triangles and K4s included, reads one n' x n' adjacency array and is
+a BLAS product or an elementwise one.
 Hom values enter the sums as Python ints, and each division by |Aut H| is
 checked.
 
@@ -409,11 +411,11 @@ def _hom_expression(cg, mode):
     which for F = ADJ is the sum over arcs x -> y of w_x w_y (the
     degree-weighted sum when one side is 1).  A triangle core of ADJ
     factors is read from the host's triangle list and a K4 core from its
-    triangles' common neighbours.  Any other core is eliminated one node
-    at a time: a node with one neighbour x multiplies x's weight by
-    (F_xv @ w_v), a node with two neighbours x, y joins
-    F_xv diag(w_v) F_vy to the factor between x and y, and the last pair
-    is the quadratic form w_x F_xy w_y.  _elimination_order keeps the
+    triangles' common neighbours, or both from a dense host's adjacency
+    array.  Any other core is eliminated one node at a time: a node with
+    one neighbour x multiplies x's weight by (F_xv @ w_v), a node with two
+    neighbours x, y joins F_xv diag(w_v) F_vy to the factor between x and
+    y, and the last pair is the quadratic form w_x F_xy w_y.  _elimination_order keeps the
     walks the products count short: the square needs only A @ A, and no
     core within the order cap walks further than three steps.  Within the
     order cap every core other than K4 has such a node at every step."""
@@ -603,7 +605,8 @@ class _Host:
     order, each node's label index and the weights scaled to integers by
     scale, the lcm of their denominators (None if unweighted).  Built on
     first use: the sorted skeleton edges, the adjacency lists (the sparse
-    matrix ADJ), the triangles, and the matrices A, A^T and W.
+    matrix ADJ), the wedges and triangles, or on a dense host the adjacency
+    array alone, and the matrices A, A^T and W.
 
     Numbering by degree puts the apex of every wedge b - a - c with
     a < b < c at its lowest-degree node, so there are O(m sqrt(m)) of them
@@ -618,12 +621,21 @@ class _Host:
     and the cap hold for the union of the blocks, so each block's sums are
     exact too.
 
-    dense picks the form of every matrix the program builds.  With a
-    matrix step (walk > 0), a float64 dtype and n' <= DENSE_NODES, each
-    matrix is an n' x n' float64 array and each product one BLAS call; its
-    entries are sums of nonnegative integers under the same 2^53 bound, so
-    the order BLAS sums them in cannot round.  Otherwise a matrix is
-    sparse: its nonzero entries as sorted codes x * n' + y and values."""
+    dense picks the form the program reads.  With a matrix step (walk >
+    0), a float64 dtype and n' <= DENSE_NODES, each matrix is an n' x n'
+    float64 array and each product one BLAS call.  Every step then reads
+    the skeleton's adjacency array A, built on first use, and no sparse
+    form is built: adj is A, spread is A @ w (the walk check too), edge is
+    x . (A @ y), tri is x . ((A o (A diag(z) A)) @ y), or the sum of
+    A o A^2 without weights, and k4 takes the rows C = A[first] o A[second]
+    of each edge's common neighbours and sums (C @ A) o C.  Every entry of
+    these arrays, and every per-node or per-edge term, is a sum of
+    nonnegative integers, each a partial hom sum of the pattern the step
+    counts, so it is under the same 2^53 bound and the order BLAS sums in
+    cannot round.  With blocks the terms are summed per node (per edge for
+    k4) into its block; a triangle or K4 lies in one block.  Otherwise a
+    matrix is sparse: its nonzero entries as sorted codes x * n' + y and
+    values."""
 
     def __init__(self, G, pattern_nodes, walk, r_max, block=None):
         ends = np.fromiter(itertools.chain.from_iterable(G.edges),
@@ -682,6 +694,13 @@ class _Host:
                     f"order {r_max} needs the graph's {int(w.sum())} walks "
                     f"of length {walk}, more than the {MATRIX_WALKS} the "
                     "matrix products are capped at; use a lower order")
+
+    @functools.cached_property
+    def adjacency(self):
+        """The skeleton's n' x n' float64 adjacency array, which every step
+        of a dense host reads."""
+        m = self.matrix(self.first, self.second)
+        return m + m.T
 
     @functools.cached_property
     def edges(self):
@@ -775,6 +794,8 @@ def _op_deg(h):
 
 
 def _op_spread(h, w):
+    if h.dense:
+        return h.adjacency @ w
     _, nbr, starts = h.lists
     return np.add.reduceat(w[nbr], starts)
 
@@ -800,6 +821,8 @@ def _op_dot(h, x, y):
 
 
 def _op_edge(h, x, y):
+    if h.dense:
+        return _op_dot(h, x, h.adjacency @ y)
     a, b = h.first, h.second
     if h.block is not None:
         return h.block_sums(x[a] * y[b] + x[b] * y[a], a)
@@ -809,6 +832,12 @@ def _op_edge(h, x, y):
 
 
 def _op_tri(h, *w):
+    if h.dense:
+        adj = h.adjacency
+        if not w:
+            return _op_sum(h, (adj * (adj @ adj)).sum(1))
+        x, y, z = w
+        return _op_dot(h, x, (adj * ((adj * z) @ adj)) @ y)
     if not w and h.block is None:
         return 6 * int(np.count_nonzero(h.wedges[3]))
     a, b, c = h.triangles
@@ -823,7 +852,15 @@ def _op_tri(h, *w):
 
 def _op_k4(h):
     """24 times the K4s: triangles a < b < c and a neighbour d > c of c
-    adjacent to a and b."""
+    adjacent to a and b.  On a dense host: for each edge, the ordered pairs
+    of adjacent common neighbours of its ends, two per edge of each K4."""
+    if h.dense:
+        adj = h.adjacency
+        common = adj[h.first] * adj[h.second]
+        terms = 2 * ((common @ adj) * common).sum(1)
+        if h.block is None:
+            return int(terms.sum())
+        return h.block_sums(terms, h.first)
     codes, _, v, ends = h.edges
     a, b, c = h.triangles
     stop = ends[c]
@@ -842,8 +879,7 @@ def _op_k4(h):
 
 def _op_adj(h):
     if h.dense:
-        m = h.matrix(h.first, h.second)
-        return m + m.T
+        return h.adjacency
     arcs = h.lists[0]
     return arcs, np.ones(len(arcs), dtype=h.dtype)
 

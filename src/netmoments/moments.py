@@ -70,23 +70,24 @@ def moments_from_counts(counts, n, mode, r_max, labels=2, label_counts=None):
                       label_counts=label_counts)
     pools = None if label_counts is None else tuple(sorted(
         label_counts.items()))
-    for sid, denom in _complete_counts(mode, r_max, labels, n, pools):
-        if denom == 0:
+    for sid, num, den in _complete_counts(mode, r_max, labels, n, pools):
+        if not num:
             mv.absent[sid] = f"class unrealizable at n={n}"
             continue
-        mv.values[sid] = Fraction(counts.get(sid, 0) * denom.denominator,
-                                  denom.numerator)
+        mv.values[sid] = Fraction(counts.get(sid, 0) * den, num)
     return mv
 
 
 @lru_cache(maxsize=None)
 def _complete_counts(mode, r_max, labels, n, pools):
-    """(id, complete count) of every class with at most r_max edges, in
-    universe order; pools is label_counts as sorted (label, count) pairs."""
+    """(id, numerator, denominator) of the complete count of every class
+    with at most r_max edges, as ints in universe order; pools is
+    label_counts as sorted (label, count) pairs."""
     label_counts = None if pools is None else dict(pools)
-    return tuple((ci.id, complete_count(ci, n, label_counts))
-                 for r in range(1, r_max + 1)
-                 for ci in universe(mode, r_max, labels)[r])
+    pairs = ((ci.id, complete_count(ci, n, label_counts))
+             for r in range(1, r_max + 1)
+             for ci in universe(mode, r_max, labels)[r])
+    return tuple((sid, c.numerator, c.denominator) for sid, c in pairs)
 
 
 def vector_like(template, values):

@@ -2,12 +2,14 @@
 and the homomorphism engine of every mode against ESU."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +25,7 @@ from netmoments import counting
 from netmoments.cli import main
 from netmoments.counting import (ORDER_CAPS, OrderCapError, check_order,
                                  count_connected, full_counts)
+from netmoments.ergm import enumerate_classes
 from netmoments.graphs import Graph, GraphDataError, make_graph, UNIT
 from netmoments.moments import moments
 
@@ -446,7 +449,20 @@ def _cycle(k):
     return make_graph(k, [(v, v + 1) for v in range(k - 1)] + [(0, k - 1)])
 
 
-def test_dense_form_selection():
+def _recorded_hosts(monkeypatch):
+    """The list of every _Host that count_connected builds from now on."""
+    made = []
+
+    class Recorded(counting._Host):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(counting, "_Host", Recorded)
+    return made
+
+
+def test_dense_form_selection(monkeypatch):
     # dense for a float64 host with a matrix step and at most DENSE_NODES
     # non-isolated nodes; the int64 and object hosts are in
     # test_weighted_dtypes_match_esu
@@ -469,6 +485,82 @@ def test_dense_form_selection():
                   counting._op_weight, counting._op_path, counting._op_had,
                   counting._op_mv, counting._op_quad}
     assert not matrix_ops & {op for op, _, _ in program}
+    # every step of a dense host reads its adjacency array, so it builds
+    # none of the sparse forms; a sparse host still builds its wedge list
+    hosts = _recorded_hosts(monkeypatch)
+    sparse_forms = {"edges", "lists", "wedges", "triangles"}
+    G = random_graph(random.Random(40), 40, 0.12)
+    for r in (4, 5, 6):
+        count_connected(G, r)
+        host = hosts.pop()
+        assert host.dense and "adjacency" in host.__dict__
+        assert not sparse_forms & set(host.__dict__)
+    count_connected(random_graph(random.Random(41), 80, 0.1), 3)
+    host = hosts.pop()
+    assert host.n > counting.DENSE_NODES and not host.dense
+    assert "wedges" in host.__dict__ and "adjacency" not in host.__dict__
+
+
+def _form_cases():
+    """(graph, order, block) for the dense/sparse differential: simple
+    graphs at orders 3-6, attributed at its cap, bipartite, directed and
+    weighted at orders 4-5, and the class table on 4 nodes as one union."""
+    rng = random.Random(42)
+    for r in (3, 4, 5, 6):
+        for n, p in ((10, 0.6), (30, 0.2), (64, 0.08)):
+            yield random_graph(rng, n, p), r, None
+    for n in (12, 30):
+        G = random_graph(rng, n, 0.3)
+        attrs = {v: rng.choice("abc") for v in range(n)}
+        attrs.update({0: "a", 1: "b", 2: "c"})
+        yield Graph(n=n, edges=G.edges, node_attrs=attrs), 3, None
+        attrs = {v: "ab"[v % 2] for v in range(n)}
+        yield Graph(n=n, edges={(u, v): UNIT for u, v in G.edges
+                                if (u + v) % 2}, node_attrs=attrs,
+                    bipartite=True), 4, None
+    for r in (4, 5):
+        for n in (8, 20):
+            arcs = [(u, v) for u in range(n) for v in range(n)
+                    if u != v and rng.random() < 0.2]
+            yield make_graph(n, arcs, directed=True), r, None
+            yield random_weighted_graph(rng, n, 0.3), r, None
+    reps = enumerate_classes(4).reps
+    union = make_graph(4 * len(reps), [(u + 4 * i, v + 4 * i)
+                                       for i, rep in enumerate(reps)
+                                       for u, v in rep])
+    for r in (4, 5, 6):
+        yield union, r, 4
+
+
+def test_dense_and_sparse_forms_count_alike(monkeypatch):
+    # the same graphs counted twice, the second time with every host
+    # sparse; every step with a dense branch must have run on both forms
+    hosts = _recorded_hosts(monkeypatch)
+    ran = {True: set(), False: set()}
+    for G, r, block in _form_cases():
+        mode, labels = counting.graph_mode(G)
+        ops = {op for op, _, _ in counting._hom_basis(r, mode, labels)[1]}
+        dense = count_connected(G, r, block)
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "DENSE_NODES", 0)
+            sparse = count_connected(G, r, block)
+        sparse_host, dense_host = hosts.pop(), hosts.pop()
+        assert not sparse_host.dense
+        ran[dense_host.dense] |= ops
+        ran[False] |= ops
+        assert dense.keys() == sparse.keys()
+        for sid, got in dense.items():
+            want = sparse[sid]
+            if block is not None:
+                got, want = list(got), list(want)
+                assert len(got) == G.n // block
+            assert got == want and type(got) is type(want)
+    branch = re.compile(r"\bh\.(dense|matrix)\b")
+    branched = {op for op in counting._OPS.values()
+                if branch.search(inspect.getsource(op))}
+    assert {counting._op_tri, counting._op_k4, counting._op_edge,
+            counting._op_spread, counting._op_adj} <= branched
+    assert branched <= ran[True] and branched <= ran[False]
 
 
 def test_blocks_must_split_the_nodes():
