@@ -136,6 +136,9 @@ def _cmd_moments(args):
 
 
 def _cmd_cumulants(args):
+    if args.root_exponent is not None and args.root_exponent < 1:
+        raise UsageError(
+            f"--root-exponent must be at least 1, got {args.root_exponent}")
     G = _load_graph(args)
     m = moments(G, args.order)
     k = moments_to_cumulants(m)

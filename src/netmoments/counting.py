@@ -68,7 +68,9 @@ remainder, and its table) is built once per (mode, r_max, labels) by
 _derivation_positions; a call to derive_disconnected only does the
 arithmetic.
 full_counts is the one count path: every other module that needs class
-counts of a graph, the ERGM statistic matrix included, goes through it.
+counts of a graph goes through it (the ERGM statistic matrix included), or
+through count_connected where connected classes suffice (the local
+statistics, as attributed counts with the anchor's nodes labelled 1).
 
 Counting many small graphs, such as the rows of a class table, takes one
 host for their disjoint union.  Hom counts of connected patterns add over a

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -111,16 +110,6 @@ class Graph:
         if self.directed:
             return (u, v) in self.edges
         return (min(u, v), max(u, v)) in self.edges
-
-    def neighbors(self):
-        """Undirected adjacency sets (direction ignored) by node, over the
-        nodes with edges, so node ids may run to 2^63; any other node
-        reads as an empty set."""
-        nbr = defaultdict(set)
-        for (u, v) in self.edges:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        return nbr
 
     def induced_subgraph(self, nodes):
         """Induced subgraph on the given node list; nodes are relabeled by

@@ -391,3 +391,72 @@ def compositions(total, parts):
         return [(total,)]
     return [(first,) + rest for first in range(1, total - parts + 2)
             for rest in compositions(total - first, parts - 1)]
+
+
+def _neighbor_sets(G):
+    nbr = {}
+    for u, v in G.edges:
+        nbr.setdefault(u, set()).add(v)
+        nbr.setdefault(v, set()).add(u)
+    return nbr
+
+
+def _with_local_kappa(stats, kappa, scale):
+    from netmoments.cumulants import signed_root
+    stats.kappa_triangle = kappa
+    if scale != 0:
+        stats.kappa_scaled = kappa / scale
+        stats.kappa_root = signed_root(stats.kappa_scaled, 3)
+    return stats
+
+
+def node_local_reference(G, v, r_max=3):
+    """node_local_cumulants by closed forms over v's neighbourhood, for a
+    simple graph with n >= 3 (n >= 4 at third order)."""
+    from netmoments.localstats import LocalStats
+    nbr = _neighbor_sets(G)
+    mine = nbr.get(v, set())
+    n, deg = G.n, len(mine)
+    half = Fraction((n - 1) * (n - 2), 2)   # C(n-1, 2)
+    mu = {"self": Fraction(deg, n - 1),
+          "other": Fraction(G.m - deg) / half}
+    if r_max >= 2:
+        mu["wedge-center"] = Fraction(deg * (deg - 1) // 2) / half
+        mu["wedge-end"] = Fraction(sum(len(nbr[u]) - 1 for u in mine)) \
+            / (2 * half)
+    stats = LocalStats(anchor=v, mode="local-node", moments=mu)
+    if r_max < 3:
+        return stats
+    mu["triangle"] = Fraction(sum(1 for u in mine for w in mine
+                                  if u < w and w in nbr[u])) / half
+    kappa = (mu["triangle"] - mu["wedge-center"] * mu["other"]
+             - 2 * mu["wedge-end"] * mu["self"]
+             + 2 * mu["self"] ** 2 * mu["other"])
+    return _with_local_kappa(stats, kappa, mu["self"] ** 2 * mu["other"])
+
+
+def edge_local_reference(G, e, r_max=3):
+    """edge_local_cumulants by closed forms around the present edge e, for
+    a simple graph with n >= 3."""
+    from netmoments.localstats import LocalStats
+    nbr = _neighbor_sets(G)
+    u, v = min(e), max(e)
+    n = G.n
+    # wedges through the anchor edge: the anchor and one more edge at u or v
+    attached = len(nbr[u]) - 1 + len(nbr[v]) - 1
+    detached = sum(len(s) * (len(s) - 1) // 2 for s in nbr.values()) \
+        - attached
+    mu = {"star": Fraction(1),
+          "detached": Fraction(G.m - 1, n * (n - 1) // 2 - 1)}
+    if r_max >= 2:
+        mu["wedge-attached"] = Fraction(attached, 2 * (n - 2))
+        mu["wedge-detached"] = Fraction(
+            detached, 3 * (n * (n - 1) * (n - 2) // 6) - 2 * (n - 2))
+    stats = LocalStats(anchor=(u, v), mode="local-edge", moments=mu)
+    if r_max < 3:
+        return stats
+    mu["triangle"] = Fraction(len(nbr[u] & nbr[v]), n - 2)
+    kappa = (mu["triangle"] - 2 * mu["wedge-attached"] * mu["detached"]
+             - mu["wedge-detached"] * mu["star"]
+             + 2 * mu["star"] * mu["detached"] ** 2)
+    return _with_local_kappa(stats, kappa, mu["star"] * mu["detached"] ** 2)

@@ -293,6 +293,48 @@ def test_local_node_moments_need_three_nodes(capsys, tmp_path, p4):
     assert "kappa_triangle" not in doc["result"]
 
 
+@pytest.mark.parametrize("anchor", [["--node", "1"], ["--edge", "1", "2"]])
+def test_local_order_is_checked_like_every_command(capsys, p4, anchor):
+    for order in ("0", "-1"):
+        assert main(["local", p4, *anchor, "--order", order]) == 2
+        assert "order must be at least 1" in capsys.readouterr().err
+    # local statistics are attributed ones: the attributed cap applies
+    assert main(["local", p4, *anchor, "--order", "4"]) == 4
+    assert "exceeds the cap 3 for mode 'attributed'" in \
+        capsys.readouterr().err
+
+
+def test_local_on_ids_near_2_to_the_40(tmp_path):
+    # only the nodes with an edge and the anchor are labelled: under a
+    # 1 GiB address space a label per id below n would die with a
+    # MemoryError (exit 1)
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n1 2\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(netmoments.__file__).parents[1]))
+    n = 2 ** 40
+    for anchor, name, want in ((["--node", "1"], "self", Fraction(2, n - 1)),
+                               (["--edge", "0", "1"], "wedge-attached",
+                                Fraction(1, 2 * (n - 2)))):
+        proc = subprocess.run(
+            [sys.executable, "-m", "netmoments.cli", "local", str(graph),
+             *anchor, "--nodes", str(n)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (2 ** 30, 2 ** 30)))
+        assert proc.returncode == 0, proc.stderr
+        assert frac(json.loads(proc.stdout)["result"]["moments"][name]) == \
+            want
+
+
+@pytest.mark.parametrize("exponent", ["0", "-2"])
+def test_root_exponent_below_one_is_a_usage_error(capsys, p4, exponent):
+    assert main(["cumulants", p4, "--order", "2", "--scaled",
+                 "--root-exponent", exponent]) == 1
+    assert f"--root-exponent must be at least 1, got {exponent}" in \
+        capsys.readouterr().err
+
+
 def test_ztest_small_and_large_graphs(capsys, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -321,7 +363,7 @@ def test_ztest_small_and_large_graphs(capsys, tmp_path):
                          "--samples", "3"],
                         ["local", "--node", "0"],
                         ["local", "--edge", "0", "1"]]),
-       st.integers(1, 3), st.sampled_from(["simple", "directed", "weighted"]),
+       st.integers(-1, 4), st.sampled_from(["simple", "directed", "weighted"]),
        st.one_of(st.none(), st.integers(-1, 2 ** 64)), st.data())
 def test_cli_exits_with_a_documented_code(command, order, mode, nodes, data):
     text = data.draw(edge_lists(mode == "weighted"))
