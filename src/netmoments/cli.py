@@ -206,9 +206,9 @@ def _fit_from_args(args):
     if args.statistics:
         sids = [_alias_to_id("simple", a)
                 for a in args.statistics.split(",")]
-        targets_vals = {sid: targets.values[sid] for sid in sids}
         from .moments import vector_like
-        targets = vector_like(targets, targets_vals)
+        targets = vector_like(targets, {sid: targets.values[sid] for sid
+                                        in sids if sid in targets.values})
     return G, fit_ergm(targets, G.n, statistic_ids=sids,
                        allow_large=args.allow_large)
 

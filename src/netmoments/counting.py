@@ -34,11 +34,11 @@ core of ADJ factors is summed over the host's triangle list and K4 over
 its triangles' common neighbours, so simple graphs at orders <= 3 never
 build an n x n array; any other core is contracted with matrix products,
 one node with at most two neighbours at a time, each sparse product as
-large as the walks it counts.  _Host holds the graph's arrays, picks an
-exact dtype and a matrix form, and refuses (OrderCapError) a program past
-MATRIX_WALKS walks.  A small float64 host with a matrix step is dense: every
-step, triangles and K4s included, reads one n' x n' adjacency array and is
-a BLAS product or an elementwise one.
+large as the walks it counts.  _Host holds the graph's arrays and picks an
+exact dtype and a matrix form.  A small float64 host with a matrix step is
+dense: every step, triangles and K4s included, reads one n' x n' adjacency
+array and is a BLAS product or an elementwise one.  Any other host is
+sparse and refuses (OrderCapError) a program past MATRIX_WALKS walks.
 Hom values enter the sums as Python ints, and each division by |Aut H| is
 checked.
 
@@ -72,21 +72,17 @@ counts of a graph goes through it (the ERGM statistic matrix included), or
 through count_connected where connected classes suffice (the local
 statistics, as attributed counts with the anchor's nodes labelled 1).
 
-Counting many small graphs, such as the rows of a class table, takes one
-host for their disjoint union.  Hom counts of connected patterns add over a
-disjoint union, and no walk leaves its component, so with block = n every
-scalar step of the program sums its terms per block of n nodes (into the
-block of each term's first node), and the Moebius sums and the
-derivation run on the blocks' columns at once: the derivation only
-multiplies, adds and divides exactly, which object arrays of Python ints
-do elementwise.  Numbering by
-degree orders each block's nodes by degree too, so a block has the wedges
-it has alone.  block_runs cuts a sequence of graphs into runs whose unions
-stay within MATRIX_WALKS.
+Many small graphs, such as the rows of a class table, are counted as one
+stack of dense blocks (block = n): every step runs on (B, n, n) arrays
+along their last axes, one sum per block.  The Moebius sums and the
+derivation then run on the blocks' columns at once: they only multiply,
+add and divide exactly, which object arrays of Python ints do
+elementwise.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -189,21 +185,29 @@ def count_connected(G, r_max, block=None):
     With block = n, G is the disjoint union of G.n / n graphs, block b on
     nodes b*n .. b*n + n - 1, and each count is a column: an object array
     holding block b's count at b.  A class is absent only if it counts zero
-    in every block.
+    in every block.  The blocks, of at most DENSE_NODES nodes, are one
+    stack (see _Host), counted in slices of at most MATRIX_WALKS entries.
     """
     mode, labels = graph_mode(G)
     check_order(mode, r_max)
-    if block is not None and (block < 1 or G.n % block):
-        raise ValueError(f"{G.n} nodes do not split into blocks of {block}")
+    if block is not None and (not 0 < block <= DENSE_NODES or G.n % block):
+        raise ValueError(
+            f"{G.n} nodes do not split into blocks of {block}; a stack holds "
+            f"1 to {DENSE_NODES} nodes a block, so count larger graphs one at "
+            "a time")
     rows, program, pattern_nodes, walk = _hom_basis(r_max, mode, labels)
     if not G.edges:
         return {}
     host = _Host(G, pattern_nodes, walk, r_max, block)
-    vals = []
-    for op, args, dead in program:
-        vals.append(op(host, *map(vals.__getitem__, args)))
-        for slot in dead:
-            vals[slot] = None
+    if block is None:
+        vals = _run(program, host)
+    else:
+        k4 = any(op is _op_k4 for op, _, _ in program)
+        size = max(1, MATRIX_WALKS // block ** (3 if k4 else 2))
+        parts = [_run(program, host.blocks(lo, lo + size))
+                 for lo in range(0, G.n // block, size)]
+        vals = [None if col[0] is None else np.concatenate(col)
+                for col in zip(*parts)]
     nonzero = bool if block is None else np.any
     counts = {}
     for sid, aut, slots, coeffs in rows:
@@ -219,41 +223,14 @@ def count_connected(G, r_max, block=None):
     return counts
 
 
-def block_runs(graphs, n, r_max):
-    """Cut a sequence of simple graphs on n nodes (edge lists) into runs
-    that count_connected takes as one disjoint union at order r_max.
-
-    Yields (start, stop) for each run in turn.  A run ends before the graph
-    that would take its union's walks past MATRIX_WALKS; a graph past the
-    cap on its own makes a run of one, which count_connected refuses as it
-    refuses that graph alone."""
-    check_order("simple", r_max)
-    walk = _hom_basis(r_max, "simple", 2)[3]
-    start = total = 0
-    if walk:
-        for i, edges in enumerate(graphs):
-            walks = _walks(edges, n, walk)
-            if total + walks > MATRIX_WALKS and i > start:
-                yield start, i
-                start, total = i, 0
-            total += walks
-    yield start, len(graphs)
-
-
-def _walks(edges, n, length):
-    """The walks of this length in the simple graph with these edges on n
-    nodes: what _Host counts before it builds any matrix."""
-    w = [0] * n
-    for u, v in edges:
-        w[u] += 1
-        w[v] += 1
-    for _ in range(length - 1):
-        step = [0] * n
-        for u, v in edges:
-            step[u] += w[v]
-            step[v] += w[u]
-        w = step
-    return sum(w)
+def _run(program, host):
+    """The program's values on the host; a freed slot holds None."""
+    vals = []
+    for op, args, dead in program:
+        vals.append(op(host, *map(vals.__getitem__, args)))
+        for slot in dead:
+            vals[slot] = None
+    return vals
 
 
 @lru_cache(maxsize=None)
@@ -597,18 +574,17 @@ def unique(values, inverse=False):
 
 
 class _Host:
-    """The non-isolated nodes of a graph, in the arrays a hom program reads.
+    """The arrays a hom program reads: one graph's non-isolated nodes, or
+    with block = n a stack of the blocks of a disjoint union.
 
-    The skeleton is the simple graph of the linked node pairs; its nodes
-    are numbered 0..n'-1 by (skeleton degree, id).  With block = n, block
-    holds each node's block id // n and blocks their number (G.n / n);
-    block is None for one graph.  Built at once: the
-    skeleton's edges u < v and degrees, the arcs (tail, head) in G.edges
-    order, each node's label index and the weights scaled to integers by
-    scale, the lcm of their denominators (None if unweighted).  Built on
-    first use: the sorted skeleton edges, the adjacency lists (the sparse
-    matrix ADJ), the wedges and triangles, or on a dense host the adjacency
-    array alone, and the matrices A, A^T and W.
+    One graph: the skeleton is the simple graph of the linked node pairs;
+    its nodes are numbered 0..n'-1 by (skeleton degree, id).  Built at
+    once: the skeleton's edges u < v and degrees, the arcs (tail, head) in
+    G.edges order, each node's label index and the weights scaled to
+    integers by scale, the lcm of their denominators (both None if
+    unweighted).  Built on first use: the sorted skeleton edges, the
+    adjacency lists (the sparse matrix ADJ), the wedges and triangles, or
+    on a dense host the adjacency and arc arrays alone.
 
     Numbering by degree puts the apex of every wedge b - a - c with
     a < b < c at its lowest-degree node, so there are O(m sqrt(m)) of them
@@ -617,77 +593,90 @@ class _Host:
     the largest scaled weight, r = r_max) bounds every partial sum below
     2^53, int64 below 2^63, and object (Python ints) past that: each
     partial sum is a hom value of a connected pattern with at most k nodes
-    and r edge units, one arc and k-2 steps along a spanning tree.  A
-    program whose products walk L steps needs at most MATRIX_WALKS skeleton
-    walks of that length, checked before any matrix is built.  The bound
-    and the cap hold for the union of the blocks, so each block's sums are
-    exact too.
+    and r edge units, one arc and k-2 steps along a spanning tree.
 
     dense picks the form the program reads.  With a matrix step (walk >
-    0), a float64 dtype and n' <= DENSE_NODES, each matrix is an n' x n'
-    float64 array and each product one BLAS call.  Every step then reads
-    the skeleton's adjacency array A, built on first use, and no sparse
-    form is built: adj is A, spread is A @ w (the walk check too), edge is
-    x . (A @ y), tri is x . ((A o (A diag(z) A)) @ y), or the sum of
-    A o A^2 without weights, and k4 takes the rows C = A[first] o A[second]
-    of each edge's common neighbours and sums (C @ A) o C.  Every entry of
-    these arrays, and every per-node or per-edge term, is a sum of
+    0), a float64 dtype and n' <= DENSE_NODES, every step reads n' x n'
+    arrays and is a BLAS product or an elementwise one.  Every entry of
+    these arrays, and every per-node or per-pair term, is a sum of
     nonnegative integers, each a partial hom sum of the pattern the step
     counts, so it is under the same 2^53 bound and the order BLAS sums in
-    cannot round.  With blocks the terms are summed per node (per edge for
-    k4) into its block; a triangle or K4 lies in one block.  Otherwise a
-    matrix is sparse: its nonzero entries as sorted codes x * n' + y and
-    values."""
+    cannot round.  Otherwise a matrix is sparse, its nonzero entries as
+    sorted codes x * n' + y and values, and a program whose products walk
+    L steps needs at most MATRIX_WALKS skeleton walks of that length,
+    checked before any matrix is built.
+
+    A stack is dense in every dtype.  Block b keeps its n nodes, isolated
+    ones included, at ids minus b * n; vectors are (B, n) arrays, matrices
+    (B, n, n), and the bound is taken over the whole union.  Each step
+    runs along the last axes as on one graph, so a scalar step sums once
+    per block.  The linked pairs, degrees, labels and (directed or
+    weighted) arcs are built for the whole stack; blocks(lo, hi) is the
+    host of a slice, with its own adjacency array.  first and second list
+    every pair u < v of a block, which k4 weighs by A[u, v].
+    """
 
     def __init__(self, G, pattern_nodes, walk, r_max, block=None):
         ends = np.fromiter(itertools.chain.from_iterable(G.edges),
                            dtype=np.int64, count=2 * len(G.edges))
-        pairs = ends
-        if G.directed:   # a reciprocal pair of arcs is one skeleton edge
-            # pairs are coded over the ranks of the ids: a code over the
-            # ids themselves passes 2^63 for ids past about 3 * 10^9
-            ids, rank = unique(ends, inverse=True)
-            a, b = rank[0::2], rank[1::2]
-            codes = unique(np.minimum(a, b) * len(ids) + np.maximum(a, b))
-            pairs = ids[np.stack(np.divmod(codes, len(ids)), axis=1).ravel()]
-        # the ends sorted by id come in one run per node; each run's
-        # length is the node's degree, and the runs are renumbered by rank
-        order = pairs.argsort()
-        ids = pairs[order]
-        run = np.ones(len(pairs) + 1, dtype=bool)
-        np.not_equal(ids[1:], ids[:-1], out=run[1:-1])
-        starts = np.flatnonzero(run)
-        deg = starts[1:] - starts[:-1]
-        by_degree = deg.argsort(kind="stable")
-        rank = by_degree.argsort()
-        ids = ids[starts[:-1]]
-        self.block = None
         if block is not None:
-            self.block, self.blocks = (ids // block)[by_degree], G.n // block
-        pairs[order] = rank.repeat(deg)   # renumbers ends too if undirected
-        if G.directed:
-            ends = rank[ids.searchsorted(ends)]
-        self.tail, self.head = ends[0::2], ends[1::2]
-        a, b = pairs[0::2], pairs[1::2]
-        self.first, self.second = np.minimum(a, b), np.maximum(a, b)
-        self.deg, self.n = deg[by_degree], len(deg)
+            self.tail, self.head = ends[0::2], ends[1::2] % block
+            if np.any(self.tail // block != ends[1::2] // block):
+                raise ValueError(f"an edge joins two blocks of {block}")
+            self.n, nodes = block, range(G.n)
+            self.linked = np.zeros((G.n // block, block, block), dtype=bool)
+            self.linked.reshape(-1, block)[self.tail, self.head] = True
+            self.linked |= self.linked.mT
+            self.deg = self.linked.sum(-1)
+            self.first, self.second = np.triu_indices(block, 1)
+            links, top = int(self.deg.sum()), int(self.deg.max())
+        else:
+            pairs = ends
+            if G.directed:   # a reciprocal pair of arcs is one skeleton edge
+                # pairs are coded over the ranks of the ids: a code over the
+                # ids themselves passes 2^63 for ids past about 3 * 10^9
+                ids, rank = unique(ends, inverse=True)
+                a, b = rank[0::2], rank[1::2]
+                codes = unique(np.minimum(a, b) * len(ids) + np.maximum(a, b))
+                pairs = ids[np.stack(np.divmod(codes, len(ids)), 1).ravel()]
+            # the ends sorted by id come in one run per node, as long as
+            # its degree, and the runs are renumbered by rank
+            order = pairs.argsort()
+            ids = pairs[order]
+            run = np.ones(len(pairs) + 1, dtype=bool)
+            np.not_equal(ids[1:], ids[:-1], out=run[1:-1])
+            starts = np.flatnonzero(run)
+            deg = starts[1:] - starts[:-1]
+            by_degree = deg.argsort(kind="stable")
+            rank = by_degree.argsort()
+            ids = ids[starts[:-1]]
+            pairs[order] = rank.repeat(deg)   # renumbers ends if undirected
+            if G.directed:
+                ends = rank[ids.searchsorted(ends)]
+            self.tail, self.head = ends[0::2], ends[1::2]
+            a, b = pairs[0::2], pairs[1::2]
+            self.first, self.second = np.minimum(a, b), np.maximum(a, b)
+            self.deg, self.n = deg[by_degree], len(deg)
+            links, top = len(pairs), int(self.deg[-1])
+            nodes = ids[by_degree].tolist()
         if G.node_attrs is not None:
             index = {label: i for i, label in enumerate(G.labels())}
-            self.color = np.array([index[G.node_attrs[v]]
-                                   for v in ids[by_degree].tolist()])
-        self.scale, top_weight = None, 1
+            self.color = np.array([index[G.node_attrs[v]] for v in nodes]
+                                  ).reshape(self.deg.shape)
+        self.scale, self.weights, top_weight = None, None, 1
         if G.weighted:
             self.scale = math.lcm(*(w.denominator for w in G.edges.values()))
             self.weights = [w.numerator * (self.scale // w.denominator)
                             for w in G.edges.values()]
             top_weight = max(max(self.weights), 1)
-        top = int(self.deg[-1])
-        bound = len(pairs) * top ** (pattern_nodes - 2) * top_weight ** r_max
+        bound = links * top ** (pattern_nodes - 2) * top_weight ** r_max
         self.dtype = (np.float64 if bound < 2 ** 53 else
                       np.int64 if bound < 2 ** 63 else object)
-        self.dense = bool(walk) and self.dtype is np.float64 and \
-            self.n <= DENSE_NODES
-        if walk:
+        self.dense = block is not None or bool(walk) and \
+            self.dtype is np.float64 and self.n <= DENSE_NODES
+        if block is not None and (G.directed or G.weighted):
+            self.arcs = self.matrix(self.tail, self.head, self.weights)
+        if walk and not self.dense:
             w = self.deg.astype(np.float64)
             for _ in range(walk - 1):
                 w = _op_spread(self, w)
@@ -697,12 +686,25 @@ class _Host:
                     f"of length {walk}, more than the {MATRIX_WALKS} the "
                     "matrix products are capped at; use a lower order")
 
+    def blocks(self, lo, hi):
+        """The host of blocks lo .. hi - 1 of a stack, on array views."""
+        part = copy.copy(self)
+        part.__dict__.update((name, vars(self)[name][lo:hi])
+                             for name in ("deg", "color", "arcs")
+                             if name in vars(self))
+        part.adjacency = self.linked[lo:hi].astype(self.dtype)
+        return part
+
     @functools.cached_property
     def adjacency(self):
-        """The skeleton's n' x n' float64 adjacency array, which every step
-        of a dense host reads."""
+        """The skeleton's n' x n' adjacency array on a dense host."""
         m = self.matrix(self.first, self.second)
         return m + m.T
+
+    @functools.cached_property
+    def arcs(self):
+        """The n' x n' array of arcs (scaled weights) on a dense host."""
+        return self.matrix(self.tail, self.head, self.weights)
 
     @functools.cached_property
     def edges(self):
@@ -749,22 +751,14 @@ class _Host:
         a = self.edges[1].repeat(count)
         return a[closed], b[closed], c[closed]
 
-    def block_sums(self, values, nodes=None):
-        """The sums of values per block, as Python ints in an object
-        array; values[i] belongs to node nodes[i] (node i by default)."""
-        if values.dtype != object:
-            values = values.astype(np.int64)
-        out = np.zeros(self.blocks, dtype=values.dtype)
-        np.add.at(out, self.block if nodes is None else self.block[nodes],
-                  values)
-        return out.astype(object)
-
     def matrix(self, rows, cols, values=None):
         """The matrix with these entries (ones by default), in the host's
-        form; no entry is given twice."""
+        form; no entry is given twice.  On a stack, rows are ids in the
+        union and cols ids in the block."""
         if self.dense:
-            m = np.zeros((self.n, self.n))
-            m[rows, cols] = 1 if values is None else values
+            m = np.zeros(self.deg.shape + (self.n,), dtype=self.dtype)
+            m.reshape(-1, self.n)[rows, cols] = 1 if values is None else \
+                values
             return m
         codes = rows * self.n + cols
         order = codes.argsort()
@@ -779,12 +773,21 @@ def _runs(stops, counts):
     return np.arange(counts.sum()) + (stops - counts.cumsum()).repeat(counts)
 
 
+def _exact(total):
+    """A scalar step's total as a Python int, or on a stack an object array
+    of one Python int per block."""
+    if not isinstance(total, np.ndarray):
+        return int(total)
+    return (total if total.dtype == object else
+            total.astype(np.int64)).astype(object)
+
+
 def _op_literal(value, h):
     return value
 
 
 def _op_one(h):
-    return np.ones(h.n, dtype=h.dtype)
+    return np.ones(h.deg.shape, dtype=h.dtype)
 
 
 def _op_label(h, color):
@@ -797,7 +800,7 @@ def _op_deg(h):
 
 def _op_spread(h, w):
     if h.dense:
-        return h.adjacency @ w
+        return np.matvec(h.adjacency, w)
     _, nbr, starts = h.lists
     return np.add.reduceat(w[nbr], starts)
 
@@ -807,27 +810,20 @@ def _op_product(h, *operands):
 
 
 # The scalar steps (sum, dot, edge, tri, k4, quad) return a Python int, or
-# with blocks an object array of one Python int per block, each term summed
-# into the block of its first node.
+# on a stack an object array of one Python int per block.
 
 def _op_sum(h, w):
-    if h.block is None:
-        return int(w.sum())
-    return h.block_sums(w)
+    return _exact(w.sum(-1))
 
 
 def _op_dot(h, x, y):
-    if h.block is None:
-        return int(x @ y)
-    return h.block_sums(x * y)
+    return _exact(np.vecdot(x, y))
 
 
 def _op_edge(h, x, y):
     if h.dense:
-        return _op_dot(h, x, h.adjacency @ y)
+        return _op_dot(h, x, np.matvec(h.adjacency, y))
     a, b = h.first, h.second
-    if h.block is not None:
-        return h.block_sums(x[a] * y[b] + x[b] * y[a], a)
     if x is y:
         return 2 * int(x[a] @ x[b])
     return int(x[a] @ y[b] + x[b] @ y[a])
@@ -837,32 +833,29 @@ def _op_tri(h, *w):
     if h.dense:
         adj = h.adjacency
         if not w:
-            return _op_sum(h, (adj * (adj @ adj)).sum(1))
+            return _exact((adj * (adj @ adj)).sum((-2, -1)))
         x, y, z = w
-        return _op_dot(h, x, (adj * ((adj * z) @ adj)) @ y)
-    if not w and h.block is None:
+        return _op_dot(h, x, np.matvec(
+            adj * ((adj * z[..., None, :]) @ adj), y))
+    if not w:
         return 6 * int(np.count_nonzero(h.wedges[3]))
     a, b, c = h.triangles
-    if not w:
-        return h.block_sums(np.full(len(a), 6), a)
     x, y, z = w
-    terms = (x[a] * (y[b] * z[c] + y[c] * z[b])
-             + x[b] * (y[a] * z[c] + y[c] * z[a])
-             + x[c] * (y[a] * z[b] + y[b] * z[a]))
-    return int(terms.sum()) if h.block is None else h.block_sums(terms, a)
+    return int((x[a] * (y[b] * z[c] + y[c] * z[b])
+                + x[b] * (y[a] * z[c] + y[c] * z[a])
+                + x[c] * (y[a] * z[b] + y[b] * z[a])).sum())
 
 
 def _op_k4(h):
     """24 times the K4s: triangles a < b < c and a neighbour d > c of c
-    adjacent to a and b.  On a dense host: for each edge, the ordered pairs
-    of adjacent common neighbours of its ends, two per edge of each K4."""
+    adjacent to a and b.  On a dense host: for each linked pair (first,
+    second), the ordered pairs of adjacent common neighbours of its ends,
+    two per edge of each K4."""
     if h.dense:
-        adj = h.adjacency
-        common = adj[h.first] * adj[h.second]
-        terms = 2 * ((common @ adj) * common).sum(1)
-        if h.block is None:
-            return int(terms.sum())
-        return h.block_sums(terms, h.first)
+        adj, a, b = h.adjacency, h.first, h.second
+        common = adj[..., a, :] * adj[..., b, :]
+        pairs = ((common @ adj) * common).sum(-1) * adj[..., a, b]
+        return _exact(2 * pairs.sum(-1))
     codes, _, v, ends = h.edges
     a, b, c = h.triangles
     stop = ends[c]
@@ -870,14 +863,12 @@ def _op_k4(h):
     d = v[_runs(stop, count)]
     a = a.repeat(count)
     hit = h.has_edge(a, d) & h.has_edge(b.repeat(count), d)
-    if h.block is None:
-        return 24 * int(np.count_nonzero(hit))
-    return h.block_sums(24 * hit, a)
+    return 24 * int(np.count_nonzero(hit))
 
 
-# A matrix over node pairs is an n' x n' array on a dense host (see _Host),
-# and otherwise sparse: (codes, values), the codes x * n' + y of its
-# nonzero entries sorted.
+# A matrix over node pairs is an array on a dense host (see _Host), and
+# otherwise sparse: (codes, values), the codes x * n' + y of its nonzero
+# entries sorted.
 
 def _op_adj(h):
     if h.dense:
@@ -887,14 +878,16 @@ def _op_adj(h):
 
 
 def _op_arc(h):
-    return h.matrix(h.tail, h.head)
+    return h.arcs if h.dense else h.matrix(h.tail, h.head)
 
 
 def _op_arc_t(h):
-    return h.matrix(h.head, h.tail)
+    return h.arcs.mT if h.dense else h.matrix(h.head, h.tail)
 
 
 def _op_weight(h):
+    if h.dense:
+        return h.arcs + h.arcs.mT
     return h.matrix(np.concatenate((h.tail, h.head)),
                     np.concatenate((h.head, h.tail)), h.weights * 2)
 
@@ -903,7 +896,7 @@ def _op_path(h, left, w, right):
     """left @ diag(w) @ right: every walk i -> k in left continued by one
     k -> j in right, summed per (i, j)."""
     if h.dense:
-        return (left * w) @ right
+        return (left * w[..., None, :]) @ right
     (lc, lv), (rc, rv) = left, right
     i, k = np.divmod(lc, h.n)
     stop = rc.searchsorted((k + 1) * h.n)
@@ -936,7 +929,7 @@ def _op_had(h, *matrices):
 
 def _op_mv(h, m, w):
     if h.dense:
-        return m @ w
+        return np.matvec(m, w)
     codes, vals = m
     total = np.concatenate(([0], (vals * w[codes % h.n]).cumsum()))
     return np.diff(total[codes.searchsorted(np.arange(h.n + 1) * h.n)])
@@ -944,14 +937,10 @@ def _op_mv(h, m, w):
 
 def _op_quad(h, x, m, y):
     if h.dense:
-        if h.block is None:
-            return int(x @ m @ y)
-        return h.block_sums(x * (m @ y))
+        return _op_dot(h, x, np.matvec(m, y))
     codes, vals = m
     i, j = np.divmod(codes, h.n)
-    if h.block is None:
-        return int((x[i] * vals) @ y[j])
-    return h.block_sums(x[i] * vals * y[j], i)
+    return int((x[i] * vals) @ y[j])
 
 
 _OPS = {"one": _op_one, "label": _op_label, "deg": _op_deg,

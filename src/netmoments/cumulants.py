@@ -256,6 +256,9 @@ def scale_cumulants(k: MomentVector, root_exponent=None):
     root_exponent overrides the per-class default exponent r.  Returns
     (scaled MomentVector, dict SubgraphId -> float signed root).
     """
+    if root_exponent is not None and root_exponent < 1:
+        raise ValueError(
+            f"root exponent must be at least 1, got {root_exponent}")
     eid = edge_class_id(k.mode)
     k1 = k.values.get(eid)
     if not k1:

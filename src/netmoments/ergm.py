@@ -18,7 +18,7 @@ import numpy as np
 
 from .canonical import canonicalize
 from .classes import complete_count, universe_index
-from .counting import block_runs, full_counts, unique
+from .counting import full_counts, unique
 from .graphs import UNIT, Graph, SizeCapError
 from .moments import MomentVector
 
@@ -44,20 +44,17 @@ class GraphClassTable:
         table order.
 
         Counts through the largest statistic order with one full_counts
-        call per run of rows (counting.block_runs): the call counts the
-        disjoint union of the run's representatives, row i of the run on
-        nodes i*n .. i*n + n - 1, on one host, and gives each class's
-        counts as a column over the run's rows.
+        call: it counts the disjoint union of the representatives, row i
+        on nodes i*n .. i*n + n - 1, as a stack of blocks, and gives each
+        class's counts as a column over the rows.
         """
         r_max = max((sid.r for sid in sids), default=1)
-        cols = np.empty((len(self.reps), len(sids)), dtype=np.float64)
         n = self.n
-        for start, stop in block_runs(self.reps, n, r_max):
-            union = Graph(n=(stop - start) * n,
-                          edges=_RowUnion(self.reps[start:stop], n))
-            counts = full_counts(union, r_max, n)
-            for j, sid in enumerate(sids):
-                cols[start:stop, j] = counts.get(sid, 0)
+        counts = full_counts(Graph(n=len(self.reps) * n,
+                                   edges=_RowUnion(self.reps, n)), r_max, n)
+        cols = np.empty((len(self.reps), len(sids)), dtype=np.float64)
+        for j, sid in enumerate(sids):
+            cols[:, j] = counts.get(sid, 0)
         return cols
 
 
@@ -398,6 +395,11 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, allow_large=False,
     if statistic_ids is None:
         statistic_ids = sorted(targets.values, key=lambda s: (s.r, s.key))
     statistic_ids = tuple(statistic_ids)
+    missing = ", ".join(s.alias or s.serialize() for s in statistic_ids
+                        if s not in targets.values)
+    if missing or not statistic_ids:
+        raise ValueError(f"no target moment for {missing or 'any statistic'}"
+                         ": fit classes within the targets' order and n")
     table = enumerate_classes(n, allow_large=allow_large)
     X = table.statistic_counts(statistic_ids)
     logw = np.log(np.array(table.mults, dtype=np.float64))

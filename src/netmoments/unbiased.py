@@ -103,6 +103,10 @@ class UnbiasingConfig:
     size N.  eta=1 (N infinite) is full unbiasing; eta=0 (N=n) is none."""
     eta: Fraction
 
+    def __post_init__(self):
+        if not 0 <= self.eta <= 1:
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+
     @classmethod
     def from_population(cls, n, N):
         if N < n:

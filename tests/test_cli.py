@@ -327,6 +327,33 @@ def test_local_on_ids_near_2_to_the_40(tmp_path):
             want
 
 
+@pytest.mark.parametrize("eta", ["-1", "3/2", "-3"])
+def test_eta_outside_the_unit_interval_is_a_data_error(capsys, tmp_path,
+                                                       eta):
+    # eta = -1 used to end in a diverging fit (exit 3), and 3/2 and -3 in
+    # an impossible population size
+    path = tmp_path / "g8.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n0 7\n0 4\n")
+    for command in ("fit", "dist"):
+        assert main(["ergm", command, str(path), "--order", "2",
+                     "--eta", eta]) == 2
+        assert f"eta must lie in [0, 1], got {eta}" in \
+            capsys.readouterr().err
+
+
+def test_statistic_without_a_target_is_a_data_error(capsys, p4, tmp_path):
+    # a statistic past --order, or a graph too small for any class, used
+    # to end in a KeyError traceback or an internal message
+    assert main(["ergm", "fit", p4, "--order", "1",
+                 "--statistics", "edge,triangle"]) == 2
+    assert "no target moment for triangle" in capsys.readouterr().err
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert main(["ergm", "fit", str(empty), "--nodes", "1",
+                 "--order", "1"]) == 2
+    assert "no target moment for any statistic" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exponent", ["0", "-2"])
 def test_root_exponent_below_one_is_a_usage_error(capsys, p4, exponent):
     assert main(["cumulants", p4, "--order", "2", "--scaled",
@@ -370,6 +397,35 @@ def test_cli_exits_with_a_documented_code(command, order, mode, nodes, data):
     argv = [command[0], "-", *command[1:], "--order", str(order)]
     if mode != "simple":
         argv.append(f"--{mode}")
+    if nodes is not None:
+        argv += ["--nodes", str(nodes)]
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in range(5)
+
+
+_SMALL_EDGES = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                        .filter(lambda e: e[0] != e[1]),
+                        unique_by=lambda e: frozenset(e), max_size=14).map(
+    lambda pairs: "".join(f"{u} {v}\n" for u, v in pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([["fit"], ["dist"], ["dist", "--statistic", "wedge"],
+                        ["fit", "--statistics", "edge,triangle"]]),
+       _SMALL_EDGES, st.integers(-1, 5),
+       st.sampled_from(["0", "1/9", "1", "-1", "3/2"]),
+       st.one_of(st.none(), st.integers(1, 7)))
+def test_ergm_exits_with_a_documented_code(command, text, order, eta,
+                                           nodes):
+    # graphs of at most 7 nodes: n = 8 takes seconds to enumerate
+    argv = ["ergm", command[0], "-", *command[1:], "--order", str(order),
+            "--eta", eta]
     if nodes is not None:
         argv += ["--nodes", str(nodes)]
     stdin, sys.stdin = sys.stdin, io.StringIO(text)

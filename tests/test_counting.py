@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from netmoments.classes import (class_id, ClassGraph, named_class,
-                                universe, universe_index)
+from netmoments.classes import (class_id, ClassGraph, complete_count,
+                                named_class, universe, universe_index)
 from netmoments import counting
 from netmoments.cli import main
 from netmoments.counting import (ORDER_CAPS, OrderCapError, check_order,
@@ -502,65 +502,79 @@ def test_dense_form_selection(monkeypatch):
 
 
 def _form_cases():
-    """(graph, order, block) for the dense/sparse differential: simple
-    graphs at orders 3-6, attributed at its cap, bipartite, directed and
-    weighted at orders 4-5, and the class table on 4 nodes as one union."""
+    """(graph, order) for the dense/sparse differential: simple graphs at
+    orders 3-6, attributed at its cap, bipartite, directed and weighted at
+    orders 4-5."""
     rng = random.Random(42)
     for r in (3, 4, 5, 6):
         for n, p in ((10, 0.6), (30, 0.2), (64, 0.08)):
-            yield random_graph(rng, n, p), r, None
+            yield random_graph(rng, n, p), r
     for n in (12, 30):
         G = random_graph(rng, n, 0.3)
         attrs = {v: rng.choice("abc") for v in range(n)}
         attrs.update({0: "a", 1: "b", 2: "c"})
-        yield Graph(n=n, edges=G.edges, node_attrs=attrs), 3, None
+        yield Graph(n=n, edges=G.edges, node_attrs=attrs), 3
         attrs = {v: "ab"[v % 2] for v in range(n)}
         yield Graph(n=n, edges={(u, v): UNIT for u, v in G.edges
                                 if (u + v) % 2}, node_attrs=attrs,
-                    bipartite=True), 4, None
+                    bipartite=True), 4
     for r in (4, 5):
         for n in (8, 20):
             arcs = [(u, v) for u in range(n) for v in range(n)
                     if u != v and rng.random() < 0.2]
-            yield make_graph(n, arcs, directed=True), r, None
-            yield random_weighted_graph(rng, n, 0.3), r, None
+            yield make_graph(n, arcs, directed=True), r
+            yield random_weighted_graph(rng, n, 0.3), r
+
+
+def test_dense_and_sparse_forms_count_alike(monkeypatch):
+    # the same graphs counted twice, the second time with every host
+    # sparse, and the class table on 4 nodes as one stack against its rows
+    # counted sparse; every step with a dense branch must have run on
+    # every form
+    hosts = _recorded_hosts(monkeypatch)
+    ran = {"dense": set(), "sparse": set(), "stack": set()}
+    for G, r in _form_cases():
+        mode, labels = counting.graph_mode(G)
+        ops = {op for op, _, _ in counting._hom_basis(r, mode, labels)[1]}
+        dense = count_connected(G, r)
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "DENSE_NODES", 0)
+            sparse = count_connected(G, r)
+        sparse_host, dense_host = hosts.pop(), hosts.pop()
+        assert not sparse_host.dense
+        if dense_host.dense:
+            ran["dense"] |= ops
+        ran["sparse"] |= ops
+        assert dense.keys() == sparse.keys()
+        for sid, got in dense.items():
+            assert got == sparse[sid] and type(got) is type(sparse[sid])
     reps = enumerate_classes(4).reps
     union = make_graph(4 * len(reps), [(u + 4 * i, v + 4 * i)
                                        for i, rep in enumerate(reps)
                                        for u, v in rep])
     for r in (4, 5, 6):
-        yield union, r, 4
-
-
-def test_dense_and_sparse_forms_count_alike(monkeypatch):
-    # the same graphs counted twice, the second time with every host
-    # sparse; every step with a dense branch must have run on both forms
-    hosts = _recorded_hosts(monkeypatch)
-    ran = {True: set(), False: set()}
-    for G, r, block in _form_cases():
-        mode, labels = counting.graph_mode(G)
-        ops = {op for op, _, _ in counting._hom_basis(r, mode, labels)[1]}
-        dense = count_connected(G, r, block)
+        ran["stack"] |= {op for op, _, _ in
+                         counting._hom_basis(r, "simple", 2)[1]}
+        stack = count_connected(union, r, 4)
         with monkeypatch.context() as patch:
             patch.setattr(counting, "DENSE_NODES", 0)
-            sparse = count_connected(G, r, block)
-        sparse_host, dense_host = hosts.pop(), hosts.pop()
-        assert not sparse_host.dense
-        ran[dense_host.dense] |= ops
-        ran[False] |= ops
-        assert dense.keys() == sparse.keys()
-        for sid, got in dense.items():
-            want = sparse[sid]
-            if block is not None:
-                got, want = list(got), list(want)
-                assert len(got) == G.n // block
-            assert got == want and type(got) is type(want)
+            rows = [count_connected(make_graph(4, list(rep)), r)
+                    if rep else {} for rep in reps]
+        assert all(not host.dense for host in hosts[1:])
+        hosts.clear()
+        assert set(stack) == set().union(*rows)
+        for sid, column in stack.items():
+            assert list(column) == [row.get(sid, 0) for row in rows]
+            assert all(type(c) is int for c in column)
     branch = re.compile(r"\bh\.(dense|matrix)\b")
     branched = {op for op in counting._OPS.values()
                 if branch.search(inspect.getsource(op))}
     assert {counting._op_tri, counting._op_k4, counting._op_edge,
             counting._op_spread, counting._op_adj} <= branched
-    assert branched <= ran[True] and branched <= ran[False]
+    for form in ran.values():
+        assert branched - {counting._op_arc, counting._op_arc_t,
+                           counting._op_weight} <= form
+    assert branched <= ran["dense"] and branched <= ran["sparse"]
 
 
 def test_blocks_must_split_the_nodes():
@@ -574,6 +588,50 @@ def test_blocks_must_split_the_nodes():
         full_counts(make_graph(3, []), 2) == dict.fromkeys(
             (ci.id for infos in universe("simple", 2).values()
              for ci in infos), 0)
+
+
+def test_blocks_past_dense_nodes_are_refused():
+    # a stack holds dense blocks; larger graphs are counted one at a time
+    k = counting.DENSE_NODES + 1
+    G = _disjoint_union([_cycle(k), _cycle(k)])
+    with pytest.raises(ValueError, match="count larger graphs one at a time"):
+        count_connected(G, 4, k)
+    assert count_connected(G, 4) == {sid: 2 * c for sid, c in
+                                     count_connected(_cycle(k), 4).items()}
+    columns = count_connected(_disjoint_union([_cycle(64)] * 2), 4, 64)
+    assert {sid: list(c) for sid, c in columns.items()} == {
+        sid: [c, c] for sid, c in count_connected(_cycle(64), 4).items()}
+
+
+@pytest.mark.parametrize("n, r", [(6, 4), (5, 6), (7, 3)])
+def test_stack_is_counted_in_slices(monkeypatch, n, r):
+    # with a lower cap the program runs on slices of the stack, each
+    # slice's largest array (n^3 with K4, else n^2 per block) within the
+    # cap, and the columns do not change
+    reps = enumerate_classes(n).reps
+    union = make_graph(n * len(reps), [(u + n * i, v + n * i)
+                                       for i, rep in enumerate(reps)
+                                       for u, v in rep])
+    want = count_connected(union, r, n)
+    slices = []
+    blocks = counting._Host.blocks
+
+    def recorded(host, lo, hi):
+        slices.append((lo, hi))
+        return blocks(host, lo, hi)
+
+    monkeypatch.setattr(counting._Host, "blocks", recorded)
+    for cap in (counting.MATRIX_WALKS, 10 * n ** 3):
+        monkeypatch.setattr(counting, "MATRIX_WALKS", cap)
+        slices.clear()
+        got = count_connected(union, r, n)
+        size = cap // n ** (3 if r >= 6 else 2)
+        assert slices == [(lo, lo + size)
+                          for lo in range(0, len(reps), size)]
+    assert len(slices) > 2
+    assert got.keys() == want.keys()
+    for sid, column in got.items():
+        assert column.tolist() == want[sid].tolist()
 
 
 @pytest.mark.parametrize("shift", [3_100_000_000, 5_000_000_000, 10 ** 12])
@@ -741,6 +799,19 @@ def test_walk_cap_covers_every_mode():
     for G in (arcs, weighted):
         with pytest.raises(OrderCapError, match="walks of length 2"):
             count_connected(G, 4)
+
+
+@pytest.mark.parametrize("n, r", [(48, 5), (64, 5), (64, 6)])
+def test_walk_cap_leaves_dense_hosts_alone(n, r):
+    # K48 has 4,983,504 walks of length 3, past the cap, but a dense host
+    # holds its products as n x n arrays and is not refused
+    G = make_graph(n, list(itertools.combinations(range(n), 2)))
+    _, _, nodes, walk = counting._hom_basis(r, "simple", 2)
+    assert counting._Host(G, nodes, walk, r).dense
+    counts = full_counts(G, r)
+    assert counts == {ci.id: complete_count(ci, n)
+                      for infos in universe("simple", r).values()
+                      for ci in infos}
 
 
 def test_walk_cap_refuses_before_allocating(tmp_path, capsys):

@@ -107,6 +107,11 @@ def test_scaled_cumulants_and_signed_root():
     # override exponent
     _, roots4 = scale_cumulants(k, root_exponent=4)
     assert roots4[wid] == pytest.approx(-(1 / 3) ** 0.25)
+    # an exponent below 1 is refused, not read as the class's order
+    for exponent in (0, -3, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="root exponent must be at "
+                                             "least 1"):
+            scale_cumulants(k, root_exponent=exponent)
 
 
 def test_signed_root_basics():

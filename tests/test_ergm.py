@@ -241,9 +241,9 @@ def test_statistic_counts_order_four(group):
         assert h.probabilities == pytest.approx(want, rel=1e-12)
 
 
-def test_statistic_counts_one_full_count_per_run(monkeypatch):
-    # one host counts every row of a run; n=6 at order 4 is one run, and a
-    # lower walk cap cuts the table into runs in table order
+def test_statistic_counts_one_full_count_per_table(monkeypatch):
+    # one stack counts every row, and a lower cap only slices it inside
+    # count_connected: still one full_counts call
     table = enumerate_classes(6)
     calls = []
 
@@ -254,12 +254,9 @@ def test_statistic_counts_one_full_count_per_run(monkeypatch):
     monkeypatch.setattr(ergm, "full_counts", counted)
     sids = (nc("edge"), nc("triangle"), nc("square"), _PATH4)
     X = table.statistic_counts(sids)
-    assert calls == [(len(table), 4)]
-    calls.clear()
     monkeypatch.setattr(counting, "MATRIX_WALKS", 3000)
     assert (table.statistic_counts(sids) == X).all()
-    assert len(calls) > 1 and all(r == 4 for _, r in calls)
-    assert sum(rows for rows, _ in calls) == len(table)
+    assert calls == [(len(table), 4)] * 2
 
 
 def test_statistic_counts_derive_once_per_run(monkeypatch):
@@ -295,26 +292,25 @@ def test_statistic_counts_match_per_row_reference(n):
 
 @pytest.mark.parametrize("n, r, cap", [(6, 4, 400), (6, 5, 2500),
                                        (7, 4, 1000), (5, 6, 400)])
-def test_statistic_counts_in_several_runs(monkeypatch, n, r, cap):
-    # with a lower walk cap the table splits into runs, each within the
-    # cap unless it is one row, and the matrix does not change
+def test_statistic_counts_in_slices(monkeypatch, n, r, cap):
+    # with a lower cap the stack is counted in slices of the table, in
+    # table order, and the matrix does not change
     table = enumerate_classes(n)
     sids = _all_ids(r)
     want = per_row_statistic_counts(table, sids)
     monkeypatch.setattr(counting, "MATRIX_WALKS", cap)
-    walk = counting._hom_basis(r, "simple", 2)[3]
-    runs = list(counting.block_runs(table.reps, n, r))
-    assert len(runs) > 2
-    assert [a for a, _ in runs[1:]] == [b for _, b in runs[:-1]]
-    assert runs[0][0] == 0 and runs[-1][1] == len(table)
-    for start, stop in runs:
-        walks = [counting._walks(table.reps[i], n, walk)
-                 for i in range(start, stop)]
-        assert sum(walks) <= cap or stop == start + 1
-        if stop < len(table):   # the next row would have passed the cap
-            assert sum(walks) + counting._walks(table.reps[stop], n,
-                                                walk) > cap
+    slices = []
+    blocks = counting._Host.blocks
+
+    def recorded(host, lo, hi):
+        slices.append((lo, hi))
+        return blocks(host, lo, hi)
+
+    monkeypatch.setattr(counting._Host, "blocks", recorded)
     assert table.statistic_counts(sids).tobytes() == want.tobytes()
+    assert len(slices) > 2
+    assert [lo for lo, _ in slices[1:]] == [hi for _, hi in slices[:-1]]
+    assert slices[0][0] == 0 and slices[-2][1] < len(table) <= slices[-1][1]
 
 
 def test_row_union_is_the_disjoint_union():
@@ -328,39 +324,24 @@ def test_row_union_is_the_disjoint_union():
         assert (pair in union) == (pair in want)
 
 
-def test_walks_match_the_host():
-    # block_runs reads each row's walks the way _Host counts them
-    table = enumerate_classes(6)
-    for r in (4, 5):
-        _, _, nodes, walk = counting._hom_basis(r, "simple", 2)
-        for edges in table.reps[1:]:
-            host = counting._Host(make_graph(6, list(edges)), nodes, walk, r)
-            w = host.deg.astype(np.float64)
-            for _ in range(walk - 1):
-                w = counting._op_spread(host, w)
-            assert counting._walks(edges, 6, walk) == w.sum()
-
-
-def test_row_past_the_walk_cap_is_refused(monkeypatch):
-    # K6 has 150 walks of length 2; a row past the cap alone exits 4, as
-    # it does when rows are counted one at a time
+def test_walk_cap_refuses_sparse_hosts_only(monkeypatch):
+    # K6 has 150 walks of length 2; past the cap only a sparse host is
+    # refused, and a row is never counted on one
     monkeypatch.setattr(counting, "MATRIX_WALKS", 149)
     table = enumerate_classes(6)
     sids = (nc("square"),)
+    want = per_row_statistic_counts(table, sids)
+    assert (table.statistic_counts(sids) == want).all()
+    assert want[-1, 0] == 45   # K6 is the last row
+    monkeypatch.setattr(counting, "DENSE_NODES", 0)
     with pytest.raises(OrderCapError, match="walks of length 2"):
         per_row_statistic_counts(table, sids)
-    with pytest.raises(OrderCapError, match="walks of length 2"):
-        table.statistic_counts(sids)
-    runs = list(counting.block_runs(table.reps, 6, 4))
-    assert runs[-1] == (len(table) - 1, len(table))   # K6 is the last row
 
 
 def test_order_five_counts_at_n8():
-    # the n=8 table's union needs 5,734,752 walks of length 3, past the
-    # cap, so it is counted in two runs; sampled rows match the reference
+    # the n=8 table is one stack of 12,346 blocks; sampled rows match the
+    # reference
     table = enumerate_classes(8)
-    assert list(counting.block_runs(table.reps, 8, 5)) == [
-        (0, 10573), (10573, 12346)]
     sids = (nc("edge"), nc("triangle"), _PATH4, _ORDER_FOUR["connected"][0],
             class_id(ClassGraph.make(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1),
                                          (3, 4, 1), (4, 5, 1)]), "simple"))

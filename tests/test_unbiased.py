@@ -149,6 +149,9 @@ def test_unbiasing_config_population():
     assert UnbiasingConfig(eta=Fraction(1)).population(10) is None
     with pytest.raises(ValueError):
         UnbiasingConfig.from_population(10, 9)
+    for eta in (Fraction(-1), Fraction(3, 2), Fraction(-3)):
+        with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+            UnbiasingConfig(eta=eta)
 
 
 def test_partial_unbiasing_eta_zero_recovers_moments():
