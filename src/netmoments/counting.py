@@ -72,12 +72,12 @@ counts of a graph goes through it (the ERGM statistic matrix included), or
 through count_connected where connected classes suffice (the local
 statistics, as attributed counts with the anchor's nodes labelled 1).
 
-Many small graphs, such as the rows of a class table, are counted as one
-stack of dense blocks (block = n): every step runs on (B, n, n) arrays
-along their last axes, one sum per block.  The Moebius sums and the
-derivation then run on the blocks' columns at once: they only multiply,
-add and divide exactly, which object arrays of Python ints do
-elementwise.
+Many small simple graphs on n nodes each, such as the rows of a class
+table, are counted as one stack: their (B, n, n) boolean adjacency
+arrays.  Every step runs on the stack along its last axes, one sum per
+graph.  The Moebius sums and the derivation then run on the graphs'
+columns at once: they only multiply, add and divide exactly, which object
+arrays of Python ints do elementwise.
 """
 
 from __future__ import annotations
@@ -117,7 +117,18 @@ def graph_mode(G):
     """(mode, label count) of a host Graph: the key of its class universe.
     Weighted classes are undirected and unlabelled, so weights on a graph
     of another mode are refused, not counted against classes without
-    them."""
+    them.  A stack (see count_connected) is simple once it passes its
+    checks."""
+    if isinstance(G, np.ndarray):
+        if not (G.ndim == 3 and G.dtype == bool
+                and G.shape[1] == G.shape[2] <= DENSE_NODES
+                and G.shape[2] and not G.diagonal(0, 1, 2).any()
+                and (G == G.mT).all()):
+            raise ValueError(
+                f"a stack is a (B, n, n) symmetric boolean array with a zero "
+                f"diagonal and 1 to {DENSE_NODES} nodes a graph; count "
+                "larger graphs one at a time")
+        return "simple", 2
     mode = G.mode()
     if G.weighted and mode != "weighted":
         raise GraphDataError(
@@ -173,7 +184,7 @@ def connected_edge_subsets(slots, max_size):
 # ---------------------------------------------------------------------------
 # Connected counts from homomorphism counts
 
-def count_connected(G, r_max, block=None):
+def count_connected(G, r_max):
     """Connected-class counts for every connected class with <= r_max edges.
 
     Returns dict SubgraphId -> count (int for unweighted modes, Fraction for
@@ -182,33 +193,30 @@ def count_connected(G, r_max, block=None):
     each class's Moebius sum is divided by |Aut|, checked, and in weighted
     mode by D^r.
 
-    With block = n, G is the disjoint union of G.n / n graphs, block b on
-    nodes b*n .. b*n + n - 1, and each count is a column: an object array
-    holding block b's count at b.  A class is absent only if it counts zero
-    in every block.  The blocks, of at most DENSE_NODES nodes, are one
-    stack (see _Host), counted in slices of at most MATRIX_WALKS entries.
+    G is a Graph, or a stack of B simple graphs on n nodes each: a
+    (B, n, n) symmetric boolean numpy array with a zero diagonal and
+    1 <= n <= DENSE_NODES, G[b] the adjacency array of graph b.  Each count
+    of a stack is a column: an object array holding graph b's count at b.
+    A class is absent only if it counts zero in every graph.  The stack is
+    counted in slices of at most MATRIX_WALKS entries.
     """
     mode, labels = graph_mode(G)
     check_order(mode, r_max)
-    if block is not None and (not 0 < block <= DENSE_NODES or G.n % block):
-        raise ValueError(
-            f"{G.n} nodes do not split into blocks of {block}; a stack holds "
-            f"1 to {DENSE_NODES} nodes a block, so count larger graphs one at "
-            "a time")
     rows, program, pattern_nodes, walk = _hom_basis(r_max, mode, labels)
-    if not G.edges:
+    stack = isinstance(G, np.ndarray)
+    if not (G.any() if stack else G.edges):
         return {}
-    host = _Host(G, pattern_nodes, walk, r_max, block)
-    if block is None:
-        vals = _run(program, host)
-    else:
+    host = _Host(G, pattern_nodes, walk, r_max)
+    if stack:
         k4 = any(op is _op_k4 for op, _, _ in program)
-        size = max(1, MATRIX_WALKS // block ** (3 if k4 else 2))
+        size = max(1, MATRIX_WALKS // host.n ** (3 if k4 else 2))
         parts = [_run(program, host.blocks(lo, lo + size))
-                 for lo in range(0, G.n // block, size)]
+                 for lo in range(0, len(G), size)]
         vals = [None if col[0] is None else np.concatenate(col)
                 for col in zip(*parts)]
-    nonzero = bool if block is None else np.any
+    else:
+        vals = _run(program, host)
+    nonzero = np.any if stack else bool
     counts = {}
     for sid, aut, slots, coeffs in rows:
         total = sum(map(operator.mul, coeffs, map(vals.__getitem__, slots)))
@@ -574,8 +582,8 @@ def unique(values, inverse=False):
 
 
 class _Host:
-    """The arrays a hom program reads: one graph's non-isolated nodes, or
-    with block = n a stack of the blocks of a disjoint union.
+    """The arrays a hom program reads: one graph's non-isolated nodes, or a
+    stack of graphs (see count_connected).
 
     One graph: the skeleton is the simple graph of the linked node pairs;
     its nodes are numbered 0..n'-1 by (skeleton degree, id).  Built at
@@ -606,31 +614,26 @@ class _Host:
     L steps needs at most MATRIX_WALKS skeleton walks of that length,
     checked before any matrix is built.
 
-    A stack is dense in every dtype.  Block b keeps its n nodes, isolated
-    ones included, at ids minus b * n; vectors are (B, n) arrays, matrices
-    (B, n, n), and the bound is taken over the whole union.  Each step
-    runs along the last axes as on one graph, so a scalar step sums once
-    per block.  The linked pairs, degrees, labels and (directed or
-    weighted) arcs are built for the whole stack; blocks(lo, hi) is the
-    host of a slice, with its own adjacency array.  first and second list
-    every pair u < v of a block, which k4 weighs by A[u, v].
+    A stack is dense in every dtype.  Each graph keeps its n nodes,
+    isolated ones included; vectors are (B, n) arrays, matrices (B, n, n),
+    and the bound is taken over the whole stack.  Each step runs along the
+    last axes as on one graph, so a scalar step sums once per graph.
+    blocks(lo, hi) is the host of a slice, with its own adjacency array.
+    first and second list every pair u < v of a graph, which k4 weighs by
+    A[u, v].
     """
 
-    def __init__(self, G, pattern_nodes, walk, r_max, block=None):
-        ends = np.fromiter(itertools.chain.from_iterable(G.edges),
-                           dtype=np.int64, count=2 * len(G.edges))
-        if block is not None:
-            self.tail, self.head = ends[0::2], ends[1::2] % block
-            if np.any(self.tail // block != ends[1::2] // block):
-                raise ValueError(f"an edge joins two blocks of {block}")
-            self.n, nodes = block, range(G.n)
-            self.linked = np.zeros((G.n // block, block, block), dtype=bool)
-            self.linked.reshape(-1, block)[self.tail, self.head] = True
-            self.linked |= self.linked.mT
-            self.deg = self.linked.sum(-1)
-            self.first, self.second = np.triu_indices(block, 1)
+    def __init__(self, G, pattern_nodes, walk, r_max):
+        self.scale, self.weights, top_weight = None, None, 1
+        stack = isinstance(G, np.ndarray)
+        if stack:
+            self.linked, self.n = G, G.shape[-1]
+            self.deg = G.sum(-1)
+            self.first, self.second = np.triu_indices(self.n, 1)
             links, top = int(self.deg.sum()), int(self.deg.max())
         else:
+            ends = np.fromiter(itertools.chain.from_iterable(G.edges),
+                               dtype=np.int64, count=2 * len(G.edges))
             pairs = ends
             if G.directed:   # a reciprocal pair of arcs is one skeleton edge
                 # pairs are coded over the ranks of the ids: a code over the
@@ -658,24 +661,21 @@ class _Host:
             self.first, self.second = np.minimum(a, b), np.maximum(a, b)
             self.deg, self.n = deg[by_degree], len(deg)
             links, top = len(pairs), int(self.deg[-1])
-            nodes = ids[by_degree].tolist()
-        if G.node_attrs is not None:
-            index = {label: i for i, label in enumerate(G.labels())}
-            self.color = np.array([index[G.node_attrs[v]] for v in nodes]
-                                  ).reshape(self.deg.shape)
-        self.scale, self.weights, top_weight = None, None, 1
-        if G.weighted:
-            self.scale = math.lcm(*(w.denominator for w in G.edges.values()))
-            self.weights = [w.numerator * (self.scale // w.denominator)
-                            for w in G.edges.values()]
-            top_weight = max(max(self.weights), 1)
+            if G.node_attrs is not None:
+                index = {label: i for i, label in enumerate(G.labels())}
+                self.color = np.array([index[G.node_attrs[v]]
+                                       for v in ids[by_degree].tolist()])
+            if G.weighted:
+                self.scale = math.lcm(*(w.denominator
+                                        for w in G.edges.values()))
+                self.weights = [w.numerator * (self.scale // w.denominator)
+                                for w in G.edges.values()]
+                top_weight = max(max(self.weights), 1)
         bound = links * top ** (pattern_nodes - 2) * top_weight ** r_max
         self.dtype = (np.float64 if bound < 2 ** 53 else
                       np.int64 if bound < 2 ** 63 else object)
-        self.dense = block is not None or bool(walk) and \
+        self.dense = stack or bool(walk) and \
             self.dtype is np.float64 and self.n <= DENSE_NODES
-        if block is not None and (G.directed or G.weighted):
-            self.arcs = self.matrix(self.tail, self.head, self.weights)
         if walk and not self.dense:
             w = self.deg.astype(np.float64)
             for _ in range(walk - 1):
@@ -687,11 +687,9 @@ class _Host:
                     "matrix products are capped at; use a lower order")
 
     def blocks(self, lo, hi):
-        """The host of blocks lo .. hi - 1 of a stack, on array views."""
+        """The host of graphs lo .. hi - 1 of a stack."""
         part = copy.copy(self)
-        part.__dict__.update((name, vars(self)[name][lo:hi])
-                             for name in ("deg", "color", "arcs")
-                             if name in vars(self))
+        part.deg = self.deg[lo:hi]
         part.adjacency = self.linked[lo:hi].astype(self.dtype)
         return part
 
@@ -753,12 +751,10 @@ class _Host:
 
     def matrix(self, rows, cols, values=None):
         """The matrix with these entries (ones by default), in the host's
-        form; no entry is given twice.  On a stack, rows are ids in the
-        union and cols ids in the block."""
+        form; no entry is given twice."""
         if self.dense:
-            m = np.zeros(self.deg.shape + (self.n,), dtype=self.dtype)
-            m.reshape(-1, self.n)[rows, cols] = 1 if values is None else \
-                values
+            m = np.zeros((self.n, self.n), dtype=self.dtype)
+            m[rows, cols] = 1 if values is None else values
             return m
         codes = rows * self.n + cols
         order = codes.argsort()
@@ -775,7 +771,7 @@ def _runs(stops, counts):
 
 def _exact(total):
     """A scalar step's total as a Python int, or on a stack an object array
-    of one Python int per block."""
+    of one Python int per graph."""
     if not isinstance(total, np.ndarray):
         return int(total)
     return (total if total.dtype == object else
@@ -810,7 +806,7 @@ def _op_product(h, *operands):
 
 
 # The scalar steps (sum, dot, edge, tri, k4, quad) return a Python int, or
-# on a stack an object array of one Python int per block.
+# on a stack an object array of one Python int per graph.
 
 def _op_sum(h, w):
     return _exact(w.sum(-1))
@@ -1041,18 +1037,18 @@ def derive_disconnected(connected_counts, G, r_max):
     """Extend connected counts to every class with <= r_max edges.
 
     Returns dict SubgraphId -> count covering the full universe (zero counts
-    included).  The counts may be columns over blocks, as count_connected
-    returns them for a disjoint union; the steps then run on the columns,
-    and a count read from no column (a missing class is a scalar zero)
-    stands for every block.  Only arithmetic runs per call, on a list
-    indexed by the positions of _derivation_positions.  Raises ValueError
-    on a negative derived count in any block, which signals inconsistent
-    input counts.
+    included).  The counts may be columns, as count_connected returns them
+    for a stack; the steps then run on the columns, and a count read from
+    no column (a missing class is a scalar zero) stands for every graph.
+    Only arithmetic runs per call, on a list indexed by the positions of
+    _derivation_positions.  Raises ValueError on a negative derived count
+    in any graph, which signals inconsistent input counts.
     """
     mode, labels = graph_mode(G)
     check_order(mode, r_max)
     ids, n_connected, steps = _derivation_positions(mode, r_max, labels)
-    zero = Fraction(0) if G.weighted else 0
+    weighted = mode == "weighted"
+    zero = Fraction(0) if weighted else 0
     counts = [connected_counts.get(sid, zero) for sid in ids[:n_connected]]
     nonzero = np.any if any(isinstance(c, np.ndarray) for c in counts) \
         else bool
@@ -1060,7 +1056,7 @@ def derive_disconnected(connected_counts, G, r_max):
         acc = counts[c] * counts[h]
         for g, coeff in terms:
             acc -= coeff * counts[g]
-        if G.weighted:
+        if weighted:
             value = acc * Fraction(1, self_coeff)
         else:
             value = acc // self_coeff
@@ -1076,8 +1072,8 @@ def derive_disconnected(connected_counts, G, r_max):
     return dict(zip(ids, counts))
 
 
-def full_counts(G, r_max, block=None):
-    """Connected counts plus disconnected derivation; with block = n, every
-    count of the disjoint union's blocks at once (see count_connected and
+def full_counts(G, r_max):
+    """Connected counts plus disconnected derivation of a Graph, or of every
+    graph of a stack at once as columns (see count_connected and
     derive_disconnected)."""
-    return derive_disconnected(count_connected(G, r_max, block), G, r_max)
+    return derive_disconnected(count_connected(G, r_max), G, r_max)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -19,7 +18,7 @@ import numpy as np
 from .canonical import canonicalize
 from .classes import complete_count, universe_index
 from .counting import full_counts, unique
-from .graphs import UNIT, Graph, SizeCapError
+from .graphs import SizeCapError
 from .moments import MomentVector
 
 _CLASS_TABLE_CACHE = {}
@@ -44,50 +43,24 @@ class GraphClassTable:
         table order.
 
         Counts through the largest statistic order with one full_counts
-        call: it counts the disjoint union of the representatives, row i
-        on nodes i*n .. i*n + n - 1, as a stack of blocks, and gives each
-        class's counts as a column over the rows.
+        call on the stack of the representatives' adjacency arrays, which
+        gives each class's counts as a column over the rows.
         """
         r_max = max((sid.r for sid in sids), default=1)
-        n = self.n
-        counts = full_counts(Graph(n=len(self.reps) * n,
-                                   edges=_RowUnion(self.reps, n)), r_max, n)
+        sizes = np.fromiter(map(len, self.reps), dtype=np.intp,
+                            count=len(self.reps))
+        ends = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(self.reps)), dtype=np.intp,
+            count=2 * int(sizes.sum()))
+        stack = np.zeros((len(self.reps), self.n, self.n), dtype=bool)
+        stack[np.arange(len(self.reps)).repeat(sizes), ends[0::2],
+              ends[1::2]] = True
+        stack |= stack.mT
+        counts = full_counts(stack, r_max)
         cols = np.empty((len(self.reps), len(sids)), dtype=np.float64)
         for j, sid in enumerate(sids):
             cols[:, j] = counts.get(sid, 0)
         return cols
-
-
-class _RowUnion(Mapping):
-    """The edge map of the disjoint union of representatives on n nodes
-    each, row i on nodes i*n .. i*n + n - 1, read from the rows on the fly:
-    the union's edges are never held as objects of their own."""
-
-    def __init__(self, rows, n):
-        self.rows, self.n = rows, n
-        self.m = sum(map(len, rows))
-
-    def __len__(self):
-        return self.m
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(
-            [(u + at, v + at) for u, v in edges]
-            for at, edges in zip(range(0, len(self.rows) * self.n, self.n),
-                                 self.rows))
-
-    def __getitem__(self, pair):
-        u, v = pair
-        at = u - u % self.n
-        if not 0 <= at < len(self.rows) * self.n or \
-                (u - at, v - at) not in self.rows[at // self.n]:
-            raise KeyError(pair)
-        return UNIT
-
-    def items(self):
-        # Graph validates every (edge, weight) once; pairing the edges with
-        # UNIT skips the per-edge lookup of the Mapping default
-        return zip(self, itertools.repeat(UNIT))
 
 
 def enumerate_classes(n, allow_large=False):

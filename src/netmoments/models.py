@@ -26,9 +26,10 @@ def _rng(seed):
 
 
 def _check_pairs(model, n, pairs):
-    """Refuse before any pair array exists (n <= 0 is make_graph's to
-    reject)."""
-    if n > 0 and pairs > MAX_PAIRS:
+    """Refuse before any pair array exists."""
+    if n <= 0:
+        raise GraphDataError("node count must be positive")
+    if pairs > MAX_PAIRS:
         raise SizeCapError(
             f"{model} with n={n} draws over {pairs} node pairs; generators "
             f"are capped at 2^24 = {MAX_PAIRS} pairs")
@@ -54,6 +55,8 @@ def generate(spec: ModelSpec):
 def er(n, p, seed=0):
     """Erdos-Renyi G(n, p)."""
     _check_pairs("er", n, n * (n - 1) // 2)
+    if p is None:
+        raise GraphDataError("er needs p")
     p = float(p)
     if not 0 <= p <= 1:
         raise GraphDataError("p must lie in [0, 1]")
@@ -77,6 +80,9 @@ def ssbm_rates(n, assortativity, mean_degree):
     if n % 2:
         raise GraphDataError("SSBM with 2 communities needs even n")
     denom = (1 + rho) * (n / 2 - 1) / 2 + (1 - rho) * (n / 2) / 2
+    if denom <= 0:
+        raise GraphDataError(
+            f"assortativity {rho} leaves no node pairs to draw for n={n}")
     s = d / denom
     a, b = s * (1 + rho) / 2, s * (1 - rho) / 2
     if not (0 <= a <= 1 and 0 <= b <= 1):
@@ -117,12 +123,18 @@ def bipartite_geometric(n, f, mean_degree, seed=0):
     the requested mean degree.  f near 1 forces tight neighborhoods (high
     clustering propensity); f = 0 admits every pair (random bipartite).
     """
+    if f is None or mean_degree is None:
+        raise GraphDataError("bipartite-geometric needs f and mean_degree")
     if n % 2:
         raise GraphDataError("bipartite model needs even n")
     _check_pairs("bipartite-geometric", n, (n // 2) ** 2)
     f = float(f)
     if not 0 <= f < 1:
         raise GraphDataError("f must lie in [0, 1)")
+    d = float(mean_degree)
+    if not 0 <= d <= n / 2:
+        raise GraphDataError(
+            f"mean degree {mean_degree} must lie in [0, n/2] for n={n}")
     rng = _rng(seed)
     pts = rng.normal(size=(n, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -133,7 +145,7 @@ def bipartite_geometric(n, f, mean_degree, seed=0):
     # arithmetic of pts[u] @ pts[v]; nonzero lists pairs row by row
     dots = np.matmul(pts[:half, None, None, :], pts[None, half:, :, None])
     cu, cv = np.nonzero(dots[:, :, 0, 0] >= cos_min)
-    target = round(n * float(mean_degree) / 2)
+    target = round(n * d / 2)
     if target > cu.size:
         raise GraphDataError(
             f"mean degree {mean_degree} infeasible: wants {target} edges "

@@ -242,8 +242,8 @@ def z_test(sid, m: MomentVector, variance=None):
         variance = variance_kappa1(vector_like(m, targets), m.n)
         approx = False
     var = float(variance)
-    if var <= 0:
-        raise ValueError("variance must be positive")
+    if not var > 0:
+        raise ValueError(f"variance must be positive, got {var}")
     z2 = float(kval) ** 2 / var
     p = math.erfc(math.sqrt(z2) / math.sqrt(2.0))
     sign = "zero" if kval == 0 else ("positive" if kval > 0 else "negative")
@@ -271,6 +271,10 @@ def bootstrap_variance(G, sid, r_max, num_samples=200, subsample=None,
     from .moments import moments as _moments
 
     n = G.n
+    if num_samples < 2:
+        raise ValueError(
+            f"the bootstrap variance needs at least 2 samples, got "
+            f"{num_samples}")
     if n > BOOTSTRAP_NODES:
         raise SizeCapError(
             f"the bootstrap draws subgraphs from all {n} nodes, isolated "

@@ -383,6 +383,19 @@ def test_ztest_small_and_large_graphs(capsys, tmp_path):
     assert "capped at 2^16" in capsys.readouterr().err
 
 
+def _main_in_process(argv, stdin_text=""):
+    """(exit code, stderr) of main(argv) with stdin_text on stdin."""
+    err = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([["count"], ["moments"], ["cumulants"],
                         ["cumulants", "--scaled"], ["unbiased"], ["ztest"],
@@ -399,13 +412,7 @@ def test_cli_exits_with_a_documented_code(command, order, mode, nodes, data):
         argv.append(f"--{mode}")
     if nodes is not None:
         argv += ["--nodes", str(nodes)]
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    finally:
-        sys.stdin = stdin
+    code, _ = _main_in_process(argv, text)
     assert code in range(5)
 
 
@@ -428,11 +435,67 @@ def test_ergm_exits_with_a_documented_code(command, text, order, eta,
             "--eta", eta]
     if nodes is not None:
         argv += ["--nodes", str(nodes)]
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    finally:
-        sys.stdin = stdin
+    code, _ = _main_in_process(argv, text)
     assert code in range(5)
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "-3"])
+def test_ztest_needs_two_bootstrap_samples(capsys, dense, samples):
+    # the sample variance of fewer than two samples is NaN, which JSON has
+    # no number for
+    assert main(["ztest", dense, "--subgraph", "wedge",
+                 "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs at least 2 samples" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "er", "--n", "5"], "er needs p"),
+    (["--model", "bipartite-geometric", "--n", "6", "--mean-degree", "1"],
+     "bipartite-geometric needs f and mean_degree"),
+    (["--model", "bipartite-geometric", "--n", "6", "--f", "0.5"],
+     "bipartite-geometric needs f and mean_degree"),
+    (["--model", "ssbm", "--n", "6", "--a", "0.5"],
+     "ssbm needs (a, b) or (assortativity, mean_degree)")])
+def test_generate_without_a_model_parameter_is_a_data_error(capsys, argv,
+                                                            message):
+    assert main(["generate", *argv]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+
+
+_MODEL_PARAMETER = st.one_of(
+    st.none(), st.floats(-3, 12), st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), 1e300, -0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["er", "ssbm", "bipartite-geometric"]),
+       st.one_of(st.none(), st.integers(-2, 12)),
+       st.fixed_dictionaries({flag: _MODEL_PARAMETER for flag in (
+           "--p", "--a", "--b", "--assortativity", "--mean-degree",
+           "--f")}),
+       st.one_of(st.integers(-3, 3), st.just(2 ** 128)))
+def test_generate_exits_with_a_documented_code(model, n, params, seed):
+    # every model with missing, NaN, infinite or out-of-range parameters
+    argv = ["generate", "--model", model, "--seed", str(seed)]
+    if n is not None:
+        argv += ["--n", str(n)]
+    for flag, value in params.items():
+        if value is not None:   # "=" keeps "-inf" from reading as an option
+            argv.append(f"{flag}={value!r}")
+    code, err = _main_in_process(argv)
+    assert code in range(5) and "Traceback" not in err
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["attributes", "orientations", "weights"]),
+       st.sampled_from(["simple", "directed", "weighted"]),
+       st.integers(-1, 3), st.data())
+def test_shuffle_exits_with_a_documented_code(mode, kind, seed, data):
+    text = data.draw(edge_lists(kind == "weighted"))
+    argv = ["shuffle", "-", "--mode", mode, "--seed", str(seed)]
+    if kind != "simple":
+        argv.append(f"--{kind}")
+    code, err = _main_in_process(argv, text)
+    assert code in range(5) and "Traceback" not in err

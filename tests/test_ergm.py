@@ -247,16 +247,16 @@ def test_statistic_counts_one_full_count_per_table(monkeypatch):
     table = enumerate_classes(6)
     calls = []
 
-    def counted(G, r_max, block=None):
-        calls.append((G.n // block, r_max))
-        return full_counts(G, r_max, block)
+    def counted(G, r_max):
+        calls.append((G.shape, r_max))
+        return full_counts(G, r_max)
 
     monkeypatch.setattr(ergm, "full_counts", counted)
     sids = (nc("edge"), nc("triangle"), nc("square"), _PATH4)
     X = table.statistic_counts(sids)
     monkeypatch.setattr(counting, "MATRIX_WALKS", 3000)
     assert (table.statistic_counts(sids) == X).all()
-    assert calls == [(len(table), 4)] * 2
+    assert calls == [((len(table), 6, 6), 4)] * 2
 
 
 def test_statistic_counts_derive_once_per_run(monkeypatch):
@@ -267,12 +267,12 @@ def test_statistic_counts_derive_once_per_run(monkeypatch):
     derive = counting.derive_disconnected
 
     def counted(counts, G, r_max):
-        calls.append(G.n)
+        calls.append(G.shape)
         return derive(counts, G, r_max)
 
     monkeypatch.setattr(counting, "derive_disconnected", counted)
     table.statistic_counts((nc("edge"), nc("wedge"), nc("two-parallel")))
-    assert calls == [7 * len(table)] and len(table) == 1044
+    assert calls == [(len(table), 7, 7)] and len(table) == 1044
 
 
 def _all_ids(r):
@@ -313,17 +313,6 @@ def test_statistic_counts_in_slices(monkeypatch, n, r, cap):
     assert slices[0][0] == 0 and slices[-2][1] < len(table) <= slices[-1][1]
 
 
-def test_row_union_is_the_disjoint_union():
-    rows = enumerate_classes(4).reps[3:7]
-    union = ergm._RowUnion(rows, 4)
-    want = {(u + 4 * i, v + 4 * i): 1 for i, edges in enumerate(rows)
-            for u, v in edges}
-    assert len(union) == len(want) and dict(union.items()) == want
-    assert dict(union) == want and list(union.values()) == [1] * len(want)
-    for pair in [(0, 5), (4, 5), (-4, -3), (16, 17)] + list(want):
-        assert (pair in union) == (pair in want)
-
-
 def test_walk_cap_refuses_sparse_hosts_only(monkeypatch):
     # K6 has 150 walks of length 2; past the cap only a sparse host is
     # refused, and a row is never counted on one
@@ -339,7 +328,7 @@ def test_walk_cap_refuses_sparse_hosts_only(monkeypatch):
 
 
 def test_order_five_counts_at_n8():
-    # the n=8 table is one stack of 12,346 blocks; sampled rows match the
+    # the n=8 table is one stack of 12,346 graphs; sampled rows match the
     # reference
     table = enumerate_classes(8)
     sids = (nc("edge"), nc("triangle"), _PATH4, _ORDER_FOUR["connected"][0],

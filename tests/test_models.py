@@ -110,6 +110,25 @@ def test_bipartite_geometric():
         bipartite_geometric(21, 0.5, 3.0)
 
 
+def test_missing_or_degenerate_parameters_are_data_errors():
+    # each refused before any draw, with a message naming the parameter
+    for call, message in (
+            (lambda: er(5, None), "er needs p"),
+            (lambda: er(0, 0.5), "node count must be positive"),
+            (lambda: bipartite_geometric(6, None, 1.0), "needs f and"),
+            (lambda: bipartite_geometric(6, 0.5, None), "needs f and"),
+            (lambda: bipartite_geometric(-2, 0.5, 1.0),
+             "node count must be positive"),
+            (lambda: ssbm(0, assortativity=-1.0, mean_degree=1.0),
+             "node count must be positive"),
+            (lambda: ssbm_rates(2, 1.0, 1.0), "leaves no node pairs")):
+        with pytest.raises(GraphDataError, match=message):
+            call()
+    for d in (float("inf"), float("nan"), -2.0, 3.5):
+        with pytest.raises(GraphDataError, match=r"must lie in \[0, n/2\]"):
+            bipartite_geometric(6, 0.5, d)
+
+
 def _bipartite_by_list(n, f, mean_degree, seed):
     """bipartite_geometric's edges, its candidate pairs from a loop over
     every (left, right) pair."""

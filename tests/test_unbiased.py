@@ -237,6 +237,21 @@ def test_bootstrap_variance_deterministic():
     assert a >= 0
 
 
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_bootstrap_needs_two_samples(samples):
+    # the sample variance of fewer than two samples is NaN
+    G = random_graph(random.Random(11), 14, p=0.4)
+    with pytest.raises(ValueError, match="needs at least 2 samples"):
+        bootstrap_variance(G, nc("wedge"), 2, num_samples=samples)
+
+
+@pytest.mark.parametrize("variance", [0.0, -1.0, float("nan")])
+def test_z_test_needs_a_positive_variance(variance):
+    m = moments(random_graph(random.Random(10), 10), 2)
+    with pytest.raises(ValueError, match="variance must be positive"):
+        z_test(nc("wedge"), m, variance=variance)
+
+
 def test_welch_test():
     out = welch_test(0.2, 0.01, 0.1, 0.01)
     assert out["heuristic"]
