@@ -29,16 +29,18 @@ node starts from its label's indicator vector.
 The coefficients are graph-independent: _hom_basis builds them once per
 (order, mode, labels) and compiles hom(F, G) of every quotient class F into
 one program whose steps are shared between patterns.  A pattern's pendant
-trees become per-node weight vectors (the tree message F @ w); a triangle
-core of ADJ factors is summed over the host's triangle list and K4 over
-its triangles' common neighbours, so simple graphs at orders <= 3 never
-build an n x n array; any other core is contracted with matrix products,
-one node with at most two neighbours at a time, each sparse product as
-large as the walks it counts.  _Host holds the graph's arrays and picks an
-exact dtype and a matrix form.  A small float64 host with a matrix step is
-dense: every step, triangles and K4s included, reads one n' x n' adjacency
-array and is a BLAS product or an elementwise one.  Any other host is
-sparse and refuses (OrderCapError) a program past MATRIX_WALKS walks.
+trees become per-node weight vectors (the tree message F @ w).  A triangle
+core of ADJ factors is summed over the linked pairs' common neighbours and
+K4 over the edges among them; any other core is contracted with matrix
+products, one node with at most two neighbours at a time.  _Host holds the
+graph's arrays and picks an exact dtype and, from the host alone, a form.
+A float64 graph with at most DENSE_NODES non-isolated nodes is dense: it
+reads its neighbourhoods as rows of one boolean n' x n' array, and a
+matrix step, if the program has one, its float64 copy with a BLAS product
+or an elementwise one.  Any other host is sparse: triangles and K4s come
+from its degree-ordered wedge list, so a simple graph at orders <= 3 builds
+no n x n array, each product is as large as the walks it counts, and a
+program past MATRIX_WALKS walks is refused (OrderCapError).
 Hom values enter the sums as Python ints, and each division by |Aut H| is
 checked.
 
@@ -398,11 +400,12 @@ def _hom_expression(cg, mode):
     which for F = ADJ is the sum over arcs x -> y of w_x w_y (the
     degree-weighted sum when one side is 1).  A triangle core of ADJ
     factors is read from the host's triangle list and a K4 core from its
-    triangles' common neighbours, or both from a dense host's adjacency
-    array.  Any other core is eliminated one node at a time: a node with
-    one neighbour x multiplies x's weight by (F_xv @ w_v), a node with two
-    neighbours x, y joins F_xv diag(w_v) F_vy to the factor between x and
-    y, and the last pair is the quadratic form w_x F_xy w_y.  _elimination_order keeps the
+    triangles' common neighbours, or both from a dense host's rows of
+    common neighbours.  Any other core is eliminated one node at a time: a
+    node with one neighbour x multiplies x's weight by (F_xv @ w_v), a node
+    with two neighbours x, y joins F_xv diag(w_v) F_vy to the factor
+    between x and y, and the last pair is the quadratic form
+    w_x F_xy w_y.  _elimination_order keeps the
     walks the products count short: the square needs only A @ A, and no
     core within the order cap walks further than three steps.  Within the
     order cap every core other than K4 has such a node at every step."""
@@ -559,18 +562,36 @@ def _compile(exprs):
 # the order is refused.
 MATRIX_WALKS = 2 ** 22
 
-# A float64 host with at most this many nodes holds its matrices as dense
-# n' x n' arrays, so each matrix step is one BLAS call.  Past about 120
-# nodes OpenBLAS starts threads and a dense product costs more than the
-# sparse one.
-DENSE_NODES = 64
+# A float64 graph with at most this many non-isolated nodes is dense (see
+# _Host): the largest n at which the dense form was never slower than the
+# sparse one.  count_connected in us, dense / sparse, min of 15 interleaved
+# rounds on a loaded 2-CPU host (OpenBLAS), on ER graphs of mean degree d
+# with no isolated node:
+#
+#    d order   n = 64      80        96        112        128
+#    2   3     69/80      67/81     67/82     78/94      86/101
+#    2   4    218/280    179/264   213/270   293/311    620/377
+#    2   5    478/687    425/729   575/819  1031/868   1271/972
+#    6   3     87/113     95/124   120/157    84/99     140/170
+#    6   4    240/703    446/1154  219/542   507/627    957/1016
+#    6   5    382/2176   453/2772  479/2198  974/2733  1310/3765
+#   12   3     81/115     99/145   180/258   134/215    142/218
+#   12   4    182/853    223/1100  277/1328  759/1824   531/2351
+#   12   5    351/5301   464/7925  573/9860  888/13542 1309/16286
+#
+# At d = 6 and n = 80 / 96 / 112: directed order 4 855/1903, 1129/1832 and
+# 1644/2032; weighted order 4 441/1379, 556/1569 and 873/2742; attributed
+# order 3 657/738, 638/729 and 1213/1373.  At 112 nodes, d = 2 and order
+# 5, dense won two earlier runs (617/657 and 584/591) and lost this one:
+# its BLAS products suffer more from a loaded host than the sparse steps.
+DENSE_NODES = 96
 
 
 def unique(values, inverse=False):
     """np.unique of a 1-d array (and its inverse), by a sort and a mask of
     the sorted values that differ from their left neighbour: np.unique
     itself imports numpy.ma on its first call."""
-    order = values.argsort(kind="stable") if inverse else None
+    order = values.argsort() if inverse else None
     ordered = values[order] if inverse else np.sort(values)
     first = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
@@ -581,90 +602,89 @@ def unique(values, inverse=False):
     return ordered[first], rank
 
 
+def _ranked(ends, n):
+    """(ids, ranks): the ids in ends (each below n), sorted, and each end
+    replaced by its id's rank; by a table over the ids, or by a sort where
+    the ids are spread wider than there are ends.  Where no id is missing
+    the ranks are the ends themselves.  At 80 nodes and 542 ends, on a
+    2-CPU x86-64 host, the table took 5.3 us, 11.6 with the cumsum, and
+    unique 28.5."""
+    if n > len(ends):
+        return unique(ends, inverse=True)
+    seen = np.zeros(n, dtype=bool)
+    seen[ends] = True
+    ids = np.flatnonzero(seen)
+    return ids, ends if len(ids) == n else (seen.cumsum() - 1)[ends]
+
+
 class _Host:
     """The arrays a hom program reads: one graph's non-isolated nodes, or a
     stack of graphs (see count_connected).
 
-    One graph: the skeleton is the simple graph of the linked node pairs;
-    its nodes are numbered 0..n'-1 by (skeleton degree, id).  Built at
-    once: the skeleton's edges u < v and degrees, the arcs (tail, head) in
-    G.edges order, each node's label index and the weights scaled to
-    integers by scale, the lcm of their denominators (both None if
-    unweighted).  Built on first use: the sorted skeleton edges, the
-    adjacency lists (the sparse matrix ADJ), the wedges and triangles, or
-    on a dense host the adjacency and arc arrays alone.
+    One graph: the skeleton is the simple graph of the linked node pairs,
+    on n' nodes.  Built at once: the skeleton's edges (first, second)
+    u < v and degrees, the arcs (tail, head) in G.edges order, each node's
+    label index and the weights scaled to integers by scale, the lcm of
+    their denominators (both None if unweighted).  The dtype is float64
+    while 2m * Delta^(k-2) * W^r (m skeleton edges, Delta its maximum
+    degree, k = pattern nodes, W the largest scaled weight, r = r_max)
+    bounds every partial sum below 2^53, int64 below 2^63, and object
+    (Python ints) past that: each partial sum is a hom value of a
+    connected pattern with at most k nodes and r edge units, one arc and
+    k-2 steps along a spanning tree.
 
-    Numbering by degree puts the apex of every wedge b - a - c with
-    a < b < c at its lowest-degree node, so there are O(m sqrt(m)) of them
-    and a star has none.  The dtype is float64 while 2m * Delta^(k-2) *
-    W^r (m skeleton edges, Delta its maximum degree, k = pattern nodes, W
-    the largest scaled weight, r = r_max) bounds every partial sum below
-    2^53, int64 below 2^63, and object (Python ints) past that: each
-    partial sum is a hom value of a connected pattern with at most k nodes
-    and r edge units, one arc and k-2 steps along a spanning tree.
+    dense picks the form the program reads, whatever the program: a
+    float64 host with n' <= DENSE_NODES is dense, and numbers its nodes by
+    rank of id.  Built on first use: the boolean n' x n' array linked;
+    the adjacency and arc arrays in the host's dtype, for the matrix
+    steps; common, each edge's row of its ends' common neighbours.  Every
+    step is a BLAS product, an elementwise one or a count over boolean
+    rows.  Every entry of these arrays, and every per-node or per-pair
+    term, is a sum of nonnegative integers, each a partial hom sum of the
+    pattern the step counts, so it is under the same 2^53 bound and the
+    order BLAS sums in cannot round.
 
-    dense picks the form the program reads.  With a matrix step (walk >
-    0), a float64 dtype and n' <= DENSE_NODES, every step reads n' x n'
-    arrays and is a BLAS product or an elementwise one.  Every entry of
-    these arrays, and every per-node or per-pair term, is a sum of
-    nonnegative integers, each a partial hom sum of the pattern the step
-    counts, so it is under the same 2^53 bound and the order BLAS sums in
-    cannot round.  Otherwise a matrix is sparse, its nonzero entries as
-    sorted codes x * n' + y and values, and a program whose products walk
-    L steps needs at most MATRIX_WALKS skeleton walks of that length,
-    checked before any matrix is built.
+    Any other host is sparse and numbers its nodes by (skeleton degree,
+    id), which puts the apex of every wedge b - a - c with a < b < c at
+    its lowest-degree node, so there are O(m sqrt(m)) of them and a star
+    has none.  Built on first use: the sorted skeleton edges, the
+    adjacency lists (the sparse matrix ADJ), the wedges and triangles.  A
+    matrix is sparse, its nonzero entries as sorted codes x * n' + y and
+    values, and a program whose products walk L steps needs at most
+    MATRIX_WALKS skeleton walks of that length, checked before any matrix
+    is built.
 
     A stack is dense in every dtype.  Each graph keeps its n nodes,
     isolated ones included; vectors are (B, n) arrays, matrices (B, n, n),
     and the bound is taken over the whole stack.  Each step runs along the
-    last axes as on one graph, so a scalar step sums once per graph.
-    blocks(lo, hi) is the host of a slice, with its own adjacency array.
-    first and second list every pair u < v of a graph, which k4 weighs by
-    A[u, v].
+    last axes as on one graph, so a scalar step sums once per graph; its
+    triangles are the trace of A^3.  blocks(lo, hi) is the host of a
+    slice, with its own linked array.  first and second list every pair
+    u < v of a graph, which k4 weighs by A[u, v].
     """
 
     def __init__(self, G, pattern_nodes, walk, r_max):
         self.scale, self.weights, top_weight = None, None, 1
-        stack = isinstance(G, np.ndarray)
-        if stack:
+        self.stack = isinstance(G, np.ndarray)
+        if self.stack:
             self.linked, self.n = G, G.shape[-1]
             self.deg = G.sum(-1)
             self.first, self.second = np.triu_indices(self.n, 1)
             links, top = int(self.deg.sum()), int(self.deg.max())
         else:
-            ends = np.fromiter(itertools.chain.from_iterable(G.edges),
-                               dtype=np.int64, count=2 * len(G.edges))
-            pairs = ends
+            ids, ends = _ranked(np.fromiter(
+                itertools.chain.from_iterable(G.edges), dtype=np.int64,
+                count=2 * len(G.edges)), G.n)
+            n = self.n = len(ids)
+            pairs = ends   # the skeleton's edges, end by end
             if G.directed:   # a reciprocal pair of arcs is one skeleton edge
-                # pairs are coded over the ranks of the ids: a code over the
-                # ids themselves passes 2^63 for ids past about 3 * 10^9
-                ids, rank = unique(ends, inverse=True)
-                a, b = rank[0::2], rank[1::2]
-                codes = unique(np.minimum(a, b) * len(ids) + np.maximum(a, b))
-                pairs = ids[np.stack(np.divmod(codes, len(ids)), 1).ravel()]
-            # the ends sorted by id come in one run per node, as long as
-            # its degree, and the runs are renumbered by rank
-            order = pairs.argsort()
-            ids = pairs[order]
-            run = np.ones(len(pairs) + 1, dtype=bool)
-            np.not_equal(ids[1:], ids[:-1], out=run[1:-1])
-            starts = np.flatnonzero(run)
-            deg = starts[1:] - starts[:-1]
-            by_degree = deg.argsort(kind="stable")
-            rank = by_degree.argsort()
-            ids = ids[starts[:-1]]
-            pairs[order] = rank.repeat(deg)   # renumbers ends if undirected
-            if G.directed:
-                ends = rank[ids.searchsorted(ends)]
-            self.tail, self.head = ends[0::2], ends[1::2]
-            a, b = pairs[0::2], pairs[1::2]
-            self.first, self.second = np.minimum(a, b), np.maximum(a, b)
-            self.deg, self.n = deg[by_degree], len(deg)
-            links, top = len(pairs), int(self.deg[-1])
-            if G.node_attrs is not None:
-                index = {label: i for i, label in enumerate(G.labels())}
-                self.color = np.array([index[G.node_attrs[v]]
-                                       for v in ids[by_degree].tolist()])
+                # coded over the ranks: a code over the ids themselves
+                # passes 2^63 for ids past about 3 * 10^9
+                a, b = ends[0::2], ends[1::2]
+                codes = unique(np.minimum(a, b) * n + np.maximum(a, b))
+                pairs = np.stack(np.divmod(codes, n), 1).ravel()
+            deg = np.bincount(pairs, minlength=n)
+            links, top = len(pairs), int(deg.max())
             if G.weighted:
                 self.scale = math.lcm(*(w.denominator
                                         for w in G.edges.values()))
@@ -674,8 +694,23 @@ class _Host:
         bound = links * top ** (pattern_nodes - 2) * top_weight ** r_max
         self.dtype = (np.float64 if bound < 2 ** 53 else
                       np.int64 if bound < 2 ** 63 else object)
-        self.dense = stack or bool(walk) and \
+        self.dense = self.stack or \
             self.dtype is np.float64 and self.n <= DENSE_NODES
+        if self.stack:
+            return
+        if not self.dense:   # renumbered by (degree, id)
+            by_degree = deg.argsort(kind="stable")
+            rank = by_degree.argsort()
+            ends = rank[ends]
+            pairs = rank[pairs] if G.directed else ends
+            ids, deg = ids[by_degree], deg[by_degree]
+        self.tail, self.head, self.deg = ends[0::2], ends[1::2], deg
+        a, b = pairs[0::2], pairs[1::2]
+        self.first, self.second = np.minimum(a, b), np.maximum(a, b)
+        if G.node_attrs is not None:
+            index = {label: i for i, label in enumerate(G.labels())}
+            self.color = np.array([index[G.node_attrs[v]]
+                                   for v in ids.tolist()])
         if walk and not self.dense:
             w = self.deg.astype(np.float64)
             for _ in range(walk - 1):
@@ -689,15 +724,28 @@ class _Host:
     def blocks(self, lo, hi):
         """The host of graphs lo .. hi - 1 of a stack."""
         part = copy.copy(self)
-        part.deg = self.deg[lo:hi]
-        part.adjacency = self.linked[lo:hi].astype(self.dtype)
+        part.deg, part.linked = self.deg[lo:hi], self.linked[lo:hi]
         return part
 
     @functools.cached_property
+    def linked(self):
+        """The skeleton's n' x n' boolean adjacency array on a dense host."""
+        linked = np.zeros((self.n, self.n), dtype=bool)
+        linked[self.first, self.second] = True
+        linked[self.second, self.first] = True
+        return linked
+
+    @functools.cached_property
     def adjacency(self):
-        """The skeleton's n' x n' adjacency array on a dense host."""
-        m = self.matrix(self.first, self.second)
-        return m + m.T
+        """linked in the host's dtype, for the matrix steps."""
+        return self.linked.astype(self.dtype)
+
+    @functools.cached_property
+    def common(self):
+        """For each pair (first, second), the boolean row of its ends'
+        common neighbours, on a dense host."""
+        return (self.linked.take(self.first, -2)
+                & self.linked.take(self.second, -2))
 
     @functools.cached_property
     def arcs(self):
@@ -826,6 +874,12 @@ def _op_edge(h, x, y):
 
 
 def _op_tri(h, *w):
+    if h.dense and not h.stack:
+        a, b = h.first, h.second
+        if not w:
+            return 2 * int(np.count_nonzero(h.common))
+        x, y, z = w
+        return int((x[a] * y[b] + x[b] * y[a]) @ (h.common @ z))
     if h.dense:
         adj = h.adjacency
         if not w:
@@ -848,9 +902,8 @@ def _op_k4(h):
     second), the ordered pairs of adjacent common neighbours of its ends,
     two per edge of each K4."""
     if h.dense:
-        adj, a, b = h.adjacency, h.first, h.second
-        common = adj[..., a, :] * adj[..., b, :]
-        pairs = ((common @ adj) * common).sum(-1) * adj[..., a, b]
+        adj, common = h.adjacency, h.common.astype(h.dtype)
+        pairs = ((common @ adj) * common).sum(-1) * adj[..., h.first, h.second]
         return _exact(2 * pairs.sum(-1))
     codes, _, v, ends = h.edges
     a, b, c = h.triangles

@@ -21,7 +21,10 @@ from .graphs import Graph, GraphDataError, SizeCapError, make_graph
 MAX_PAIRS = 1 << 24
 
 
-def _rng(seed):
+def seeded_rng(seed):
+    """numpy's Philox generator keyed by seed, whose keys are 128-bit."""
+    if not 0 <= seed < 2 ** 128:
+        raise GraphDataError(f"seed must be in [0, 2^128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -61,7 +64,7 @@ def er(n, p, seed=0):
     if not 0 <= p <= 1:
         raise GraphDataError("p must lie in [0, 1]")
     iu, iv = np.triu_indices(n, 1)
-    keep = _rng(seed).random(iu.size) < p
+    keep = seeded_rng(seed).random(iu.size) < p
     return make_graph(n, zip(iu[keep].tolist(), iv[keep].tolist()))
 
 
@@ -111,7 +114,7 @@ def ssbm(n, a=None, b=None, assortativity=None, mean_degree=None, seed=0):
     half = n // 2
     iu, iv = np.triu_indices(n, 1)
     prob = np.where((iu < half) == (iv < half), a, b)
-    keep = _rng(seed).random(iu.size) < prob
+    keep = seeded_rng(seed).random(iu.size) < prob
     return make_graph(n, zip(iu[keep].tolist(), iv[keep].tolist()))
 
 
@@ -135,7 +138,7 @@ def bipartite_geometric(n, f, mean_degree, seed=0):
     if not 0 <= d <= n / 2:
         raise GraphDataError(
             f"mean degree {mean_degree} must lie in [0, n/2] for n={n}")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     pts = rng.normal(size=(n, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     half = n // 2
@@ -163,7 +166,7 @@ def shuffle(G: Graph, mode, seed=0):
     orientations: re-draw each non-reciprocal edge's direction uniformly
     (undirected skeleton preserved); weights: permute weights over edges.
     """
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     if mode == "attributes":
         if G.node_attrs is None:
             raise GraphDataError("attribute shuffle needs node attributes")

@@ -21,6 +21,7 @@ from .classes import ClassGraph, class_id, named_class, universe_positions
 from .cumulants import (cumulant_moment_polynomial, IncompleteVectorError,
                         scaled_positions)
 from .graphs import SizeCapError
+from .models import seeded_rng
 from .moments import MomentVector, vector_like
 
 
@@ -283,7 +284,7 @@ def bootstrap_variance(G, sid, r_max, num_samples=200, subsample=None,
         subsample = max(sid.r + 2, 2 * sid.r, (7 * n) // 10)
     if subsample >= n:
         raise ValueError("subsample size must be below n")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_rng(seed)
     vals = []
     for _ in range(num_samples):
         nodes = rng.choice(n, size=subsample, replace=False)

@@ -486,12 +486,13 @@ def test_generate_exits_with_a_documented_code(model, n, params, seed):
             argv.append(f"{flag}={value!r}")
     code, err = _main_in_process(argv)
     assert code in range(5) and "Traceback" not in err
+    _assert_seed_refused(argv, seed, code, err)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["attributes", "orientations", "weights"]),
        st.sampled_from(["simple", "directed", "weighted"]),
-       st.integers(-1, 3), st.data())
+       st.one_of(st.integers(-1, 3), st.just(2 ** 128)), st.data())
 def test_shuffle_exits_with_a_documented_code(mode, kind, seed, data):
     text = data.draw(edge_lists(kind == "weighted"))
     argv = ["shuffle", "-", "--mode", mode, "--seed", str(seed)]
@@ -499,3 +500,29 @@ def test_shuffle_exits_with_a_documented_code(mode, kind, seed, data):
         argv.append(f"--{kind}")
     code, err = _main_in_process(argv, text)
     assert code in range(5) and "Traceback" not in err
+    _assert_seed_refused(argv, seed, code, err, text)
+
+
+def _assert_seed_refused(argv, seed, code, err, stdin_text=""):
+    # a seed outside Philox's 128-bit keys fails whatever else the command
+    # does, and where the same command runs with seed 0, it fails on the
+    # seed, by name
+    if 0 <= seed < 2 ** 128:
+        return
+    assert code != 0
+    at = argv.index("--seed") + 1
+    valid = argv[:at] + ["0"] + argv[at + 1:]
+    if _main_in_process(valid, stdin_text)[0] == 0:
+        assert code == 2
+        assert f"data error: seed must be in [0, 2^128), got {seed}\n" \
+            in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+def test_ztest_seed_out_of_range_is_a_data_error(capsys, dense, seed):
+    assert main(["ztest", dense, "--subgraph", "wedge", "--samples", "2",
+                 "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"data error: seed must be in [0, 2^128), got {seed}\n"

@@ -412,8 +412,8 @@ def sparse_unions(draw, mode):
 @given(data=st.data())
 def test_sparse_union_counts_add_up_dense_parts(mode, data):
     # connected counts add over a disjoint union: the union's host is past
-    # DENSE_NODES and holds its matrices sparse, while each float64 part
-    # holds them dense (attributed mode has no matrix step at its cap)
+    # DENSE_NODES and sparse, while each float64 part is dense, whatever
+    # its program (attributed mode has no matrix step at its cap)
     union, parts = data.draw(sparse_unions(mode))
     r = ORDER_CAPS[mode]
     _, _, nodes, walk = counting._hom_basis(r, mode, 2)
@@ -422,7 +422,7 @@ def test_sparse_union_counts_add_up_dense_parts(mode, data):
     want = {}
     for H in parts:
         part = counting._Host(H, nodes, walk, r)
-        assert part.dense == (bool(walk) and part.dtype is np.float64)
+        assert part.dense == (part.dtype is np.float64)
         for sid, c in count_connected(H, r).items():
             want[sid] = want.get(sid, 0) + c
     assert count_connected(union, r) == want
@@ -446,61 +446,78 @@ def _recorded_hosts(monkeypatch):
 
 
 def test_dense_form_selection(monkeypatch):
-    # dense for a float64 host with a matrix step and at most DENSE_NODES
-    # non-isolated nodes; the int64 and object hosts are in
+    # dense for a float64 host with at most DENSE_NODES non-isolated nodes,
+    # whatever its program; the int64 and object hosts are in
     # test_weighted_dtypes_match_esu
-    _, _, nodes, walk = counting._hom_basis(4, "simple", 2)
-    assert counting.DENSE_NODES == 64 and walk == 2
-    for k, dense in ((64, True), (65, False)):
-        G = _cycle(k)
-        assert counting._Host(G, nodes, walk, 4).dense is dense
+    k = counting.DENSE_NODES
+    for r in (3, 4):
+        _, _, nodes, walk = counting._hom_basis(r, "simple", 2)
         paths = [class_id(ClassGraph.make(
-            r + 1, [(v, v + 1, 1) for v in range(r)]), "simple")
-            for r in range(1, 5)]
-        assert count_connected(G, 4) == dict.fromkeys(paths, k)
-    padded = Graph(n=1000, edges=_cycle(64).edges)   # isolated nodes
-    assert counting._Host(padded, nodes, walk, 4).dense
-    # order 3 has no matrix step: its host builds no matrix in either form
+            s + 1, [(v, v + 1, 1) for v in range(s)]), "simple")
+            for s in range(1, r + 1)]
+        for size, dense in ((k, True), (k + 1, False)):
+            G = _cycle(size)
+            assert counting._Host(G, nodes, walk, r).dense is dense
+            assert count_connected(G, r) == dict.fromkeys(paths, size)
+        for n in (k, 1000):   # isolated nodes, on either side of the bound
+            padded = Graph(n=n, edges=_cycle(64).edges)
+            host = counting._Host(padded, nodes, walk, r)
+            assert host.dense and host.n == 64
+            assert count_connected(padded, r) == dict.fromkeys(paths, 64)
+    # order 3 has no matrix step
     _, program, nodes, walk = counting._hom_basis(3, "simple", 2)
     assert walk == 0
-    assert not counting._Host(_cycle(3), nodes, walk, 3).dense
     matrix_ops = {counting._op_adj, counting._op_arc, counting._op_arc_t,
                   counting._op_weight, counting._op_path, counting._op_had,
                   counting._op_mv, counting._op_quad}
     assert not matrix_ops & {op for op, _, _ in program}
-    # every step of a dense host reads its adjacency array, so it builds
-    # none of the sparse forms; a sparse host still builds its wedge list
+    # every step of a dense host reads its boolean rows or its adjacency
+    # array, so it builds none of the sparse forms, at order 3 too; a host
+    # past the bound builds its wedge list and no n' x n' array
     hosts = _recorded_hosts(monkeypatch)
     sparse_forms = {"edges", "lists", "wedges", "triangles"}
     G = random_graph(random.Random(40), 40, 0.12)
-    for r in (4, 5, 6):
+    for r in (3, 4, 5, 6):
         count_connected(G, r)
         host = hosts.pop()
-        assert host.dense and "adjacency" in host.__dict__
+        assert host.dense and "linked" in host.__dict__
         assert not sparse_forms & set(host.__dict__)
-    count_connected(random_graph(random.Random(41), 80, 0.1), 3)
+    count_connected(random_graph(random.Random(41), k + 16, 0.1), 3)
     host = hosts.pop()
-    assert host.n > counting.DENSE_NODES and not host.dense
-    assert "wedges" in host.__dict__ and "adjacency" not in host.__dict__
+    assert host.n > k and not host.dense
+    assert "wedges" in host.__dict__
+    assert not {"linked", "adjacency"} & set(host.__dict__)
 
 
 def _form_cases():
     """(graph, order) for the dense/sparse differential: simple graphs at
-    orders 3-6, attributed at its cap, bipartite, directed and weighted at
-    orders 4-5."""
+    orders 3-6, and at orders 3-5 on 65 to DENSE_NODES nodes, none
+    isolated, or with ids spread among isolated nodes below DENSE_NODES
+    and below 10^6; attributed at its cap, bipartite at orders 3-4,
+    directed and weighted at orders 4-5."""
     rng = random.Random(42)
     for r in (3, 4, 5, 6):
         for n, p in ((10, 0.6), (30, 0.2), (64, 0.08)):
             yield random_graph(rng, n, p), r
+    for r in (3, 4, 5):
+        for n in (65, 88, counting.DENSE_NODES):
+            path = {(v, v + 1): UNIT for v in range(n - 1)}
+            yield Graph(n=n, edges={**path, **random_graph(
+                rng, n, 4 / n).edges}), r
+        for n in (counting.DENSE_NODES, 10 ** 6):
+            ids = sorted(rng.sample(range(n), 40))
+            yield Graph(n=n, edges={(ids[u], ids[v]): UNIT for u, v in
+                                    random_graph(rng, 40, 0.15).edges}), r
     for n in (12, 30):
         G = random_graph(rng, n, 0.3)
         attrs = {v: rng.choice("abc") for v in range(n)}
         attrs.update({0: "a", 1: "b", 2: "c"})
         yield Graph(n=n, edges=G.edges, node_attrs=attrs), 3
         attrs = {v: "ab"[v % 2] for v in range(n)}
-        yield Graph(n=n, edges={(u, v): UNIT for u, v in G.edges
-                                if (u + v) % 2}, node_attrs=attrs,
-                    bipartite=True), 4
+        for r in (3, 4):
+            yield Graph(n=n, edges={(u, v): UNIT for u, v in G.edges
+                                    if (u + v) % 2}, node_attrs=attrs,
+                        bipartite=True), r
     for r in (4, 5):
         for n in (8, 20):
             arcs = [(u, v) for u in range(n) for v in range(n)

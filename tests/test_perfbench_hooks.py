@@ -4,7 +4,12 @@ nothing."""
 
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 TRACER = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
           / "tracer.py")
@@ -76,3 +81,23 @@ def test_class_table_passes_leave_the_spans_a_trace_reads():
                for i, s in enumerate(spans))
     builds = [s for s in spans if s[NAME] == "editgraph.build"]
     assert builds and builds[0][ATTRS].get("canon", 0) > 0
+
+
+@pytest.mark.parametrize("module", ["netmoments.cli", "netmoments"])
+def test_imports_load_every_traced_module(module):
+    # the tracer reads each module it instruments from sys.modules after
+    # `import netmoments.cli` (child.py trace) or `import netmoments`; a
+    # module loaded lazily would make `run.py --trace 1` raise KeyError
+    tracer = _tracer()
+    wanted = ({mod for mod, _ in tracer.TRACED}
+              | {mod for mod, _, _ in tracer.TRACED_METHODS}
+              | {tracer.COUNTED[0]}
+              | {mod for mod, _ in tracer.CACHES.values()})
+    root = pathlib.Path(_module("counting").__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"netmoments." + mod for mod in wanted} <= loaded
