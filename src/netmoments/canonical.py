@@ -163,6 +163,25 @@ def _generators(k, orders, earlier_twin):
     return tuple(gens)
 
 
+def orbits(items, generators, image):
+    """(first item, size) of each orbit of the group the permutations
+    generate, acting on items by image(perm, item), in order of first
+    item.  The items must be closed under the action."""
+    seen = set()
+    for first in items:
+        if first in seen:
+            continue
+        seen.add(first)
+        orbit = [first]
+        for item in orbit:
+            for g in generators:
+                other = image(g, item)
+                if other not in seen:
+                    seen.add(other)
+                    orbit.append(other)
+        yield first, len(orbit)
+
+
 def _twins(k, adj, refined, directed):
     """Twin classes: the earlier node of each node's class (None for the
     first) and the product of |class|! over the classes.  Swapping u and v

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .canonical import canonicalize
+from .canonical import canonicalize, orbits
 
 MODES = ("simple", "directed", "weighted", "attributed", "bipartite")
 
@@ -141,6 +141,7 @@ class ClassInfo:
 
 
 _canon_cache = {}
+_generators = {}     # ClassGraph -> generators of its automorphism group
 
 
 def canonical_class(cg):
@@ -151,7 +152,8 @@ def canonical_class(cg):
     the product of component counts times a factorial for each set of
     identical components.  This keeps the canonical search inside single
     components, which are small.  The components are found once per new
-    graph."""
+    graph.  A connected graph's automorphism generators are kept for
+    automorphism_generators."""
     got = _canon_cache.get(cg)
     if got is not None:
         return got
@@ -160,6 +162,7 @@ def canonical_class(cg):
         res = canonicalize(cg.k, cg.edges, directed=cg.directed,
                            colors=cg.colors)
         got = (res.key.hex(), res.aut, True)
+        _generators[cg] = res.generators
     else:
         keys = []
         aut = 1
@@ -177,6 +180,18 @@ def canonical_class(cg):
         got = (combined.hex(), aut, False)
     _canon_cache[cg] = got
     return got
+
+
+def automorphism_generators(cg):
+    """Node permutations that generate cg's automorphism group: those that
+    canonical_class kept from a connected graph's canonical search, or
+    those of one search of the whole graph."""
+    gens = _generators.get(cg)
+    if gens is None:
+        gens = canonicalize(cg.k, cg.edges, directed=cg.directed,
+                            colors=cg.colors).generators
+        _generators[cg] = gens
+    return gens
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +213,9 @@ def class_info(cg, mode):
                      connected=connected)
 
 
-@lru_cache(maxsize=None)
+_unit_tables = {}
+
+
 def unit_subclasses(cg, mode):
     """SubgraphId of every subset of cg's edge units, indexed by bitmask.
 
@@ -206,85 +223,115 @@ def unit_subclasses(cg, mode):
     order; a subset keeps the colors of the nodes it touches and drops the
     rest.  Entry 0 (the empty subset) is None.  Partition expansions, split
     tables and the kappa polynomial all read their sub-edge-set classes
-    from here."""
+    from here.
+
+    Each table is built once per (cg, mode).  When the table of cg without
+    one unit u is already built, as that of the class a universe class was
+    extended from is, the subsets without u are read from it in order and
+    only those with u are classified."""
+    table = _unit_tables.get((cg, mode))
+    if table is not None:
+        return table
     units = [(u, v) for u, v, val in cg.edges for _ in range(val)]
-    out = [None]
+    parent, bit = _parent_table(cg, mode)
+    table = [None]
     for mask in range(1, 1 << len(units)):
+        if parent is not None and not mask >> bit & 1:
+            low = mask & ((1 << bit) - 1)
+            table.append(parent[(mask >> (bit + 1) << bit) | low])
+            continue
         value = {}
-        for bit, uv in enumerate(units):
-            if mask >> bit & 1:
+        for b, uv in enumerate(units):
+            if mask >> b & 1:
                 value[uv] = value.get(uv, 0) + 1
-        nodes = sorted({x for uv in value for x in uv})
-        at = {x: i for i, x in enumerate(nodes)}
-        sub = ClassGraph.make(
-            len(nodes), [(at[u], at[v], val) for (u, v), val in value.items()],
-            directed=cg.directed, colors=tuple(cg.colors[x] for x in nodes))
-        out.append(class_id(sub, mode))
-    return tuple(out)
+        table.append(class_id(_compact(cg, value), mode))
+    table = _unit_tables[cg, mode] = tuple(table)
+    return table
+
+
+def _parent_table(cg, mode):
+    """(table, bit) for the first edge whose last unit, on that bit, leaves
+    a graph whose unit-subset table is built; (None, None) if none does.
+    That graph lists its units in cg's order with this one left out."""
+    bit = -1
+    value = {(u, v): val for u, v, val in cg.edges}
+    for (u, v), val in list(value.items()):
+        bit += val
+        value[u, v] = val - 1
+        table = _unit_tables.get((_compact(cg, value), mode))
+        if table is not None:
+            return table, bit
+        value[u, v] = val
+    return None, None
+
+
+def _compact(cg, value):
+    """The graph of edge values {(u, v): value} on the nodes of cg that an
+    edge of positive value touches, numbered in order, with their colors.
+    value lists cg's pairs in cg.edges order, and numbering the nodes in
+    order keeps them sorted, so the edges need no normalizing."""
+    value = {uv: val for uv, val in value.items() if val}
+    nodes = sorted({x for uv in value for x in uv})
+    at = {x: i for i, x in enumerate(nodes)}
+    return ClassGraph(
+        k=len(nodes), directed=cg.directed,
+        colors=tuple(cg.colors[x] for x in nodes),
+        edges=tuple((at[u], at[v], val) for (u, v), val in value.items()))
 
 
 # ---------------------------------------------------------------------------
 # Universe generation
 
-def _extensions(cg, mode, labels):
-    """All classes obtainable from cg by adding a single edge unit."""
-    directed = cg.directed
-    out = []
-    present = {(u, v) for u, v, _ in cg.edges}
-
-    color_options = (range(labels) if mode in ("attributed", "bipartite")
-                     else [0])
+def _moves(cg, mode, labels):
+    """Every way to add one edge unit to cg, as (u, v, colors of the fresh
+    nodes): fresh nodes are numbered cg.k and up, and (u, v) gets one unit
+    more.  In order: a new edge between existing nodes, a new edge to one
+    fresh node (both orientations when directed), an edge on two fresh
+    nodes, and in weighted mode one more unit on an existing edge."""
+    k, directed = cg.k, cg.directed
+    fresh = range(labels) if mode in ("attributed", "bipartite") else [0]
 
     def edge_ok(cu, cv):
-        if mode == "bipartite":
-            return cu != cv
-        return True
+        return mode != "bipartite" or cu != cv
 
-    # new edge between existing nodes
-    for u in range(cg.k):
-        for v in range(cg.k):
-            if u == v:
-                continue
-            if not directed and u > v:
-                continue
-            if (u, v) in present:
-                continue
-            if not edge_ok(cg.colors[u], cg.colors[v]):
-                continue
-            out.append(ClassGraph.make(
-                cg.k, list(cg.edges) + [(u, v, 1)],
-                directed=directed, colors=cg.colors))
-
-    # new edge from an existing node to a fresh node (both orientations when
-    # directed)
-    for u in range(cg.k):
-        for c in color_options:
-            if not edge_ok(cg.colors[u], c):
-                continue
-            out.append(ClassGraph.make(
-                cg.k + 1, list(cg.edges) + [(u, cg.k, 1)],
-                directed=directed, colors=cg.colors + (c,)))
-            if directed:
-                out.append(ClassGraph.make(
-                    cg.k + 1, list(cg.edges) + [(cg.k, u, 1)],
-                    directed=directed, colors=cg.colors + (c,)))
-
-    # new isolated edge on two fresh nodes
-    for ca in color_options:
-        for cb in color_options:
-            if not edge_ok(ca, cb):
-                continue
-            out.append(ClassGraph.make(
-                cg.k + 2, list(cg.edges) + [(cg.k, cg.k + 1, 1)],
-                directed=directed, colors=cg.colors + (ca, cb)))
-
-    # increment multiplicity of an existing edge
+    present = {(u, v) for u, v, _ in cg.edges}
+    moves = [(u, v, ()) for u in range(k) for v in range(k)
+             if u != v and (directed or u < v) and (u, v) not in present
+             and edge_ok(cg.colors[u], cg.colors[v])]
+    for u in range(k):
+        for c in fresh:
+            if edge_ok(cg.colors[u], c):
+                moves.append((u, k, (c,)))
+                if directed:
+                    moves.append((k, u, (c,)))
+    moves += [(k, k + 1, (ca, cb)) for ca in fresh for cb in fresh
+              if edge_ok(ca, cb)]
     if mode == "weighted":
-        for idx, (u, v, val) in enumerate(cg.edges):
-            es = list(cg.edges)
-            es[idx] = (u, v, val + 1)
-            out.append(ClassGraph.make(cg.k, es, directed=directed,
-                                       colors=cg.colors))
+        moves += [(u, v, ()) for u, v, _ in cg.edges]
+    return moves
+
+
+def _extensions(cg, mode, labels):
+    """The graphs of cg plus one edge unit, one per orbit of cg's
+    automorphisms on _moves: automorphic moves give isomorphic graphs
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998),
+    and each orbit keeps its first move."""
+    k = cg.k
+    gens = [g + (k, k + 1) for g in automorphism_generators(cg)]
+
+    def image(g, move):
+        u, v, fresh = move
+        u, v = g[u], g[v]
+        return (u, v, fresh) if cg.directed or u < v else (v, u, fresh)
+
+    edges = {(a, b): val for a, b, val in cg.edges}
+    out = []
+    for (u, v, fresh), _ in orbits(_moves(cg, mode, labels), gens, image):
+        value = dict(edges)
+        value[u, v] = value.get((u, v), 0) + 1
+        out.append(ClassGraph.make(
+            k + len(fresh), [(a, b, val) for (a, b), val in value.items()],
+            directed=cg.directed, colors=cg.colors + fresh))
     return out
 
 

@@ -230,7 +230,17 @@ def _cmd_ergm_dist(args):
     return out
 
 
+def _simple_only(args):
+    """Refuse the graph-mode flags in a command that builds only simple
+    graphs of its own."""
+    for flag in ("directed", "weighted", "bipartite", "attributes"):
+        if getattr(args, flag):
+            raise UsageError(f"{args.command} builds simple graphs only: "
+                             f"--{flag} does not apply")
+
+
 def _cmd_editgraph(args):
+    _simple_only(args)
     if args.nodes is None:
         raise UsageError("editgraph needs --nodes")
     if args.nodes < 0:
@@ -267,6 +277,7 @@ def _cmd_shuffle(args):
 
 
 def _cmd_sum_demo(args):
+    _simple_only(args)
     from .graphs import make_graph
     edge = make_graph(3, [(0, 1)])
     tri = make_graph(3, [(0, 1), (1, 2), (0, 2)])

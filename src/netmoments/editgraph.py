@@ -8,8 +8,9 @@ integral spectrum: the multiplicity of eigenvalue r equals the number of
 distinct subgraph classes with exactly r edges embeddable in n nodes.
 
 build_edit_graph classifies one edge removal per automorphism orbit of
-each representative's edges and derives every addition from the removals
-through the classes' multiplicities (see its docstring).
+each representative's edges, by node invariants where they tell the
+classes apart, and derives every addition from the removals through the
+classes' multiplicities (see its docstring).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import canonicalize
-from .ergm import SizeCapError, enumerate_classes
+from .canonical import canonicalize, orbits
+from .ergm import SizeCapError, enumerate_classes, graph_invariants
 
 EDIT_NODE_CAP = 6
 
@@ -55,22 +56,40 @@ def build_edit_graph(n):
     automorphism group.  Removing edges of one automorphism orbit gives
     isomorphic graphs (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 1998), so one removal per edge orbit is classified and
-    weighted by the orbit's size.  Additions follow from the removals: the
-    labelled graphs of class i and of class j one edge apart are counted
-    from either side, so mult_i * w(i -> j) = mult_j * w(j -> i), and each
-    division is checked to be exact."""
+    weighted by the orbit's size.  A removal's class is read from its
+    sorted node codes (ergm.graph_invariants) when only one class has
+    them, and from its canonical key otherwise.  Additions follow from the
+    removals: the labelled graphs of class i and of class j one edge apart
+    are counted from either side, so mult_i * w(i -> j) = mult_j *
+    w(j -> i), and each division is checked to be exact."""
     if n > EDIT_NODE_CAP:
         raise SizeCapError(f"edit graph capped at n={EDIT_NODE_CAP}")
     table = enumerate_classes(n)
-    key_to_index = {key: i for i, key in enumerate(table.keys)}
     k = len(table)
-    adj = np.zeros((k, k), dtype=np.int64)
+    rows, removals, sizes = [], [], []
     for j, edges in enumerate(table.reps):
         generators = canonicalize(n, [(u, v, 1) for u, v in edges]).generators
         for removed, size in _edge_orbits(edges, generators):
-            key = canonicalize(n, [(u, v, 1) for u, v in edges
-                                   if (u, v) != removed]).key
-            adj[j, key_to_index[key]] += size
+            rows.append(j)
+            removals.append(removed)
+            sizes.append(size)
+    adj = np.zeros((k, k), dtype=np.int64)
+    if removals:
+        reps = table.stack(np.int64)
+        classes_of = {}                 # invariant -> classes that have it
+        for c, inv in enumerate(graph_invariants(reps)):
+            classes_of.setdefault(inv, []).append(c)
+        key_to_index = {key: i for i, key in enumerate(table.keys)}
+        stack = reps[rows]
+        at, (u, v) = np.arange(len(rows)), np.array(removals).T
+        stack[at, u, v] = stack[at, v, u] = 0
+        for j, removed, size, inv in zip(rows, removals, sizes,
+                                         graph_invariants(stack)):
+            cs = classes_of.get(inv, ())
+            i = cs[0] if len(cs) == 1 else key_to_index[canonicalize(
+                n, [(a, b, 1) for a, b in table.reps[j]
+                    if (a, b) != removed]).key]
+            adj[j, i] += size
     mults = table.mults
     for j, i in zip(*np.nonzero(adj)):   # removals j -> i, additions i -> j
         added, rem = divmod(mults[j] * int(adj[j, i]), mults[i])
@@ -88,19 +107,12 @@ def build_edit_graph(n):
 def _edge_orbits(edges, generators):
     """(first edge, size) of each orbit of the node permutations on the
     edges u < v, in order of first edge."""
-    seen = set()
-    for first in edges:
-        if first in seen:
-            continue
-        seen.add(first)
-        orbit = [first]
-        for u, v in orbit:
-            for g in generators:
-                image = (g[u], g[v]) if g[u] < g[v] else (g[v], g[u])
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-        yield first, len(orbit)
+    return orbits(edges, generators, _edge_image)
+
+
+def _edge_image(g, edge):
+    u, v = g[edge[0]], g[edge[1]]
+    return (u, v) if u < v else (v, u)
 
 
 def laplacian_spectrum(h: EditGraph, tol=1e-8):

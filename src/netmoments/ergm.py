@@ -38,6 +38,20 @@ class GraphClassTable:
     def __len__(self):
         return len(self.reps)
 
+    def stack(self, dtype):
+        """The representatives' adjacency arrays as one (rows, n, n)
+        array of 0/1 entries, rows in table order."""
+        sizes = np.fromiter(map(len, self.reps), dtype=np.intp,
+                            count=len(self.reps))
+        ends = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(self.reps)), dtype=np.intp,
+            count=2 * int(sizes.sum()))
+        stack = np.zeros((len(self.reps), self.n, self.n), dtype=dtype)
+        stack[np.arange(len(self.reps)).repeat(sizes), ends[0::2],
+              ends[1::2]] = 1
+        stack |= stack.mT
+        return stack
+
     def statistic_counts(self, sids):
         """Matrix of c_g per class row for the given statistic ids, rows in
         table order.
@@ -47,16 +61,7 @@ class GraphClassTable:
         gives each class's counts as a column over the rows.
         """
         r_max = max((sid.r for sid in sids), default=1)
-        sizes = np.fromiter(map(len, self.reps), dtype=np.intp,
-                            count=len(self.reps))
-        ends = np.fromiter(itertools.chain.from_iterable(
-            itertools.chain.from_iterable(self.reps)), dtype=np.intp,
-            count=2 * int(sizes.sum()))
-        stack = np.zeros((len(self.reps), self.n, self.n), dtype=bool)
-        stack[np.arange(len(self.reps)).repeat(sizes), ends[0::2],
-              ends[1::2]] = True
-        stack |= stack.mT
-        counts = full_counts(stack, r_max)
+        counts = full_counts(self.stack(bool), r_max)
         cols = np.empty((len(self.reps), len(sids)), dtype=np.float64)
         for j, sid in enumerate(sids):
             cols[:, j] = counts.get(sid, 0)
@@ -125,11 +130,25 @@ def _mask_bits(k):
     return bits
 
 
-def _node_codes(parent, k):
-    """Invariant code of every node (column) of every child (row, by mask)
-    of a k-node parent.  A code packs the node's degree, the edges among
+def _pack_codes(deg, tri, walk2, walk3):
+    """Node invariant codes: each packs the node's degree, the edges among
     its neighbours and its 2- and 3-step walk counts, in that order of
     significance; each field fits its bits for up to 10 nodes."""
+    return deg << 23 | tri << 17 | walk2 << 10 | walk3
+
+
+def graph_invariants(stack):
+    """The invariant of each graph of an int64 (rows, n, n) adjacency
+    stack that _first_children reads classes by: its sorted node codes."""
+    deg = stack.sum(axis=2)
+    walk2 = np.matvec(stack, deg)
+    tri = ((stack @ stack) * stack).sum(axis=2) // 2
+    return _invariants(_pack_codes(deg, tri, walk2, np.matvec(stack, walk2)))
+
+
+def _node_codes(parent, k):
+    """Invariant code (_pack_codes) of every node (column) of every child
+    (row, by mask) of a k-node parent."""
     adj = np.zeros((k, k), dtype=np.int64)
     for u, v in parent:
         adj[u, v] = adj[v, u] = 1
@@ -148,7 +167,7 @@ def _node_codes(parent, k):
     tri = np.empty_like(deg)
     tri[:, :k] = ((adj @ adj) * adj).sum(axis=1) // 2 + bits * inside
     tri[:, k] = (bits * inside).sum(axis=1) // 2
-    return deg << 23 | tri << 17 | walk2 << 10 | walk(walk2)
+    return _pack_codes(deg, tri, walk2, walk(walk2))
 
 
 def _invariants(codes):

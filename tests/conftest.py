@@ -243,6 +243,82 @@ def dedupe_all_classes(n):
 
 
 # ---------------------------------------------------------------------------
+# Substructure classes without orbit pruning or shared tables: the references
+# for classes.universe and classes.unit_subclasses.
+
+def unpruned_universe(mode, r_max, labels):
+    """{order: [(id, graph, aut)]} from classifying every one-unit
+    extension of every class, bases in order and moves in the order
+    documented in classes._moves, keeping the first graph of each class
+    and sorting each order by key."""
+    from netmoments.classes import ClassGraph, class_info
+    directed = mode == "directed"
+    colors = range(labels) if mode in ("attributed", "bipartite") else [0]
+
+    def ok(cu, cv):
+        return mode != "bipartite" or cu != cv
+
+    def grown(cg, u, v, fresh=()):
+        value = {(a, b): val for a, b, val in cg.edges}
+        value[u, v] = value.get((u, v), 0) + 1
+        return ClassGraph.make(cg.k + len(fresh),
+                               [(a, b, val) for (a, b), val in value.items()],
+                               directed=directed, colors=cg.colors + fresh)
+
+    out = {}
+    bases = [ClassGraph.make(0, [], directed=directed)]
+    for r in range(1, r_max + 1):
+        found = {}
+        for cg in bases:
+            k = cg.k
+            present = {(u, v) for u, v, _ in cg.edges}
+            exts = [grown(cg, u, v) for u in range(k) for v in range(k)
+                    if u != v and (directed or u < v)
+                    and (u, v) not in present
+                    and ok(cg.colors[u], cg.colors[v])]
+            for u in range(k):
+                for c in colors:
+                    if ok(cg.colors[u], c):
+                        exts.append(grown(cg, u, k, (c,)))
+                        if directed:
+                            exts.append(grown(cg, k, u, (c,)))
+            exts += [grown(cg, k, k + 1, (ca, cb)) for ca in colors
+                     for cb in colors if ok(ca, cb)]
+            if mode == "weighted":
+                exts += [grown(cg, u, v) for u, v, _ in cg.edges]
+            for ext in exts:
+                ci = class_info(ext, mode)
+                found.setdefault(ci.id, ci)
+        infos = sorted(found.values(), key=lambda ci: ci.id.key)
+        out[r] = [(ci.id, ci.graph, ci.aut) for ci in infos]
+        bases = [ci.graph for ci in infos]
+    return out
+
+
+def unit_subset(cg, mask):
+    """The ClassGraph the units of mask span (see classes.unit_subclasses):
+    the nodes they touch, in order, with their colors."""
+    from netmoments.classes import ClassGraph
+    units = [(u, v) for u, v, val in cg.edges for _ in range(val)]
+    value = {}
+    for bit, uv in enumerate(units):
+        if mask >> bit & 1:
+            value[uv] = value.get(uv, 0) + 1
+    nodes = sorted({x for uv in value for x in uv})
+    at = {x: i for i, x in enumerate(nodes)}
+    return ClassGraph.make(
+        len(nodes), [(at[u], at[v], val) for (u, v), val in value.items()],
+        directed=cg.directed, colors=tuple(cg.colors[x] for x in nodes))
+
+
+def per_mask_unit_subclasses(cg, mode):
+    """classes.unit_subclasses with every subset of units classified."""
+    from netmoments.classes import class_id
+    return (None, *(class_id(unit_subset(cg, mask), mode)
+                    for mask in range(1, 1 << cg.r)))
+
+
+# ---------------------------------------------------------------------------
 # Class-table passes one row at a time: the references for the bulk
 # ergm.GraphClassTable.statistic_counts and editgraph.build_edit_graph.
 

@@ -9,9 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from netmoments import classes
 from netmoments.canonical import canonicalize
-from netmoments.classes import (class_id, class_info, ClassGraph,
+from netmoments.classes import (MODES, class_id, class_info, ClassGraph,
                                 complete_count, named_class, unit_subclasses,
                                 universe)
+from netmoments.counting import ORDER_CAPS
+
+from conftest import (per_mask_unit_subclasses, unit_subset,
+                      unpruned_universe)
+
+# every mode at its order cap, and a four-letter alphabet
+CAPPED = [(mode, ORDER_CAPS[mode], 2) for mode in MODES] + [
+    ("attributed", ORDER_CAPS["attributed"], 4)]
 
 
 def test_simple_universe_sizes():
@@ -30,6 +38,69 @@ def test_universe_builds_each_order_once():
     assert classes.universe.cache_info().misses == 6
     with pytest.raises(ValueError, match="at least 1"):
         universe("simple", 0)
+
+
+@pytest.mark.parametrize("mode, r_max, labels", CAPPED)
+def test_universe_matches_unpruned_build(mode, r_max, labels):
+    # one extension per automorphism orbit of moves finds every class,
+    # each with the graph that classifying every extension keeps first
+    got = universe(mode, r_max, labels)
+    assert {r: [(ci.id, ci.graph, ci.aut) for ci in infos]
+            for r, infos in got.items()} == unpruned_universe(mode, r_max,
+                                                              labels)
+
+
+@pytest.mark.parametrize("mode, r_max, labels", CAPPED)
+def test_unit_subclasses_match_per_mask_classifier(monkeypatch, mode, r_max,
+                                                   labels):
+    # built in universe order, every table past order 1 copies the
+    # subsets without one unit from the table of the class it grew from
+    monkeypatch.setattr(classes, "_unit_tables", {})
+    copied = []
+    real = classes._parent_table
+
+    def parent_table(cg, mode):
+        got = real(cg, mode)
+        copied.append(got[0] is not None)
+        return got
+
+    monkeypatch.setattr(classes, "_parent_table", parent_table)
+    for r, infos in universe(mode, r_max, labels).items():
+        for ci in infos:
+            copied.clear()
+            assert unit_subclasses(ci.graph, mode) == \
+                per_mask_unit_subclasses(ci.graph, mode)
+            assert copied == [r > 1]
+
+
+def test_unit_subclasses_of_graphs_outside_a_universe(monkeypatch):
+    # isolated nodes, colors, values above 1 and both orientations; for
+    # half of the graphs the table of the graph left by one unit, on the
+    # nodes still touched, is built first and read from
+    monkeypatch.setattr(classes, "_unit_tables", {})
+    rng = random.Random(7)
+    copied = 0
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        directed = rng.random() < 0.4
+        value = {}
+        for _ in range(rng.randint(0, 5)):
+            u, v = rng.sample(range(k), 2) if k > 1 else (0, 0)
+            if u != v:
+                value[(u, v) if directed else (min(u, v), max(u, v))] = \
+                    rng.randint(1, 2)
+        cg = ClassGraph.make(k, [(u, v, val) for (u, v), val in value.items()],
+                             directed=directed,
+                             colors=[rng.randint(0, 2) for _ in range(k)])
+        mode = "directed" if directed else rng.choice(["weighted",
+                                                       "attributed"])
+        full = (1 << cg.r) - 1
+        if cg.r and rng.random() < 0.5:
+            unit_subclasses(unit_subset(cg, full ^ 1 << rng.randrange(cg.r)),
+                            mode)
+        copied += classes._parent_table(cg, mode)[0] is not None
+        assert unit_subclasses(cg, mode) == per_mask_unit_subclasses(cg, mode)
+    assert copied > 100
 
 
 def test_class_info_finds_components_once(monkeypatch):

@@ -117,6 +117,23 @@ def test_editgraph(capsys):
     assert mults == [1, 1, 2, 3, 2, 1, 1]
 
 
+_MODE_FLAGS = [["--directed"], ["--weighted"], ["--bipartite"],
+               ["--attributes", "labels.txt"]]
+
+
+@pytest.mark.parametrize("command", [["editgraph", "--nodes", "3"],
+                                     ["sum-demo"]])
+@pytest.mark.parametrize("flag", _MODE_FLAGS)
+def test_simple_only_commands_refuse_mode_flags(capsys, command, flag):
+    # both commands build simple graphs of their own, so a mode flag would
+    # be recorded in the manifest and ignored
+    assert main([*command, *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"builds simple graphs only: {flag[0]} does not apply" \
+        in captured.err
+
+
 def test_generate_round_trip(capsys, tmp_path):
     out = tmp_path / "g.txt"
     code, _ = run(capsys, "generate", "--model", "er", "--n", "12",
@@ -526,3 +543,26 @@ def test_ztest_seed_out_of_range_is_a_data_error(capsys, dense, seed):
     assert captured.out == ""
     assert captured.err == \
         f"data error: seed must be in [0, 2^128), got {seed}\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["editgraph", "sum-demo"]),
+       st.one_of(st.none(), st.integers(-3, 9)),
+       st.lists(st.sampled_from(_MODE_FLAGS + [
+           ["--csv"], ["--pretty"], ["--allow-large"], ["--order", "9"],
+           ["--order", "-1"], ["--seed", "-1"]]), max_size=3))
+def test_editgraph_and_sum_demo_exit_with_a_documented_code(command, nodes,
+                                                            flags):
+    argv = [command, *(arg for flag in flags for arg in flag)]
+    if nodes is not None:
+        argv += ["--nodes", str(nodes)]
+    code, err = _main_in_process(argv)
+    assert "Traceback" not in err
+    if any(flag in _MODE_FLAGS for flag in flags):
+        assert code == 1
+    elif command == "sum-demo":
+        assert code == 0
+    elif nodes is None or nodes < 0:
+        assert code == 1
+    else:
+        assert code == (4 if nodes > 6 else 0)

@@ -115,8 +115,9 @@ def _counted_canonicalize(monkeypatch):
 
 
 def test_one_canonicalization_per_edge_orbit(monkeypatch):
-    # 156 representatives and 572 edge orbits at n=6; toggling every node
-    # pair took 156 * 15 = 2,340
+    # one search per representative, for its automorphisms: the 572 edge
+    # orbits at n=6 are classified by invariant (728 searches when each
+    # orbit was canonicalized, 156 * 15 = 2,340 when toggling every pair)
     enumerate_classes(6)
     calls = _counted_canonicalize(monkeypatch)
     counts = []
@@ -124,7 +125,32 @@ def test_one_canonicalization_per_edge_orbit(monkeypatch):
         calls.clear()
         build_edit_graph(6)
         counts.append(len(calls))
-    assert counts == [728, 728]
+    assert counts == [156, 156]
+
+
+@pytest.mark.parametrize("shared", ["degrees", "all"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_shared_invariants_fall_back_to_canonical_keys(monkeypatch, n,
+                                                        shared):
+    # with the degree sequence as invariant some classes share one, and
+    # with a constant all do: those removals are classified by canonical
+    # key, and the adjacency stays that of toggling every pair
+    def invariants(stack):
+        if shared == "all":
+            return [b""] * len(stack)
+        return [bytes(sorted(row)) for row in stack.sum(axis=2).tolist()]
+
+    monkeypatch.setattr(editgraph, "graph_invariants", invariants)
+    enumerate_classes(n)
+    calls = _counted_canonicalize(monkeypatch)
+    h = build_edit_graph(n)
+    assert h.adjacency.tobytes() == toggle_edit_graph(n).tobytes()
+    # one search per representative, and one per edge orbit on top
+    reps, per_orbit = len(h.table), {5: 108, 6: 728}[n]
+    if shared == "all":
+        assert len(calls) == per_orbit
+    else:
+        assert reps < len(calls) < per_orbit
 
 
 def test_broken_multiplicities_are_refused(monkeypatch):
