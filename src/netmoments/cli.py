@@ -25,7 +25,7 @@ from .cumulants import (clustering_coefficients, moments_to_cumulants,
 from .editgraph import build_edit_graph, laplacian_spectrum
 from .ergm import (InfeasibleTargetError, SizeCapError, degeneracy_diagnostics,
                    ergm_distribution, fit_ergm)
-from .graphs import GraphDataError, format_edge_list, parse_graph
+from .graphs import Graph, GraphDataError, format_edge_list, parse_graph
 from .graphsum import (GraphDistribution, distribution_cumulants,
                        sum_distributions)
 from .localstats import edge_local_cumulants, node_local_cumulants
@@ -58,10 +58,10 @@ def _sha256(path):
 
 
 def _manifest(args):
-    skip = {"func", "out", "pretty", "csv"}
+    skip = {"command", "sub", "func", "out", "pretty", "csv"}
     flags = {}
     for k, v in sorted(vars(args).items()):
-        if k in skip or callable(v):
+        if k in skip:
             continue
         flags[k] = v if not isinstance(v, Fraction) else str(v)
     inputs = {}
@@ -91,7 +91,7 @@ def _load_graph(args):
         with open(args.graph) as fh:
             text = fh.read()
     attr_text = None
-    if getattr(args, "attributes", None):
+    if args.attributes:
         with open(args.attributes) as fh:
             attr_text = fh.read()
     return parse_graph(text, directed=args.directed, weighted=args.weighted,
@@ -136,9 +136,12 @@ def _cmd_moments(args):
 
 
 def _cmd_cumulants(args):
-    if args.root_exponent is not None and args.root_exponent < 1:
-        raise UsageError(
-            f"--root-exponent must be at least 1, got {args.root_exponent}")
+    if args.root_exponent is not None:
+        if not args.scaled:
+            raise UsageError("--root-exponent needs --scaled")
+        if args.root_exponent < 1:
+            raise UsageError("--root-exponent must be at least 1, "
+                             f"got {args.root_exponent}")
     G = _load_graph(args)
     m = moments(G, args.order)
     k = moments_to_cumulants(m)
@@ -168,7 +171,7 @@ def _cmd_ztest(args):
     sid = _alias_to_id(G.mode(), args.subgraph)
     order = max(args.order, 2, sid.r)
     m = moments(G, order)
-    if sid.alias == "edge":
+    if sid == named_class("simple", "edge").id:
         res = z_test(sid, m)
     else:
         var = bootstrap_variance(G, sid, order, num_samples=args.samples,
@@ -230,19 +233,7 @@ def _cmd_ergm_dist(args):
     return out
 
 
-def _simple_only(args):
-    """Refuse the graph-mode flags in a command that builds only simple
-    graphs of its own."""
-    for flag in ("directed", "weighted", "bipartite", "attributes"):
-        if getattr(args, flag):
-            raise UsageError(f"{args.command} builds simple graphs only: "
-                             f"--{flag} does not apply")
-
-
 def _cmd_editgraph(args):
-    _simple_only(args)
-    if args.nodes is None:
-        raise UsageError("editgraph needs --nodes")
     if args.nodes < 0:
         raise UsageError(f"--nodes must be nonnegative, got {args.nodes}")
     h = build_edit_graph(args.nodes)
@@ -277,7 +268,6 @@ def _cmd_shuffle(args):
 
 
 def _cmd_sum_demo(args):
-    _simple_only(args)
     from .graphs import make_graph
     edge = make_graph(3, [(0, 1)])
     tri = make_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -315,7 +305,7 @@ def _flatten(prefix, obj, rows):
 
 
 def _emit(doc, args):
-    if getattr(args, "csv", False):
+    if args.csv:
         rows = []
         _flatten("", doc, rows)
         buf = io.StringIO()
@@ -324,14 +314,14 @@ def _emit(doc, args):
         for k, v in rows:
             w.writerow([k, v])
         text = buf.getvalue()
-    elif getattr(args, "pretty", False):
+    elif args.pretty:
         rows = []
         _flatten("", doc, rows)
         width = max((len(k) for k, _ in rows), default=0)
         text = "\n".join(f"{k:<{width}}  {v}" for k, v in rows) + "\n"
     else:
         text = json.dumps(doc, indent=2) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -346,7 +336,7 @@ def _emit_graph(G, manifest, args):
                              for v in range(G.n))
         text += attr_lines
     text += f"# nodes {G.n}\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -356,20 +346,29 @@ def _emit_graph(G, manifest, args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p, graph=True):
+def _add_command(subs, name, func, *, graph=True, order=None, seed=False,
+                 formats=True):
+    """A subcommand parser with the flags `func`, `_load_graph` and the
+    emitters read: the input graph and its mode, --order, --seed, and the
+    output path and formats."""
+    p = subs.add_parser(name)
     if graph:
         p.add_argument("graph", help="edge-list file ('-' for stdin)")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--weighted", action="store_true")
-    p.add_argument("--attributes", metavar="FILE")
-    p.add_argument("--bipartite", action="store_true")
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--directed", action="store_true")
+        p.add_argument("--weighted", action="store_true")
+        p.add_argument("--attributes", metavar="FILE")
+        p.add_argument("--bipartite", action="store_true")
+        p.add_argument("--nodes", type=int, default=None)
+    if order is not None:
+        p.add_argument("--order", type=int, default=order)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--allow-large", action="store_true")
+    if formats:
+        p.add_argument("--csv", action="store_true")
+        p.add_argument("--pretty", action="store_true")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser():
@@ -377,55 +376,40 @@ def build_parser():
                    description="graph moments and cumulants toolkit")
     subs = root.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("count")
-    _add_common(p)
-    p.set_defaults(func=_cmd_count)
+    _add_command(subs, "count", _cmd_count, order=3)
+    _add_command(subs, "moments", _cmd_moments, order=3)
 
-    p = subs.add_parser("moments")
-    _add_common(p)
-    p.set_defaults(func=_cmd_moments)
-
-    p = subs.add_parser("cumulants")
-    _add_common(p)
+    p = _add_command(subs, "cumulants", _cmd_cumulants, order=3)
     p.add_argument("--scaled", action="store_true")
     p.add_argument("--root-exponent", type=int, default=None)
-    p.set_defaults(func=_cmd_cumulants)
 
-    p = subs.add_parser("unbiased")
-    _add_common(p)
-    p.set_defaults(func=_cmd_unbiased)
+    _add_command(subs, "unbiased", _cmd_unbiased, order=3)
 
-    p = subs.add_parser("ztest")
-    _add_common(p)
+    p = _add_command(subs, "ztest", _cmd_ztest, order=2, seed=True)
     p.add_argument("--subgraph", default="edge")
     p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=_cmd_ztest, order=2)
 
-    p = subs.add_parser("local")
-    _add_common(p)
+    p = _add_command(subs, "local", _cmd_local, order=3)
     p.add_argument("--node", type=int, default=None)
     p.add_argument("--edge", type=int, nargs=2, default=None)
-    p.set_defaults(func=_cmd_local)
 
     p = subs.add_parser("ergm")
     esubs = p.add_subparsers(dest="sub", required=True)
     for name, fn in (("fit", _cmd_ergm_fit), ("dist", _cmd_ergm_dist)):
-        ep = esubs.add_parser(name)
-        _add_common(ep)
+        ep = _add_command(esubs, name, fn, order=2)
+        ep.add_argument("--allow-large", action="store_true")
         ep.add_argument("--eta", type=Fraction, default=Fraction(0))
         ep.add_argument("--statistics", default=None,
                         help="comma-separated aliases (default: all classes "
                              "through --order)")
         if name == "dist":
             ep.add_argument("--statistic", default="edge")
-        ep.set_defaults(func=fn, order=2)
 
-    p = subs.add_parser("editgraph")
-    _add_common(p, graph=False)
-    p.set_defaults(func=_cmd_editgraph)
+    p = _add_command(subs, "editgraph", _cmd_editgraph, graph=False)
+    p.add_argument("--nodes", type=int, required=True)
 
-    p = subs.add_parser("generate")
-    _add_common(p, graph=False)
+    p = _add_command(subs, "generate", _cmd_generate, graph=False,
+                     seed=True, formats=False)
     p.add_argument("--model", required=True,
                    choices=["er", "ssbm", "bipartite-geometric"])
     p.add_argument("--n", type=int, required=True)
@@ -435,17 +419,12 @@ def build_parser():
     p.add_argument("--assortativity", type=float, default=None)
     p.add_argument("--mean-degree", type=float, default=None)
     p.add_argument("--f", type=float, default=None)
-    p.set_defaults(func=_cmd_generate, emits_graph=True)
 
-    p = subs.add_parser("shuffle")
-    _add_common(p)
+    p = _add_command(subs, "shuffle", _cmd_shuffle, seed=True, formats=False)
     p.add_argument("--mode", required=True,
                    choices=["attributes", "orientations", "weights"])
-    p.set_defaults(func=_cmd_shuffle, emits_graph=True)
 
-    p = subs.add_parser("sum-demo")
-    _add_common(p, graph=False)
-    p.set_defaults(func=_cmd_sum_demo)
+    _add_command(subs, "sum-demo", _cmd_sum_demo, graph=False)
 
     return root
 
@@ -460,7 +439,7 @@ def main(argv=None):
     try:
         result = args.func(args)
         manifest = _manifest(args)
-        if getattr(args, "emits_graph", False):
+        if isinstance(result, Graph):
             _emit_graph(result, manifest, args)
         else:
             _emit({"manifest": manifest, "result": result}, args)

@@ -7,7 +7,7 @@ the single moment of the disjoint union of the factors.  This makes the
 estimator exactly unbiased under random node subsampling, and makes
 kappa-check of every disconnected class identically zero.  Partial
 unbiasing has closed forms through second order, and the exact variance
-exists for the edge class only.
+exists for the simple edge class only.
 """
 
 from __future__ import annotations
@@ -221,8 +221,9 @@ class TestResult:
 def z_test(sid, m: MomentVector, variance=None):
     """Z-score test of kappa-check against the null kappa-check = 0.
 
-    For the edge class the exact closed-form variance is used when none is
-    supplied; higher orders require a (bootstrap) variance from the caller.
+    For the simple edge class the exact closed-form variance is used when
+    none is supplied; every other class requires a (bootstrap) variance
+    from the caller.
     """
     kc = unbiased_cumulants(m)
     if sid not in kc.values:
@@ -234,8 +235,8 @@ def z_test(sid, m: MomentVector, variance=None):
         eid, wid, pid = _simple_ids()
         if sid != eid:
             raise ValueError(
-                "closed-form variance exists only for the edge class; "
-                "supply a bootstrap variance for higher orders")
+                "closed-form variance exists only for the simple edge class; "
+                "supply a bootstrap variance for every other class")
         targets = {eid: m.values[eid]}
         if wid in kc.values:
             targets[wid] = kc.values[wid] + m.values[eid] ** 2

@@ -1,11 +1,13 @@
 """Command-line interface: payloads, manifests, exit codes, round trips."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import pathlib
 import resource
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netmoments
-from netmoments.cli import main
+from netmoments.cli import build_parser, main
 
 from conftest import edge_lists
 
@@ -125,13 +127,12 @@ _MODE_FLAGS = [["--directed"], ["--weighted"], ["--bipartite"],
                                      ["sum-demo"]])
 @pytest.mark.parametrize("flag", _MODE_FLAGS)
 def test_simple_only_commands_refuse_mode_flags(capsys, command, flag):
-    # both commands build simple graphs of their own, so a mode flag would
-    # be recorded in the manifest and ignored
+    # both commands build simple graphs of their own and declare no mode
+    # flag, so argparse refuses one before anything runs
     assert main([*command, *flag]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"builds simple graphs only: {flag[0]} does not apply" \
-        in captured.err
+    assert f"unrecognized arguments: {flag[0]}" in captured.err
 
 
 def test_generate_round_trip(capsys, tmp_path):
@@ -377,6 +378,12 @@ def test_root_exponent_below_one_is_a_usage_error(capsys, p4, exponent):
                  "--root-exponent", exponent]) == 1
     assert f"--root-exponent must be at least 1, got {exponent}" in \
         capsys.readouterr().err
+    # without --scaled there is no root to take
+    assert main(["cumulants", p4, "--order", "2",
+                 "--root-exponent", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--root-exponent needs --scaled" in captured.err
 
 
 def test_ztest_small_and_large_graphs(capsys, tmp_path):
@@ -398,6 +405,22 @@ def test_ztest_small_and_large_graphs(capsys, tmp_path):
     assert main(["ztest", str(path), "--subgraph", "triangle",
                  "--nodes", str(2 ** 16 + 1)]) == 4
     assert "capped at 2^16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, text", [
+    ("--weighted", "0 1 2\n1 2 1\n2 3 3\n0 3 1\n0 2 1\n1 3 2\n"),
+    ("--directed", "0 1\n1 2\n2 0\n2 3\n3 0\n1 3\n0 4\n4 5\n5 1\n"
+                   "3 5\n")])
+def test_ztest_bootstraps_the_edge_of_other_modes(capsys, tmp_path, mode,
+                                                  text):
+    # the closed-form variance covers the simple edge only; the edge class
+    # of another mode used to exit 2 with "exists only for the edge class"
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    doc = run_json(capsys, "ztest", str(path), mode, "--subgraph", "edge",
+                   "--samples", "3")
+    assert doc["result"]["alias"] == "edge"
+    assert doc["result"]["approximate_variance"] is True
 
 
 def _main_in_process(argv, stdin_text=""):
@@ -558,11 +581,146 @@ def test_editgraph_and_sum_demo_exit_with_a_documented_code(command, nodes,
         argv += ["--nodes", str(nodes)]
     code, err = _main_in_process(argv)
     assert "Traceback" not in err
-    if any(flag in _MODE_FLAGS for flag in flags):
-        assert code == 1
+    if any(flag not in (["--csv"], ["--pretty"]) for flag in flags):
+        assert code == 1    # a flag neither command declares
     elif command == "sum-demo":
-        assert code == 0
+        assert code == (0 if nodes is None else 1)
     elif nodes is None or nodes < 0:
         assert code == 1
     else:
         assert code == (4 if nodes > 6 else 0)
+
+
+_MODES = ["--directed", "--weighted", "--attributes", "--bipartite"]
+_INPUT = [*_MODES, "--nodes"]
+_FORMATS = ["--out", "--csv", "--pretty"]
+
+# the option strings of each subcommand, "-h" aside
+_OPTIONS = {
+    "count": [*_INPUT, "--order", *_FORMATS],
+    "moments": [*_INPUT, "--order", *_FORMATS],
+    "cumulants": [*_INPUT, "--order", *_FORMATS, "--scaled",
+                  "--root-exponent"],
+    "unbiased": [*_INPUT, "--order", *_FORMATS],
+    "ztest": [*_INPUT, "--order", "--seed", *_FORMATS, "--subgraph",
+              "--samples"],
+    "local": [*_INPUT, "--order", *_FORMATS, "--node", "--edge"],
+    "ergm fit": [*_INPUT, "--order", "--allow-large", *_FORMATS, "--eta",
+                 "--statistics"],
+    "ergm dist": [*_INPUT, "--order", "--allow-large", *_FORMATS, "--eta",
+                  "--statistics", "--statistic"],
+    "editgraph": ["--nodes", *_FORMATS],
+    "generate": ["--seed", "--out", "--model", "--n", "--p", "--a", "--b",
+                 "--assortativity", "--mean-degree", "--f"],
+    "shuffle": [*_INPUT, "--seed", "--out", "--mode"],
+    "sum-demo": _FORMATS,
+}
+
+# (command, flag) pairs that every subcommand once accepted and ignored
+_REMOVED = [
+    *((command, flag) for command in ("count", "moments", "cumulants",
+                                      "unbiased", "local")
+      for flag in ("--seed", "--allow-large")),
+    ("ztest", "--allow-large"), ("ergm fit", "--seed"),
+    ("ergm dist", "--seed"),
+    *(("editgraph", flag) for flag in ("--order", "--seed", "--allow-large",
+                                       *_MODES)),
+    *(("generate", flag) for flag in ("--order", "--nodes", "--csv",
+                                      "--pretty", "--allow-large", *_MODES)),
+    *(("shuffle", flag) for flag in ("--order", "--csv", "--pretty",
+                                     "--allow-large")),
+    *(("sum-demo", flag) for flag in ("--order", "--nodes", "--seed",
+                                      "--allow-large", *_MODES)),
+]
+
+_FLAG_VALUES = {"--order": "2", "--seed": "1", "--nodes": "4",
+                "--attributes": "labels.txt"}
+
+
+def _subcommand_parsers():
+    """{"count": parser, ..., "ergm fit": parser, "ergm dist": parser}."""
+    def choices(parser):
+        action, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+    out = {}
+    for name, parser in choices(build_parser()).items():
+        if name == "ergm":
+            out.update((f"ergm {sub}", ep)
+                       for sub, ep in choices(parser).items())
+        else:
+            out[name] = parser
+    return out
+
+
+@pytest.fixture
+def valid_argv(tmp_path, p4, dense):
+    """An argv per subcommand that exits 0."""
+    weighted = tmp_path / "w.txt"
+    weighted.write_text("0 1 5\n1 2 1\n2 3 2\n")
+    return {
+        "count": ["count", p4, "--order", "2"],
+        "moments": ["moments", p4, "--order", "2"],
+        "cumulants": ["cumulants", p4, "--order", "2"],
+        "unbiased": ["unbiased", p4, "--order", "2"],
+        "ztest": ["ztest", dense],
+        "local": ["local", p4, "--node", "0"],
+        "ergm fit": ["ergm", "fit", p4],
+        "ergm dist": ["ergm", "dist", p4, "--order", "1"],
+        "editgraph": ["editgraph", "--nodes", "3"],
+        "generate": ["generate", "--model", "er", "--n", "5", "--p", "0.5"],
+        "shuffle": ["shuffle", str(weighted), "--weighted", "--mode",
+                    "weights"],
+        "sum-demo": ["sum-demo"],
+    }
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads(capsys,
+                                                          valid_argv):
+    parsers = _subcommand_parsers()
+    assert set(parsers) == set(_OPTIONS) == set(valid_argv)
+    for name, parser in parsers.items():
+        options = [s for a in parser._actions for s in a.option_strings
+                   if s not in ("-h", "--help")]
+        assert sorted(options) == sorted(_OPTIONS[name]), name
+    assert sum(map(len, _OPTIONS.values())) == 111
+    # no subcommand gained an option: the 152 that all of them accepted
+    # before are the 111 declared ones and the 41 refused ones
+    assert len(set(_REMOVED)) == 41
+    assert not any(flag in _OPTIONS[name] for name, flag in _REMOVED)
+    for name, flag in _REMOVED:
+        argv = [*valid_argv[name], flag]
+        if flag in _FLAG_VALUES:
+            argv.append(_FLAG_VALUES[flag])
+        assert main(argv) == 1, (name, flag)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: unrecognized arguments: {flag}" in \
+            captured.err
+    # a manifest records exactly the flags its command declares
+    for name, argv in valid_argv.items():
+        code, out = run(capsys, *argv)
+        assert code == 0, name
+        if out.startswith("# manifest "):
+            manifest = json.loads(out.splitlines()[0][len("# manifest "):])
+        else:
+            manifest = json.loads(out)["manifest"]
+        dests = {a.dest for a in parsers[name]._actions} - {
+            "help", "out", "csv", "pretty"}
+        assert set(manifest["flags"]) == dests, name
+        assert manifest["command"] == name
+        assert manifest["seed"] == (0 if "seed" in dests else None), name
+
+
+def test_readme_command_lines_parse():
+    # every example in README's "Command line" block is a valid argv
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line]
+    assert lines and all(line[0] == "netmoments" for line in lines)
+    commands = set()
+    for line in lines:
+        args = build_parser().parse_args(line[1:])
+        commands.add(args.command)
+    assert commands == {name.split()[0] for name in _OPTIONS}
