@@ -69,8 +69,13 @@ class ClassGraph:
                                colors=colors)
 
     def components(self):
-        """Connected components as compact ClassGraphs (isolated nodes
-        become single-node components)."""
+        """Connected components as compact ClassGraphs, in the order of
+        component_nodes."""
+        return [self._induced(nodes) for nodes in self.component_nodes()]
+
+    def component_nodes(self):
+        """The nodes of each connected component, ascending, components in
+        order of least node (isolated nodes are components of their own)."""
         parent = list(range(self.k))
 
         def find(x):
@@ -86,16 +91,16 @@ class ClassGraph:
         groups = {}
         for x in range(self.k):
             groups.setdefault(find(x), []).append(x)
-        comps = []
-        for nodes in groups.values():
-            remap = {x: i for i, x in enumerate(nodes)}
-            nodeset = set(nodes)
-            es = [(remap[u], remap[v], val) for u, v, val in self.edges
-                  if u in nodeset]
-            comps.append(ClassGraph.make(
-                len(nodes), es, directed=self.directed,
-                colors=tuple(self.colors[x] for x in nodes)))
-        return comps
+        return list(groups.values())
+
+    def _induced(self, nodes):
+        """The subgraph on the ascending nodes, which no edge leaves,
+        renumbered in order."""
+        remap = {x: i for i, x in enumerate(nodes)}
+        es = [(remap[u], remap[v], val) for u, v, val in self.edges
+              if u in remap]
+        return ClassGraph.make(len(nodes), es, directed=self.directed,
+                               colors=tuple(self.colors[x] for x in nodes))
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ class ClassInfo:
 
 
 _canon_cache = {}
-_generators = {}     # ClassGraph -> generators of its automorphism group
+_searches = {}       # connected ClassGraph -> (generators, canonical order)
 
 
 def canonical_class(cg):
@@ -152,8 +157,8 @@ def canonical_class(cg):
     the product of component counts times a factorial for each set of
     identical components.  This keeps the canonical search inside single
     components, which are small.  The components are found once per new
-    graph.  A connected graph's automorphism generators are kept for
-    automorphism_generators."""
+    graph.  A connected graph's automorphism generators and canonical
+    order are kept for automorphism_generators."""
     got = _canon_cache.get(cg)
     if got is not None:
         return got
@@ -162,7 +167,7 @@ def canonical_class(cg):
         res = canonicalize(cg.k, cg.edges, directed=cg.directed,
                            colors=cg.colors)
         got = (res.key.hex(), res.aut, True)
-        _generators[cg] = res.generators
+        _searches[cg] = (res.generators, res.order)
     else:
         keys = []
         aut = 1
@@ -183,15 +188,33 @@ def canonical_class(cg):
 
 
 def automorphism_generators(cg):
-    """Node permutations that generate cg's automorphism group: those that
-    canonical_class kept from a connected graph's canonical search, or
-    those of one search of the whole graph."""
-    gens = _generators.get(cg)
-    if gens is None:
-        gens = canonicalize(cg.k, cg.edges, directed=cg.directed,
-                            colors=cg.colors).generators
-        _generators[cg] = gens
-    return gens
+    """Node permutations that generate cg's automorphism group, with no
+    search of their own.  A connected graph's are those of canonical_class's
+    search.  An automorphism of a disconnected graph permutes its
+    components, so its group is generated by each component's generators,
+    lifted to cg's nodes, and by the swap of each component with the next
+    identical one, slot for slot through their canonical orders."""
+    if canonical_class(cg)[2]:
+        return _searches[cg][0]
+    gens = []
+    last = {}       # component key -> its last copy's nodes, by slot
+    for nodes in cg.component_nodes():
+        comp = cg._induced(nodes)
+        key = canonical_class(comp)[0]
+        comp_gens, order = _searches[comp]
+        for g in comp_gens:
+            perm = list(range(cg.k))
+            for x, gx in zip(nodes, g):
+                perm[x] = nodes[gx]
+            gens.append(tuple(perm))
+        slots = [nodes[v] for v in order]
+        if key in last:
+            perm = list(range(cg.k))
+            for a, b in zip(last[key], slots):
+                perm[a], perm[b] = b, a
+            gens.append(tuple(perm))
+        last[key] = slots
+    return tuple(gens)
 
 
 @lru_cache(maxsize=None)

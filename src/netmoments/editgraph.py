@@ -52,8 +52,9 @@ class EditGraph:
 def build_edit_graph(n):
     """Construct H_n from edge removals.
 
-    Each representative is canonicalized once for generators of its
-    automorphism group.  Removing edges of one automorphism orbit gives
+    Each representative is canonicalized once, for generators of its
+    automorphism group and for its key, so the table's deferred keys are
+    never searched again.  Removing edges of one automorphism orbit gives
     isomorphic graphs (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 1998), so one removal per edge orbit is classified and
     weighted by the orbit's size.  A removal's class is read from its
@@ -66,10 +67,11 @@ def build_edit_graph(n):
         raise SizeCapError(f"edit graph capped at n={EDIT_NODE_CAP}")
     table = enumerate_classes(n)
     k = len(table)
-    rows, removals, sizes = [], [], []
+    rows, removals, sizes, key_to_index = [], [], [], {}
     for j, edges in enumerate(table.reps):
-        generators = canonicalize(n, [(u, v, 1) for u, v in edges]).generators
-        for removed, size in _edge_orbits(edges, generators):
+        res = canonicalize(n, [(u, v, 1) for u, v in edges])
+        key_to_index[res.key] = j
+        for removed, size in _edge_orbits(edges, res.generators):
             rows.append(j)
             removals.append(removed)
             sizes.append(size)
@@ -79,7 +81,6 @@ def build_edit_graph(n):
         classes_of = {}                 # invariant -> classes that have it
         for c, inv in enumerate(graph_invariants(reps)):
             classes_of.setdefault(inv, []).append(c)
-        key_to_index = {key: i for i, key in enumerate(table.keys)}
         stack = reps[rows]
         at, (u, v) = np.arange(len(rows)), np.array(removals).T
         stack[at, u, v] = stack[at, v, u] = 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,13 +28,39 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
                       8: 12346, 9: 274668, 10: 12005168}
 
 
+class _DeferredKeys:
+    """GraphClassTable.keys: canonicalize(n, rep).key per class.  A table
+    holds None for each key that was not searched (or None for them all),
+    and the first read searches those representatives and keeps the keys.
+    The one row of the n=0 table keeps key None."""
+
+    def __set_name__(self, owner, name):
+        self.name = "_" + name
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return None             # the field's default: no key searched
+        keys = vars(table)[self.name]
+        if keys is None:
+            keys = [None] * len(table.reps)
+        if table.n and None in keys:
+            keys = [canonicalize(table.n, [(u, v, 1) for u, v in rep]).key
+                    if key is None else key
+                    for key, rep in zip(keys, table.reps)]
+        vars(table)[self.name] = keys
+        return keys
+
+    def __set__(self, table, keys):
+        vars(table)[self.name] = keys
+
+
 @dataclass
 class GraphClassTable:
     n: int
     reps: list          # representative edge tuples
-    keys: list          # canonicalize(n, rep).key per class
     auts: list          # automorphism group orders
     mults: list         # labeled multiplicities n!/|Aut|
+    keys: list = _DeferredKeys()    # canonical keys, searched when read
 
     def __len__(self):
         return len(self.reps)
@@ -76,7 +103,8 @@ def enumerate_classes(n, allow_large=False):
     k with a neighbour mask.  _augment finds each class once, and
     _first_children puts them in the order, and with the representatives,
     of the walk over (parent in table order, mask ascending) that keeps
-    the first child of each class.
+    the first child of each class.  The keys of the classes that _augment
+    did not search are searched when the table's keys are read.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got n={n}")
@@ -86,11 +114,12 @@ def enumerate_classes(n, allow_large=False):
             f"got n={n}")
     if n in _CLASS_TABLE_CACHE:
         return _CLASS_TABLE_CACHE[n]
-    grown = [((), ())]                     # the graph with no nodes
+    grown = [((), (), 1)]                  # the graph with no nodes
     reps, keys, auts = [()], [None], [1]
     for k in range(n):
-        grown, found = _augment(k, grown)
-        reps, keys, auts = _first_children(k, reps, *found)
+        nxt, found = _augment(k, grown, last=k + 1 == n)
+        reps, keys, auts = _first_children(k, reps, grown, *found)
+        grown = nxt
     nfact = math.factorial(n)
     mults = [nfact // aut for aut in auts]
     expected = KNOWN_CLASS_COUNTS.get(n)
@@ -102,8 +131,8 @@ def enumerate_classes(n, allow_large=False):
         raise AssertionError(
             f"class multiplicities at n={n} sum to {sum(mults)}, "
             f"not 2^C(n,2)")
-    table = GraphClassTable(n=n, reps=reps, keys=keys, auts=auts,
-                            mults=mults)
+    table = GraphClassTable(n=n, reps=reps, auts=auts, mults=mults,
+                            keys=keys)
     _CLASS_TABLE_CACHE[n] = table
     return table
 
@@ -177,8 +206,9 @@ def _invariants(codes):
 
 
 def _orbit_minima(k, generators):
-    """Which masks over k nodes are the least of their orbit under the
-    group the node permutations generate."""
+    """The least mask of each mask's orbit under the group the node
+    permutations generate on masks over k nodes, by mask, and the size of
+    each orbit, by its least mask."""
     masks = np.arange(1 << k)
     least = masks
     images = [_mask_bits(k) @ (1 << np.array(g)) for g in generators]
@@ -187,7 +217,7 @@ def _orbit_minima(k, generators):
         for image in images:
             least = np.minimum(least, least[image])
         if np.array_equal(least, prev):
-            return least == masks
+            return least, np.bincount(least, minlength=1 << k)
 
 
 def _orbit(v, generators):
@@ -202,57 +232,90 @@ def _orbit(v, generators):
     return seen
 
 
-def _augment(k, grown):
+def _augment(k, grown, last):
     """Each class on k + 1 nodes once, by canonical augmentation (McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 1998).
 
-    grown holds one graph per class on k nodes with generators of its
-    automorphism group.  Each graph takes one mask per orbit of its
-    automorphisms, and the child is kept only if node k lies in the
+    grown holds one graph per class on k nodes with generators and the
+    order of its automorphism group.  Each graph takes one mask per orbit
+    of its automorphisms, and the child is kept only if node k lies in the
     automorphism orbit of the child's canonical node: the first node in
     canonical order among those with the largest invariant code.  Comparing
-    codes drops most children before any canonical search.  Returns the
-    kept children with their generators, and the (keys, auts, invariants)
-    of their classes.
+    codes drops most children before any canonical search.
+
+    On the last level a child whose node k alone has the largest code is
+    kept unsearched: node k is its canonical node, and every automorphism
+    fixes it, so the child's automorphisms are those of the parent that
+    fix the mask, |Aut| / |orbit of the mask| of them (orbit-stabilizer).
+    Its key is left None.
+
+    Returns the kept children with their generators and group orders (none
+    on the last level, from which nothing grows), and the (keys, auts,
+    invariants, sources) of their classes, where source p << k | mask is
+    the child of grown[p] by mask.
     """
     nxt, keys, auts, invariants = [], [], [], []
-    seen = set()
-    for parent, generators in grown:
+    sources = array("q")
+    for p, (parent, generators, parent_aut) in enumerate(grown):
         codes = _node_codes(parent, k)
         top = codes[:, k]
         rest = codes[:, :k].max(axis=1, initial=-1)
-        keep = (top >= rest) & _orbit_minima(k, generators)
-        for mask in np.flatnonzero(keep).tolist():
-            edges = _child_edges(parent, k, mask)
-            res = canonicalize(k + 1, [(u, v, 1) for u, v in edges])
-            if top[mask] == rest[mask]:
-                row = codes[mask].tolist()
-                first = next(v for v in res.order if row[v] == row[k])
-                if k not in _orbit(first, res.generators):
-                    continue
-            if res.key in seen:
-                raise AssertionError(
-                    f"canonical augmentation made a class on {k + 1} nodes "
-                    "twice")
-            seen.add(res.key)
-            nxt.append((edges, res.generators))
-            keys.append(res.key)
-            auts.append(res.aut)
-            invariants.append(_invariants(codes[mask:mask + 1])[0])
-    return nxt, (keys, auts, invariants)
+        least, orbit_sizes = _orbit_minima(k, generators)
+        masks = np.flatnonzero((top >= rest) & (least == np.arange(1 << k)))
+        sizes = orbit_sizes[masks].tolist()
+        tied = (top == rest)[masks].tolist()
+        for mask, size, tie, inv in zip(masks.tolist(), sizes, tied,
+                                        _invariants(codes[masks])):
+            if last and not tie:
+                aut, rem = divmod(parent_aut, size)
+                if rem:
+                    raise AssertionError(
+                        f"a mask orbit of {size} does not divide an "
+                        f"automorphism group of order {parent_aut}")
+                key = None
+            else:
+                edges = _child_edges(parent, k, mask)
+                res = canonicalize(k + 1, [(u, v, 1) for u, v in edges])
+                if tie:
+                    row = codes[mask].tolist()
+                    first = next(v for v in res.order if row[v] == row[k])
+                    if k not in _orbit(first, res.generators):
+                        continue
+                if not last:
+                    nxt.append((edges, res.generators, res.aut))
+                key, aut = res.key, res.aut
+            keys.append(key)
+            auts.append(aut)
+            invariants.append(inv)
+            sources.append(p << k | mask)
+    return nxt, (keys, auts, invariants, sources)
 
 
-def _first_children(k, parents, keys, auts, invariants):
+def _first_children(k, parents, grown, keys, auts, invariants, sources):
     """(reps, keys, auts) of the classes on k + 1 nodes in the order in
     which the walk over (parent, mask ascending) first reaches them, each
     with that first child as representative.  A child's class is read from
     its invariant when only one class has it, and from its canonical key
-    otherwise."""
+    otherwise, so the classes that share an invariant have their missing
+    keys searched first, on the children of grown that _augment found them
+    by.  A key found twice means a class was made twice."""
     classes_of = {}                 # invariant -> classes that have it
     for c, inv in enumerate(invariants):
         classes_of.setdefault(inv, []).append(c)
+    for cs in classes_of.values():
+        if len(cs) == 1:
+            continue
+        for c in cs:
+            if keys[c] is None:
+                p, mask = divmod(sources[c], 1 << k)
+                edges = _child_edges(grown[p][0], k, mask)
+                keys[c] = canonicalize(
+                    k + 1, [(u, v, 1) for u, v in edges]).key
+    index = {key: c for c, key in enumerate(keys) if key is not None}
+    if len(index) < len(keys) - keys.count(None):
+        raise AssertionError(
+            f"canonical augmentation made a class on {k + 1} nodes twice")
     unseen = {inv: len(cs) for inv, cs in classes_of.items()}
-    index = {key: c for c, key in enumerate(keys)}
     reps = {}                       # class -> first child, in walk order
     for parent in parents:
         for mask, inv in enumerate(_invariants(_node_codes(parent, k))):

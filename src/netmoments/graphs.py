@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,6 +54,9 @@ class Graph:
                 raise GraphDataError("undirected edges must be stored u < v")
             if w.numerator < 0:
                 raise GraphDataError(f"negative weight on edge ({u},{v})")
+        self._check_node_attrs()
+
+    def _check_node_attrs(self):
         if self.node_attrs is not None:
             for v in self.node_attrs:
                 if not (0 <= v < self.n):
@@ -67,6 +71,14 @@ class Graph:
                 if self.node_attrs.get(u) == self.node_attrs.get(v):
                     raise GraphDataError(
                         f"edge ({u},{v}) joins same-label nodes")
+
+    def _with_node_attrs(self, node_attrs):
+        """This graph with other node labels.  Only the labels are
+        checked: the edges were checked when this graph was made."""
+        G = copy.copy(self)
+        object.__setattr__(G, "node_attrs", node_attrs)
+        G._check_node_attrs()
+        return G
 
     @property
     def m(self):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .classes import ClassGraph, class_info, complete_count, named_class
 from .counting import check_order, count_connected
 from .cumulants import signed_root
-from .graphs import Graph, GraphDataError
+from .graphs import GraphDataError
 
 # Each local moment in payload order: its name, the simple named class of
 # its classes' shape and the node labels of each class it sums, in the
@@ -78,8 +78,7 @@ def _local_stats(G, anchor, kind, r_max, kappa):
     labels.update(dict.fromkeys(anchor, 1))
     if len(labels) == len(anchor):
         labels[next(x for x in range(3) if x not in anchor)] = 0
-    counts = count_connected(Graph(n=G.n, edges=G.edges, node_attrs=labels),
-                             r_max)
+    counts = count_connected(G._with_node_attrs(labels), r_max)
     pools = {1: len(anchor), 0: G.n - len(anchor)}
     mu = {name: Fraction(sum(counts.get(ci.id, 0) for ci in infos),
                          sum(complete_count(ci, G.n, pools) for ci in infos))

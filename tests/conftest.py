@@ -151,6 +151,19 @@ def brute_aut_count(k, edges, directed=False, colors=None):
     return count
 
 
+def group_closure(k, generators):
+    """Every node permutation that the generators generate."""
+    group, todo = {tuple(range(k))}, [tuple(range(k))]
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
 # ---------------------------------------------------------------------------
 # Term-by-term Fraction evaluation of the conversions and of kappa-check:
 # the reference for the library's evaluation over one common denominator.

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from netmoments.canonical import canonicalize
 from netmoments.classes import universe
 
-from conftest import brute_aut_count
+from conftest import brute_aut_count, group_closure
 
 # SHA-256 over (key, aut) of the inputs in _golden_items (the universes at each
 # mode's order cap), recorded before the canonical search was rewritten.  Keys appear in every JSON payload through
@@ -99,18 +99,6 @@ def test_one_byte_limits():
         canonicalize(2, [(0, 1, 256)])
 
 
-def _closure(k, generators):
-    group, todo = {tuple(range(k))}, [tuple(range(k))]
-    while todo:
-        p = todo.pop()
-        for g in generators:
-            q = tuple(g[x] for x in p)
-            if q not in group:
-                group.add(q)
-                todo.append(q)
-    return group
-
-
 @settings(max_examples=80, deadline=None)
 @given(small_graphs())
 def test_group_generators_and_canonical_order(graph):
@@ -124,7 +112,7 @@ def test_group_generators_and_canonical_order(graph):
     for g in res.generators:
         assert all(colors[g[x]] == colors[x] for x in range(k))
         assert {(g[u], g[v]): val for (u, v), val in adj.items()} == adj
-    assert len(_closure(k, res.generators)) == res.aut
+    assert len(group_closure(k, res.generators)) == res.aut
     # the order lays the graph out as the key's rows
     order = res.order
     assert sorted(order) == list(range(k))

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netmoments import classes
-from netmoments.canonical import canonicalize
+from netmoments.canonical import canonicalize, orbits
 from netmoments.classes import (MODES, class_id, class_info, ClassGraph,
                                 complete_count, named_class, unit_subclasses,
                                 universe)
 from netmoments.counting import ORDER_CAPS
 
-from conftest import (per_mask_unit_subclasses, unit_subset,
+from conftest import (group_closure, per_mask_unit_subclasses, unit_subset,
                       unpruned_universe)
 
 # every mode at its order cap, and a four-letter alphabet
@@ -48,6 +48,43 @@ def test_universe_matches_unpruned_build(mode, r_max, labels):
     assert {r: [(ci.id, ci.graph, ci.aut) for ci in infos]
             for r, infos in got.items()} == unpruned_universe(mode, r_max,
                                                               labels)
+
+
+@pytest.mark.parametrize("mode, r_max, labels", CAPPED)
+def test_disconnected_generators_match_a_whole_graph_search(monkeypatch, mode,
+                                                           r_max, labels):
+    # the components' generators, lifted, and the swaps of identical
+    # components generate the group that one search of the whole graph
+    # finds, and no search runs for them
+    graphs = [ci.graph for infos in universe(mode, r_max, labels).values()
+              for ci in infos if not ci.connected]
+    assert graphs
+    for cg in graphs:
+        classes.canonical_class(cg)
+    searched = []
+    real = classes.canonicalize
+    monkeypatch.setattr(classes, "canonicalize",
+                        lambda *args, **kwargs: searched.append(args))
+    lifted = [classes.automorphism_generators(cg) for cg in graphs]
+    assert not searched
+    for cg, gens in zip(graphs, lifted):
+        res = real(cg.k, cg.edges, directed=cg.directed, colors=cg.colors)
+        edges = {(u, v): val for u, v, val in cg.edges}
+        for g in gens:
+            assert [cg.colors[x] for x in g] == list(cg.colors)
+            assert {_arc(g, cg.directed, u, v): val
+                    for (u, v), val in edges.items()} == edges
+        assert len(group_closure(cg.k, gens)) == res.aut
+        assert _node_orbits(cg.k, gens) == _node_orbits(cg.k, res.generators)
+
+
+def _arc(g, directed, u, v):
+    u, v = g[u], g[v]
+    return (u, v) if directed or u < v else (v, u)
+
+
+def _node_orbits(k, generators):
+    return list(orbits(range(k), generators, lambda g, x: g[x]))
 
 
 @pytest.mark.parametrize("mode, r_max, labels", CAPPED)

@@ -96,11 +96,81 @@ def test_enumeration_canonicalizes_once_per_class(monkeypatch):
 
     monkeypatch.setattr(ergm, "canonicalize", counted)
     monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
-    enumerate_classes(7)
+    table = enumerate_classes(7)
     assert len(calls) < 4000   # every child of every parent: 11,291
     # up to 7 nodes no child is canonicalized only to be rejected, and no
-    # two classes share an invariant, so each class costs one search
-    assert len(calls) == sum(ergm.KNOWN_CLASS_COUNTS[k] for k in range(1, 8))
+    # two classes share an invariant.  Each class on up to 6 nodes costs
+    # one search, and on 7 nodes only the 357 classes whose new node ties
+    # for the largest code do: 208 + 357 searches, not the 1,252 of one
+    # search per class
+    assert len(calls) == 565
+    # the other 687 keys are searched on the first read, and kept
+    calls.clear()
+    keys = table.keys
+    assert len(calls) == 687
+    assert keys == [canonicalize(7, [(u, v, 1) for u, v in rep]).key
+                    for rep in table.reps]
+    calls.clear()
+    assert table.keys is keys and not calls
+
+
+# classes on n nodes whose new node alone has the largest invariant code,
+# which take |Aut| from their parent's group with no search
+UNSEARCHED = {1: 1, 2: 0, 3: 1, 4: 3, 5: 15, 6: 76, 7: 687}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_unsearched_classes_take_aut_from_the_parent(monkeypatch, n):
+    monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
+    table = enumerate_classes(n)
+    unsearched = [i for i, key in enumerate(vars(table)["_keys"])
+                  if key is None]
+    assert len(unsearched) == UNSEARCHED[n]
+    for i in unsearched:
+        res = canonicalize(n, [(u, v, 1) for u, v in table.reps[i]])
+        assert table.auts[i] == res.aut
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_shared_invariants_search_the_unsearched_keys(monkeypatch, n):
+    # with the degree sequence as invariant, unsearched classes share one
+    # too: their keys are searched to tell them apart, and the table is
+    # unchanged (with the full codes this happens first at n=9)
+    real = ergm._invariants
+    monkeypatch.setattr(ergm, "_invariants", lambda codes: real(codes >> 23))
+    monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
+    t = enumerate_classes(n)
+    assert 0 < vars(t)["_keys"].count(None) < UNSEARCHED[n]
+    assert (t.reps, t.keys, t.auts, t.mults) == dedupe_all_classes(n)
+
+
+# an orbit size that does not divide the parent's group order, or one that
+# does but is wrong, is refused by an explicit raise, so also under -O
+_WRONG_ORBIT_SIZES = """
+from netmoments import ergm
+real = ergm._orbit_minima
+ergm._orbit_minima = lambda k, gens: (real(k, gens)[0], WRONG)
+try:
+    ergm.enumerate_classes(6)
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("wrong, message", [
+    ("real(k, gens)[1] * 2", "does not divide an automorphism group"),
+    ("real(k, gens)[1] ** 0", "multiplicities at n=6 sum to")],
+    ids=["doubled", "all-one"])
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+def test_wrong_orbit_sizes_are_refused(wrong, message, optimize):
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(netmoments.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-c",
+         _WRONG_ORBIT_SIZES.replace("WRONG", wrong)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert message in proc.stdout
 
 
 def test_enumeration_n7_peak_memory(monkeypatch):

@@ -67,3 +67,15 @@ def test_parse_graph_returns_a_graph_or_a_data_error(directed, weighted,
         return
     assert 0 < G.n <= 2 ** 63
     assert all(0 <= u < G.n and 0 <= v < G.n for u, v in G.edges)
+
+
+def test_new_node_labels_are_checked_alone():
+    # local statistics relabel an already checked graph: its edges are
+    # not checked again, its new labels are
+    G = make_graph(4, [(0, 1), (1, 2)])
+    H = G._with_node_attrs({0: 1, 1: 0, 2: 0})
+    assert (H.n, H.edges, H.node_attrs) == (4, G.edges, {0: 1, 1: 0, 2: 0})
+    assert G.node_attrs is None
+    for labels in ({4: 1}, {-1: 0}):
+        with pytest.raises(GraphDataError, match="attribute for unknown"):
+            G._with_node_attrs(labels)
