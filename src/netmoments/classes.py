@@ -145,10 +145,7 @@ class ClassInfo:
     connected: bool
 
 
-_canon_cache = {}
-_searches = {}       # connected ClassGraph -> (generators, canonical order)
-
-
+@lru_cache(maxsize=None)
 def canonical_class(cg):
     """(key hex, automorphism count, connected) of a ClassGraph, cached.
 
@@ -157,63 +154,59 @@ def canonical_class(cg):
     the product of component counts times a factorial for each set of
     identical components.  This keeps the canonical search inside single
     components, which are small.  The components are found once per new
-    graph.  A connected graph's automorphism generators and canonical
-    order are kept for automorphism_generators."""
-    got = _canon_cache.get(cg)
-    if got is not None:
-        return got
+    graph."""
     comps = cg.components()
     if len(comps) <= 1:
-        res = canonicalize(cg.k, cg.edges, directed=cg.directed,
-                           colors=cg.colors)
-        got = (res.key.hex(), res.aut, True)
-        _searches[cg] = (res.generators, res.order)
-    else:
-        keys = []
-        aut = 1
-        for comp in comps:
-            ck, ca, _ = canonical_class(comp)
-            keys.append(ck)
-            aut *= ca
-        counts = {}
-        for ck in keys:
-            counts[ck] = counts.get(ck, 0) + 1
-        for c in counts.values():
-            aut *= math.factorial(c)
-        combined = bytes([len(comps), int(cg.directed)]) + b"".join(
-            bytes.fromhex(ck) + b"\xff" for ck in sorted(keys))
-        got = (combined.hex(), aut, False)
-    _canon_cache[cg] = got
-    return got
+        res = _search(cg)
+        return res.key.hex(), res.aut, True
+    keys = []
+    aut = 1
+    for comp in comps:
+        ck, ca, _ = canonical_class(comp)
+        keys.append(ck)
+        aut *= ca
+    counts = {}
+    for ck in keys:
+        counts[ck] = counts.get(ck, 0) + 1
+    for c in counts.values():
+        aut *= math.factorial(c)
+    combined = bytes([len(comps), int(cg.directed)]) + b"".join(
+        bytes.fromhex(ck) + b"\xff" for ck in sorted(keys))
+    return combined.hex(), aut, False
+
+
+@lru_cache(maxsize=None)
+def _search(cg):
+    """The canonical search of a connected ClassGraph, cached."""
+    return canonicalize(cg.k, cg.edges, directed=cg.directed,
+                        colors=cg.colors)
 
 
 def automorphism_generators(cg):
     """Node permutations that generate cg's automorphism group, with no
-    search of their own.  A connected graph's are those of canonical_class's
-    search.  An automorphism of a disconnected graph permutes its
+    search beyond those of its components.  A connected graph's are those
+    of its search.  An automorphism of a disconnected graph permutes its
     components, so its group is generated by each component's generators,
     lifted to cg's nodes, and by the swap of each component with the next
     identical one, slot for slot through their canonical orders."""
     if canonical_class(cg)[2]:
-        return _searches[cg][0]
+        return _search(cg).generators
     gens = []
     last = {}       # component key -> its last copy's nodes, by slot
     for nodes in cg.component_nodes():
-        comp = cg._induced(nodes)
-        key = canonical_class(comp)[0]
-        comp_gens, order = _searches[comp]
-        for g in comp_gens:
+        res = _search(cg._induced(nodes))
+        for g in res.generators:
             perm = list(range(cg.k))
             for x, gx in zip(nodes, g):
                 perm[x] = nodes[gx]
             gens.append(tuple(perm))
-        slots = [nodes[v] for v in order]
-        if key in last:
+        slots = [nodes[v] for v in res.order]
+        if res.key in last:
             perm = list(range(cg.k))
-            for a, b in zip(last[key], slots):
+            for a, b in zip(last[res.key], slots):
                 perm[a], perm[b] = b, a
             gens.append(tuple(perm))
-        last[key] = slots
+        last[res.key] = slots
     return tuple(gens)
 
 
@@ -501,18 +494,11 @@ def _named_classes(mode):
     return {}
 
 
-_alias_cache = {}
-
-
+@lru_cache(maxsize=None)
 def _alias_registry(mode):
-    reg = _alias_cache.get(mode)
-    if reg is None:
-        reg = {}
-        for alias, cg in _named_classes(mode).items():
-            key, _, _ = canonical_class(cg)
-            reg[key] = alias
-        _alias_cache[mode] = reg
-    return reg
+    """Canonical key -> alias of each named class of the mode."""
+    return {canonical_class(cg)[0]: alias
+            for alias, cg in _named_classes(mode).items()}
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from .graphsum import (GraphDistribution, distribution_cumulants,
                        sum_distributions)
 from .localstats import edge_local_cumulants, node_local_cumulants
 from .models import ModelSpec, generate as generate_model, shuffle as shuffle_graph
-from .moments import moments
+from .moments import moments, rational_json, vector_like
 from .unbiased import (UnbiasingConfig, bootstrap_variance,
                        partial_unbiased_moments, unbiased_cumulants, z_test)
 
@@ -42,11 +42,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _frac(v):
-    v = Fraction(v)
-    return {"numer": str(v.numerator), "denom": str(v.denominator)}
 
 
 def _sha256(path):
@@ -124,7 +119,7 @@ def _cmd_count(args):
     counts = full_counts(G, args.order)
     return {"n": G.n, "mode": G.mode(),
             "counts": [{"id": sid.serialize(), "alias": sid.alias,
-                        "value": _frac(c)}
+                        "value": rational_json(c)}
                        for sid, c in sorted(counts.items(),
                                             key=lambda kv: (kv[0].r,
                                                             kv[0].key))]}
@@ -148,11 +143,12 @@ def _cmd_cumulants(args):
     extra = {}
     cc = clustering_coefficients(m)
     if cc:
-        extra["clustering"] = {name: _frac(v) for name, v in cc.items()}
+        extra["clustering"] = {name: rational_json(v)
+                               for name, v in cc.items()}
     if args.scaled:
         scaled, roots = scale_cumulants(k, root_exponent=args.root_exponent)
         extra["scaled"] = [{"id": sid.serialize(), "alias": sid.alias,
-                            "value": _frac(v),
+                            "value": rational_json(v),
                             "signed_root": roots[sid]}
                            for sid, v in sorted(scaled.values.items(),
                                                 key=lambda kv: (kv[0].r,
@@ -206,10 +202,9 @@ def _fit_from_args(args):
         raise GraphDataError("ergm fitting is implemented for simple graphs")
     targets = _ergm_targets(args, G)
     sids = None
-    if args.statistics:
+    if args.statistics is not None:
         sids = [_alias_to_id("simple", a)
                 for a in args.statistics.split(",")]
-        from .moments import vector_like
         targets = vector_like(targets, {sid: targets.values[sid] for sid
                                         in sids if sid in targets.values})
     return G, fit_ergm(targets, G.n, statistic_ids=sids,
@@ -279,7 +274,7 @@ def _cmd_sum_demo(args):
     kb = distribution_cumulants(b, 2)
     ks = distribution_cumulants(s, 2)
     def pack(v):
-        return {(sid.alias or sid.serialize()): _frac(x)
+        return {(sid.alias or sid.serialize()): rational_json(x)
                 for sid, x in sorted(v.values.items(),
                                      key=lambda kv: (kv[0].r, kv[0].key))}
     additive = all(ks.values[sid] == ka.values[sid] + kb.values[sid]

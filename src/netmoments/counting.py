@@ -117,10 +117,10 @@ def check_order(mode, r_max):
 
 def graph_mode(G):
     """(mode, label count) of a host Graph: the key of its class universe.
-    Weighted classes are undirected and unlabelled, so weights on a graph
-    of another mode are refused, not counted against classes without
-    them.  A stack (see count_connected) is simple once it passes its
-    checks."""
+    Weighted and directed classes are unlabelled, and weighted ones
+    undirected, so weights or node labels on a graph of another mode are
+    refused, not counted against classes without them.  A stack (see
+    count_connected) is simple once it passes its checks."""
     if isinstance(G, np.ndarray):
         if not (G.ndim == 3 and G.dtype == bool
                 and G.shape[1] == G.shape[2] <= DENSE_NODES
@@ -137,6 +137,11 @@ def graph_mode(G):
             f"edge weights cannot be combined with {mode} mode: weighted "
             "classes are undirected and unlabelled; count the graph "
             "without weights (drop --weighted)")
+    if mode == "directed" and G.node_attrs is not None:
+        raise GraphDataError(
+            "node labels cannot be combined with directed mode: directed "
+            "classes are unlabelled; count the graph without labels (drop "
+            "--attributes and --bipartite)")
     return mode, len(G.labels()) if G.node_attrs is not None else 2
 
 

@@ -53,8 +53,7 @@ def build_edit_graph(n):
     """Construct H_n from edge removals.
 
     Each representative is canonicalized once, for generators of its
-    automorphism group and for its key, so the table's deferred keys are
-    never searched again.  Removing edges of one automorphism orbit gives
+    automorphism group and for its key.  Removing edges of one automorphism orbit gives
     isomorphic graphs (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 1998), so one removal per edge orbit is classified and
     weighted by the orbit's size.  A removal's class is read from its

@@ -28,39 +28,11 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
                       8: 12346, 9: 274668, 10: 12005168}
 
 
-class _DeferredKeys:
-    """GraphClassTable.keys: canonicalize(n, rep).key per class.  A table
-    holds None for each key that was not searched (or None for them all),
-    and the first read searches those representatives and keeps the keys.
-    The one row of the n=0 table keeps key None."""
-
-    def __set_name__(self, owner, name):
-        self.name = "_" + name
-
-    def __get__(self, table, owner=None):
-        if table is None:
-            return None             # the field's default: no key searched
-        keys = vars(table)[self.name]
-        if keys is None:
-            keys = [None] * len(table.reps)
-        if table.n and None in keys:
-            keys = [canonicalize(table.n, [(u, v, 1) for u, v in rep]).key
-                    if key is None else key
-                    for key, rep in zip(keys, table.reps)]
-        vars(table)[self.name] = keys
-        return keys
-
-    def __set__(self, table, keys):
-        vars(table)[self.name] = keys
-
-
 @dataclass
 class GraphClassTable:
     n: int
     reps: list          # representative edge tuples
-    auts: list          # automorphism group orders
     mults: list         # labeled multiplicities n!/|Aut|
-    keys: list = _DeferredKeys()    # canonical keys, searched when read
 
     def __len__(self):
         return len(self.reps)
@@ -103,8 +75,7 @@ def enumerate_classes(n, allow_large=False):
     k with a neighbour mask.  _augment finds each class once, and
     _first_children puts them in the order, and with the representatives,
     of the walk over (parent in table order, mask ascending) that keeps
-    the first child of each class.  The keys of the classes that _augment
-    did not search are searched when the table's keys are read.
+    the first child of each class.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got n={n}")
@@ -115,10 +86,10 @@ def enumerate_classes(n, allow_large=False):
     if n in _CLASS_TABLE_CACHE:
         return _CLASS_TABLE_CACHE[n]
     grown = [((), (), 1)]                  # the graph with no nodes
-    reps, keys, auts = [()], [None], [1]
+    reps, auts = [()], [1]
     for k in range(n):
         nxt, found = _augment(k, grown, last=k + 1 == n)
-        reps, keys, auts = _first_children(k, reps, grown, *found)
+        reps, auts = _first_children(k, reps, grown, *found)
         grown = nxt
     nfact = math.factorial(n)
     mults = [nfact // aut for aut in auts]
@@ -131,8 +102,7 @@ def enumerate_classes(n, allow_large=False):
         raise AssertionError(
             f"class multiplicities at n={n} sum to {sum(mults)}, "
             f"not 2^C(n,2)")
-    table = GraphClassTable(n=n, reps=reps, auts=auts, mults=mults,
-                            keys=keys)
+    table = GraphClassTable(n=n, reps=reps, mults=mults)
     _CLASS_TABLE_CACHE[n] = table
     return table
 
@@ -292,7 +262,7 @@ def _augment(k, grown, last):
 
 
 def _first_children(k, parents, grown, keys, auts, invariants, sources):
-    """(reps, keys, auts) of the classes on k + 1 nodes in the order in
+    """(reps, auts) of the classes on k + 1 nodes in the order in
     which the walk over (parent, mask ascending) first reaches them, each
     with that first child as representative.  A child's class is read from
     its invariant when only one class has it, and from its canonical key
@@ -333,9 +303,7 @@ def _first_children(k, parents, grown, keys, auts, invariants, sources):
                 unseen[inv] -= 1
         if len(reps) == len(keys):
             break
-    order = list(reps)
-    return (list(reps.values()), [keys[c] for c in order],
-            [auts[c] for c in order])
+    return list(reps.values()), [auts[c] for c in reps]
 
 
 class InfeasibleTargetError(ValueError):
@@ -450,6 +418,11 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, allow_large=False,
     if statistic_ids is None:
         statistic_ids = sorted(targets.values, key=lambda s: (s.r, s.key))
     statistic_ids = tuple(statistic_ids)
+    repeated = ", ".join(dict.fromkeys(
+        s.alias or s.serialize() for s in statistic_ids
+        if statistic_ids.count(s) > 1))
+    if repeated:
+        raise ValueError(f"statistics given more than once: {repeated}")
     missing = ", ".join(s.alias or s.serialize() for s in statistic_ids
                         if s not in targets.values)
     if missing or not statistic_ids:

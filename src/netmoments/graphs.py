@@ -244,6 +244,9 @@ def parse_graph(text, directed=False, weighted=False, nodes=None,
                 raise GraphDataError(
                     f"attributes line {lineno}: node id {v} is not in "
                     "[0, 2^63)")
+            if v in attrs:
+                raise GraphDataError(
+                    f"attributes line {lineno}: node {v} labelled twice")
             attrs[v] = parts[1].strip()
             max_id = max(max_id, v)
 

@@ -17,6 +17,7 @@ from .classes import ClassGraph, class_info, complete_count, named_class
 from .counting import check_order, count_connected
 from .cumulants import signed_root
 from .graphs import GraphDataError
+from .moments import rational_json
 
 # Each local moment in payload order: its name, the simple named class of
 # its classes' shape and the node labels of each class it sums, in the
@@ -44,16 +45,15 @@ class LocalStats:
     kappa_root: float = None
 
     def to_json_dict(self):
-        def frac(v):
-            return {"numer": str(v.numerator), "denom": str(v.denominator)}
         out = {"anchor": list(self.anchor) if isinstance(self.anchor, tuple)
                else self.anchor,
                "mode": self.mode,
-               "moments": {k: frac(v) for k, v in self.moments.items()}}
+               "moments": {k: rational_json(v)
+                           for k, v in self.moments.items()}}
         if self.kappa_triangle is not None:   # third order only
-            out["kappa_triangle"] = frac(self.kappa_triangle)
+            out["kappa_triangle"] = rational_json(self.kappa_triangle)
         if self.kappa_scaled is not None:
-            out["kappa_scaled"] = frac(self.kappa_scaled)
+            out["kappa_scaled"] = rational_json(self.kappa_scaled)
             out["signed_root"] = self.kappa_root
         return out
 

@@ -45,13 +45,17 @@ class MomentVector:
         return out
 
     def to_json_dict(self):
-        entries = []
-        for sid in sorted(self.values, key=lambda s: (s.r, s.key)):
-            v = self.values[sid]
-            entries.append({"id": sid.serialize(), "alias": sid.alias,
-                            "numer": str(v.numerator),
-                            "denom": str(v.denominator)})
+        entries = [{"id": sid.serialize(), "alias": sid.alias,
+                    **rational_json(self.values[sid])}
+                   for sid in sorted(self.values, key=lambda s: (s.r, s.key))]
         return {"n": self.n, "mode": self.mode, "moments": entries}
+
+
+def rational_json(v):
+    """The JSON form of an exact rational: numerator and denominator as
+    decimal strings."""
+    v = Fraction(v)
+    return {"numer": str(v.numerator), "denom": str(v.denominator)}
 
 
 def moments(G, r_max):

@@ -22,7 +22,7 @@ from .cumulants import (cumulant_moment_polynomial, IncompleteVectorError,
                         scaled_positions)
 from .graphs import SizeCapError
 from .models import seeded_rng
-from .moments import MomentVector, vector_like
+from .moments import MomentVector, rational_json, vector_like
 
 
 @lru_cache(maxsize=None)
@@ -207,8 +207,7 @@ class TestResult:
         return {
             "id": self.subgraph.serialize(),
             "alias": self.subgraph.alias,
-            "kappa_check": {"numer": str(self.kappa_check.numerator),
-                            "denom": str(self.kappa_check.denominator)},
+            "kappa_check": rational_json(self.kappa_check),
             "variance": self.variance,
             "z_squared": self.z_squared,
             "p_value": self.p_value,

@@ -354,7 +354,8 @@ def toggle_edit_graph(n):
     from netmoments.canonical import canonicalize
     from netmoments.ergm import enumerate_classes
     table = enumerate_classes(n)
-    key_to_index = {key: i for i, key in enumerate(table.keys)}
+    key_to_index = {canonicalize(n, [(u, v, 1) for u, v in edges]).key: i
+                    for i, edges in enumerate(table.reps)}
     adj = np.zeros((len(table), len(table)), dtype=np.int64)
     for i, edges in enumerate(table.reps):
         es = set(edges)

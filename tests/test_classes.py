@@ -150,11 +150,36 @@ def test_class_info_finds_components_once(monkeypatch):
 
     monkeypatch.setattr(ClassGraph, "components", counted)
     cg = ClassGraph.make(7, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (5, 6, 1)])
-    classes._canon_cache.pop(cg, None)
+    classes.canonical_class.cache_clear()
     assert not class_info(cg, "simple").connected
     assert calls.count(cg) == 1
     assert class_info(cg, "simple").aut == 16  # wedge 2, edges 2 * 2 * 2!
     assert calls.count(cg) == 1
+
+
+def test_canonical_facts_are_cached_once(monkeypatch):
+    # each graph's (key, |Aut|, connected), each connected graph's search
+    # and each mode's aliases live in one memo each, which reports itself
+    for memo in (classes.canonical_class, classes._search,
+                 classes._alias_registry):
+        assert memo.cache_info().maxsize is None
+    classes.canonical_class.cache_clear()
+    classes._search.cache_clear()
+    searched = []
+    real = classes.canonicalize
+    monkeypatch.setattr(classes, "canonicalize", lambda *args, **kwargs:
+                        searched.append(args) or real(*args, **kwargs))
+    # two triangles and an edge: the generators, asked for first, search
+    # the two distinct components once each, and classifying searches
+    # nothing more
+    cg = ClassGraph.make(8, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1),
+                             (4, 5, 1), (3, 5, 1), (6, 7, 1)])
+    gens = classes.automorphism_generators(cg)
+    assert len(group_closure(cg.k, gens)) == 6 * 6 * 2 * 2
+    assert class_info(cg, "simple").aut == 144
+    assert len(searched) == 2
+    assert classes._search.cache_info().currsize == 2
+    assert classes.canonical_class.cache_info().currsize == 3
 
 
 def test_unit_subclasses_index_units_by_bitmask():

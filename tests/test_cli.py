@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import resource
@@ -257,6 +258,39 @@ def test_unlabelled_nodes_are_a_data_error(tmp_path, edges, labels,
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["count"], ["moments"],
+                                     ["ztest", "--samples", "3"]])
+@pytest.mark.parametrize("bipartite", [[], ["--bipartite"]])
+def test_directed_graphs_with_labels_are_a_data_error(capsys, tmp_path,
+                                                      command, bipartite):
+    # directed classes are unlabelled: the labels used to be dropped and
+    # the graph counted as a directed one, with exit 0
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n2 1\n")
+    attrs = tmp_path / "labels.txt"
+    attrs.write_text("0\ta\n1\tb\n2\ta\n")
+    flags = ["--directed", "--attributes", str(attrs), *bipartite]
+    assert main([command[0], str(graph), *command[1:], *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "data error: node labels cannot be combined with directed " \
+        "mode" in captured.err
+    # shuffling orientations counts nothing, so it keeps the labels
+    assert main(["shuffle", str(graph), *flags, "--mode", "orientations",
+                 "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "# attr 0 a\n# attr 1 b\n# attr 2 a\n" in out
+
+
+def test_a_node_labelled_twice_is_a_data_error(capsys, tmp_path, p4):
+    # the second label used to replace the first
+    attrs = tmp_path / "labels.txt"
+    attrs.write_text("0\ta\n1\tb\n2\ta\n0\tb\n3\tb\n")
+    assert main(["count", p4, "--attributes", str(attrs)]) == 2
+    assert "data error: attributes line 4: node 0 labelled twice\n" in \
+        capsys.readouterr().err
+
+
 def test_infeasible_exit_code(capsys, tmp_path):
     # complete graph: boundary targets, eta-unbiased fit infeasible
     k5 = tmp_path / "k5.txt"
@@ -370,6 +404,25 @@ def test_statistic_without_a_target_is_a_data_error(capsys, p4, tmp_path):
     assert main(["ergm", "fit", str(empty), "--nodes", "1",
                  "--order", "1"]) == 2
     assert "no target moment for any statistic" in capsys.readouterr().err
+
+
+def test_repeated_or_empty_statistics_are_refused(capsys, tmp_path):
+    # a repeated statistic split its coefficient over two identical
+    # columns, and beta kept half of it; an empty list fitted every class
+    c4 = tmp_path / "c4.txt"
+    c4.write_text("0 1\n1 2\n2 3\n0 3\n")
+    doc = run_json(capsys, "ergm", "fit", str(c4), "--statistics", "edge")
+    assert float(doc["result"]["beta"]["edge"]) == pytest.approx(
+        math.log(2))
+    assert main(["ergm", "fit", str(c4), "--statistics", "edge,edge"]) == 2
+    assert "data error: statistics given more than once: edge\n" in \
+        capsys.readouterr().err
+    assert main(["ergm", "dist", str(c4),
+                 "--statistics", "wedge,edge,wedge"]) == 2
+    assert "statistics given more than once: wedge\n" in \
+        capsys.readouterr().err
+    assert main(["ergm", "fit", str(c4), "--statistics", ""]) == 1
+    assert "unknown subgraph alias ''" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exponent", ["0", "-2"])
@@ -541,6 +594,56 @@ def test_shuffle_exits_with_a_documented_code(mode, kind, seed, data):
     code, err = _main_in_process(argv, text)
     assert code in range(5) and "Traceback" not in err
     _assert_seed_refused(argv, seed, code, err, text)
+
+
+_BAD_ATTRIBUTE_LINE = st.tuples(
+    st.one_of(st.integers(-2, 9), st.sampled_from(
+        [2 ** 63, 2 ** 64, "x", "1.5", "0x1", ""])),
+    st.sampled_from(["a", "b", "", "a b", "# c"])).map(
+    lambda line: f"{line[0]}\t{line[1]}".strip())
+
+
+@st.composite
+def _attribute_files(draw):
+    """Each node of _SMALL_EDGES labelled once from a small alphabet; one
+    file in four then loses lines and gains lines with repeated, extra,
+    negative or non-integer ids or without a label, or is empty."""
+    lines = [f"{v}\t{label}" for v, label in enumerate(draw(st.lists(
+        st.sampled_from(["a", "b", "c"]), min_size=7, max_size=7)))]
+    if draw(st.integers(0, 3)):
+        return "\n".join(lines)
+    if draw(st.integers(0, 4)) == 0:
+        return ""
+    for at in sorted(draw(st.sets(st.integers(0, 6), max_size=3)),
+                     reverse=True):
+        del lines[at]
+    for line in draw(st.lists(_BAD_ATTRIBUTE_LINE, min_size=1,
+                              max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([["count"], ["moments"], ["cumulants"], ["unbiased"],
+                        ["ztest", "--samples", "3"], ["local", "--node", "0"],
+                        ["shuffle", "--mode", "attributes"],
+                        ["shuffle", "--mode", "orientations"]]),
+       st.sampled_from([[], ["--bipartite"], ["--directed"],
+                        ["--weighted"]]),
+       _SMALL_EDGES, _attribute_files(), st.integers(-1, 4))
+def test_attributes_exit_with_a_documented_code(tmp_path_factory, command,
+                                                flags, edges, labels,
+                                                order):
+    # attribute files with repeated, missing, extra, non-integer and
+    # negative ids, and empty ones
+    attrs = tmp_path_factory.getbasetemp() / "fuzzed-labels.txt"
+    attrs.write_text(labels)
+    argv = [command[0], "-", *command[1:], *flags, "--attributes",
+            str(attrs)]
+    if command[0] != "shuffle":
+        argv += ["--order", str(order)]
+    code, err = _main_in_process(argv, edges)
+    assert code in range(5) and "Traceback" not in err
 
 
 def _assert_seed_refused(argv, seed, code, err, stdin_text=""):

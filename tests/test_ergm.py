@@ -1,5 +1,6 @@
 """Exact small-n maximum-entropy models: enumeration, fitting, histograms."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -45,9 +46,19 @@ def test_enumeration_counts():
     assert len(enumerate_classes(5)) == 34
     assert len(enumerate_classes(6)) == 156
     for n in range(1, 7):
-        t = enumerate_classes(n)
-        assert t.keys == [canonicalize(n, [(u, v, 1) for u, v in edges]).key
-                          for edges in t.reps]
+        reps, keys, auts, mults = table_rows(enumerate_classes(n))
+        assert len(set(keys)) == len(reps)
+        assert auts == [canonicalize(n, [(u, v, 1) for u, v in edges]).aut
+                        for edges in reps]
+
+
+def table_rows(t):
+    """(reps, keys, auts, mults) of a table: each key searched from its
+    representative (None on no nodes), each |Aut| read as n! // mult."""
+    nfact = math.factorial(t.n)
+    keys = [canonicalize(t.n, [(u, v, 1) for u, v in rep]).key if t.n
+            else None for rep in t.reps]
+    return t.reps, keys, [nfact // mult for mult in t.mults], t.mults
 
 
 # SHA-256 over the rows (rep, key, aut, mult) of the n=8 table, recorded
@@ -59,15 +70,14 @@ TABLE_DIGEST_8 = ("4ec916e628c6de7763c1ff3d4ca44d58"
 
 def table_digest(t):
     h = hashlib.sha256()
-    for row in zip(t.reps, t.keys, t.auts, t.mults):
+    for row in zip(*table_rows(t)):
         h.update(repr(row).encode() + b"\n")
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_enumeration_matches_dedupe_all(n):
-    t = enumerate_classes(n)
-    assert (t.reps, t.keys, t.auts, t.mults) == dedupe_all_classes(n)
+    assert table_rows(enumerate_classes(n)) == dedupe_all_classes(n)
 
 
 def test_enumeration_n8_matches_pinned_digest():
@@ -86,32 +96,57 @@ def test_enumeration_counts_match_graph_atlas():
     assert ours == atlas
 
 
-def test_enumeration_canonicalizes_once_per_class(monkeypatch):
-    calls = []
-    canonicalize = ergm.canonicalize
+def counted_build(monkeypatch, n):
+    """A table built with no cached one, with the (node count, key) of
+    each canonical search the build made."""
+    searches = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
-        return canonicalize(*args, **kwargs)
+        res = canonicalize(*args, **kwargs)
+        searches.append((args[0], res.key))
+        return res
 
     monkeypatch.setattr(ergm, "canonicalize", counted)
     monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
-    table = enumerate_classes(7)
-    assert len(calls) < 4000   # every child of every parent: 11,291
+    table = enumerate_classes(n)
+    monkeypatch.setattr(ergm, "canonicalize", canonicalize)
+    return table, searches
+
+
+def unsearched_rows(table, searches):
+    """The rows whose class the build never searched."""
+    searched = {key for k, key in searches if k == table.n}
+    return [i for i, key in enumerate(table_rows(table)[1])
+            if key not in searched]
+
+
+def test_enumeration_canonicalizes_once_per_class(monkeypatch):
+    table, searches = counted_build(monkeypatch, 7)
+    assert len(searches) < 4000   # every child of every parent: 11,291
     # up to 7 nodes no child is canonicalized only to be rejected, and no
     # two classes share an invariant.  Each class on up to 6 nodes costs
     # one search, and on 7 nodes only the 357 classes whose new node ties
     # for the largest code do: 208 + 357 searches, not the 1,252 of one
     # search per class
-    assert len(calls) == 565
-    # the other 687 keys are searched on the first read, and kept
-    calls.clear()
-    keys = table.keys
-    assert len(calls) == 687
-    assert keys == [canonicalize(7, [(u, v, 1) for u, v in rep]).key
-                    for rep in table.reps]
-    calls.clear()
-    assert table.keys is keys and not calls
+    assert len(searches) == 565
+    assert len(set(searches)) == 565
+    assert len(unsearched_rows(table, searches)) == 687
+
+
+def test_reading_a_table_makes_no_search(monkeypatch):
+    # a table keeps no keys, so neither repr() nor == searches any (9,584
+    # searches when the keys the build left unsearched were filled on read)
+    first, _ = counted_build(monkeypatch, 8)
+    second, searches = counted_build(monkeypatch, 8)
+    searches.clear()
+    monkeypatch.setattr(ergm, "canonicalize", lambda *args, **kwargs:
+                        searches.append(args) or canonicalize(*args,
+                                                              **kwargs))
+    assert repr(first).startswith("GraphClassTable(n=8, reps=[(), ")
+    assert first == second and first is not second
+    assert not searches
+    assert {f.name for f in dataclasses.fields(first)} == {
+        "n", "reps", "mults"}
 
 
 # classes on n nodes whose new node alone has the largest invariant code,
@@ -121,14 +156,13 @@ UNSEARCHED = {1: 1, 2: 0, 3: 1, 4: 3, 5: 15, 6: 76, 7: 687}
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_unsearched_classes_take_aut_from_the_parent(monkeypatch, n):
-    monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
-    table = enumerate_classes(n)
-    unsearched = [i for i, key in enumerate(vars(table)["_keys"])
-                  if key is None]
+    table, searches = counted_build(monkeypatch, n)
+    unsearched = unsearched_rows(table, searches)
     assert len(unsearched) == UNSEARCHED[n]
+    nfact = math.factorial(n)
     for i in unsearched:
         res = canonicalize(n, [(u, v, 1) for u, v in table.reps[i]])
-        assert table.auts[i] == res.aut
+        assert nfact // table.mults[i] == res.aut
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -138,10 +172,9 @@ def test_shared_invariants_search_the_unsearched_keys(monkeypatch, n):
     # unchanged (with the full codes this happens first at n=9)
     real = ergm._invariants
     monkeypatch.setattr(ergm, "_invariants", lambda codes: real(codes >> 23))
-    monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
-    t = enumerate_classes(n)
-    assert 0 < vars(t)["_keys"].count(None) < UNSEARCHED[n]
-    assert (t.reps, t.keys, t.auts, t.mults) == dedupe_all_classes(n)
+    t, searches = counted_build(monkeypatch, n)
+    assert 0 < len(unsearched_rows(t, searches)) < UNSEARCHED[n]
+    assert table_rows(t) == dedupe_all_classes(n)
 
 
 # an orbit size that does not divide the parent's group order, or one that
@@ -406,9 +439,8 @@ def test_order_five_counts_at_n8():
                                          (3, 4, 1), (4, 5, 1)]), "simple"))
     X = table.statistic_counts(sids)
     rows = list(range(0, len(table), 97)) + [10572, 10573, len(table) - 1]
-    sample = ergm.GraphClassTable(
-        n=8, reps=[table.reps[i] for i in rows], keys=None, auts=None,
-        mults=None)
+    sample = ergm.GraphClassTable(n=8, reps=[table.reps[i] for i in rows],
+                                  mults=None)
     assert (X[rows] == per_row_statistic_counts(sample, sids)).all()
 
 

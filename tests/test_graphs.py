@@ -43,6 +43,14 @@ def test_node_ids_from_2_63_are_rejected():
         parse_graph("0 1\n", attr_text=f"{2 ** 63}\ta\n")
 
 
+def test_a_node_labelled_twice_is_refused():
+    with pytest.raises(GraphDataError,
+                       match="attributes line 3: node 0 labelled twice"):
+        parse_graph("0 1\n", attr_text="0\ta\n1\tb\n0\tb\n")
+    with pytest.raises(GraphDataError, match="line 2: node 1 labelled"):
+        parse_graph("0 1\n", attr_text="1 a\n1 a\n0 b\n")
+
+
 def test_weight_exponents_are_bounded():
     assert parse_graph("0 1 1e4300", weighted=True).edges[(0, 1)] == \
         10 ** 4300

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from netmoments.classes import named_class
 from netmoments.graphs import make_graph
-from netmoments.moments import moments
+from netmoments.moments import moments, rational_json
 
 from conftest import random_graph
 
@@ -53,6 +53,12 @@ def test_json_round_trip():
     for entry in doc["moments"]:
         v = Fraction(int(entry["numer"]), int(entry["denom"]))
         assert 0 <= v <= 1
+
+
+def test_rationals_have_one_json_form():
+    assert json.dumps(rational_json(Fraction(-6, 8))) == \
+        '{"numer": "-3", "denom": "4"}'
+    assert rational_json(5) == {"numer": "5", "denom": "1"}
 
 
 def test_wedge_moment_small_example():
