@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .classes import named_class
-from .counting import OrderCapError, full_counts
+from .counting import OrderCapError, full_counts, graph_mode
 from .cumulants import (clustering_coefficients, moments_to_cumulants,
                         scale_cumulants)
 from .editgraph import build_edit_graph, laplacian_spectrum
@@ -164,7 +164,14 @@ def _cmd_unbiased(args):
 
 def _cmd_ztest(args):
     G = _load_graph(args)
-    sid = _alias_to_id(G.mode(), args.subgraph)
+    mode, _ = graph_mode(G)
+    if mode in ("attributed", "bipartite"):
+        raise GraphDataError(
+            f"ztest tests a named subgraph, and named subgraphs exist only "
+            f"in simple, weighted and directed mode, not in {mode} mode; "
+            "test the graph without labels (drop --attributes and "
+            "--bipartite)")
+    sid = _alias_to_id(mode, args.subgraph)
     order = max(args.order, 2, sid.r)
     m = moments(G, order)
     if sid == named_class("simple", "edge").id:

@@ -71,11 +71,14 @@ def enumerate_classes(n, allow_large=False):
     """All isomorphism classes of simple graphs on n nodes, with labeled
     multiplicities.
 
-    Classes on k + 1 nodes grow from the classes on k nodes by adding node
-    k with a neighbour mask.  _augment finds each class once, and
-    _first_children puts them in the order, and with the representatives,
-    of the walk over (parent in table order, mask ascending) that keeps
-    the first child of each class.
+    Classes on k + 1 nodes grow from the table on k nodes in one pass over
+    its representatives (_next_level), each child adding node k with a
+    neighbour mask.  Rows are in the order of the walk over (parent in
+    table order, mask ascending), each with the first child of its class
+    as representative.  Below the last level each representative is
+    searched once, for the generators of its automorphism group that the
+    next level reads and for its |Aut|.  On the last level a class made
+    once takes its |Aut| from its parent's group, with no search.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got n={n}")
@@ -85,12 +88,14 @@ def enumerate_classes(n, allow_large=False):
             f"got n={n}")
     if n in _CLASS_TABLE_CACHE:
         return _CLASS_TABLE_CACHE[n]
-    grown = [((), (), 1)]                  # the graph with no nodes
-    reps, auts = [()], [1]
+    reps, generators, auts = [()], [()], [1]    # the graph with no nodes
     for k in range(n):
-        nxt, found = _augment(k, grown, last=k + 1 == n)
-        reps, auts = _first_children(k, reps, grown, *found)
-        grown = nxt
+        reps, auts = _next_level(k, reps, generators, auts)
+        if k + 1 < n:
+            found = [canonicalize(k + 1, [(u, v, 1) for u, v in rep])
+                     for rep in reps]
+            generators = [res.generators for res in found]
+            auts = [res.aut for res in found]
     nfact = math.factorial(n)
     mults = [nfact // aut for aut in auts]
     expected = KNOWN_CLASS_COUNTS.get(n)
@@ -138,7 +143,7 @@ def _pack_codes(deg, tri, walk2, walk3):
 
 def graph_invariants(stack):
     """The invariant of each graph of an int64 (rows, n, n) adjacency
-    stack that _first_children reads classes by: its sorted node codes."""
+    stack that _next_level reads classes by: its sorted node codes."""
     deg = stack.sum(axis=2)
     walk2 = np.matvec(stack, deg)
     tri = ((stack @ stack) * stack).sum(axis=2) // 2
@@ -190,120 +195,91 @@ def _orbit_minima(k, generators):
             return least, np.bincount(least, minlength=1 << k)
 
 
-def _orbit(v, generators):
-    """The nodes the permutations map v to, v included."""
-    seen, todo = {v}, [v]
-    while todo:
-        x = todo.pop()
-        for g in generators:
-            if g[x] not in seen:
-                seen.add(g[x])
-                todo.append(g[x])
-    return seen
+def _next_level(k, parents, generators, parent_auts):
+    """(reps, auts) of the classes on k + 1 nodes, from one pass over the
+    classes on k nodes: parents in table order, with generators and order
+    of each one's automorphism group.
 
+    One _node_codes call per parent gives each child (parent, mask) its
+    invariant, numbered in the order in which the walk first reaches it,
+    and gives the candidates: one mask per orbit of the parent's
+    automorphisms where the new node has the largest code.  A class C is
+    made once per orbit of Aut(C) on T, its nodes with the largest code
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998):
 
-def _augment(k, grown, last):
-    """Each class on k + 1 nodes once, by canonical augmentation (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 1998).
-
-    grown holds one graph per class on k nodes with generators and the
-    order of its automorphism group.  Each graph takes one mask per orbit
-    of its automorphisms, and the child is kept only if node k lies in the
-    automorphism orbit of the child's canonical node: the first node in
-    canonical order among those with the largest invariant code.  Comparing
-    codes drops most children before any canonical search.
-
-    On the last level a child whose node k alone has the largest code is
-    kept unsearched: node k is its canonical node, and every automorphism
-    fixes it, so the child's automorphisms are those of the parent that
-    fix the mask, |Aut| / |orbit of the mask| of them (orbit-stabilizer).
-    Its key is left None.
-
-    Returns the kept children with their generators and group orders (none
-    on the last level, from which nothing grows), and the (keys, auts,
-    invariants, sources) of their classes, where source p << k | mask is
-    the child of grown[p] by mask.
+    - a candidate whose invariant no other candidate has is a class made
+      once, and the first child of that invariant is its representative.
+      Aut(C) moves the new node over all of T, and the automorphisms that
+      fix it are the parent's that map the mask to itself, so
+      |Aut(C)| = |T| |Aut(parent)| / |orbit of the mask|
+      (orbit-stabilizer), with no search;
+    - candidates that share an invariant are searched and merged by key.
+      Where they are more than one class, the walk's children of that
+      invariant are searched in order until each class is reached.
     """
-    nxt, keys, auts, invariants = [], [], [], []
-    sources = array("q")
-    for p, (parent, generators, parent_aut) in enumerate(grown):
+    full = 1 << k
+    number = {}                 # invariant -> its number, in walk order
+    walk = array("i")           # the invariant number of each child
+    sources, auts = array("q"), array("q")      # of each candidate
+    for p, parent in enumerate(parents):
         codes = _node_codes(parent, k)
+        walk.extend([number.setdefault(inv, len(number))
+                     for inv in _invariants(codes)])
         top = codes[:, k]
-        rest = codes[:, :k].max(axis=1, initial=-1)
-        least, orbit_sizes = _orbit_minima(k, generators)
-        masks = np.flatnonzero((top >= rest) & (least == np.arange(1 << k)))
-        sizes = orbit_sizes[masks].tolist()
-        tied = (top == rest)[masks].tolist()
-        for mask, size, tie, inv in zip(masks.tolist(), sizes, tied,
-                                        _invariants(codes[masks])):
-            if last and not tie:
-                aut, rem = divmod(parent_aut, size)
-                if rem:
-                    raise AssertionError(
-                        f"a mask orbit of {size} does not divide an "
-                        f"automorphism group of order {parent_aut}")
-                key = None
-            else:
-                edges = _child_edges(parent, k, mask)
-                res = canonicalize(k + 1, [(u, v, 1) for u, v in edges])
-                if tie:
-                    row = codes[mask].tolist()
-                    first = next(v for v in res.order if row[v] == row[k])
-                    if k not in _orbit(first, res.generators):
-                        continue
-                if not last:
-                    nxt.append((edges, res.generators, res.aut))
-                key, aut = res.key, res.aut
-            keys.append(key)
-            auts.append(aut)
-            invariants.append(inv)
-            sources.append(p << k | mask)
-    return nxt, (keys, auts, invariants, sources)
-
-
-def _first_children(k, parents, grown, keys, auts, invariants, sources):
-    """(reps, auts) of the classes on k + 1 nodes in the order in
-    which the walk over (parent, mask ascending) first reaches them, each
-    with that first child as representative.  A child's class is read from
-    its invariant when only one class has it, and from its canonical key
-    otherwise, so the classes that share an invariant have their missing
-    keys searched first, on the children of grown that _augment found them
-    by.  A key found twice means a class was made twice."""
-    classes_of = {}                 # invariant -> classes that have it
-    for c, inv in enumerate(invariants):
-        classes_of.setdefault(inv, []).append(c)
-    for cs in classes_of.values():
-        if len(cs) == 1:
-            continue
-        for c in cs:
-            if keys[c] is None:
-                p, mask = divmod(sources[c], 1 << k)
-                edges = _child_edges(grown[p][0], k, mask)
-                keys[c] = canonicalize(
-                    k + 1, [(u, v, 1) for u, v in edges]).key
-    index = {key: c for c, key in enumerate(keys) if key is not None}
-    if len(index) < len(keys) - keys.count(None):
+        least, orbit_sizes = _orbit_minima(k, generators[p])
+        masks = np.flatnonzero((top >= codes[:, :k].max(axis=1, initial=-1))
+                               & (least == np.arange(full)))
+        sizes, aut = orbit_sizes[masks], parent_auts[p]
+        if (aut % sizes).any():
+            raise AssertionError(
+                f"a mask orbit of {sizes[aut % sizes > 0][0]} does not "
+                f"divide an automorphism group of order {aut}")
+        ties = (codes[masks] == top[masks, None]).sum(axis=1)
+        sources.extend((p << k | masks).tolist())
+        auts.extend((aut // sizes * ties).tolist())
+    walk = np.frombuffer(walk, dtype=np.intc)
+    of = walk[np.frombuffer(sources, dtype=np.int64)]
+    made = np.bincount(of, minlength=len(number))
+    if not made.all():
         raise AssertionError(
-            f"canonical augmentation made a class on {k + 1} nodes twice")
-    unseen = {inv: len(cs) for inv, cs in classes_of.items()}
-    reps = {}                       # class -> first child, in walk order
-    for parent in parents:
-        for mask, inv in enumerate(_invariants(_node_codes(parent, k))):
-            if not unseen.get(inv, 1):
-                continue
-            edges = _child_edges(parent, k, mask)
-            cs = classes_of.get(inv, ())
-            c = cs[0] if len(cs) == 1 else index.get(canonicalize(
-                k + 1, [(u, v, 1) for u, v in edges]).key)
-            if c is None:
+            f"a child on {k + 1} nodes matches no enumerated class")
+    class_auts = np.zeros(len(number), dtype=np.int64)
+    once = made[of] == 1
+    class_auts[of[once]] = np.frombuffer(auts, dtype=np.int64)[once]
+    classes = {}                # invariant number -> {key: |Aut|}
+    for c in np.flatnonzero(~once).tolist():
+        res = _search_child(parents, k, sources[c])
+        classes.setdefault(int(of[c]), {}).setdefault(res.key, res.aut)
+    for i, found in list(classes.items()):
+        if len(found) == 1:
+            class_auts[i] = found.popitem()[1]
+            del classes[i]
+    rows, unreached = {}, {i: dict(found) for i, found in classes.items()}
+    children = np.flatnonzero(np.isin(walk, list(classes)))
+    for child, i in zip(children.tolist(), walk[children].tolist()):
+        if unreached[i]:
+            key = _search_child(parents, k, child).key
+            if key not in classes[i]:
                 raise AssertionError(
                     f"a child on {k + 1} nodes matches no enumerated class")
-            if c not in reps:
-                reps[c] = edges
-                unseen[inv] -= 1
-        if len(reps) == len(keys):
-            break
-    return list(reps.values()), [auts[c] for c in reps]
+            if key in unreached[i]:
+                rows[child] = unreached[i].pop(key)
+    # each invariant's first child: where the running maximum number rises
+    firsts = np.flatnonzero(np.diff(np.maximum.accumulate(walk), prepend=-1))
+    keep = np.ones(len(number), dtype=bool)
+    keep[list(classes)] = False
+    firsts = np.append(firsts[keep], np.fromiter(rows, dtype=np.int64))
+    class_auts = np.append(class_auts[keep],
+                           np.fromiter(rows.values(), dtype=np.int64))
+    order = np.argsort(firsts)
+    return ([_child_edges(parents[s >> k], k, s & (full - 1))
+             for s in firsts[order].tolist()], class_auts[order].tolist())
+
+
+def _search_child(parents, k, source):
+    """The canonical search of the child at walk position source."""
+    edges = _child_edges(parents[source >> k], k, source & ((1 << k) - 1))
+    return canonicalize(k + 1, [(u, v, 1) for u, v in edges])
 
 
 class InfeasibleTargetError(ValueError):

@@ -282,6 +282,30 @@ def test_directed_graphs_with_labels_are_a_data_error(capsys, tmp_path,
     assert "# attr 0 a\n# attr 1 b\n# attr 2 a\n" in out
 
 
+@pytest.mark.parametrize("subgraph", [[], ["--subgraph", "wedge"]])
+@pytest.mark.parametrize("bipartite", [[], ["--bipartite"]])
+def test_ztest_of_a_labelled_graph_is_a_data_error(capsys, tmp_path,
+                                                   monkeypatch, subgraph,
+                                                   bipartite):
+    # named subgraphs exist in simple, weighted and directed mode only:
+    # every alias used to be unknown in a labelled mode (a usage error,
+    # exit 1), whatever --subgraph named
+    import netmoments.cli as cli
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+    attrs = tmp_path / "labels.txt"
+    attrs.write_text("0\ta\n1\tb\n2\ta\n3\tb\n")
+    monkeypatch.setattr(cli, "moments", None)     # refused before counting
+    assert main(["ztest", str(graph), "--attributes", str(attrs),
+                 *bipartite, *subgraph, "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    mode = "bipartite" if bipartite else "attributed"
+    assert (f"data error: ztest tests a named subgraph, and named "
+            f"subgraphs exist only in simple, weighted and directed mode, "
+            f"not in {mode} mode") in captured.err
+
+
 def test_a_node_labelled_twice_is_a_data_error(capsys, tmp_path, p4):
     # the second label used to replace the first
     attrs = tmp_path / "labels.txt"

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import netmoments
 from netmoments import counting, ergm
-from netmoments.canonical import canonicalize
+from netmoments.canonical import canonicalize, orbits
 from netmoments.classes import (ClassGraph, class_id, complete_count,
                                 named_class, universe, universe_index)
 from netmoments.counting import OrderCapError, full_counts
@@ -68,9 +68,9 @@ TABLE_DIGEST_8 = ("4ec916e628c6de7763c1ff3d4ca44d58"
                   "0d114eb3a4e5a50392190d24d50df7d5")
 
 
-def table_digest(t):
+def table_digest(t, rows=None):
     h = hashlib.sha256()
-    for row in zip(*table_rows(t)):
+    for row in zip(*(rows or table_rows(t))):
         h.update(repr(row).encode() + b"\n")
     return h.hexdigest()
 
@@ -123,14 +123,16 @@ def unsearched_rows(table, searches):
 def test_enumeration_canonicalizes_once_per_class(monkeypatch):
     table, searches = counted_build(monkeypatch, 7)
     assert len(searches) < 4000   # every child of every parent: 11,291
-    # up to 7 nodes no child is canonicalized only to be rejected, and no
-    # two classes share an invariant.  Each class on up to 6 nodes costs
-    # one search, and on 7 nodes only the 357 classes whose new node ties
-    # for the largest code do: 208 + 357 searches, not the 1,252 of one
-    # search per class
-    assert len(searches) == 565
-    assert len(set(searches)) == 565
-    assert len(unsearched_rows(table, searches)) == 687
+    # up to 7 nodes no candidate repeats a class and no two classes share
+    # an invariant, so the last level makes no search: each class on 1 to
+    # 6 nodes is searched once, for the generators the next level reads,
+    # and no class on 7 nodes is (565 searches when the 357 classes whose
+    # new node ties for the largest code were searched, 1,252 with one
+    # search per class)
+    assert len(searches) == 208
+    assert len(set(searches)) == 208
+    assert max(k for k, _ in searches) == 6
+    assert len(unsearched_rows(table, searches)) == 1044
 
 
 def test_reading_a_table_makes_no_search(monkeypatch):
@@ -149,9 +151,9 @@ def test_reading_a_table_makes_no_search(monkeypatch):
         "n", "reps", "mults"}
 
 
-# classes on n nodes whose new node alone has the largest invariant code,
-# which take |Aut| from their parent's group with no search
-UNSEARCHED = {1: 1, 2: 0, 3: 1, 4: 3, 5: 15, 6: 76, 7: 687}
+# classes on n nodes that take |Aut| from their parent's group with no
+# search: through n=7 every class, since no candidate repeats a class
+UNSEARCHED = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -175,6 +177,77 @@ def test_shared_invariants_search_the_unsearched_keys(monkeypatch, n):
     t, searches = counted_build(monkeypatch, n)
     assert 0 < len(unsearched_rows(t, searches)) < UNSEARCHED[n]
     assert table_rows(t) == dedupe_all_classes(n)
+
+
+def tied_orbits(n, rep):
+    """|T|, the nodes of rep with the largest invariant code, and the
+    number of automorphism orbits on T: the times the build makes the
+    class."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in rep:
+        adj[u, v] = adj[v, u] = 1
+    deg = adj.sum(axis=1)
+    walk2 = adj @ deg
+    tri = ((adj @ adj) * adj).sum(axis=1) // 2
+    codes = ergm._pack_codes(deg, tri, walk2, adj @ walk2).tolist()
+    top = [v for v in range(n) if codes[v] == max(codes)]
+    if len(top) == 1:
+        return 1, 1
+    gens = canonicalize(n, [(u, v, 1) for u, v in rep]).generators
+    return len(top), sum(1 for _ in orbits(top, gens, lambda g, v: g[v]))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_tied_classes_take_aut_by_orbit_counting(monkeypatch, n):
+    # a class whose largest code is shared by T nodes, made once, has
+    # |Aut| = |T| |Aut(parent)| / |orbit of the mask|, with no search
+    table, searches = counted_build(monkeypatch, n)
+    unsearched = set(unsearched_rows(table, searches))
+    nfact = math.factorial(n)
+    tied = 0
+    for i, rep in enumerate(table.reps):
+        size, made = tied_orbits(n, rep)
+        if size > 1:
+            tied += 1
+            assert made == 1 and i in unsearched
+            res = canonicalize(n, [(u, v, 1) for u, v in rep])
+            assert nfact // table.mults[i] == res.aut
+    assert tied == {2: 2, 3: 3, 4: 8, 5: 19, 6: 80, 7: 357}[n]
+
+
+def test_tied_candidates_that_repeat_a_class_are_merged(monkeypatch):
+    # from n=8 some classes have two or more automorphism orbits of nodes
+    # with the largest code, and the build makes them once per orbit: each
+    # of those candidates is searched, and they merge into one row
+    table, searches = counted_build(monkeypatch, 8)
+    times = {}
+    for k, key in searches:
+        if k == 8:
+            times[key] = times.get(key, 0) + 1
+    rows = table_rows(table)
+    tied_classes = candidates = repeated = 0
+    for rep, key in zip(table.reps, rows[1]):
+        size, made = tied_orbits(8, rep)
+        if size > 1:
+            tied_classes += 1
+            candidates += made
+        if made > 1:
+            repeated += 1
+            assert times.get(key, 0) >= made
+    assert (tied_classes, candidates) == (2762, 2834)
+    assert repeated == 72
+    assert table_digest(table, rows) == TABLE_DIGEST_8
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_an_invariant_that_tells_no_class_apart(monkeypatch, n):
+    # with one invariant for every child, every candidate is searched and
+    # merged by key, and the walk searches children until it reaches each
+    # class: the table is unchanged
+    monkeypatch.setattr(ergm, "_invariants", lambda codes: [b""] * len(codes))
+    t, searches = counted_build(monkeypatch, n)
+    assert table_rows(t) == dedupe_all_classes(n)
+    assert len(unsearched_rows(t, searches)) == (n < 2)
 
 
 # an orbit size that does not divide the parent's group order, or one that
