@@ -214,8 +214,7 @@ def _fit_from_args(args):
                 for a in args.statistics.split(",")]
         targets = vector_like(targets, {sid: targets.values[sid] for sid
                                         in sids if sid in targets.values})
-    return G, fit_ergm(targets, G.n, statistic_ids=sids,
-                       allow_large=args.allow_large)
+    return G, fit_ergm(targets, G.n, statistic_ids=sids)
 
 
 def _cmd_ergm_fit(args):
@@ -399,7 +398,6 @@ def build_parser():
     esubs = p.add_subparsers(dest="sub", required=True)
     for name, fn in (("fit", _cmd_ergm_fit), ("dist", _cmd_ergm_dist)):
         ep = _add_command(esubs, name, fn, order=2)
-        ep.add_argument("--allow-large", action="store_true")
         ep.add_argument("--eta", type=Fraction, default=Fraction(0))
         ep.add_argument("--statistics", default=None,
                         help="comma-separated aliases (default: all classes "

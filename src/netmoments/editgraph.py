@@ -8,9 +8,9 @@ integral spectrum: the multiplicity of eigenvalue r equals the number of
 distinct subgraph classes with exactly r edges embeddable in n nodes.
 
 build_edit_graph classifies one edge removal per automorphism orbit of
-each representative's edges, by node invariants where they tell the
-classes apart, and derives every addition from the removals through the
-classes' multiplicities (see its docstring).
+each representative's edges by its node invariants, and derives every
+addition from the removals through the classes' multiplicities (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -53,23 +53,22 @@ def build_edit_graph(n):
     """Construct H_n from edge removals.
 
     Each representative is canonicalized once, for generators of its
-    automorphism group and for its key.  Removing edges of one automorphism orbit gives
+    automorphism group.  Removing edges of one automorphism orbit gives
     isomorphic graphs (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 1998), so one removal per edge orbit is classified and
     weighted by the orbit's size.  A removal's class is read from its
-    sorted node codes (ergm.graph_invariants) when only one class has
-    them, and from its canonical key otherwise.  Additions follow from the
-    removals: the labelled graphs of class i and of class j one edge apart
-    are counted from either side, so mult_i * w(i -> j) = mult_j *
-    w(j -> i), and each division is checked to be exact."""
+    sorted node codes (ergm.graph_invariants), which tell every class
+    apart.  Additions follow from the removals: the labelled graphs of
+    class i and of class j one edge apart are counted from either side,
+    so mult_i * w(i -> j) = mult_j * w(j -> i), and each division is
+    checked to be exact."""
     if n > EDIT_NODE_CAP:
         raise SizeCapError(f"edit graph capped at n={EDIT_NODE_CAP}")
     table = enumerate_classes(n)
     k = len(table)
-    rows, removals, sizes, key_to_index = [], [], [], {}
+    rows, removals, sizes = [], [], []
     for j, edges in enumerate(table.reps):
         res = canonicalize(n, [(u, v, 1) for u, v in edges])
-        key_to_index[res.key] = j
         for removed, size in _edge_orbits(edges, res.generators):
             rows.append(j)
             removals.append(removed)
@@ -77,19 +76,18 @@ def build_edit_graph(n):
     adj = np.zeros((k, k), dtype=np.int64)
     if removals:
         reps = table.stack(np.int64)
-        classes_of = {}                 # invariant -> classes that have it
-        for c, inv in enumerate(graph_invariants(reps)):
-            classes_of.setdefault(inv, []).append(c)
+        class_of = {inv: c for c, inv in enumerate(graph_invariants(reps))}
+        if len(class_of) < k:
+            raise AssertionError(
+                f"classes on {n} nodes share a node invariant")
         stack = reps[rows]
         at, (u, v) = np.arange(len(rows)), np.array(removals).T
         stack[at, u, v] = stack[at, v, u] = 0
-        for j, removed, size, inv in zip(rows, removals, sizes,
-                                         graph_invariants(stack)):
-            cs = classes_of.get(inv, ())
-            i = cs[0] if len(cs) == 1 else key_to_index[canonicalize(
-                n, [(a, b, 1) for a, b in table.reps[j]
-                    if (a, b) != removed]).key]
-            adj[j, i] += size
+        found = [class_of.get(inv) for inv in graph_invariants(stack)]
+        if None in found:
+            raise AssertionError(
+                f"an edge removal on {n} nodes matches no class")
+        np.add.at(adj, (rows, found), sizes)
     mults = table.mults
     for j, i in zip(*np.nonzero(adj)):   # removals j -> i, additions i -> j
         added, rem = divmod(mults[j] * int(adj[j, i]), mults[i])

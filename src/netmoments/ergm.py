@@ -25,7 +25,7 @@ from .moments import MomentVector
 _CLASS_TABLE_CACHE = {}
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
-                      8: 12346, 9: 274668, 10: 12005168}
+                      8: 12346, 9: 274668}
 
 
 @dataclass
@@ -67,7 +67,7 @@ class GraphClassTable:
         return cols
 
 
-def enumerate_classes(n, allow_large=False):
+def enumerate_classes(n):
     """All isomorphism classes of simple graphs on n nodes, with labeled
     multiplicities.
 
@@ -77,27 +77,20 @@ def enumerate_classes(n, allow_large=False):
     table order, mask ascending), each with the first child of its class
     as representative.  Below the last level each representative is
     searched once, for the generators of its automorphism group that the
-    next level reads and for its |Aut|.  On the last level a class made
-    once takes its |Aut| from its parent's group, with no search.
+    next level reads; multiplicities are counted, with no search.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got n={n}")
-    if n > 10 or (n > 9 and not allow_large):
-        raise SizeCapError(
-            f"class enumeration capped at n=9 (n=10 behind allow_large); "
-            f"got n={n}")
+    if n > 9:
+        raise SizeCapError(f"class enumeration capped at n=9; got n={n}")
     if n in _CLASS_TABLE_CACHE:
         return _CLASS_TABLE_CACHE[n]
-    reps, generators, auts = [()], [()], [1]    # the graph with no nodes
+    reps, generators, mults = [()], [()], [1]   # the graph with no nodes
     for k in range(n):
-        reps, auts = _next_level(k, reps, generators, auts)
+        reps, mults = _next_level(k, reps, generators, mults)
         if k + 1 < n:
-            found = [canonicalize(k + 1, [(u, v, 1) for u, v in rep])
-                     for rep in reps]
-            generators = [res.generators for res in found]
-            auts = [res.aut for res in found]
-    nfact = math.factorial(n)
-    mults = [nfact // aut for aut in auts]
+            generators = [canonicalize(k + 1, [(u, v, 1) for u, v in rep])
+                          .generators for rep in reps]
     expected = KNOWN_CLASS_COUNTS.get(n)
     if expected is not None and len(reps) != expected:
         raise AssertionError(
@@ -134,11 +127,13 @@ def _mask_bits(k):
     return bits
 
 
-def _pack_codes(deg, tri, walk2, walk3):
+def _pack_codes(deg, tri, walk2, walk3, closed4):
     """Node invariant codes: each packs the node's degree, the edges among
-    its neighbours and its 2- and 3-step walk counts, in that order of
-    significance; each field fits its bits for up to 10 nodes."""
-    return deg << 23 | tri << 17 | walk2 << 10 | walk3
+    its neighbours, its 2- and 3-step walk counts and its closed 4-step
+    walks, in that order of significance; each field fits its bits for up
+    to 9 nodes, and the sorted codes tell apart every class on up to 9
+    nodes."""
+    return deg << 33 | tri << 27 | walk2 << 20 | walk3 << 10 | closed4
 
 
 def graph_invariants(stack):
@@ -146,8 +141,10 @@ def graph_invariants(stack):
     stack that _next_level reads classes by: its sorted node codes."""
     deg = stack.sum(axis=2)
     walk2 = np.matvec(stack, deg)
-    tri = ((stack @ stack) * stack).sum(axis=2) // 2
-    return _invariants(_pack_codes(deg, tri, walk2, np.matvec(stack, walk2)))
+    square = stack @ stack
+    tri = (square * stack).sum(axis=2) // 2
+    return _invariants(_pack_codes(deg, tri, walk2, np.matvec(stack, walk2),
+                                   (square * square).sum(axis=2)))
 
 
 def _node_codes(parent, k):
@@ -167,11 +164,19 @@ def _node_codes(parent, k):
 
     deg = walk(np.ones((1 << k, k + 1), dtype=np.int64))
     walk2 = walk(deg)
+    square = adj @ adj
     inside = bits @ adj                 # neighbours of node j in the mask
     tri = np.empty_like(deg)
-    tri[:, :k] = ((adj @ adj) * adj).sum(axis=1) // 2 + bits * inside
+    tri[:, :k] = (square * adj).sum(axis=1) // 2 + bits * inside
     tri[:, k] = (bits * inside).sum(axis=1) // 2
-    return _pack_codes(deg, tri, walk2, walk(walk2))
+    # (A^4)_vv, the sum over u of (A^2)_vu^2, with the child's A^2 in
+    # blocks: square + b b^T, the column inside and the corner |b|
+    inside2 = inside * inside
+    closed4 = np.empty_like(deg)
+    closed4[:, :k] = ((square * square).sum(axis=1) + inside2
+                      + bits * (2 * (bits @ square) + deg[:, k:]))
+    closed4[:, k] = inside2.sum(axis=1) + deg[:, k] ** 2
+    return _pack_codes(deg, tri, walk2, walk(walk2), closed4)
 
 
 def _invariants(codes):
@@ -195,91 +200,69 @@ def _orbit_minima(k, generators):
             return least, np.bincount(least, minlength=1 << k)
 
 
-def _next_level(k, parents, generators, parent_auts):
-    """(reps, auts) of the classes on k + 1 nodes, from one pass over the
-    classes on k nodes: parents in table order, with generators and order
-    of each one's automorphism group.
+def _next_level(k, parents, generators, parent_mults):
+    """(reps, mults) of the classes on k + 1 nodes, from one pass over the
+    classes on k nodes: parents in table order, with generators of each
+    one's automorphism group and its multiplicity.
 
     One _node_codes call per parent gives each child (parent, mask) its
-    invariant, numbered in the order in which the walk first reaches it,
-    and gives the candidates: one mask per orbit of the parent's
-    automorphisms where the new node has the largest code.  A class C is
-    made once per orbit of Aut(C) on T, its nodes with the largest code
-    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998):
+    invariant, numbered in the order in which the walk first reaches it.
+    The invariant tells every class apart, so each number is a class, and
+    the first child of it is the representative.  The call also gives the
+    candidates: one mask per orbit of the parent's automorphisms where the
+    new node has the largest code (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 1998).  Counting the labelled graphs of a
+    class C with one node of T, C's nodes with the largest code, marked,
+    once from C and once by deleting the marked node, gives
 
-    - a candidate whose invariant no other candidate has is a class made
-      once, and the first child of that invariant is its representative.
-      Aut(C) moves the new node over all of T, and the automorphisms that
-      fix it are the parent's that map the mask to itself, so
-      |Aut(C)| = |T| |Aut(parent)| / |orbit of the mask|
-      (orbit-stabilizer), with no search;
-    - candidates that share an invariant are searched and merged by key.
-      Where they are more than one class, the walk's children of that
-      invariant are searched in order until each class is reached.
+        mult(C) |T| = (k + 1) * sum over the candidates (P, mask) of C
+                      of mult(P) |orbit of the mask|
+
+    so no class is searched.
     """
-    full = 1 << k
     number = {}                 # invariant -> its number, in walk order
     walk = array("i")           # the invariant number of each child
-    sources, auts = array("q"), array("q")      # of each candidate
+    of, weights, ties = array("q"), array("q"), array("q")  # by candidate
+    group = math.factorial(k)
     for p, parent in enumerate(parents):
         codes = _node_codes(parent, k)
-        walk.extend([number.setdefault(inv, len(number))
-                     for inv in _invariants(codes)])
+        numbers = [number.setdefault(inv, len(number))
+                   for inv in _invariants(codes)]
+        walk.extend(numbers)
         top = codes[:, k]
         least, orbit_sizes = _orbit_minima(k, generators[p])
         masks = np.flatnonzero((top >= codes[:, :k].max(axis=1, initial=-1))
-                               & (least == np.arange(full)))
-        sizes, aut = orbit_sizes[masks], parent_auts[p]
+                               & (least == np.arange(1 << k)))
+        sizes, aut = orbit_sizes[masks], group // parent_mults[p]
         if (aut % sizes).any():
             raise AssertionError(
                 f"a mask orbit of {sizes[aut % sizes > 0][0]} does not "
                 f"divide an automorphism group of order {aut}")
-        ties = (codes[masks] == top[masks, None]).sum(axis=1)
-        sources.extend((p << k | masks).tolist())
-        auts.extend((aut // sizes * ties).tolist())
-    walk = np.frombuffer(walk, dtype=np.intc)
-    of = walk[np.frombuffer(sources, dtype=np.int64)]
-    made = np.bincount(of, minlength=len(number))
-    if not made.all():
+        of.extend([numbers[m] for m in masks.tolist()])
+        weights.extend((parent_mults[p] * sizes).tolist())
+        ties.extend((codes[masks] == top[masks, None]).sum(axis=1).tolist())
+    of = np.frombuffer(of, dtype=np.int64)
+    ties = np.frombuffer(ties, dtype=np.int64)
+    tops = np.zeros(len(number), dtype=np.int64)
+    tops[of] = ties
+    if not tops.all():
         raise AssertionError(
             f"a child on {k + 1} nodes matches no enumerated class")
-    class_auts = np.zeros(len(number), dtype=np.int64)
-    once = made[of] == 1
-    class_auts[of[once]] = np.frombuffer(auts, dtype=np.int64)[once]
-    classes = {}                # invariant number -> {key: |Aut|}
-    for c in np.flatnonzero(~once).tolist():
-        res = _search_child(parents, k, sources[c])
-        classes.setdefault(int(of[c]), {}).setdefault(res.key, res.aut)
-    for i, found in list(classes.items()):
-        if len(found) == 1:
-            class_auts[i] = found.popitem()[1]
-            del classes[i]
-    rows, unreached = {}, {i: dict(found) for i, found in classes.items()}
-    children = np.flatnonzero(np.isin(walk, list(classes)))
-    for child, i in zip(children.tolist(), walk[children].tolist()):
-        if unreached[i]:
-            key = _search_child(parents, k, child).key
-            if key not in classes[i]:
-                raise AssertionError(
-                    f"a child on {k + 1} nodes matches no enumerated class")
-            if key in unreached[i]:
-                rows[child] = unreached[i].pop(key)
-    # each invariant's first child: where the running maximum number rises
+    if (tops[of] != ties).any():
+        raise AssertionError(
+            f"candidates of one class on {k + 1} nodes disagree on its "
+            "nodes with the largest code")
+    marked = np.zeros(len(number), dtype=np.int64)
+    np.add.at(marked, of, np.frombuffer(weights, dtype=np.int64))
+    mults, rest = np.divmod((k + 1) * marked, tops)
+    if rest.any():
+        raise AssertionError(
+            f"candidates on {k + 1} nodes do not count whole classes")
+    # each class's first child: where the running maximum number rises
+    walk = np.frombuffer(walk, dtype=np.intc)
     firsts = np.flatnonzero(np.diff(np.maximum.accumulate(walk), prepend=-1))
-    keep = np.ones(len(number), dtype=bool)
-    keep[list(classes)] = False
-    firsts = np.append(firsts[keep], np.fromiter(rows, dtype=np.int64))
-    class_auts = np.append(class_auts[keep],
-                           np.fromiter(rows.values(), dtype=np.int64))
-    order = np.argsort(firsts)
-    return ([_child_edges(parents[s >> k], k, s & (full - 1))
-             for s in firsts[order].tolist()], class_auts[order].tolist())
-
-
-def _search_child(parents, k, source):
-    """The canonical search of the child at walk position source."""
-    edges = _child_edges(parents[source >> k], k, source & ((1 << k) - 1))
-    return canonicalize(k + 1, [(u, v, 1) for u, v in edges])
+    return ([_child_edges(parents[s >> k], k, s & ((1 << k) - 1))
+             for s in firsts.tolist()], mults.tolist())
 
 
 class InfeasibleTargetError(ValueError):
@@ -377,8 +360,8 @@ def _logsumexp(a):
     return mx + math.log(np.exp(a - mx).sum())
 
 
-def fit_ergm(targets: MomentVector, n, statistic_ids=None, allow_large=False,
-             tol=1e-8, max_iter=200):
+def fit_ergm(targets: MomentVector, n, statistic_ids=None, tol=1e-8,
+             max_iter=200):
     """Fit beta so the model's expected counts match the target moments.
 
     Damped Newton on the convex dual f(beta) = ln Z - beta.t with Armijo
@@ -404,7 +387,7 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, allow_large=False,
     if missing or not statistic_ids:
         raise ValueError(f"no target moment for {missing or 'any statistic'}"
                          ": fit classes within the targets' order and n")
-    table = enumerate_classes(n, allow_large=allow_large)
+    table = enumerate_classes(n)
     X = table.statistic_counts(statistic_ids)
     logw = np.log(np.array(table.mults, dtype=np.float64))
     index = universe_index("simple", max(s.r for s in statistic_ids))

@@ -115,8 +115,8 @@ def _counted_canonicalize(monkeypatch):
 
 
 def test_one_canonicalization_per_edge_orbit(monkeypatch):
-    # one search per representative, for its automorphisms and key: the
-    # 572 edge orbits at n=6 are classified by invariant (728 searches when
+    # one search per representative, for its automorphisms: the 572 edge
+    # orbits at n=6 are classified by invariant (728 searches when
     # each orbit was canonicalized, 156 * 15 = 2,340 when toggling every
     # pair), and no search of the fresh table's rows runs on top
     monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
@@ -135,24 +135,33 @@ def test_one_canonicalization_per_edge_orbit(monkeypatch):
 def test_shared_invariants_fall_back_to_canonical_keys(monkeypatch, n,
                                                         shared):
     # with the degree sequence as invariant some classes share one, and
-    # with a constant all do: those removals are classified by canonical
-    # key, and the adjacency stays that of toggling every pair
+    # with a constant all do: the build refuses with an explicit raise
+    # rather than search canonical keys
     def invariants(stack):
         if shared == "all":
             return [b""] * len(stack)
         return [bytes(sorted(row)) for row in stack.sum(axis=2).tolist()]
 
     monkeypatch.setattr(editgraph, "graph_invariants", invariants)
-    enumerate_classes(n)
-    calls = _counted_canonicalize(monkeypatch)
-    h = build_edit_graph(n)
-    assert h.adjacency.tobytes() == toggle_edit_graph(n).tobytes()
-    # one search per representative, and one per edge orbit on top
-    reps, per_orbit = len(h.table), {5: 108, 6: 728}[n]
-    if shared == "all":
-        assert len(calls) == per_orbit
-    else:
-        assert reps < len(calls) < per_orbit
+    with pytest.raises(AssertionError,
+                       match=f"classes on {n} nodes share a node invariant"):
+        build_edit_graph(n)
+
+
+def test_a_removal_that_matches_no_class_is_refused(monkeypatch):
+    # an invariant no representative has is an explicit error, not a
+    # KeyError
+    real = editgraph.graph_invariants
+    calls = []
+
+    def invariants(stack):
+        calls.append(1)
+        return [b"!" * (len(calls) > 1) + inv for inv in real(stack)]
+
+    monkeypatch.setattr(editgraph, "graph_invariants", invariants)
+    with pytest.raises(AssertionError,
+                       match="an edge removal on 5 nodes matches no class"):
+        build_edit_graph(5)
 
 
 def test_broken_multiplicities_are_refused(monkeypatch):

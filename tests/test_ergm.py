@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -123,12 +124,11 @@ def unsearched_rows(table, searches):
 def test_enumeration_canonicalizes_once_per_class(monkeypatch):
     table, searches = counted_build(monkeypatch, 7)
     assert len(searches) < 4000   # every child of every parent: 11,291
-    # up to 7 nodes no candidate repeats a class and no two classes share
-    # an invariant, so the last level makes no search: each class on 1 to
-    # 6 nodes is searched once, for the generators the next level reads,
-    # and no class on 7 nodes is (565 searches when the 357 classes whose
-    # new node ties for the largest code were searched, 1,252 with one
-    # search per class)
+    # the last level makes no search: each class on 1 to 6 nodes is
+    # searched once, for the generators the next level reads, and no
+    # class on 7 nodes is (565 searches when the 357 classes whose new
+    # node ties for the largest code were searched, 1,252 with one search
+    # per class)
     assert len(searches) == 208
     assert len(set(searches)) == 208
     assert max(k for k, _ in searches) == 6
@@ -151,32 +151,100 @@ def test_reading_a_table_makes_no_search(monkeypatch):
         "n", "reps", "mults"}
 
 
-# classes on n nodes that take |Aut| from their parent's group with no
-# search: through n=7 every class, since no candidate repeats a class
-UNSEARCHED = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_unsearched_classes_take_aut_from_the_parent(monkeypatch, n):
+    # every class's multiplicity is counted with no search of it
     table, searches = counted_build(monkeypatch, n)
     unsearched = unsearched_rows(table, searches)
-    assert len(unsearched) == UNSEARCHED[n]
+    assert len(unsearched) == len(table)
     nfact = math.factorial(n)
     for i in unsearched:
         res = canonicalize(n, [(u, v, 1) for u, v in table.reps[i]])
         assert nfact // table.mults[i] == res.aut
 
 
+def node_codes(adj):
+    """The _pack_codes of every node of each graph of an int64 (..., n, n)
+    adjacency array, from its powers."""
+    deg = adj.sum(axis=-1)
+    walk2 = np.matvec(adj, deg)
+    square = adj @ adj
+    return ergm._pack_codes(deg, (square * adj).sum(axis=-1) // 2, walk2,
+                            np.matvec(adj, walk2),
+                            (square * square).sum(axis=-1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_node_codes_tell_every_class_apart(n):
+    # the sorted codes are a complete invariant: one per class (with four
+    # fields, 12,325 for the 12,346 classes at n=8)
+    table = enumerate_classes(n)
+    assert len(set(ergm.graph_invariants(table.stack(np.int64)))) == \
+        len(table)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_node_codes_of_children_match_their_adjacency(k):
+    # each child's codes, computed incrementally from its parent's, are
+    # those of its explicit adjacency
+    bits = ergm._mask_bits(k)
+    for parent in enumerate_classes(k).reps:
+        adj = np.zeros((1 << k, k + 1, k + 1), dtype=np.int64)
+        for u, v in parent:
+            adj[:, u, v] = adj[:, v, u] = 1
+        adj[:, :k, k] = adj[:, k, :k] = bits
+        assert np.array_equal(ergm._node_codes(parent, k), node_codes(adj))
+
+
+# builds with a coarser invariant than the node codes, in a fresh
+# interpreter, plain and under -O: each outcome is "same" for the table of
+# the real invariant, "different", or the AssertionError raised
+_COARSE_BUILDS = """
+import json
+from netmoments import ergm
+real = ergm._invariants
+want = [ergm.enumerate_classes(n) for n in range(8)]
+out = {}
+for kind, invariants in [
+        ("constant", lambda codes: [b""] * len(codes)),
+        ("degrees", lambda codes: real(codes >> 33))]:
+    ergm._invariants = invariants
+    for n in range(8):
+        ergm._CLASS_TABLE_CACHE.clear()
+        try:
+            table = ergm.enumerate_classes(n)
+            out[f"{kind} {n}"] = "same" if table == want[n] else "different"
+        except AssertionError as exc:
+            out[f"{kind} {n}"] = f"AssertionError: {exc}"
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def coarse_builds():
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(netmoments.__file__).parents[1]))
+    outcomes = {}
+    for optimize in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *optimize, "-c",
+                               _COARSE_BUILDS],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outcomes[tuple(optimize)] = json.loads(proc.stdout)
+    return outcomes
+
+
 @pytest.mark.parametrize("n", [6, 7])
-def test_shared_invariants_search_the_unsearched_keys(monkeypatch, n):
-    # with the degree sequence as invariant, unsearched classes share one
-    # too: their keys are searched to tell them apart, and the table is
-    # unchanged (with the full codes this happens first at n=9)
-    real = ergm._invariants
-    monkeypatch.setattr(ergm, "_invariants", lambda codes: real(codes >> 23))
-    t, searches = counted_build(monkeypatch, n)
-    assert 0 < len(unsearched_rows(t, searches)) < UNSEARCHED[n]
-    assert table_rows(t) == dedupe_all_classes(n)
+def test_shared_invariants_search_the_unsearched_keys(coarse_builds, n):
+    # with the degree sequence as invariant, classes on 5 nodes share one
+    # and their candidates disagree on |T|: the build refuses with an
+    # explicit raise, also under -O, rather than search keys to tell them
+    # apart
+    for outcomes in coarse_builds.values():
+        assert outcomes[f"degrees {n}"] == (
+            "AssertionError: candidates of one class on 5 nodes disagree on "
+            "its nodes with the largest code")
 
 
 def tied_orbits(n, rep):
@@ -186,10 +254,7 @@ def tied_orbits(n, rep):
     adj = np.zeros((n, n), dtype=np.int64)
     for u, v in rep:
         adj[u, v] = adj[v, u] = 1
-    deg = adj.sum(axis=1)
-    walk2 = adj @ deg
-    tri = ((adj @ adj) * adj).sum(axis=1) // 2
-    codes = ergm._pack_codes(deg, tri, walk2, adj @ walk2).tolist()
+    codes = node_codes(adj).tolist()
     top = [v for v in range(n) if codes[v] == max(codes)]
     if len(top) == 1:
         return 1, 1
@@ -199,8 +264,9 @@ def tied_orbits(n, rep):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_tied_classes_take_aut_by_orbit_counting(monkeypatch, n):
-    # a class whose largest code is shared by T nodes, made once, has
-    # |Aut| = |T| |Aut(parent)| / |orbit of the mask|, with no search
+    # a class whose largest code is shared by T nodes is counted with no
+    # search: mult |T| = n * sum of mult(parent) |orbit of the mask| over
+    # its candidates, and up to 7 nodes each is made once
     table, searches = counted_build(monkeypatch, n)
     unsearched = set(unsearched_rows(table, searches))
     nfact = math.factorial(n)
@@ -217,37 +283,39 @@ def test_tied_classes_take_aut_by_orbit_counting(monkeypatch, n):
 
 def test_tied_candidates_that_repeat_a_class_are_merged(monkeypatch):
     # from n=8 some classes have two or more automorphism orbits of nodes
-    # with the largest code, and the build makes them once per orbit: each
-    # of those candidates is searched, and they merge into one row
+    # with the largest code, and the build makes them once per orbit: the
+    # counting rule sums those candidates into one row, with no search on
+    # 8 nodes (1,504 searches when each repeated candidate was searched)
     table, searches = counted_build(monkeypatch, 8)
-    times = {}
-    for k, key in searches:
-        if k == 8:
-            times[key] = times.get(key, 0) + 1
-    rows = table_rows(table)
+    assert len(searches) == 1252
+    assert max(k for k, _ in searches) == 7
     tied_classes = candidates = repeated = 0
-    for rep, key in zip(table.reps, rows[1]):
+    nfact = math.factorial(8)
+    for rep, mult in zip(table.reps, table.mults):
         size, made = tied_orbits(8, rep)
         if size > 1:
             tied_classes += 1
             candidates += made
         if made > 1:
             repeated += 1
-            assert times.get(key, 0) >= made
-    assert (tied_classes, candidates) == (2762, 2834)
-    assert repeated == 72
-    assert table_digest(table, rows) == TABLE_DIGEST_8
+            res = canonicalize(8, [(u, v, 1) for u, v in rep])
+            assert nfact // mult == res.aut
+    assert (tied_classes, candidates) == (2740, 2773)
+    assert repeated == 33
+    assert table_digest(table) == TABLE_DIGEST_8
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_an_invariant_that_tells_no_class_apart(monkeypatch, n):
-    # with one invariant for every child, every candidate is searched and
-    # merged by key, and the walk searches children until it reaches each
-    # class: the table is unchanged
-    monkeypatch.setattr(ergm, "_invariants", lambda codes: [b""] * len(codes))
-    t, searches = counted_build(monkeypatch, n)
-    assert table_rows(t) == dedupe_all_classes(n)
-    assert len(unsearched_rows(t, searches)) == (n < 2)
+def test_an_invariant_that_tells_no_class_apart(coarse_builds, n):
+    # with one invariant for every child the build can tell no two
+    # classes apart: from 2 nodes on it refuses with an explicit raise,
+    # also under -O, and below 2 nodes there is one class to find
+    for outcomes in coarse_builds.values():
+        outcome = outcomes[f"constant {n}"]
+        if n < 2:
+            assert outcome == "same"
+        else:
+            assert outcome.startswith("AssertionError: ")
 
 
 # an orbit size that does not divide the parent's group order, or one that
@@ -265,7 +333,8 @@ except AssertionError as exc:
 
 @pytest.mark.parametrize("wrong, message", [
     ("real(k, gens)[1] * 2", "does not divide an automorphism group"),
-    ("real(k, gens)[1] ** 0", "multiplicities at n=6 sum to")],
+    ("real(k, gens)[1] ** 0",
+     "candidates on 3 nodes do not count whole classes")],
     ids=["doubled", "all-one"])
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
 def test_wrong_orbit_sizes_are_refused(wrong, message, optimize):
@@ -299,10 +368,9 @@ def test_enumeration_multiplicities_n3():
 
 
 def test_size_cap():
-    with pytest.raises(SizeCapError):
-        enumerate_classes(10)
-    with pytest.raises(SizeCapError):
-        enumerate_classes(11, allow_large=True)
+    for n in (10, 11):
+        with pytest.raises(SizeCapError, match="capped at n=9"):
+            enumerate_classes(n)
 
 
 def test_order_one_fit_is_logit():

@@ -53,20 +53,25 @@ def test_esu_side_run_import_resolves():
                             None))
 
 
-def test_class_table_passes_leave_the_spans_a_trace_reads():
+def test_class_table_passes_leave_the_spans_a_trace_reads(monkeypatch):
     # perfbench/layers.py reads ergm.stat_matrix_fallback_rows from the
-    # full_counts spans inside ergm.stat_matrix and editgraph.
+    # full_counts spans inside ergm.stat_matrix, editgraph.
     # canonicalizations from the canonicalize calls build_edit_graph makes
-    # itself; without either, `run.py --trace 1` exits 3
+    # itself, and ergm.enumerate_s, ergm.canonicalizations and
+    # canonical.per_call_us from the ergm.enumerate spans of cold n=7
+    # builds that canonicalize; without any of them, `run.py --trace 1`
+    # exits 3
     tracer_mod = _tracer()
     NAME, PARENT, ATTRS = tracer_mod.NAME, tracer_mod.PARENT, tracer_mod.ATTRS
     ergm, editgraph = _module("ergm"), _module("editgraph")
     edge = _module("classes").named_class("simple", "edge").id
     table = ergm.enumerate_classes(5)
+    monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
     tracer = tracer_mod.Tracer()
     with tracer.instrument():
         table.statistic_counts((edge,))
         editgraph.build_edit_graph(5)
+        ergm.enumerate_classes(7)
     spans = tracer.spans
 
     def inside(i, name):
@@ -81,6 +86,8 @@ def test_class_table_passes_leave_the_spans_a_trace_reads():
                for i, s in enumerate(spans))
     builds = [s for s in spans if s[NAME] == "editgraph.build"]
     assert builds and builds[0][ATTRS].get("canon", 0) > 0
+    assert any(s[NAME] == "ergm.enumerate" and s[ATTRS].get("n") == 7
+               and s[ATTRS].get("canon", 0) > 0 for s in spans)
 
 
 @pytest.mark.parametrize("module", ["netmoments.cli", "netmoments"])
