@@ -124,15 +124,6 @@ class SubgraphId:
             s += f":{self.alias}"
         return s
 
-    @staticmethod
-    def parse(text):
-        parts = text.split(":")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"bad SubgraphId: {text!r}")
-        mode, r, key = parts[0], int(parts[1]), parts[2]
-        alias = parts[3] if len(parts) == 4 else None
-        return SubgraphId(mode=mode, r=r, key=key, alias=alias)
-
     def __repr__(self):
         return f"SubgraphId({self.serialize()})"
 

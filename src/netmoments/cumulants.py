@@ -42,9 +42,6 @@ class EdgePartitionExpansion:
     subject: SubgraphId
     terms: tuple  # of (sorted tuple of part SubgraphIds, multiplicity)
 
-    def total_multiplicity(self):
-        return sum(m for _, m in self.terms)
-
 
 @lru_cache(maxsize=None)
 def _block_masks(r):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import canonicalize, orbits
-from .ergm import SizeCapError, enumerate_classes, graph_invariants
+from .ergm import (SizeCapError, _adjacency, _edges, enumerate_classes,
+                   graph_invariants)
 
 EDIT_NODE_CAP = 6
 
@@ -55,7 +56,8 @@ def build_edit_graph(n):
     Each representative is canonicalized once, for generators of its
     automorphism group.  Removing edges of one automorphism orbit gives
     isomorphic graphs (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 1998), so one removal per edge orbit is classified and
+    J. Algorithms 1998), so one removal per edge orbit, the
+    representative's word with that edge's bit cleared, is classified and
     weighted by the orbit's size.  A removal's class is read from its
     sorted node codes (ergm.graph_invariants), which tell every class
     apart.  Additions follow from the removals: the labelled graphs of
@@ -67,23 +69,22 @@ def build_edit_graph(n):
     table = enumerate_classes(n)
     k = len(table)
     rows, removals, sizes = [], [], []
-    for j, edges in enumerate(table.reps):
+    for j, word in enumerate(table.reps):
+        edges = _edges(word, n)
         res = canonicalize(n, [(u, v, 1) for u, v in edges])
-        for removed, size in _edge_orbits(edges, res.generators):
+        for (u, v), size in _edge_orbits(edges, res.generators):
             rows.append(j)
-            removals.append(removed)
+            removals.append(word & ~(1 << (v * (v - 1) // 2 + u)))
             sizes.append(size)
     adj = np.zeros((k, k), dtype=np.int64)
     if removals:
-        reps = table.stack(np.int64)
-        class_of = {inv: c for c, inv in enumerate(graph_invariants(reps))}
+        class_of = {inv: c for c, inv
+                    in enumerate(graph_invariants(table.stack(np.int64)))}
         if len(class_of) < k:
             raise AssertionError(
                 f"classes on {n} nodes share a node invariant")
-        stack = reps[rows]
-        at, (u, v) = np.arange(len(rows)), np.array(removals).T
-        stack[at, u, v] = stack[at, v, u] = 0
-        found = [class_of.get(inv) for inv in graph_invariants(stack)]
+        found = [class_of.get(inv)
+                 for inv in graph_invariants(_adjacency(removals, n))]
         if None in found:
             raise AssertionError(
                 f"an edge removal on {n} nodes matches no class")
@@ -129,15 +130,3 @@ def laplacian_spectrum(h: EditGraph, tol=1e-8):
     for v in snapped.astype(int):
         out[v] = out.get(v, 0) + 1
     return sorted(out.items()), float(residual)
-
-
-def zero_eigenvector_residuals(h: EditGraph):
-    """Residuals of the eigenvalue-0 pair: uniform left eigenvector and
-    multiplicity-proportional right eigenvector."""
-    L = h.laplacian()
-    left = np.ones(len(h))
-    right = np.array(h.table.mults, dtype=np.float64)
-    right /= right.sum()
-    scale = np.abs(L).max()
-    return (float(np.abs(left @ L).max()) / scale,
-            float(np.abs(L @ right).max()) / scale)

@@ -8,7 +8,6 @@ multiplicity n!/|Aut| as base-measure weight.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
 @dataclass
 class GraphClassTable:
     n: int
-    reps: list          # representative edge tuples
+    reps: array         # representatives as graph words (_adjacency)
     mults: list         # labeled multiplicities n!/|Aut|
 
     def __len__(self):
@@ -40,16 +39,7 @@ class GraphClassTable:
     def stack(self, dtype):
         """The representatives' adjacency arrays as one (rows, n, n)
         array of 0/1 entries, rows in table order."""
-        sizes = np.fromiter(map(len, self.reps), dtype=np.intp,
-                            count=len(self.reps))
-        ends = np.fromiter(itertools.chain.from_iterable(
-            itertools.chain.from_iterable(self.reps)), dtype=np.intp,
-            count=2 * int(sizes.sum()))
-        stack = np.zeros((len(self.reps), self.n, self.n), dtype=dtype)
-        stack[np.arange(len(self.reps)).repeat(sizes), ends[0::2],
-              ends[1::2]] = 1
-        stack |= stack.mT
-        return stack
+        return _adjacency(self.reps, self.n, dtype)
 
     def statistic_counts(self, sids):
         """Matrix of c_g per class row for the given statistic ids, rows in
@@ -85,11 +75,12 @@ def enumerate_classes(n):
         raise SizeCapError(f"class enumeration capped at n=9; got n={n}")
     if n in _CLASS_TABLE_CACHE:
         return _CLASS_TABLE_CACHE[n]
-    reps, generators, mults = [()], [()], [1]   # the graph with no nodes
+    reps, generators, mults = array("q", [0]), [()], [1]   # no nodes
     for k in range(n):
         reps, mults = _next_level(k, reps, generators, mults)
         if k + 1 < n:
-            generators = [canonicalize(k + 1, [(u, v, 1) for u, v in rep])
+            generators = [canonicalize(k + 1, [(u, v, 1) for u, v
+                                               in _edges(rep, k + 1)])
                           .generators for rep in reps]
     expected = KNOWN_CLASS_COUNTS.get(n)
     if expected is not None and len(reps) != expected:
@@ -105,17 +96,29 @@ def enumerate_classes(n):
     return table
 
 
-def _child_edges(parent, k, mask):
-    """The parent's edges, then (j, k) for every bit j of mask, ascending.
-    The (j, k) pairs are shared by every child on k + 1 nodes."""
-    pairs = _new_pairs(k)
-    return parent + tuple(pairs[j] for j in range(k) if mask >> j & 1)
+def _adjacency(words, n, dtype=np.int64):
+    """The graphs on n nodes that words hold, as one (rows, n, n) array of
+    0/1 entries.
+
+    A graph word has bit v(v-1)/2 + u set for each edge u < v, so the
+    pairs of node k are the k bits from k(k-1)/2 up, and a child of a
+    k-node parent is parent | mask << k(k-1)/2.  np.tril_indices lists
+    the pairs (v, u) in that bit order.
+    """
+    words = np.asarray(words, dtype="<i8")
+    v, u = np.tril_indices(n, -1)
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1,
+                         count=len(v), bitorder="little")
+    adj = np.zeros((len(words), n, n), dtype=dtype)
+    adj[:, v, u] = adj[:, u, v] = bits
+    return adj
 
 
-@lru_cache(maxsize=None)
-def _new_pairs(k):
-    """The edges (j, k) that can join node k to nodes 0..k-1, by j."""
-    return tuple((j, k) for j in range(k))
+def _edges(word, n):
+    """The edges (u, v), u < v, of a graph word on n nodes, in bit
+    order."""
+    pairs = ((u, v) for v in range(n) for u in range(v))
+    return tuple(pair for b, pair in enumerate(pairs) if word >> b & 1)
 
 
 @lru_cache(maxsize=None)
@@ -147,12 +150,9 @@ def graph_invariants(stack):
                                    (square * square).sum(axis=2)))
 
 
-def _node_codes(parent, k):
+def _node_codes(adj, k):
     """Invariant code (_pack_codes) of every node (column) of every child
-    (row, by mask) of a k-node parent."""
-    adj = np.zeros((k, k), dtype=np.int64)
-    for u, v in parent:
-        adj[u, v] = adj[v, u] = 1
+    (row, by mask) of a k-node parent with int64 adjacency adj."""
     bits = _mask_bits(k)
 
     def walk(x):
@@ -182,6 +182,8 @@ def _node_codes(parent, k):
 def _invariants(codes):
     """One hashable invariant per row: the row's codes, sorted, as bytes."""
     codes = np.sort(codes, axis=1)
+    if not codes.shape[1]:
+        return [b""] * len(codes)       # graphs on no nodes
     return codes.view(f"S{codes.itemsize * codes.shape[1]}").ravel().tolist()
 
 
@@ -202,8 +204,8 @@ def _orbit_minima(k, generators):
 
 def _next_level(k, parents, generators, parent_mults):
     """(reps, mults) of the classes on k + 1 nodes, from one pass over the
-    classes on k nodes: parents in table order, with generators of each
-    one's automorphism group and its multiplicity.
+    classes on k nodes: parents (graph words) in table order, with
+    generators of each one's automorphism group and its multiplicity.
 
     One _node_codes call per parent gives each child (parent, mask) its
     invariant, numbered in the order in which the walk first reaches it.
@@ -224,8 +226,8 @@ def _next_level(k, parents, generators, parent_mults):
     walk = array("i")           # the invariant number of each child
     of, weights, ties = array("q"), array("q"), array("q")  # by candidate
     group = math.factorial(k)
-    for p, parent in enumerate(parents):
-        codes = _node_codes(parent, k)
+    for p, adj in enumerate(_adjacency(parents, k)):
+        codes = _node_codes(adj, k)
         numbers = [number.setdefault(inv, len(number))
                    for inv in _invariants(codes)]
         walk.extend(numbers)
@@ -259,10 +261,13 @@ def _next_level(k, parents, generators, parent_mults):
         raise AssertionError(
             f"candidates on {k + 1} nodes do not count whole classes")
     # each class's first child: where the running maximum number rises
+    # (an int32 -1 keeps the difference in int32: at n=9, 3.16 M children)
     walk = np.frombuffer(walk, dtype=np.intc)
-    firsts = np.flatnonzero(np.diff(np.maximum.accumulate(walk), prepend=-1))
-    return ([_child_edges(parents[s >> k], k, s & ((1 << k) - 1))
-             for s in firsts.tolist()], mults.tolist())
+    firsts = np.flatnonzero(np.diff(np.maximum.accumulate(walk),
+                                    prepend=np.intc(-1)))
+    reps = (np.asarray(parents)[firsts >> k]
+            | (firsts & ((1 << k) - 1)) << (k * (k - 1) // 2))
+    return array("q", reps.tobytes()), mults.tolist()
 
 
 class InfeasibleTargetError(ValueError):
@@ -286,14 +291,6 @@ class ErgmModel:
     table: GraphClassTable = field(repr=False)
     stat_matrix: np.ndarray = field(repr=False)
     log_probs: np.ndarray = field(repr=False)
-
-    def achieved_moments(self):
-        index = universe_index("simple", max(s.r for s in self.statistics))
-        out = {}
-        for j, sid in enumerate(self.statistics):
-            denom = complete_count(index[sid.key], self.n)
-            out[sid] = self.achieved_counts[j] / float(denom)
-        return out
 
     def to_json_dict(self):
         return {

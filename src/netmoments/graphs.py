@@ -102,11 +102,6 @@ class Graph:
             counts[idx[lab]] += 1
         return counts
 
-    def color_of(self, v):
-        labs = self.labels()
-        idx = {l: i for i, l in enumerate(labs)}
-        return idx[self.node_attrs[v]]
-
     def mode(self):
         if self.directed:
             return "directed"

@@ -37,13 +37,6 @@ class MomentVector:
     def items(self):
         return self.values.items()
 
-    def by_alias(self):
-        """Alias (or serialized id) -> value, for display and tests."""
-        out = {}
-        for sid, v in self.values.items():
-            out[sid.alias or sid.serialize()] = v
-        return out
-
     def to_json_dict(self):
         entries = [{"id": sid.serialize(), "alias": sid.alias,
                     **rational_json(self.values[sid])}

@@ -108,12 +108,6 @@ class UnbiasingConfig:
         if not 0 <= self.eta <= 1:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
-    @classmethod
-    def from_population(cls, n, N):
-        if N < n:
-            raise ValueError("population size N must be at least n")
-        return cls(eta=1 - Fraction(n, N))
-
     def population(self, n):
         """N as an exact rational, or None for eta=1 (infinite)."""
         if self.eta == 1:
@@ -293,14 +287,3 @@ def bootstrap_variance(G, sid, r_max, num_samples=200, subsample=None,
         vals.append(float(kc.values[sid]))
     var_sub = float(np.var(vals, ddof=1))
     return var_sub * subsample / n
-
-
-def welch_test(k1, var1, k2, var2):
-    """Two-sample comparison of unbiased cumulants (heuristic): Welch's
-    statistic with a normal approximation."""
-    denom = var1 + var2
-    if denom <= 0:
-        raise ValueError("variances must be positive")
-    t = (float(k1) - float(k2)) / math.sqrt(denom)
-    p = math.erfc(abs(t) / math.sqrt(2.0))
-    return {"t": t, "p_value": p, "heuristic": True}

@@ -86,6 +86,12 @@ def edge_lists(weighted):
 _brute_cache = {}
 
 
+def node_colors(G):
+    """Each node's label as its index in G.labels(), by node."""
+    index = {label: i for i, label in enumerate(G.labels())}
+    return [index[G.node_attrs[v]] for v in range(G.n)]
+
+
 def _relabel_key(edges, directed, colors=None):
     remap = {}
     out = []
@@ -339,10 +345,12 @@ def per_row_statistic_counts(table, sids):
     """The statistic matrix from one full_counts call per class row."""
     import numpy as np
     from netmoments.counting import full_counts
+    from netmoments.ergm import _edges
     r_max = max((sid.r for sid in sids), default=1)
     cols = np.empty((len(table.reps), len(sids)), dtype=np.float64)
-    for i, edges in enumerate(table.reps):
-        counts = full_counts(make_graph(table.n, list(edges)), r_max)
+    for i, word in enumerate(table.reps):
+        counts = full_counts(make_graph(table.n, list(_edges(word, table.n))),
+                             r_max)
         cols[i] = [counts.get(sid, 0) for sid in sids]
     return cols
 
@@ -352,12 +360,13 @@ def toggle_edit_graph(n):
     class representative and canonicalizing the result."""
     import numpy as np
     from netmoments.canonical import canonicalize
-    from netmoments.ergm import enumerate_classes
+    from netmoments.ergm import _edges, enumerate_classes
     table = enumerate_classes(n)
+    reps = [_edges(word, n) for word in table.reps]
     key_to_index = {canonicalize(n, [(u, v, 1) for u, v in edges]).key: i
-                    for i, edges in enumerate(table.reps)}
+                    for i, edges in enumerate(reps)}
     adj = np.zeros((len(table), len(table)), dtype=np.int64)
-    for i, edges in enumerate(table.reps):
+    for i, edges in enumerate(reps):
         es = set(edges)
         for u in range(n):
             for v in range(u + 1, n):
@@ -447,7 +456,7 @@ def esu_counts(G, r_max):
     check_order(mode, r_max)
     colors = None
     if mode in ("attributed", "bipartite"):
-        colors = [G.color_of(v) for v in range(G.n)]
+        colors = node_colors(G)
     slots = sorted(G.edges)
     clf = Classifier(mode, G.directed, colors)
     counts = {}

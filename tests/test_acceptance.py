@@ -17,7 +17,8 @@ from netmoments.classes import named_class, universe, universe_index
 from netmoments.counting import full_counts
 from netmoments.cumulants import moments_to_cumulants, scale_cumulants
 from netmoments.editgraph import build_edit_graph, laplacian_spectrum
-from netmoments.ergm import enumerate_classes, ergm_distribution, fit_ergm
+from netmoments.ergm import (_edges, enumerate_classes, ergm_distribution,
+                             fit_ergm)
 from netmoments.graphs import make_graph
 from netmoments.graphsum import (distribution_cumulants, GraphDistribution,
                                  sum_distributions)
@@ -57,8 +58,8 @@ def test_criterion_01_oracle_moments():
         for ci in infos:
             key_of[ci.id] = brute_canonical(
                 [(u, v) for u, v, _ in ci.graph.edges])
-    for edges in table.reps:
-        G = make_graph(7, list(edges))
+    for word in table.reps:
+        G = make_graph(7, list(_edges(word, 7)))
         got = {key_of[sid]: v for sid, v in moments(G, r_max).values.items()}
         oracle = {key: Fraction(c, complete[key])
                   for key, c in brute(sorted(G.edges)).items()}

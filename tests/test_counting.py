@@ -25,11 +25,11 @@ from netmoments import counting
 from netmoments.cli import main
 from netmoments.counting import (ORDER_CAPS, OrderCapError, check_order,
                                  count_connected, full_counts)
-from netmoments.ergm import enumerate_classes
+from netmoments.ergm import _edges, enumerate_classes
 from netmoments.graphs import Graph, GraphDataError, make_graph, UNIT
 from netmoments.moments import moments
 
-from conftest import (brute_canonical, esu_counts, random_graph,
+from conftest import (brute_canonical, esu_counts, node_colors, random_graph,
                       random_weighted_graph)
 
 
@@ -41,7 +41,7 @@ def brute_counts(G, r_max):
     directed = G.directed
     colors = None
     if G.node_attrs is not None:
-        colors = [G.color_of(v) for v in range(G.n)]
+        colors = node_colors(G)
     for r in range(1, r_max + 1):
         for sub in itertools.combinations(edges, r):
             key = brute_canonical(list(sub), directed=directed, colors=colors)
@@ -54,7 +54,7 @@ def pipeline_as_brute(G, r_max):
     out = {}
     colors = None
     if G.node_attrs is not None:
-        colors = list(range(max(G.color_of(v) for v in range(G.n)) + 1))
+        colors = list(range(max(node_colors(G)) + 1))
     for sid, c in full_counts(G, r_max).items():
         cg = _rep_of(G, sid)
         key = brute_canonical([(u, v) for u, v, _ in cg.edges],
@@ -548,7 +548,7 @@ def test_dense_and_sparse_forms_count_alike(monkeypatch):
         assert dense.keys() == sparse.keys()
         for sid, got in dense.items():
             assert got == sparse[sid] and type(got) is type(sparse[sid])
-    reps = enumerate_classes(4).reps
+    reps = [_edges(word, 4) for word in enumerate_classes(4).reps]
     for r in (4, 5, 6):
         ran["stack"] |= {op for op, _, _ in
                          counting._hom_basis(r, "simple", 2)[1]}
@@ -617,7 +617,7 @@ def test_stack_is_counted_in_slices(monkeypatch, n, r):
     # with a lower cap the program runs on slices of the stack, each
     # slice's largest array (n^3 with K4, else n^2 per graph) within the
     # cap, and the columns do not change
-    reps = enumerate_classes(n).reps
+    reps = [_edges(word, n) for word in enumerate_classes(n).reps]
     stack = _stack(n, reps)
     want = count_connected(stack, r)
     slices = []

@@ -8,8 +8,7 @@ import pytest
 from netmoments import editgraph, ergm
 from netmoments.classes import universe
 from netmoments.cli import main
-from netmoments.editgraph import (build_edit_graph, laplacian_spectrum,
-                                  zero_eigenvector_residuals)
+from netmoments.editgraph import build_edit_graph, laplacian_spectrum
 from netmoments.ergm import SizeCapError, enumerate_classes
 
 from conftest import toggle_edit_graph
@@ -61,10 +60,15 @@ def test_n4_spectrum():
 
 
 def test_zero_eigenvectors():
+    # eigenvalue 0: uniform left eigenvector, multiplicity-proportional
+    # right eigenvector
     h = build_edit_graph(4)
-    left, right = zero_eigenvector_residuals(h)
-    assert left < 1e-12
-    assert right < 1e-12
+    L = h.laplacian()
+    right = np.array(h.table.mults, dtype=np.float64)
+    right /= right.sum()
+    scale = np.abs(L).max()
+    assert np.abs(np.ones(len(h)) @ L).max() / scale < 1e-12
+    assert np.abs(L @ right).max() / scale < 1e-12
 
 
 def test_left_eigenspace_spans_count_vectors():

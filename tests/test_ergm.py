@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,6 +42,15 @@ def _targets(n, values):
                         values=values)
 
 
+def achieved_moments(model):
+    """The fitted model's expected count of each statistic over its count
+    in K_n."""
+    index = universe_index("simple", max(s.r for s in model.statistics))
+    return {sid: model.achieved_counts[j]
+            / float(complete_count(index[sid.key], model.n))
+            for j, sid in enumerate(model.statistics)}
+
+
 def test_enumeration_counts():
     assert len(enumerate_classes(3)) == 4
     assert len(enumerate_classes(4)) == 11
@@ -53,13 +63,20 @@ def test_enumeration_counts():
                         for edges in reps]
 
 
+def decoded(t):
+    """The table's representatives as edge tuples."""
+    return [ergm._edges(word, t.n) for word in t.reps]
+
+
 def table_rows(t):
-    """(reps, keys, auts, mults) of a table: each key searched from its
-    representative (None on no nodes), each |Aut| read as n! // mult."""
+    """(reps, keys, auts, mults) of a table: reps as edge tuples, each key
+    searched from its representative (None on no nodes), each |Aut| read
+    as n! // mult."""
     nfact = math.factorial(t.n)
+    reps = decoded(t)
     keys = [canonicalize(t.n, [(u, v, 1) for u, v in rep]).key if t.n
-            else None for rep in t.reps]
-    return t.reps, keys, [nfact // mult for mult in t.mults], t.mults
+            else None for rep in reps]
+    return reps, keys, [nfact // mult for mult in t.mults], t.mults
 
 
 # SHA-256 over the rows (rep, key, aut, mult) of the n=8 table, recorded
@@ -92,8 +109,9 @@ def test_enumeration_counts_match_graph_atlas():
         atlas[nm] = atlas.get(nm, 0) + 1
     ours = {}
     for n in range(8):
-        for rep in enumerate_classes(n).reps:
-            ours[(n, len(rep))] = ours.get((n, len(rep)), 0) + 1
+        for word in enumerate_classes(n).reps:
+            key = (n, word.bit_count())
+            ours[key] = ours.get(key, 0) + 1
     assert ours == atlas
 
 
@@ -144,7 +162,8 @@ def test_reading_a_table_makes_no_search(monkeypatch):
     monkeypatch.setattr(ergm, "canonicalize", lambda *args, **kwargs:
                         searches.append(args) or canonicalize(*args,
                                                               **kwargs))
-    assert repr(first).startswith("GraphClassTable(n=8, reps=[(), ")
+    assert repr(first).startswith(
+        "GraphClassTable(n=8, reps=array('q', [0, 2097152, ")
     assert first == second and first is not second
     assert not searches
     assert {f.name for f in dataclasses.fields(first)} == {
@@ -158,8 +177,9 @@ def test_unsearched_classes_take_aut_from_the_parent(monkeypatch, n):
     unsearched = unsearched_rows(table, searches)
     assert len(unsearched) == len(table)
     nfact = math.factorial(n)
+    reps = decoded(table)
     for i in unsearched:
-        res = canonicalize(n, [(u, v, 1) for u, v in table.reps[i]])
+        res = canonicalize(n, [(u, v, 1) for u, v in reps[i]])
         assert nfact // table.mults[i] == res.aut
 
 
@@ -174,10 +194,11 @@ def node_codes(adj):
                             (square * square).sum(axis=-1))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(9))
 def test_node_codes_tell_every_class_apart(n):
     # the sorted codes are a complete invariant: one per class (with four
-    # fields, 12,325 for the 12,346 classes at n=8)
+    # fields, 12,325 for the 12,346 classes at n=8), and the graph on no
+    # nodes has one, with no codes
     table = enumerate_classes(n)
     assert len(set(ergm.graph_invariants(table.stack(np.int64)))) == \
         len(table)
@@ -187,13 +208,50 @@ def test_node_codes_tell_every_class_apart(n):
 def test_node_codes_of_children_match_their_adjacency(k):
     # each child's codes, computed incrementally from its parent's, are
     # those of its explicit adjacency
-    bits = ergm._mask_bits(k)
+    masks = np.arange(1 << k)
     for parent in enumerate_classes(k).reps:
-        adj = np.zeros((1 << k, k + 1, k + 1), dtype=np.int64)
-        for u, v in parent:
-            adj[:, u, v] = adj[:, v, u] = 1
-        adj[:, :k, k] = adj[:, k, :k] = bits
-        assert np.array_equal(ergm._node_codes(parent, k), node_codes(adj))
+        children = ergm._adjacency(parent | masks << (k * (k - 1) // 2),
+                                   k + 1)
+        assert np.array_equal(
+            ergm._node_codes(ergm._adjacency([parent], k)[0], k),
+            node_codes(children))
+
+
+@st.composite
+def _graph_words(draw, max_nodes):
+    """(n, word) of a graph on 0 to max_nodes nodes, any set of pairs."""
+    n = draw(st.integers(0, max_nodes))
+    return n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_words(9))
+@example((9, 1 << 35))                  # the pair (7, 8) alone
+@example((9, (1 << 36) - 1))            # K9
+def test_a_graph_word_holds_one_bit_per_pair(case):
+    # bit v(v-1)/2 + u is the pair u < v: the adjacency is symmetric 0/1
+    # with a zero diagonal, and its pairs, read by (v, u), are the edges
+    n, word = case
+    adj = ergm._adjacency([word], n)
+    assert adj.shape == (1, n, n) and adj.dtype == np.int64
+    adj = adj[0]
+    assert set(np.unique(adj).tolist()) <= {0, 1}
+    assert (adj == adj.T).all() and not adj.diagonal().any()
+    assert ergm._edges(word, n) == tuple(
+        (u, v) for v in range(n) for u in range(v) if adj[v, u])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_words(8).flatmap(lambda case: st.tuples(
+    st.just(case), st.integers(0, (1 << case[0]) - 1))))
+@example(((8, 0), 1 << 7))              # bit 35: node 8 joined to node 7
+def test_a_child_word_joins_node_k_to_the_mask(case):
+    (k, parent), mask = case
+    want = np.zeros((k + 1, k + 1), dtype=np.int64)
+    want[:k, :k] = ergm._adjacency([parent], k)[0]
+    want[:k, k] = want[k, :k] = [mask >> j & 1 for j in range(k)]
+    child = parent | mask << (k * (k - 1) // 2)
+    assert np.array_equal(ergm._adjacency([child], k + 1)[0], want)
 
 
 # builds with a coarser invariant than the node codes, in a fresh
@@ -271,7 +329,7 @@ def test_tied_classes_take_aut_by_orbit_counting(monkeypatch, n):
     unsearched = set(unsearched_rows(table, searches))
     nfact = math.factorial(n)
     tied = 0
-    for i, rep in enumerate(table.reps):
+    for i, rep in enumerate(decoded(table)):
         size, made = tied_orbits(n, rep)
         if size > 1:
             tied += 1
@@ -291,7 +349,7 @@ def test_tied_candidates_that_repeat_a_class_are_merged(monkeypatch):
     assert max(k for k, _ in searches) == 7
     tied_classes = candidates = repeated = 0
     nfact = math.factorial(8)
-    for rep, mult in zip(table.reps, table.mults):
+    for rep, mult in zip(decoded(table), table.mults):
         size, made = tied_orbits(8, rep)
         if size > 1:
             tied_classes += 1
@@ -349,8 +407,8 @@ def test_wrong_orbit_sizes_are_refused(wrong, message, optimize):
 
 
 def test_enumeration_n7_peak_memory(monkeypatch):
-    # each child's new edges are shared (j, k) pairs, not fresh tuples:
-    # the n=7 traced peak was 1.8 MiB with a tuple per neighbour
+    # a table holds one int64 word per class, not an edge tuple: the n=7
+    # traced peak was 1.8 MiB with a tuple per neighbour
     monkeypatch.setattr(ergm, "_CLASS_TABLE_CACHE", {})
     tracemalloc.start()
     try:
@@ -378,7 +436,7 @@ def test_order_one_fit_is_logit():
     model = fit_ergm(_targets(6, {nc("edge"): Fraction(3, 10)}), 6)
     assert model.beta[nc("edge")] == pytest.approx(math.log(p / (1 - p)),
                                                    abs=1e-6)
-    assert model.achieved_moments()[nc("edge")] == pytest.approx(p, abs=1e-9)
+    assert achieved_moments(model)[nc("edge")] == pytest.approx(p, abs=1e-9)
 
 
 def test_order_one_model_is_er_binomial():
@@ -398,7 +456,7 @@ def test_second_order_fit_matches_targets():
                            nc("two-parallel"): p * p})
     model = fit_ergm(targets, 7)
     assert model.residual <= 1e-8
-    got = model.achieved_moments()
+    got = achieved_moments(model)
     assert got[nc("wedge")] == pytest.approx(float(p * p), abs=1e-8)
 
 
@@ -438,7 +496,7 @@ def _brute_statistic_matrix(table, sids):
         cg = universe_index("simple", sid.r)[sid.key].graph
         targets[sid] = brute_canonical([(u, v) for u, v, _ in cg.edges])
     X = np.zeros((len(table), len(sids)))
-    for i, edges in enumerate(table.reps):
+    for i, edges in enumerate(decoded(table)):
         for r in {sid.r for sid in sids}:
             found = {}
             for sub in itertools.combinations(edges, r):
@@ -580,8 +638,8 @@ def test_order_five_counts_at_n8():
                                          (3, 4, 1), (4, 5, 1)]), "simple"))
     X = table.statistic_counts(sids)
     rows = list(range(0, len(table), 97)) + [10572, 10573, len(table) - 1]
-    sample = ergm.GraphClassTable(n=8, reps=[table.reps[i] for i in rows],
-                                  mults=None)
+    sample = ergm.GraphClassTable(
+        n=8, reps=array("q", [table.reps[i] for i in rows]), mults=None)
     assert (X[rows] == per_row_statistic_counts(sample, sids)).all()
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import netmoments
 
@@ -16,3 +17,44 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _names_read(tree):
+    """Every name a tree reads: names, attributes, and strings that are
+    identifiers (as perfbench names the functions it traces)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
+
+
+def test_every_function_is_used():
+    # a function or method that only its own tests read is dead weight:
+    # each must be named outside its own body somewhere in the package or
+    # the benchmark, or be exported by the package
+    paths = sorted(SRC.glob("*.py")) + sorted(
+        (SRC.parents[1] / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in paths}
+    reads = Counter(name for tree in trees.values()
+                    for name in _names_read(tree))
+    exported = {alias.asname or alias.name
+                for node in ast.walk(trees[SRC / "__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and node.name not in exported
+                    and reads[node.name] == Counter(
+                        _names_read(node))[node.name]):
+                unused.append(f"{path.name}:{node.name}")
+    assert not unused, f"functions nothing uses: {unused}"
