@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -307,49 +308,45 @@ class ErgmModel:
 
 
 def _check_hull(X, t):
-    """Raise InfeasibleTargetError when t is outside the convex hull of the
-    rows of X, or on an axis-aligned face of it (some component at its
-    column's minimum or maximum).
+    """Raise InfeasibleTargetError when the exact target t (Fractions) is
+    outside the convex hull of the rows of X, or on an axis-aligned face of
+    it (some component at its column's minimum or maximum).
 
-    Finds a maximum-margin separating direction via linear programming; a
-    nonnegative optimal margin means no point of the hull lies strictly
-    beyond t in that direction.  A target on any other face of the hull
-    passes and is left to the fit.
+    One LP over the distinct rows x finds the d, |d|_inf <= 1, maximising
+    d.t - max d.x.  t is outside when d.t > max d.x holds in Fractions for
+    that d: no d passes for a t in the closed hull, so the LP's rounding
+    needs no margin.  A target on any other face passes to the fit.
     """
     from scipy.optimize import linprog
 
-    k = X.shape[1]
-    # membership: lambda >= 0, sum lambda = 1, X^T lambda = t
-    A_eq = np.vstack([X.T, np.ones((1, X.shape[0]))])
-    b_eq = np.concatenate([t, [1.0]])
-    res = linprog(c=np.zeros(X.shape[0]), A_eq=A_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        # separating direction: max t.d - s with s >= x_i.d, |d|_inf <= 1
-        c = np.concatenate([-t, [1.0]])
-        A_ub = np.hstack([X, -np.ones((X.shape[0], 1))])
-        lp = linprog(c=c, A_ub=A_ub, b_ub=np.zeros(X.shape[0]),
-                     bounds=[(-1, 1)] * k + [(None, None)], method="highs")
-        direction = None
-        if lp.success and -lp.fun > 1e-9:
-            direction = lp.x[:k]
+    rows = np.unique(X, axis=0)
+    k = len(t)
+    # max d.t - s with s >= d.x for every row
+    lp = linprog(c=np.append([-float(x) for x in t], 1.0),
+                 A_ub=np.hstack([rows, -np.ones((len(rows), 1))]),
+                 b_ub=np.zeros(len(rows)),
+                 bounds=[(-1, 1)] * k + [(None, None)], method="highs")
+    if not lp.success:
+        raise AssertionError(f"the hull LP failed: {lp.message}")
+    direction = lp.x[:k]
+    d = np.array([Fraction(v) for v in direction.tolist()], dtype=object)
+    support = (rows.astype(np.int64).astype(object) @ d).max()
+    if d @ np.array(t, dtype=object) > support:
         raise InfeasibleTargetError(
-            "target lies outside the convex hull of realizable counts"
-            + ("" if direction is None else
-               f"; violated support direction {np.round(direction, 6).tolist()}"
-               "; consider reducing the unbiasing parameter eta"),
+            "target lies outside the convex hull of realizable counts; "
+            f"violated support direction {np.round(direction, 6).tolist()}"
+            "; consider reducing the unbiasing parameter eta",
             direction=direction)
-    # boundary check along each axis: strict interior requires strict
-    # inequalities against the support extremes
-    for j in range(k):
-        lo, hi = X[:, j].min(), X[:, j].max()
-        if not (lo < t[j] < hi):
-            d = np.zeros(k)
-            d[j] = 1.0 if t[j] >= hi else -1.0
+    # strict interior needs each component strictly inside its range
+    for j, (lo, hi) in enumerate(zip(X.min(axis=0).tolist(),
+                                     X.max(axis=0).tolist())):
+        if not lo < t[j] < hi:
+            axis = np.zeros(k)
+            axis[j] = 1.0 if t[j] >= hi else -1.0
             raise InfeasibleTargetError(
                 f"target component {j} sits on the hull boundary "
-                f"(value {t[j]}, support [{lo}, {hi}]); consider reducing "
-                "the unbiasing parameter eta", direction=d)
+                f"(value {float(t[j])}, support [{lo}, {hi}]); consider "
+                "reducing the unbiasing parameter eta", direction=axis)
 
 
 def _logsumexp(a):
@@ -366,10 +363,11 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, tol=1e-8,
     construction.
 
     A fit that reaches tol is a distribution over the classes whose mean
-    is t, so t is in the hull and no LP is needed.  The hull is checked
-    (with scipy's linprog) only for a target on or outside some column's
-    support range, or when the fit fails: a target outside the hull then
-    reports the hull's error, as if it had been checked first.
+    is t, so t is in the hull and no LP is needed.  _check_hull runs on the
+    exact target counts only for a target on or past some column's integer
+    range, or when the fit fails: a target outside the hull then reports
+    the hull's error, as if it had been checked first.  The fit runs on
+    the counts as floats.
     """
     if statistic_ids is None:
         statistic_ids = sorted(targets.values, key=lambda s: (s.r, s.key))
@@ -388,16 +386,17 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, tol=1e-8,
     X = table.statistic_counts(statistic_ids)
     logw = np.log(np.array(table.mults, dtype=np.float64))
     index = universe_index("simple", max(s.r for s in statistic_ids))
-    t = np.array([float(targets.values[sid]
-                        * complete_count(index[sid.key], n))
-                  for sid in statistic_ids])
-    if not np.all((X.min(axis=0) < t) & (t < X.max(axis=0))):
-        _check_hull(X, t)       # raises: t is on or past some column's range
+    exact = [targets.values[sid] * complete_count(index[sid.key], n)
+             for sid in statistic_ids]
+    t = np.array([float(x) for x in exact])
+    if not all(lo < x < hi for x, lo, hi in zip(
+            exact, X.min(axis=0).tolist(), X.max(axis=0).tolist())):
+        _check_hull(X, exact)   # raises: t is on or past some column's range
     try:
         beta, lz, logp, achieved, residual = _newton(X, logw, t, tol,
                                                      max_iter)
     except Exception:
-        _check_hull(X, t)
+        _check_hull(X, exact)
         raise
     return ErgmModel(n=n, statistics=statistic_ids,
                      beta={sid: float(b) for sid, b

@@ -7,7 +7,6 @@ the seed, so every draw is reproducible and independent of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 

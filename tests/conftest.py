@@ -393,10 +393,10 @@ def lp_first_fit_ergm(targets, n, statistic_ids=None, tol=1e-8,
     X = table.statistic_counts(statistic_ids)
     logw = np.log(np.array(table.mults, dtype=np.float64))
     index = universe_index("simple", max(s.r for s in statistic_ids))
-    t = np.array([float(targets.values[sid]
-                        * complete_count(index[sid.key], n))
-                  for sid in statistic_ids])
-    ergm._check_hull(X, t)
+    exact = [targets.values[sid] * complete_count(index[sid.key], n)
+             for sid in statistic_ids]
+    t = np.array([float(x) for x in exact])
+    ergm._check_hull(X, exact)
     beta, lz, logp, achieved, residual = ergm._newton(X, logw, t, tol,
                                                       max_iter)
     return ergm.ErgmModel(n=n, statistics=statistic_ids,

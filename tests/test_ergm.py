@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -460,14 +461,28 @@ def test_second_order_fit_matches_targets():
     assert got[nc("wedge")] == pytest.approx(float(p * p), abs=1e-8)
 
 
+def _separates(direction, t, X):
+    """Whether d.t > d.x for every row x of X, in Fractions, with d the
+    direction read exactly and t the exact target counts."""
+    d = [Fraction(v) for v in direction.tolist()]
+    rows = np.unique(X, axis=0).astype(np.int64).tolist()
+    return (sum(map(Fraction.__mul__, d, t))
+            > max(sum(map(Fraction.__mul__, d, x)) for x in rows))
+
+
 def test_infeasible_target_outside_hull():
     # many wedges with almost no edges is unrealizable
     targets = _targets(6, {nc("edge"): Fraction(1, 100),
                            nc("wedge"): Fraction(9, 10),
                            nc("two-parallel"): Fraction(1, 100)})
-    with pytest.raises(InfeasibleTargetError) as ei:
-        fit_ergm(targets, 6)
-    assert "eta" in str(ei.value) or ei.value.direction is not None
+    sids = tuple(targets.values)
+    with pytest.raises(InfeasibleTargetError,
+                       match="outside the convex hull") as ei:
+        fit_ergm(targets, 6, sids)
+    index = universe_index("simple", 2)
+    t = [targets.values[s] * complete_count(index[s.key], 6) for s in sids]
+    assert _separates(ei.value.direction, t,
+                      enumerate_classes(6).statistic_counts(sids))
 
 
 def test_boundary_target_is_infeasible_with_direction():
@@ -707,12 +722,17 @@ def _fit_case(draw):
     return n, aliases, t
 
 
+def _count_targets(n, aliases, t):
+    """The target moments whose counts on n nodes are t."""
+    index = universe_index("simple", 3)
+    return _targets(n, {nc(a): x / complete_count(index[nc(a).key], n)
+                        for a, x in zip(aliases, t)})
+
+
 def _fit_outcome(fit, n, aliases, t):
     """The fit's beta and ln Z as hex floats, or its error's type, message
     and direction."""
-    index = universe_index("simple", 3)
-    targets = _targets(n, {nc(a): x / complete_count(index[nc(a).key], n)
-                           for a, x in zip(aliases, t)})
+    targets = _count_targets(n, aliases, t)
     try:
         model = fit(targets, n)
     except Exception as exc:
@@ -729,6 +749,83 @@ def test_fit_matches_lp_first_reference(case):
     n, aliases, t = case
     assert (_fit_outcome(fit_ergm, n, aliases, t)
             == _fit_outcome(lp_first_fit_ergm, n, aliases, t))
+
+
+@pytest.mark.parametrize("n, t, message", [
+    (6, [Fraction(3, 20), Fraction(54), Fraction(9, 20)],
+     "outside the convex hull"),
+    (7, [Fraction(23, 3), Fraction(62, 3), Fraction(19, 3)],
+     "fit diverging")])
+def test_hull_check_runs_one_lp_over_the_distinct_tuples(monkeypatch, n, t,
+                                                         message):
+    # an outside target, and a facet centroid whose fit fails
+    import scipy.optimize
+    linprog = scipy.optimize.linprog
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(inspect.signature(linprog).bind(*args, **kwargs)
+                     .arguments)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    aliases = ("edge", "wedge", "two-parallel")
+    with pytest.raises(InfeasibleTargetError, match=message):
+        fit_ergm(_count_targets(n, aliases, t), n)
+    X = enumerate_classes(n).statistic_counts(tuple(nc(a) for a in aliases))
+    [call] = calls
+    assert call["A_ub"].shape[0] == len(np.unique(X, axis=0))
+    assert call.get("A_eq") is None
+
+
+@st.composite
+def _hull_case(draw):
+    """(n, aliases, target counts, whether they are outside the hull): an
+    exact mixture of statistic tuples, a facet's centroid or another point
+    of a facet, or a facet point moved s >= 1/8 along its outward normal."""
+    n = draw(st.integers(5, 7))
+    kind = draw(st.sampled_from(["mixture", "centroid", "facet",
+                                 "outside"]))
+    sets = _STAT_SETS if kind == "mixture" else _STAT_SETS[1:]
+    aliases = draw(st.sampled_from(sets))
+    pts, facets = _support(n, aliases)
+    if kind == "mixture":
+        picks = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1,
+                              max_size=4))
+        return n, aliases, _mixture(draw, pts[picks]), False
+    verts, normal = draw(st.sampled_from(facets))
+    if kind == "centroid":
+        return n, aliases, [Fraction(int(c), len(verts))
+                            for c in verts.sum(axis=0)], False
+    t = _mixture(draw, verts)
+    if kind == "outside":
+        s = Fraction(draw(st.integers(1, 24)), 8)
+        t = [x + s * Fraction(float(d)) for x, d in zip(t, normal)]
+    return n, aliases, t, kind == "outside"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hull_case())
+@example((5, ("edge", "wedge"), [Fraction(28, 3), Fraction(26)], False))
+@example((5, ("edge", "wedge", "two-parallel"),      # a facet's centroid
+          [Fraction(25, 3), Fraction(61, 3), Fraction(31, 3)], False))
+def test_hull_check_is_exact(case):
+    # a point of the closed hull is never outside it, and a point 1/8 or
+    # more past a facet always is, with an exactly separating direction;
+    # the examples are facet points that a float comparison of the LP's
+    # direction puts outside
+    n, aliases, t, outside = case
+    X = enumerate_classes(n).statistic_counts(tuple(nc(a) for a in aliases))
+    try:
+        ergm._check_hull(X, t)
+        error = None
+    except InfeasibleTargetError as exc:
+        error = exc
+    if outside:
+        assert "outside the convex hull" in str(error)
+        assert _separates(error.direction, t, X)
+    else:
+        assert error is None or "sits on the hull boundary" in str(error)
 
 
 _FRESH_CLI = """

@@ -58,3 +58,22 @@ def test_every_function_is_used():
                         _names_read(node))[node.name]):
                 unused.append(f"{path.name}:{node.name}")
     assert not unused, f"functions nothing uses: {unused}"
+
+
+def test_every_import_is_used():
+    # a module reads every name it imports: only the package's re-exports
+    # in __init__.py and `from __future__` imports may go unread
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        unread += [f"{path.name}:{node.lineno}:{alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in reads]
+    assert not unread, f"imported names nothing reads: {unread}"
