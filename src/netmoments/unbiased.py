@@ -54,22 +54,33 @@ def _kappa_check_plans(mode: str, r_max: int, labels: int):
     return tuple(plans)
 
 
+# kappa-check of every disconnected class, shared: Fractions are immutable
+_ZERO = Fraction(0)
+
+
 def unbiased_cumulants(m: MomentVector):
     """kappa-check for every class in the vector.
 
     Derived generically: take the moment polynomial of each cumulant and
     replace each monomial with the moment of the disjoint union of its
-    factors.  Disconnected classes come out exactly zero.  The estimator
-    is linear in the moments, so each class sums integer numerators over
-    the vector's common denominator and builds one Fraction.
+    factors.  Disconnected classes come out exactly zero: their plans sum
+    to zero term by term (checked when the plans are built), so once no
+    union they read is absent they take the shared zero with no
+    arithmetic.  The estimator is linear in the moments, so each connected
+    class sums integer numerators over a common denominator (the vector's
+    carried form, else scaled_positions) and builds one Fraction.
     """
     infos, at = universe_positions(m.mode, m.r_max, m.labels)
     plans = _kappa_check_plans(m.mode, m.r_max, m.labels)
-    lcm, x = scaled_positions(m.values, at, len(infos))
+    lcm, x = m.carried() or scaled_positions(m.values, at, len(infos))
+    complete = None not in x
     out = {}
     absent = dict(m.absent)
     for sid in m.values:
         connected, plan = plans[at[sid.key]]
+        if not connected and complete:
+            out[sid] = _ZERO
+            continue
         acc = 0
         try:
             for u, coeff in plan:
@@ -85,11 +96,7 @@ def unbiased_cumulants(m: MomentVector):
                            f"{uid.alias or uid.serialize()}, "
                            f"{m.absent[uid]}")
             continue
-        if not connected and acc != 0:
-            raise AssertionError(
-                f"nonzero unbiased cumulant for disconnected class "
-                f"{sid.serialize()}")
-        out[sid] = Fraction(acc, lcm)
+        out[sid] = Fraction(acc, lcm) if connected else _ZERO
     kv = vector_like(m, out)
     kv.absent = absent
     return kv

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from netmoments.graphs import Graph, make_graph
+from netmoments.graphs import Graph, make_graph, UNIT
 
 CRITERIA = {}
 
@@ -45,6 +45,39 @@ def random_weighted_graph(rng, n, p=0.5, max_w=3):
             if rng.random() < p:
                 edges[(u, v)] = Fraction(rng.randint(1, max_w))
     return Graph(n=n, edges=edges, weighted=True)
+
+
+PAIRS8 = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+_ARCS8 = [(u, v) for u in range(8) for v in range(8) if u != v]
+# Weights: zero, small integers, and fractions over large coprime primes,
+# whose common denominator puts order-5 sums past 2^63
+_WEIGHTS = st.builds(Fraction, st.integers(0, 9),
+                     st.sampled_from([1, 1, 2, 3, 998_244_353,
+                                      1_000_000_007]))
+
+
+@st.composite
+def mode_graphs(draw, mode):
+    """A graph of the mode on 2-8 nodes with at most 12 edges (or arcs)."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u, v in (_ARCS8 if mode == "directed" else PAIRS8)
+             if v < n and u < n]
+    attrs = None
+    if mode == "attributed":
+        alphabet = draw(st.integers(1, 3))
+        attrs = {v: "abc"[draw(st.integers(0, alphabet - 1))]
+                 for v in range(n)}
+    elif mode == "bipartite":
+        attrs = {v: draw(st.sampled_from("ab")) for v in range(2, n)}
+        attrs.update({0: "a", 1: "b"})
+        pairs = [(u, v) for u, v in pairs if attrs[u] != attrs[v]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=12))
+    weights = [draw(_WEIGHTS) if mode == "weighted" else UNIT
+               for _ in chosen]
+    return Graph(n=n, edges=dict(zip(chosen, weights)),
+                 directed=mode == "directed", weighted=mode == "weighted",
+                 node_attrs=attrs, bipartite=mode == "bipartite")
 
 
 def _mostly(common, rare):

@@ -29,8 +29,8 @@ from netmoments.ergm import _edges, enumerate_classes
 from netmoments.graphs import Graph, GraphDataError, make_graph, UNIT
 from netmoments.moments import moments
 
-from conftest import (brute_canonical, esu_counts, node_colors, random_graph,
-                      random_weighted_graph)
+from conftest import (brute_canonical, esu_counts, mode_graphs, node_colors,
+                      PAIRS8, random_graph, random_weighted_graph)
 
 
 def brute_counts(G, r_max):
@@ -210,11 +210,8 @@ def _connected_brute(G, r_max):
     return out
 
 
-_PAIRS8 = [(u, v) for u in range(8) for v in range(u + 1, 8)]
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.sets(st.sampled_from(_PAIRS8), max_size=12),
+@given(st.integers(1, 8), st.sets(st.sampled_from(PAIRS8), max_size=12),
        st.integers(0, 3), st.integers(0, 50), st.integers(1, 6))
 @example(2, {(0, 1)}, 0, 0, 6)        # the single-edge graph
 @example(8, set(), 2, 0, 3)           # isolated nodes only
@@ -226,38 +223,6 @@ def test_simple_counts_match_esu_and_brute(n, pairs, extra, shift, r):
     assert got == esu_counts(G, r)
     assert all(isinstance(c, int) and c > 0 for c in got.values())
     assert _as_brute(G, got) == _connected_brute(G, r)
-
-
-# Weights: zero, small integers, and fractions over large coprime primes,
-# whose common denominator puts order-5 sums past 2^63
-_WEIGHTS = st.builds(Fraction, st.integers(0, 9),
-                     st.sampled_from([1, 1, 2, 3, 998_244_353,
-                                      1_000_000_007]))
-_ARCS8 = [(u, v) for u in range(8) for v in range(8) if u != v]
-
-
-@st.composite
-def mode_graphs(draw, mode):
-    """A graph of the mode on 2-8 nodes with at most 12 edges (or arcs)."""
-    n = draw(st.integers(2, 8))
-    pairs = [(u, v) for u, v in (_ARCS8 if mode == "directed" else _PAIRS8)
-             if v < n and u < n]
-    attrs = None
-    if mode == "attributed":
-        alphabet = draw(st.integers(1, 3))
-        attrs = {v: "abc"[draw(st.integers(0, alphabet - 1))]
-                 for v in range(n)}
-    elif mode == "bipartite":
-        attrs = {v: draw(st.sampled_from("ab")) for v in range(2, n)}
-        attrs.update({0: "a", 1: "b"})
-        pairs = [(u, v) for u, v in pairs if attrs[u] != attrs[v]]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
-                           max_size=12))
-    weights = [draw(_WEIGHTS) if mode == "weighted" else UNIT
-               for _ in chosen]
-    return Graph(n=n, edges=dict(zip(chosen, weights)),
-                 directed=mode == "directed", weighted=mode == "weighted",
-                 node_attrs=attrs, bipartite=mode == "bipartite")
 
 
 @pytest.mark.parametrize("mode", ["simple", "directed", "weighted",
@@ -307,7 +272,7 @@ def test_stack_counts_match_each_graph(data):
     # gives every graph's own counts, as columns; the derivation runs on
     # the columns, where a scalar stands for every graph
     size = data.draw(st.integers(3, 6))
-    pairs = [(u, v) for u, v in _PAIRS8 if v < size]
+    pairs = [(u, v) for u, v in PAIRS8 if v < size]
     graphs = [make_graph(size, data.draw(st.lists(
         st.sampled_from(pairs), unique=True, max_size=8)))
         for _ in range(data.draw(st.integers(1, 4)))]

@@ -16,10 +16,11 @@ from netmoments.cumulants import (BELL, clustering_coefficients,
                                   IncompleteVectorError, moments_to_cumulants,
                                   scale_cumulants, signed_root)
 from netmoments.graphs import make_graph
-from netmoments.moments import moments, MomentVector
+from netmoments.moments import moments, MomentVector, vector_like
 from netmoments.unbiased import unbiased_cumulants
 
-from conftest import fraction_conversion, fraction_kappa_check, random_graph
+from conftest import (fraction_conversion, fraction_kappa_check, mode_graphs,
+                      random_graph)
 
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -300,6 +301,16 @@ def test_broken_first_unit_pairs_raise(monkeypatch):
         cumulants._conversion_plans.cache_clear()
 
 
+def test_pivot_units_take_the_fewest_products():
+    # the 45 simple classes through order 5 take 302 binary products with
+    # unit 0 as every pivot; the pivots with the fewest distinct pairs
+    # take 247
+    plans = cumulants._conversion_plans("simple", 5, 2)
+    for direction in ("moment", "cumulant"):
+        assert len(plans[direction]) == 45
+        assert sum(len(terms) for _, terms in plans[direction]) == 247
+
+
 def test_coprime_denominators_convert_exactly():
     # 45 classes with pairwise coprime 20-bit denominators: the common
     # denominator has about 900 bits and its fifth power about 4,500
@@ -337,10 +348,50 @@ def test_conversions_build_one_fraction_per_class(monkeypatch):
         monkeypatch.setattr(Fraction, "_from_coprime_ints",
                             classmethod(counted_coprime))
     assert Fraction(1, 2) + Fraction(1, 3) and len(made) == 3
+    index = universe_index("simple", 5)
+    connected = [sid for sid in m.values if index[sid.key].connected]
+    assert 0 < len(connected) < len(m.values)
+    del made[:]
+    assert len(moments_to_cumulants(m).values) == len(made) == len(m.values)
+    # kappa-check builds no Fraction for a disconnected class: each one is
+    # the same zero
+    del made[:]
+    kc = unbiased_cumulants(m)
+    assert len(made) == len(connected)
+    zeros = [v for sid, v in kc.values.items() if sid not in connected]
+    assert len(zeros) == len(m.values) - len(connected)
+    assert zeros[0] == 0 and all(v is zeros[0] for v in zeros)
+
+
+@pytest.mark.parametrize("mode", ["simple", "directed", "weighted",
+                                  "attributed", "bipartite"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_carried_form_converts_as_the_values_do(mode, data):
+    # moments() carries its counts' integers into the conversions; a copy
+    # of the same values has no carried form and goes by scaled_positions
+    G = data.draw(mode_graphs(mode))
+    m = moments(G, min(counting.ORDER_CAPS[mode], 5))
+    plain = vector_like(m, m.values)
+    assert (m.carried() is not None) == (mode != "weighted")
+    assert plain.carried() is None
     for convert in (moments_to_cumulants, unbiased_cumulants):
-        del made[:]
-        out = convert(m)
-        assert len(made) == len(m.values) == len(out.values)
+        got, want = convert(m), convert(plain)
+        assert got.values == want.values
+        assert list(got.values) == list(want.values)
+        assert got.absent == want.absent
+
+
+def test_edited_values_drop_the_carried_form():
+    m = moments(random_graph(random.Random(8), 9), 4)
+    sid = named_class("simple", "triangle").id
+    m.values[sid] = m.values[sid] + 1
+    assert m.carried() is None
+    fresh = vector_like(m, m.values)
+    for convert in (moments_to_cumulants, unbiased_cumulants):
+        assert convert(m).values == convert(fresh).values
+    assert moments_to_cumulants(m).values != moments_to_cumulants(
+        moments(random_graph(random.Random(8), 9), 4)).values
 
 
 def test_conversions_build_no_partition_expansion():

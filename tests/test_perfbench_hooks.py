@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -88,6 +89,47 @@ def test_class_table_passes_leave_the_spans_a_trace_reads(monkeypatch):
     assert builds and builds[0][ATTRS].get("canon", 0) > 0
     assert any(s[NAME] == "ergm.enumerate" and s[ATTRS].get("n") == 7
                and s[ATTRS].get("canon", 0) > 0 for s in spans)
+
+
+def test_order5_pipeline_leaves_the_spans_a_trace_reads():
+    # perfbench/layers.py reads esu-o5's counting, normalize, cumulant and
+    # kappa-check times from these spans of each operation; a call that
+    # leaves the traced path drops its metric from `run.py --trace 1`
+    import netmoments
+    tracer_mod = _tracer()
+    NAME, PARENT, OP = tracer_mod.NAME, tracer_mod.PARENT, tracer_mod.OP
+    rng = random.Random(11)
+    graphs = [netmoments.make_graph(14, [
+        (u, v) for u in range(14) for v in range(u + 1, 14)
+        if rng.random() < 0.3]) for _ in range(3)]
+    tracer = tracer_mod.Tracer()
+    with tracer.instrument():
+        for op, G in enumerate(graphs):
+            tracer.op = op
+            m = netmoments.moments(G, 5)
+            netmoments.moments_to_cumulants(m)
+            netmoments.unbiased_cumulants(m)
+    spans = tracer.spans
+
+    def chain(i):
+        out = []
+        while i is not None:
+            out.append(spans[i][NAME])
+            i = spans[i][PARENT]
+        return out
+
+    for op in range(len(graphs)):
+        mine = [i for i, s in enumerate(spans) if s[OP] == op]
+        names = [spans[i][NAME] for i in mine]
+        for name in ("moments.normalize", "cumulants.to_cumulants",
+                     "unbiased.kappa_check"):
+            assert names.count(name) == 1, (op, name, names)
+        counted = [i for i in mine
+                   if spans[i][NAME] == "counting.count_connected"]
+        assert counted
+        for i in counted:
+            assert chain(i) == ["counting.count_connected",
+                                "counting.full_counts", "moments.moments"]
 
 
 @pytest.mark.parametrize("module", ["netmoments.cli", "netmoments"])
