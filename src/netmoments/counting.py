@@ -410,7 +410,9 @@ def _hom_expression(cg, mode):
     node with one neighbour x multiplies x's weight by (F_xv @ w_v), a node
     with two neighbours x, y joins F_xv diag(w_v) F_vy to the factor
     between x and y, and the last pair is the quadratic form
-    w_x F_xy w_y.  _elimination_order keeps the
+    w_x F_xy w_y.  With both weights 1 and F_xy the elementwise product of
+    two factors P and Q, that form is one step, "frob", the sum of the
+    entries of P * Q, one vdot on a dense graph.  _elimination_order keeps the
     walks the products count short: the square needs only A @ A, and no
     core within the order cap walks further than three steps.  Within the
     order cap every core other than K4 has such a node at every step."""
@@ -476,7 +478,10 @@ def _hom_expression(cg, mode):
             nbrs[x].add(y)
             nbrs[y].add(x)
     x, y = sorted(nbrs)
-    return ("quad", weight[x], factor(x, y), weight[y])
+    m = factor(x, y)
+    if weight[x] == weight[y] == ONE and m[0] == "had" and len(m) == 3:
+        return ("frob",) + m[1:]
+    return ("quad", weight[x], m, weight[y])
 
 
 @lru_cache(maxsize=None)
@@ -858,8 +863,8 @@ def _op_product(h, *operands):
     return functools.reduce(operator.mul, operands)
 
 
-# The scalar steps (sum, dot, edge, tri, k4, quad) return a Python int, or
-# on a stack an object array of one Python int per graph.
+# The scalar steps (sum, dot, edge, tri, k4, quad, frob) return a
+# Python int, or on a stack an object array of one Python int per graph.
 
 def _op_sum(h, w):
     return _exact(w.sum(-1))
@@ -989,6 +994,15 @@ def _op_mv(h, m, w):
     return np.diff(total[codes.searchsorted(np.arange(h.n + 1) * h.n)])
 
 
+def _op_frob(h, p, q):
+    """The sum of the entries of the elementwise product p * q."""
+    if h.stack:
+        return _exact((p * q).sum((-2, -1)))
+    if h.dense:
+        return int(np.vdot(p, q))
+    return int(_op_had(h, p, q)[1].sum())
+
+
 def _op_quad(h, x, m, y):
     if h.dense:
         return _op_dot(h, x, np.matvec(m, y))
@@ -1002,7 +1016,7 @@ _OPS = {"one": _op_one, "label": _op_label, "deg": _op_deg,
         "dot": _op_dot, "edge": _op_edge, "tri": _op_tri, "k4": _op_k4,
         "adj": _op_adj, "arc": _op_arc, "arc_t": _op_arc_t,
         "weight": _op_weight, "path": _op_path, "had": _op_had,
-        "mv": _op_mv, "quad": _op_quad}
+        "mv": _op_mv, "quad": _op_quad, "frob": _op_frob}
 
 
 # ---------------------------------------------------------------------------

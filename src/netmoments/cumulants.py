@@ -37,7 +37,8 @@ from functools import lru_cache
 
 from .classes import (ClassGraph, SubgraphId, class_id, unit_subclasses,
                       universe_positions)
-from .moments import MomentVector, vector_like
+from .moments import (MomentVector, PLAN_WAIT, _complete_counts, per_n,
+                      scaled_counts, vector_like)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -163,7 +164,8 @@ def _first_unit_pairs(cg: ClassGraph, mode: str):
 def _conversion_plans(mode: str, r_max: int, labels: int):
     """The pivot-unit recursion of every class of a universe, compiled to
     positions (classes.universe_positions): one plan per direction, keyed
-    by what the input vector holds ("moment" or "cumulant").
+    by what the input vector holds ("moment" or "cumulant"), and under
+    "per_n" the plans _counts_plan builds from the "moment" one.
 
     The plans are graded: a class S of r edge units reads its input as
     X_S = v_S L^r and makes Y_S = out_S L^r, L being the input's common
@@ -188,7 +190,43 @@ def _conversion_plans(mode: str, r_max: int, labels: int):
             (at[b.key], at[rest.key], -c) for (b, rest), c in pairs.items())))
         to_moments.append((r, tuple(
             (at[rest.key], at[b.key], c) for (b, rest), c in pairs.items())))
-    return {"moment": tuple(to_cumulants), "cumulant": tuple(to_moments)}
+    return {"moment": tuple(to_cumulants), "cumulant": tuple(to_moments),
+            "per_n": {}}
+
+
+def multiplier(q, d):
+    """q / d for a scale q that d must divide."""
+    if not d or q % d:
+        raise ArithmeticError(f"scale {q} is not a multiple of {d}")
+    return q // d
+
+
+def _counts_plan(graded, key):
+    """The recursion to cumulants for a vector of counts (the carried form
+    of MomentVector.carried, made at key), per position: (Q, a, terms),
+    None where the class is unrealizable.  With C_S the complete counts
+    (moments._complete_counts), mu_S = count_S / C_S, and kappa_S =
+    K_S / Q_S on the per-class scale
+        Q_S = lcm(C_S, Q_B C_rest over the class's terms),
+    so that
+        K_S = a count_S + sum coeff K_B count_rest,
+    a = Q_S / C_S and coeff = -c Q_S / (Q_B C_rest) exact integers.  By
+    induction Q_S divides D^r, D the lcm of the complete counts, which
+    the graded plan scales by: at simple order 5, Q_S has at most 83 bits
+    where D^5 has 233 at n = 40, and 143 against 383 at n = 300."""
+    C = [c for _, c, _ in _complete_counts(*key)[1]]
+    Q = [0] * len(C)
+    plan = []
+    for p, (_, terms) in enumerate(graded):
+        if not C[p]:
+            plan.append(None)
+            continue
+        scales = [Q[b] * C[rest] for b, rest, _ in terms]
+        q = Q[p] = math.lcm(C[p], *scales)
+        plan.append((q, multiplier(q, C[p]), tuple(
+            (b, rest, c * multiplier(q, scale))
+            for (b, rest, c), scale in zip(terms, scales))))
+    return tuple(plan)
 
 
 def _missing_factor(v, ci, what):
@@ -205,19 +243,43 @@ def _missing_factor(v, ci, what):
 
 def _convert(v: MomentVector, what):
     """Run the plan for a vector of `what` values in (r, key) order over
-    Python ints on a common denominator L, building one Fraction per
-    class.  L and the integer numerators come from the vector's carried
-    form (MomentVector.carried) or else from its values (scaled_positions).
-    Each input is graded to x L^(r-1) once, when its class comes up.  A
-    class whose recursion reads an absent value raises, as it would from
-    the full expansion: both read every proper sub-edge-set class."""
+    Python ints, building one Fraction per class.  A moment vector that
+    carries its counts (MomentVector.carried) runs on the per-class
+    scales of _counts_plan once its (n, label pools) has come up
+    moments.PLAN_WAIT times before.  Until then it runs the graded plan
+    on the common denominator of its complete counts (scaled_counts),
+    and any other vector runs it on a common denominator L of its values
+    (scaled_positions); each input is graded to x L^(r-1) once, when its
+    class comes up.  A class whose recursion reads an absent value
+    raises, as it would from the full expansion: both read every proper
+    sub-edge-set class."""
     infos, at = universe_positions(v.mode, v.r_max, v.labels)
-    plan = _conversion_plans(v.mode, v.r_max, v.labels)[what]
-    lcm, x = v.carried() or scaled_positions(v.values, at, len(infos))
+    plans = _conversion_plans(v.mode, v.r_max, v.labels)
+    carried = v.carried() if what == "moment" else None
+    plan = None
+    if carried is not None:
+        plan = per_n(plans["per_n"], carried[0], lambda key: _counts_plan(
+            plans["moment"], key), PLAN_WAIT)
+    out = {}
+    if plan is not None:
+        counts = carried[1]
+        k = [None] * len(infos)
+        for p, count in enumerate(counts):
+            if count is None:
+                continue
+            q, a, terms = plan[p]
+            acc = a * count
+            for b, rest, coeff in terms:
+                acc += coeff * k[b] * counts[rest]
+            k[p] = acc
+            out[infos[p].id] = Fraction(acc, q)
+        return vector_like(v, out)
+    plan = plans[what]
+    lcm, x = scaled_counts(*carried) if carried else \
+        scaled_positions(v.values, at, len(infos))
     powers = [lcm ** e for e in range(v.r_max + 1)]
     graded = [None] * len(infos)
     y = [None] * len(infos)
-    out = {}
     for p, value in enumerate(x):
         if value is None:
             continue

@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import is_
+from operator import index, is_
 
-from .classes import complete_count, universe
+from .classes import complete_count, universe_positions
 from .counting import full_counts, graph_mode, check_order
 
 
@@ -26,22 +26,27 @@ class MomentVector:
     absent: dict = field(default_factory=dict)
     labels: int = 2
     label_counts: dict = None
-    # (keys, values, D, x) from moments_from_counts; not a dataclass field
+    # (keys, values, key, counts) from moments_from_counts; not a field
     _carried = None
 
     def carried(self):
-        """(D, x) for a vector made by moments_from_counts from integer
-        counts: x[p] = D * value at universe position p
-        (classes.universe_positions), None where there is no value.  None
-        once `values` no longer holds the very keys and value objects it
-        was made with."""
+        """(key, counts) for a vector made by moments_from_counts from
+        integer counts: key is (mode, r_max, labels, n, pools) as it was
+        at construction, and counts[p] the class count as a Python int at
+        universe position p (classes.universe_positions), None where the
+        class is unrealizable.  The value at p is counts[p] / C, C the
+        complete count (_complete_counts at key).  None once `values` no
+        longer holds the very keys and value objects it was made with, or
+        once mode, r_max or labels, which name the universe, differ from
+        key's; n and label_counts are read from key alone."""
         if self._carried is None:
             return None
-        keys, vals, lcm, x = self._carried
+        keys, vals, key, counts = self._carried
         d = self.values
-        if len(d) == len(keys) and all(map(is_, d, keys)) \
+        if key[:3] == (self.mode, self.r_max, self.labels) \
+                and len(d) == len(keys) and all(map(is_, d, keys)) \
                 and all(map(is_, d.values(), vals)):
-            return lcm, x
+            return key, counts
         return None
 
     def get(self, sid, default=None):
@@ -83,45 +88,98 @@ def moments(G, r_max):
 def moments_from_counts(counts, n, mode, r_max, labels=2, label_counts=None):
     """Normalize a full count dict (as from full_counts) into moments.
 
-    Integer counts (every mode but weighted) also give the vector's carried
-    form (MomentVector.carried): each moment count * den / num over the one
-    denominator D of _complete_counts, so the conversions read the counts'
-    integers instead of rebuilding them from the Fractions."""
+    Integer counts (every mode but weighted) are read as Python ints
+    (operator.index, so numpy integers neither wrap nor leak into the
+    values), and the vector carries them (MomentVector.carried) for the
+    conversions to read instead of the Fractions."""
     mv = MomentVector(n=n, mode=mode, r_max=r_max, labels=labels,
                       label_counts=label_counts)
     pools = None if label_counts is None else tuple(sorted(
         label_counts.items()))
-    lcm, rows = _complete_counts(mode, r_max, labels, n, pools)
-    x = []
-    for sid, num, den, scale in rows:
-        if not num:
+    integral = mode != "weighted"
+    carried = []
+    for sid, c, _ in _complete_counts(mode, r_max, labels, n, pools)[1]:
+        if not c:
             mv.absent[sid] = f"class unrealizable at n={n}"
-            x.append(None)
+            carried.append(None)
             continue
         count = counts.get(sid, 0)
-        mv.values[sid] = Fraction(count * den, num)
-        x.append(count * scale)
-    if mode != "weighted":
-        mv._carried = (tuple(mv.values), tuple(mv.values.values()), lcm, x)
+        if integral:
+            count = index(count)
+        mv.values[sid] = Fraction(count, c)
+        carried.append(count)
+    if integral:
+        mv._carried = (tuple(mv.values), tuple(mv.values.values()),
+                       (mode, r_max, labels, n, pools), carried)
     return mv
 
 
+# Per-n state (the complete counts here, and the conversion and kappa-check
+# plans built on them) is kept per universe for this many (n, label pools)
+# at most.
+N_KEPT = 16
+# A per-n plan is built the sixteenth time its (n, label pools) comes up.
+# Until then a vector runs the graded plan on the common denominator of
+# its complete counts.  Building costs about what 8 to 16 operations save
+# on the per-n plan (simple order 5 at n = 40 to 300: 0.35-0.41 ms
+# against 25-48 us per operation; order 6 at n = 14: 1.1-1.3 ms against
+# 75 us; one core of a 2-CPU Xeon host), so a key that recurs fewer
+# times builds none, and one that recurs more pays at most about twice
+# what the better of the two paths would.
+PLAN_WAIT = 15
+
+
+def per_n(kept, key, build, wait=0):
+    """kept[key], one universe's per-n state at key, made by build(key)
+    once key has come up wait times before; until then kept counts the
+    times and None is returned.  A hit moves its key to the end, and once
+    N_KEPT are kept the first key goes: the least recently used is
+    dropped."""
+    value = kept.pop(key, 0)
+    if type(value) is int:
+        if not value and len(kept) >= N_KEPT:
+            del kept[next(iter(kept))]
+        value = value + 1 if value < wait else build(key)
+    kept[key] = value
+    return None if type(value) is int else value
+
+
 @lru_cache(maxsize=None)
+def _kept_counts(mode, r_max, labels):
+    """The complete counts of one universe, by (n, pools), for per_n."""
+    return {}
+
+
 def _complete_counts(mode, r_max, labels, n, pools):
-    """(D, rows): rows holds (id, numerator, denominator, den * D / num)
-    of the complete count num / den of every class with at most r_max
-    edges, as ints in universe order, and D is the lcm of the nonzero
-    numerators (47 bits for simple order 5 at n=40); the last field is 0
-    where num is 0.  pools is label_counts as sorted (label, count)
-    pairs."""
-    label_counts = None if pools is None else dict(pools)
-    counts = [(ci.id, complete_count(ci, n, label_counts))
-              for r in range(1, r_max + 1)
-              for ci in universe(mode, r_max, labels)[r]]
-    lcm = math.lcm(*(c.numerator for _, c in counts if c))
-    return lcm, tuple((sid, c.numerator, c.denominator,
-                       c.denominator * lcm // c.numerator if c else 0)
-                      for sid, c in counts)
+    """(D, rows): rows holds (id, C, D / C) per class with at most r_max
+    edges, in universe order, C the class's count in the complete graph
+    on n nodes (with these label pools, label_counts as sorted (label,
+    count) pairs) and D the lcm of the nonzero C (47 bits for simple
+    order 5 at n = 40); C and D / C are 0 where the class is
+    unrealizable.  C counts copies, so it is an int; a fractional one
+    raises."""
+    def build(_):
+        label_counts = None if pools is None else dict(pools)
+        rows = []
+        for ci in universe_positions(mode, r_max, labels)[0]:
+            c = complete_count(ci, n, label_counts)
+            if c.denominator != 1:
+                raise ArithmeticError(
+                    f"complete count {c} of {ci.id.serialize()} at n={n} "
+                    "is not an integer")
+            rows.append((ci.id, c.numerator))
+        lcm = math.lcm(*(c for _, c in rows if c))
+        return lcm, tuple((sid, c, lcm // c if c else 0) for sid, c in rows)
+    return per_n(_kept_counts(mode, r_max, labels), (n, pools), build)
+
+
+def scaled_counts(key, counts):
+    """(D, x) for counts carried at key (MomentVector.carried): D as in
+    _complete_counts, and x[p] = D * value at universe position p, None
+    where counts[p] is."""
+    lcm, rows = _complete_counts(*key)
+    return lcm, [None if c is None else c * scale
+                 for c, (_, _, scale) in zip(counts, rows)]
 
 
 def vector_like(template, values):

@@ -19,22 +19,24 @@ from functools import lru_cache
 
 from .classes import ClassGraph, class_id, named_class, universe_positions
 from .cumulants import (cumulant_moment_polynomial, IncompleteVectorError,
-                        scaled_positions)
+                        multiplier, scaled_positions)
 from .graphs import SizeCapError
 from .models import seeded_rng
-from .moments import MomentVector, rational_json, vector_like
+from .moments import (MomentVector, PLAN_WAIT, _complete_counts, per_n,
+                      rational_json, scaled_counts, vector_like)
 
 
 @lru_cache(maxsize=None)
 def _kappa_check_plans(mode: str, r_max: int, labels: int):
-    """Per universe position (classes.universe_positions), (connected,
-    ((union position, coeff), ...)): each class's moment polynomial with
-    every monomial replaced by the class of the disjoint union of its
-    factors, like terms summed in order of first appearance.  A union has
-    the class's edge count, so it is in the same universe.  Terms that sum
-    to zero stay, so a union absent from the vector still makes the
-    estimator absent.  Monomials recur across classes, so each union is
-    classified once."""
+    """(plans, per-n plans).  plans holds, per universe position
+    (classes.universe_positions), (connected, ((union position, coeff),
+    ...)): each class's moment polynomial with every monomial replaced by
+    the class of the disjoint union of its factors, like terms summed in
+    order of first appearance.  A union has the class's edge count, so it
+    is in the same universe.  Terms that sum to zero stay, so a union
+    absent from the vector still makes the estimator absent.  Monomials
+    recur across classes, so each union is classified once.  The per-n
+    plans are those _counts_plan builds from plans."""
     infos, at = universe_positions(mode, r_max, labels)
     unions = {}
     plans = []
@@ -51,7 +53,27 @@ def _kappa_check_plans(mode: str, r_max: int, labels: int):
                 f"unbiased cumulant of disconnected class "
                 f"{ci.id.serialize()} is not identically zero")
         plans.append((ci.connected, tuple(plan.items())))
-    return tuple(plans)
+    return tuple(plans), {}
+
+
+def _counts_plan(plans, key):
+    """kappa-check for a vector of counts (the carried form of
+    MomentVector.carried, made at key): (scales, plans), per position the
+    lcm Q of the nonzero complete counts C_u of the class's unions
+    (moments._complete_counts) and (connected, ((union position,
+    coeff * Q / C_u), ...)), so that the estimator is the sum of its
+    terms times count_u, over Q.  An unrealizable union keeps its coeff:
+    its count is None, so the estimator is absent, as on the
+    common-denominator path."""
+    C = [c for _, c, _ in _complete_counts(*key)[1]]
+    scales, out = [], []
+    for connected, plan in plans:
+        q = math.lcm(*(C[u] for u, _ in plan if C[u]))
+        scales.append(q)
+        out.append((connected, tuple(
+            (u, coeff * multiplier(q, C[u]) if C[u] else coeff)
+            for u, coeff in plan)))
+    return tuple(scales), tuple(out)
 
 
 # kappa-check of every disconnected class, shared: Fractions are immutable
@@ -67,17 +89,34 @@ def unbiased_cumulants(m: MomentVector):
     to zero term by term (checked when the plans are built), so once no
     union they read is absent they take the shared zero with no
     arithmetic.  The estimator is linear in the moments, so each connected
-    class sums integer numerators over a common denominator (the vector's
-    carried form, else scaled_positions) and builds one Fraction.
+    class sums integer numerators over one denominator and builds one
+    Fraction: a vector that carries its counts (MomentVector.carried)
+    sums them on the per-class scales of _counts_plan once its (n, label
+    pools) has come up moments.PLAN_WAIT times before, and until then on
+    the common denominator of its complete counts (scaled_counts); any
+    other vector sums its values on their common denominator
+    (scaled_positions).
     """
     infos, at = universe_positions(m.mode, m.r_max, m.labels)
-    plans = _kappa_check_plans(m.mode, m.r_max, m.labels)
-    lcm, x = m.carried() or scaled_positions(m.values, at, len(infos))
+    plans, counts_plans = _kappa_check_plans(m.mode, m.r_max, m.labels)
+    carried = m.carried()
+    scaled = None
+    if carried is not None:
+        scaled = per_n(counts_plans, carried[0],
+                       lambda key: _counts_plan(plans, key), PLAN_WAIT)
+    if scaled is not None:
+        scales, rows = scaled
+        x = carried[1]
+    else:
+        lcm, x = scaled_counts(*carried) if carried else \
+            scaled_positions(m.values, at, len(infos))
+        scales, rows = [lcm] * len(plans), plans
     complete = None not in x
     out = {}
     absent = dict(m.absent)
     for sid in m.values:
-        connected, plan = plans[at[sid.key]]
+        p = at[sid.key]
+        connected, plan = rows[p]
         if not connected and complete:
             out[sid] = _ZERO
             continue
@@ -96,7 +135,7 @@ def unbiased_cumulants(m: MomentVector):
                            f"{uid.alias or uid.serialize()}, "
                            f"{m.absent[uid]}")
             continue
-        out[sid] = Fraction(acc, lcm) if connected else _ZERO
+        out[sid] = Fraction(acc, scales[p]) if connected else _ZERO
     kv = vector_like(m, out)
     kv.absent = absent
     return kv

@@ -532,7 +532,8 @@ def test_dense_and_sparse_forms_count_alike(monkeypatch):
     branched = {op for op in counting._OPS.values()
                 if branch.search(inspect.getsource(op))}
     assert {counting._op_tri, counting._op_k4, counting._op_edge,
-            counting._op_spread, counting._op_adj} <= branched
+            counting._op_spread, counting._op_adj,
+            counting._op_frob} <= branched
     for form in ran.values():
         assert branched - {counting._op_arc, counting._op_arc_t,
                            counting._op_weight} <= form

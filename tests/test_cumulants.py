@@ -1,22 +1,28 @@
 """Moment/cumulant conversion, scaling, and clustering coefficients."""
 
+import dataclasses
 import hashlib
+import importlib
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netmoments import counting, cumulants
+from netmoments import counting, cumulants, unbiased
 from netmoments.classes import (named_class, unit_subclasses, universe,
-                                universe_index)
+                                universe_index, universe_positions)
 from netmoments.cumulants import (BELL, clustering_coefficients,
                                   cumulant_moment_polynomial,
                                   cumulants_to_moments, edge_partitions,
                                   IncompleteVectorError, moments_to_cumulants,
                                   scale_cumulants, signed_root)
 from netmoments.graphs import make_graph
-from netmoments.moments import moments, MomentVector, vector_like
+from netmoments.moments import (_complete_counts, _kept_counts, moments,
+                                moments_from_counts, MomentVector, N_KEPT,
+                                PLAN_WAIT, vector_like)
 from netmoments.unbiased import unbiased_cumulants
 
 from conftest import (fraction_conversion, fraction_kappa_check, mode_graphs,
@@ -363,23 +369,43 @@ def test_conversions_build_one_fraction_per_class(monkeypatch):
     assert zeros[0] == 0 and all(v is zeros[0] for v in zeros)
 
 
+def _same_conversions(m, other):
+    # a vector whose (n, label pools) has not come up PLAN_WAIT times
+    # runs the graded plan on its complete counts' lcm (scaled_counts),
+    # and the per-n plans from then on
+    for convert in (moments_to_cumulants, unbiased_cumulants):
+        want = convert(other)
+        for _ in range(PLAN_WAIT + 1):
+            got = convert(m)
+            assert got.values == want.values
+            assert list(got.values) == list(want.values)
+            assert got.absent == want.absent
+
+
 @pytest.mark.parametrize("mode", ["simple", "directed", "weighted",
                                   "attributed", "bipartite"])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_carried_form_converts_as_the_values_do(mode, data):
-    # moments() carries its counts' integers into the conversions; a copy
-    # of the same values has no carried form and goes by scaled_positions
+    # moments() carries its counts into the conversions; a copy of the
+    # same values has no carried form and goes by scaled_positions.  Up
+    # to 52 isolated nodes, labelled from the graph's own labels, take n
+    # to 60 and widen the label pools; simple graphs go to order 6
     G = data.draw(mode_graphs(mode))
-    m = moments(G, min(counting.ORDER_CAPS[mode], 5))
+    extra = data.draw(st.integers(0, 60 - G.n))
+    attrs = G.node_attrs
+    if attrs is not None:
+        labels = st.sampled_from(sorted(set(attrs.values())))
+        attrs = {**attrs, **{v: data.draw(labels)
+                             for v in range(G.n, G.n + extra)}}
+    G = dataclasses.replace(G, n=G.n + extra, node_attrs=attrs)
+    r_max = data.draw(st.sampled_from([5, 6])) if mode == "simple" else \
+        min(counting.ORDER_CAPS[mode], 5)
+    m = moments(G, r_max)
     plain = vector_like(m, m.values)
     assert (m.carried() is not None) == (mode != "weighted")
     assert plain.carried() is None
-    for convert in (moments_to_cumulants, unbiased_cumulants):
-        got, want = convert(m), convert(plain)
-        assert got.values == want.values
-        assert list(got.values) == list(want.values)
-        assert got.absent == want.absent
+    _same_conversions(m, plain)
 
 
 def test_edited_values_drop_the_carried_form():
@@ -392,6 +418,129 @@ def test_edited_values_drop_the_carried_form():
         assert convert(m).values == convert(fresh).values
     assert moments_to_cumulants(m).values != moments_to_cumulants(
         moments(random_graph(random.Random(8), 9), 4)).values
+
+
+def test_edited_n_and_pools_leave_the_carried_form_as_made():
+    # the carried form is keyed by n and the label pools as they were when
+    # the vector was made, so editing them afterwards changes nothing the
+    # conversions return; a vector whose universe (r_max here) is edited
+    # has no carried form
+    rng = random.Random(9)
+    colored = make_graph(10, [(u, v) for u in range(10)
+                              for v in range(u + 1, 10) if rng.random() < 0.4],
+                         node_attrs={v: "ab"[v % 3 == 0] for v in range(10)})
+    for G, r_max in ((random_graph(rng, 12), 5), (colored, 3)):
+        m = moments(G, r_max)
+        key = m.carried()[0]
+        m.n += 7
+        if m.label_counts is not None:
+            m.label_counts[0] += 5
+        assert m.carried()[0] == key and key[3] == G.n
+        _same_conversions(m, vector_like(m, m.values))
+        if m.label_counts is not None:
+            m.label_counts = {0: 1, 1: 1}
+            _same_conversions(m, vector_like(m, m.values))
+        else:
+            m.r_max += 1
+            assert m.carried() is None
+            _same_conversions(m, vector_like(m, m.values))
+
+
+def test_numpy_integer_counts_read_as_python_ints():
+    # counts at n = 300 through order 5 cast to np.int64: each is read by
+    # operator.index, so no value holds a numpy integer and nothing the
+    # conversions multiply wraps at 2^63
+    rng = random.Random(14)
+    G = make_graph(300, [(u, v) for u in range(24) for v in range(u + 1, 24)
+                         if rng.random() < 0.3])
+    counts = counting.full_counts(G, 5)
+    m = moments_from_counts(counts, 300, "simple", 5)
+    wide = moments_from_counts({sid: np.int64(c) for sid, c in counts.items()},
+                               300, "simple", 5)
+    assert all(type(v.numerator) is int for v in wide.values.values())
+    assert wide.values == m.values and wide.absent == m.absent
+    assert wide.carried() == m.carried()
+    _same_conversions(wide, m)
+    _same_conversions(wide, vector_like(m, m.values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(universe_at=st.sampled_from([("simple", 5, 2), ("simple", 6, 2),
+                                    ("directed", 4, 2), ("attributed", 3, 3),
+                                    ("bipartite", 4, 2)]),
+       pools=st.lists(st.integers(0, 150), min_size=3, max_size=3))
+def test_per_class_scales_divide_the_graded_scale(universe_at, pools):
+    # Q_S divides D^r, D the lcm of the complete counts the graded plan
+    # scales by, and each kappa-check scale divides D
+    mode, r_max, labels = universe_at
+    n = sum(pools[:labels]) or 1
+    pools = tuple(enumerate(pools[:labels])) if mode in (
+        "attributed", "bipartite") else None
+    key = (mode, r_max, labels, n, pools)
+    D, rows = _complete_counts(*key)
+    C = [c for _, c, _ in rows]
+    assert D == math.lcm(*(c for c in C if c))
+    graded = cumulants._conversion_plans(mode, r_max, labels)["moment"]
+    plan = cumulants._counts_plan(graded, key)
+    checks, _ = unbiased._counts_plan(
+        unbiased._kappa_check_plans(mode, r_max, labels)[0], key)
+    infos, _ = universe_positions(mode, r_max, labels)
+    for ci, c, step, q_check in zip(infos, C, plan, checks):
+        assert (step is None) == (c == 0)
+        if step is not None:
+            q, a, _ = step
+            assert D ** ci.id.r % q == 0 and a * c == q
+            assert D % q_check == 0
+
+
+def test_per_n_invariants_raise(monkeypatch):
+    # a scale that is not a multiple of what it divides by, and a complete
+    # count that is not an integer, raise under python -O too
+    for q, d in ((10, 4), (10, 0)):
+        with pytest.raises(ArithmeticError, match="is not a multiple"):
+            cumulants.multiplier(q, d)
+    monkeypatch.setattr(importlib.import_module("netmoments.moments"),
+                        "complete_count",
+                        lambda ci, n, label_counts=None: Fraction(3, 2))
+    _kept_counts.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="is not an integer"):
+            moments(P4, 2)
+    finally:
+        _kept_counts.cache_clear()
+
+
+def test_per_n_state_stays_bounded():
+    # 200 distinct n keep at most N_KEPT complete-count tables and per-n
+    # plans per universe, dropping the least recently used: n = 5, used
+    # on every step, stays.  A plan is built after its n has come up
+    # PLAN_WAIT times, not before, and every vector converts as the
+    # common-denominator path does
+    rng = random.Random(12)
+    for cache in (cumulants._conversion_plans, unbiased._kappa_check_plans,
+                  _kept_counts):
+        cache.cache_clear()
+    conversion = cumulants._conversion_plans("simple", 3, 2)["per_n"]
+    check = unbiased._kappa_check_plans("simple", 3, 2)[1]
+    kept = _kept_counts("simple", 3, 2)
+    steady = moments(make_graph(5, [(0, 1), (1, 2), (2, 3)]), 3)
+    _same_conversions(steady, vector_like(steady, steady.values))
+    five = steady.carried()[0]
+    held = conversion[five], check[five]
+    for n in range(6, 206):
+        edges = [(u, v) for u in range(6) for v in range(u + 1, 6)
+                 if rng.random() < 0.6]
+        m = moments(make_graph(n, edges), 3)
+        key = m.carried()[0]
+        for times in range(1, PLAN_WAIT + 1):
+            moments_to_cumulants(m)
+            unbiased_cumulants(m)
+            assert conversion[key] == check[key] == times
+        _same_conversions(m, vector_like(m, m.values))
+        assert type(conversion[key]) is type(check[key]) is tuple
+        _same_conversions(steady, vector_like(steady, steady.values))
+        assert max(map(len, (conversion, check, kept))) <= N_KEPT
+    assert conversion[five] is held[0] and check[five] is held[1]
 
 
 def test_conversions_build_no_partition_expansion():

@@ -128,7 +128,7 @@ def test_disconnected_kappa_check_plan_must_vanish(monkeypatch):
     plans = unbiased._kappa_check_plans.__wrapped__
     _, at = universe_positions("simple", 2, 2)
     two_edges = at[named_class("simple", "two-parallel").id.key]
-    assert plans("simple", 2, 2)[two_edges] == (False, ((two_edges, 0),))
+    assert plans("simple", 2, 2)[0][two_edges] == (False, ((two_edges, 0),))
     poly = unbiased.cumulant_moment_polynomial
 
     def skewed(cg, mode):
