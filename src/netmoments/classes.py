@@ -15,7 +15,7 @@ Edge values are multiplicities (>= 1; above 1 only in weighted mode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,20 +103,20 @@ class ClassGraph:
                                colors=tuple(self.colors[x] for x in nodes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgraphId:
-    """Canonical isomorphism-class identifier."""
+    """Canonical isomorphism-class identifier.
+
+    _subgraph_id makes the one id of each (mode, r, key), so ids compare
+    and hash by identity, in C: they key every count and moment table.
+    Copies and pickles come back as that same object (__reduce__)."""
     mode: str
     r: int
     key: str                     # canonical encoding, hex
-    alias: str = field(default=None, compare=False, hash=False)
+    alias: str = None
 
-    def __post_init__(self):
-        # ids key every count and moment table, so the hash is computed once
-        object.__setattr__(self, "_hash", hash((self.mode, self.r, self.key)))
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return _subgraph_id, (self.mode, self.r, self.key)
 
     def serialize(self):
         s = f"{self.mode}:{self.r}:{self.key}"
@@ -201,12 +201,18 @@ def automorphism_generators(cg):
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
+# (mode, r, key) -> its SubgraphId; ids compare by identity, so an entry
+# is never dropped
+_IDS = {}
+
+
 def _subgraph_id(mode, r, key):
-    """One SubgraphId object per class, so that dictionaries keyed by ids
-    find them by identity."""
-    return SubgraphId(mode=mode, r=r, key=key,
-                      alias=_alias_registry(mode).get(key))
+    """The one SubgraphId of a class."""
+    sid = _IDS.get((mode, r, key))
+    if sid is None:
+        sid = _IDS[mode, r, key] = SubgraphId(
+            mode, r, key, _alias_registry(mode).get(key))
+    return sid
 
 
 def class_id(cg, mode):

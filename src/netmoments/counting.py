@@ -1109,8 +1109,8 @@ def derive_disconnected(connected_counts, G, r_max):
     """Extend connected counts to every class with <= r_max edges.
 
     Returns dict SubgraphId -> count covering the full universe (zero counts
-    included).  The counts may be columns, as count_connected returns them
-    for a stack; the steps then run on the columns, and a count read from
+    included).  For a stack G the counts are columns, as count_connected
+    returns them; the steps then run on the columns, and a count read from
     no column (a missing class is a scalar zero) stands for every graph.
     Only arithmetic runs per call, on a list indexed by the positions of
     _derivation_positions.  Raises ValueError on a negative derived count
@@ -1122,8 +1122,7 @@ def derive_disconnected(connected_counts, G, r_max):
     weighted = mode == "weighted"
     zero = Fraction(0) if weighted else 0
     counts = [connected_counts.get(sid, zero) for sid in ids[:n_connected]]
-    nonzero = np.any if any(isinstance(c, np.ndarray) for c in counts) \
-        else bool
+    nonzero = np.any if isinstance(G, np.ndarray) else bool
     for c, h, terms, self_coeff in steps:
         acc = counts[c] * counts[h]
         for g, coeff in terms:

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .classes import (ClassGraph, SubgraphId, class_id, unit_subclasses,
                       universe_positions)
-from .moments import (MomentVector, PLAN_WAIT, _complete_counts, per_n,
-                      scaled_counts, vector_like)
+from .moments import (MomentVector, PLAN_WAIT, _complete_counts, exact,
+                      per_n, scaled_counts, vector_like)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -243,16 +242,16 @@ def _missing_factor(v, ci, what):
 
 def _convert(v: MomentVector, what):
     """Run the plan for a vector of `what` values in (r, key) order over
-    Python ints, building one Fraction per class.  A moment vector that
-    carries its counts (MomentVector.carried) runs on the per-class
-    scales of _counts_plan once its (n, label pools) has come up
-    moments.PLAN_WAIT times before.  Until then it runs the graded plan
-    on the common denominator of its complete counts (scaled_counts),
-    and any other vector runs it on a common denominator L of its values
-    (scaled_positions); each input is graded to x L^(r-1) once, when its
-    class comes up.  A class whose recursion reads an absent value
-    raises, as it would from the full expansion: both read every proper
-    sub-edge-set class."""
+    Python ints, building one Fraction per class with moments.exact.  A
+    moment vector that carries its counts (MomentVector.carried) runs on
+    the per-class scales of _counts_plan once its (n, label pools) has
+    come up moments.PLAN_WAIT times before.  Until then it runs the
+    graded plan on the common denominator of its complete counts
+    (scaled_counts), and any other vector runs it on a common
+    denominator L of its values (scaled_positions); each input is graded
+    to x L^(r-1) once, when its class comes up.  A class whose recursion
+    reads an absent value raises, as it would from the full expansion:
+    both read every proper sub-edge-set class."""
     infos, at = universe_positions(v.mode, v.r_max, v.labels)
     plans = _conversion_plans(v.mode, v.r_max, v.labels)
     carried = v.carried() if what == "moment" else None
@@ -272,7 +271,7 @@ def _convert(v: MomentVector, what):
             for b, rest, coeff in terms:
                 acc += coeff * k[b] * counts[rest]
             k[p] = acc
-            out[infos[p].id] = Fraction(acc, q)
+            out[infos[p].id] = exact(acc, q)
         return vector_like(v, out)
     plan = plans[what]
     lcm, x = scaled_counts(*carried) if carried else \
@@ -291,7 +290,7 @@ def _convert(v: MomentVector, what):
         except TypeError:
             raise _missing_factor(v, infos[p], what) from None
         y[p] = acc
-        out[infos[p].id] = Fraction(acc, powers[r])
+        out[infos[p].id] = exact(acc, powers[r])
     return vector_like(v, out)
 
 

@@ -75,6 +75,21 @@ def rational_json(v):
     return {"numer": str(v.numerator), "denom": str(v.denominator)}
 
 
+def exact(n, d):
+    """n / d as a reduced Fraction, for Python ints n and d > 0.
+
+    Fraction(n, d) checks its arguments' types and signs before its gcd;
+    the pipeline's ints need only the gcd, so this makes the object and
+    sets its two slots itself.  The result is an ordinary Fraction."""
+    if d <= 0:
+        raise ArithmeticError(f"exact(n, d) needs d > 0, not d = {d}")
+    g = math.gcd(n, d)
+    f = object.__new__(Fraction)
+    f._numerator = n // g
+    f._denominator = d // g
+    return f
+
+
 def moments(G, r_max):
     """Moments of every realizable class with at most r_max edges."""
     mode, labels = graph_mode(G)
@@ -90,8 +105,9 @@ def moments_from_counts(counts, n, mode, r_max, labels=2, label_counts=None):
 
     Integer counts (every mode but weighted) are read as Python ints
     (operator.index, so numpy integers neither wrap nor leak into the
-    values), and the vector carries them (MomentVector.carried) for the
-    conversions to read instead of the Fractions."""
+    values), made into values by exact, and the vector carries them
+    (MomentVector.carried) for the conversions to read instead of the
+    Fractions.  Weighted counts are Fractions and go through Fraction."""
     mv = MomentVector(n=n, mode=mode, r_max=r_max, labels=labels,
                       label_counts=label_counts)
     pools = None if label_counts is None else tuple(sorted(
@@ -106,7 +122,9 @@ def moments_from_counts(counts, n, mode, r_max, labels=2, label_counts=None):
         count = counts.get(sid, 0)
         if integral:
             count = index(count)
-        mv.values[sid] = Fraction(count, c)
+            mv.values[sid] = exact(count, c)
+        else:
+            mv.values[sid] = Fraction(count, c)
         carried.append(count)
     if integral:
         mv._carried = (tuple(mv.values), tuple(mv.values.values()),

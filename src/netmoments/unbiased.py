@@ -22,8 +22,8 @@ from .cumulants import (cumulant_moment_polynomial, IncompleteVectorError,
                         multiplier, scaled_positions)
 from .graphs import SizeCapError
 from .models import seeded_rng
-from .moments import (MomentVector, PLAN_WAIT, _complete_counts, per_n,
-                      rational_json, scaled_counts, vector_like)
+from .moments import (MomentVector, PLAN_WAIT, _complete_counts, exact,
+                      per_n, rational_json, scaled_counts, vector_like)
 
 
 @lru_cache(maxsize=None)
@@ -90,12 +90,12 @@ def unbiased_cumulants(m: MomentVector):
     union they read is absent they take the shared zero with no
     arithmetic.  The estimator is linear in the moments, so each connected
     class sums integer numerators over one denominator and builds one
-    Fraction: a vector that carries its counts (MomentVector.carried)
-    sums them on the per-class scales of _counts_plan once its (n, label
-    pools) has come up moments.PLAN_WAIT times before, and until then on
-    the common denominator of its complete counts (scaled_counts); any
-    other vector sums its values on their common denominator
-    (scaled_positions).
+    Fraction (moments.exact): a vector that carries its counts
+    (MomentVector.carried) sums them on the per-class scales of
+    _counts_plan once its (n, label pools) has come up moments.PLAN_WAIT
+    times before, and until then on the common denominator of its
+    complete counts (scaled_counts); any other vector sums its values on
+    their common denominator (scaled_positions).
     """
     infos, at = universe_positions(m.mode, m.r_max, m.labels)
     plans, counts_plans = _kappa_check_plans(m.mode, m.r_max, m.labels)
@@ -135,7 +135,7 @@ def unbiased_cumulants(m: MomentVector):
                            f"{uid.alias or uid.serialize()}, "
                            f"{m.absent[uid]}")
             continue
-        out[sid] = Fraction(acc, scales[p]) if connected else _ZERO
+        out[sid] = exact(acc, scales[p]) if connected else _ZERO
     kv = vector_like(m, out)
     kv.absent = absent
     return kv

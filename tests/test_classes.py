@@ -1,6 +1,8 @@
 """Class universes, canonical labeling, aliases, complete counts."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -317,3 +319,19 @@ def test_class_id_roundtrip():
         ci = named_class("simple", alias)
         assert ci.id.alias == alias
         assert class_id(ci.graph, "simple") == ci.id
+
+
+def test_ids_are_one_object_per_class():
+    # ids compare by identity, so a class's id is one object however it is
+    # reached: classified again, copied, deep-copied or through a pickle
+    for mode, r in (("simple", 5), ("directed", 3), ("attributed", 2)):
+        for infos in universe(mode, r).values():
+            for ci in infos:
+                sid = ci.id
+                assert class_id(ci.graph, mode) is sid
+                assert copy.copy(sid) is sid and copy.deepcopy(sid) is sid
+                assert pickle.loads(pickle.dumps(sid)) is sid
+    wedge = named_class("simple", "wedge").id
+    assert copy.deepcopy({wedge: [wedge]}) == {wedge: [wedge]}
+    assert wedge != named_class("simple", "edge").id
+    assert hash(wedge) == object.__hash__(wedge)

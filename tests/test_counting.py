@@ -298,24 +298,27 @@ from netmoments.classes import named_class
 from netmoments.counting import derive_disconnected
 from netmoments.graphs import make_graph
 
-def derive(edge, wedge):
+def derive(edge, wedge, G):
     ids = (named_class("simple", name).id for name in ("edge", "wedge"))
     try:
-        derive_disconnected(dict(zip(ids, (edge, wedge))),
-                            make_graph(3, [(0, 1)]), 2)
+        derive_disconnected(dict(zip(ids, (edge, wedge))), G, 2)
     except ValueError as e:
         return str(e)
 
-column = derive(np.array([3, 1], dtype=object), np.array([0, 5], dtype=object))
-print(derive(3, 0), column == derive(1, 5), column)
+graph = make_graph(3, [(0, 1)])
+stack = np.zeros((2, 3, 3), dtype=bool)
+stack[:, 0, 1] = stack[:, 1, 0] = True
+column = derive(np.array([3, 1], dtype=object), np.array([0, 5], dtype=object),
+                stack)
+print(derive(3, 0, graph), column == derive(1, 5, graph), column)
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_inconsistent_column_raises_as_its_block(flags):
-    # one edge with five wedges has -5 two-parallel pairs; in a column with
-    # a consistent block the derivation raises what that block raises
-    # alone, and the check is no assert, so it holds under python -O
+    # one edge with five wedges has -5 two-parallel pairs; in a stack's
+    # column with a consistent block the derivation raises what that block
+    # raises alone, and the check is no assert, so it holds under python -O
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(counting.__file__).parents[1]))
     proc = subprocess.run([sys.executable, *flags, "-c", _INCONSISTENT],

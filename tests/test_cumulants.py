@@ -333,40 +333,69 @@ def test_coprime_denominators_convert_exactly():
 
 
 def test_conversions_build_one_fraction_per_class(monkeypatch):
+    # every value of a counted moment vector, of each conversion and of a
+    # connected class's kappa-check is one moments.exact call, and none of
+    # these paths runs Fraction.__new__
     G = random_graph(random.Random(4), 12, p=0.4)
-    m = moments(G, 5)
-    made = []
+    m = moments(G, 5)  # the complete counts at n = 12, made once
+    made, news = [], []
+    exact = importlib.import_module("netmoments.moments").exact
+
+    def counted(n, d):
+        made.append((n, d))
+        return exact(n, d)
+
+    for module in ("moments", "cumulants", "unbiased"):
+        monkeypatch.setattr(importlib.import_module(f"netmoments.{module}"),
+                            "exact", counted)
     new = Fraction.__new__
 
-    def counted(cls, *args, **kwargs):
-        made.append(args)
+    def counted_new(cls, *args, **kwargs):
+        news.append(args)
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Fraction, "__new__", counted)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
     if hasattr(Fraction, "_from_coprime_ints"):
         # Python 3.12+ builds arithmetic results without __new__
         coprime = Fraction._from_coprime_ints.__func__
 
         def counted_coprime(cls, *args):
-            made.append(args)
+            news.append(args)
             return coprime(cls, *args)
 
         monkeypatch.setattr(Fraction, "_from_coprime_ints",
                             classmethod(counted_coprime))
-    assert Fraction(1, 2) + Fraction(1, 3) and len(made) == 3
+    assert Fraction(1, 2) + Fraction(1, 3) and len(news) == 3
+    del news[:]
+    m = moments(G, 5)
+    assert len(made) == len(m.values)
     index = universe_index("simple", 5)
     connected = [sid for sid in m.values if index[sid.key].connected]
     assert 0 < len(connected) < len(m.values)
-    del made[:]
-    assert len(moments_to_cumulants(m).values) == len(made) == len(m.values)
+    # the carried counts on the graded and then the per-n plans, and a
+    # copy of the values on their common denominator
+    outputs = []
+    for v in [m] * (PLAN_WAIT + 1) + [vector_like(m, m.values)]:
+        del made[:]
+        k = moments_to_cumulants(v)
+        assert len(k.values) == len(made) == len(m.values)
+        del made[:]
+        kc = unbiased_cumulants(v)
+        assert len(made) == len(connected)
+        del made[:]
+        assert cumulants_to_moments(k).values == m.values
+        assert len(made) == len(m.values)
+        outputs += [k, kc]
+    assert not news
     # kappa-check builds no Fraction for a disconnected class: each one is
     # the same zero
-    del made[:]
-    kc = unbiased_cumulants(m)
-    assert len(made) == len(connected)
     zeros = [v for sid, v in kc.values.items() if sid not in connected]
     assert len(zeros) == len(m.values) - len(connected)
     assert zeros[0] == 0 and all(v is zeros[0] for v in zeros)
+    for vector in [m, *outputs]:
+        assert all(type(v) is Fraction and type(v.numerator) is int
+                   and type(v.denominator) is int
+                   for v in vector.values.values())
 
 
 def _same_conversions(m, other):

@@ -1,14 +1,19 @@
 """Graph moments: normalization, bounds, serialization."""
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from netmoments.classes import named_class
 from netmoments.graphs import make_graph
-from netmoments.moments import moments, rational_json
+from netmoments.moments import exact, moments, rational_json
 
 from conftest import random_graph
 
@@ -67,3 +72,50 @@ def test_wedge_moment_small_example():
     assert m.values[named_class("simple", "edge").id] == Fraction(2, 3)
     assert m.values[named_class("simple", "wedge").id] == Fraction(1, 3)
     assert m.values[named_class("simple", "two-parallel").id] == Fraction(2, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2 ** 300, 2 ** 300), st.integers(1, 2 ** 300),
+       st.integers(1, 5))
+def test_exact_is_the_fraction(n, d, k):
+    # exact(n, d) is Fraction(n, d) to every reader: type, value, hash,
+    # repr and arithmetic; a common factor k is reduced away
+    got, want = exact(n * k, d * k), Fraction(n, d)
+    assert type(got) is Fraction
+    assert type(got.numerator) is int and type(got.denominator) is int
+    assert (got.numerator, got.denominator) == (want.numerator,
+                                                want.denominator)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want) and str(got) == str(want)
+    third = Fraction(1, 3)
+    assert got + third == want + third and got * got == want * want
+    assert got - want == 0 and -got == -want
+    if n:
+        assert 1 / got == 1 / want
+
+
+_NOT_POSITIVE = """
+from netmoments.moments import exact
+for d in (0, -1, -2 ** 300):
+    try:
+        exact(1, d)
+    except ArithmeticError as e:
+        print(e)
+    else:
+        print("returned")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_exact_refuses_a_denominator_below_one(flags):
+    # the check is no assert, so it holds under python -O
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(exact.__code__.co_filename)
+                              .parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", _NOT_POSITIVE],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and "returned" not in lines
+    assert all("needs d > 0" in line for line in lines)

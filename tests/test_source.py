@@ -77,3 +77,36 @@ def test_every_import_is_used():
                    for alias in node.names
                    if (alias.asname or alias.name).split(".")[0] not in reads]
     assert not unread, f"imported names nothing reads: {unread}"
+
+
+def _sites(match):
+    """'file:function' of each node match accepts, function being the
+    innermost def around it ('<module>' outside every def)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if match(node):
+                found.append(f"{path.stem}:{where}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, "<module>")
+    return found
+
+
+def test_ids_and_fraction_slots_have_one_maker():
+    # ids compare by identity, so one function makes them; and the
+    # Fraction slots are written by moments.exact alone
+    assert set(_sites(lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "SubgraphId")) == {
+        "classes:_subgraph_id"}
+    slots = {"_numerator", "_denominator"}
+    assert set(_sites(lambda node: (isinstance(node, ast.Attribute)
+                                    and node.attr in slots)
+                      or (isinstance(node, ast.Constant)
+                          and node.value in slots))) == {"moments:exact"}
