@@ -79,16 +79,19 @@ def _manifest(args):
     return man
 
 
+def _read(path):
+    """The text of an input file; one that cannot be read is a data
+    error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GraphDataError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _load_graph(args):
-    if args.graph == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.graph) as fh:
-            text = fh.read()
-    attr_text = None
-    if args.attributes:
-        with open(args.attributes) as fh:
-            attr_text = fh.read()
+    text = sys.stdin.read() if args.graph == "-" else _read(args.graph)
+    attr_text = _read(args.attributes) if args.attributes else None
     return parse_graph(text, directed=args.directed, weighted=args.weighted,
                        nodes=args.nodes, attr_text=attr_text,
                        bipartite=args.bipartite)
@@ -322,11 +325,7 @@ def _emit(doc, args):
         text = "\n".join(f"{k:<{width}}  {v}" for k, v in rows) + "\n"
     else:
         text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
 
 
 def _emit_graph(G, manifest, args):
@@ -337,11 +336,20 @@ def _emit_graph(G, manifest, args):
                              for v in range(G.n))
         text += attr_lines
     text += f"# nodes {G.n}\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    _write(text, args.out)
+
+
+def _write(text, path):
+    """text to the --out path, or to stdout without one; a path that
+    cannot be written is a usage error."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from functools import lru_cache
 
 from .classes import (ClassGraph, SubgraphId, class_id, unit_subclasses,
                       universe_positions)
-from .moments import (MomentVector, PLAN_WAIT, _complete_counts, exact,
-                      per_n, scaled_counts, vector_like)
+from .moments import (MomentVector, _complete_counts, exact, per_n,
+                      vector_like)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -164,13 +164,14 @@ def _conversion_plans(mode: str, r_max: int, labels: int):
     """The pivot-unit recursion of every class of a universe, compiled to
     positions (classes.universe_positions): one plan per direction, keyed
     by what the input vector holds ("moment" or "cumulant"), and under
-    "per_n" the plans _counts_plan builds from the "moment" one.
+    "per_n" the plans _counts_plan builds from the "moment" one for
+    vectors that carry their counts.
 
     The plans are graded: a class S of r edge units reads its input as
-    X_S = v_S L^r and makes Y_S = out_S L^r, L being the input's common
-    denominator.  The powers of L then match in every term, so each plan
-    holds (r, terms) per position, terms (a, b, coeff) read as
-    coeff * Y[a] * X[b]:
+    X_S = v_S L^r and makes Y_S = out_S L^r, L being the lcm of the
+    input values' denominators (scaled_positions).  The powers of L then
+    match in every term, so each plan holds (r, terms) per position,
+    terms (a, b, coeff) read as coeff * Y[a] * X[b]:
         to cumulants (X = mu L^r, Y = kappa L^r):
             Y_S = X_S - sum c Y_B X_rest
         to moments (X = kappa L^r, Y = mu L^r):
@@ -209,11 +210,10 @@ def _counts_plan(graded, key):
         Q_S = lcm(C_S, Q_B C_rest over the class's terms),
     so that
         K_S = a count_S + sum coeff K_B count_rest,
-    a = Q_S / C_S and coeff = -c Q_S / (Q_B C_rest) exact integers.  By
-    induction Q_S divides D^r, D the lcm of the complete counts, which
-    the graded plan scales by: at simple order 5, Q_S has at most 83 bits
-    where D^5 has 233 at n = 40, and 143 against 383 at n = 300."""
-    C = [c for _, c, _ in _complete_counts(*key)[1]]
+    a = Q_S / C_S and coeff = -c Q_S / (Q_B C_rest) exact integers.  At
+    simple order 5, Q_S has at most 83 bits at n = 40 and 143 at
+    n = 300."""
+    C = [c for _, c in _complete_counts(*key)]
     Q = [0] * len(C)
     plan = []
     for p, (_, terms) in enumerate(graded):
@@ -244,24 +244,20 @@ def _convert(v: MomentVector, what):
     """Run the plan for a vector of `what` values in (r, key) order over
     Python ints, building one Fraction per class with moments.exact.  A
     moment vector that carries its counts (MomentVector.carried) runs on
-    the per-class scales of _counts_plan once its (n, label pools) has
-    come up moments.PLAN_WAIT times before.  Until then it runs the
-    graded plan on the common denominator of its complete counts
-    (scaled_counts), and any other vector runs it on a common
-    denominator L of its values (scaled_positions); each input is graded
-    to x L^(r-1) once, when its class comes up.  A class whose recursion
-    reads an absent value raises, as it would from the full expansion:
-    both read every proper sub-edge-set class."""
+    the per-class scales of _counts_plan, built the first time its (n,
+    label pools) comes up.  Any other vector runs the graded plan on the
+    lcm L of its values' denominators (scaled_positions), each input
+    graded to x L^(r-1) once, when its class comes up.  A class whose
+    recursion reads an absent value raises, as it would from the full
+    expansion: both read every proper sub-edge-set class."""
     infos, at = universe_positions(v.mode, v.r_max, v.labels)
     plans = _conversion_plans(v.mode, v.r_max, v.labels)
     carried = v.carried() if what == "moment" else None
-    plan = None
-    if carried is not None:
-        plan = per_n(plans["per_n"], carried[0], lambda key: _counts_plan(
-            plans["moment"], key), PLAN_WAIT)
     out = {}
-    if plan is not None:
-        counts = carried[1]
+    if carried is not None:
+        key, counts = carried
+        plan = per_n(plans["per_n"], key,
+                     lambda key: _counts_plan(plans["moment"], key))
         k = [None] * len(infos)
         for p, count in enumerate(counts):
             if count is None:
@@ -274,8 +270,7 @@ def _convert(v: MomentVector, what):
             out[infos[p].id] = exact(acc, q)
         return vector_like(v, out)
     plan = plans[what]
-    lcm, x = scaled_counts(*carried) if carried else \
-        scaled_positions(v.values, at, len(infos))
+    lcm, x = scaled_positions(v.values, at, len(infos))
     powers = [lcm ** e for e in range(v.r_max + 1)]
     graded = [None] * len(infos)
     y = [None] * len(infos)

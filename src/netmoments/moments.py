@@ -35,10 +35,12 @@ class MomentVector:
         at construction, and counts[p] the class count as a Python int at
         universe position p (classes.universe_positions), None where the
         class is unrealizable.  The value at p is counts[p] / C, C the
-        complete count (_complete_counts at key).  None once `values` no
-        longer holds the very keys and value objects it was made with, or
-        once mode, r_max or labels, which name the universe, differ from
-        key's; n and label_counts are read from key alone."""
+        complete count (_complete_counts at key); moments_to_cumulants and
+        unbiased_cumulants run their per-n plans for key on these counts
+        in place of the values.  None once `values` no longer holds the
+        very keys and value objects it was made with, or once mode, r_max
+        or labels, which name the universe, differ from key's; n and
+        label_counts are read from key alone."""
         if self._carried is None:
             return None
         keys, vals, key, counts = self._carried
@@ -114,7 +116,7 @@ def moments_from_counts(counts, n, mode, r_max, labels=2, label_counts=None):
         label_counts.items()))
     integral = mode != "weighted"
     carried = []
-    for sid, c, _ in _complete_counts(mode, r_max, labels, n, pools)[1]:
+    for sid, c in _complete_counts(mode, r_max, labels, n, pools):
         if not c:
             mv.absent[sid] = f"class unrealizable at n={n}"
             carried.append(None)
@@ -136,30 +138,20 @@ def moments_from_counts(counts, n, mode, r_max, labels=2, label_counts=None):
 # plans built on them) is kept per universe for this many (n, label pools)
 # at most.
 N_KEPT = 16
-# A per-n plan is built the sixteenth time its (n, label pools) comes up.
-# Until then a vector runs the graded plan on the common denominator of
-# its complete counts.  Building costs about what 8 to 16 operations save
-# on the per-n plan (simple order 5 at n = 40 to 300: 0.35-0.41 ms
-# against 25-48 us per operation; order 6 at n = 14: 1.1-1.3 ms against
-# 75 us; one core of a 2-CPU Xeon host), so a key that recurs fewer
-# times builds none, and one that recurs more pays at most about twice
-# what the better of the two paths would.
-PLAN_WAIT = 15
 
 
-def per_n(kept, key, build, wait=0):
+def per_n(kept, key, build):
     """kept[key], one universe's per-n state at key, made by build(key)
-    once key has come up wait times before; until then kept counts the
-    times and None is returned.  A hit moves its key to the end, and once
+    the first time key comes up.  A hit moves its key to the end, and once
     N_KEPT are kept the first key goes: the least recently used is
     dropped."""
-    value = kept.pop(key, 0)
-    if type(value) is int:
-        if not value and len(kept) >= N_KEPT:
+    value = kept.pop(key, None)
+    if value is None:
+        if len(kept) >= N_KEPT:
             del kept[next(iter(kept))]
-        value = value + 1 if value < wait else build(key)
+        value = build(key)
     kept[key] = value
-    return None if type(value) is int else value
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -169,12 +161,10 @@ def _kept_counts(mode, r_max, labels):
 
 
 def _complete_counts(mode, r_max, labels, n, pools):
-    """(D, rows): rows holds (id, C, D / C) per class with at most r_max
-    edges, in universe order, C the class's count in the complete graph
-    on n nodes (with these label pools, label_counts as sorted (label,
-    count) pairs) and D the lcm of the nonzero C (47 bits for simple
-    order 5 at n = 40); C and D / C are 0 where the class is
-    unrealizable.  C counts copies, so it is an int; a fractional one
+    """(id, C) per class with at most r_max edges, in universe order, C
+    the class's count in the complete graph on n nodes (with these label
+    pools, label_counts as sorted (label, count) pairs), 0 where the class
+    is unrealizable.  C counts copies, so it is an int; a fractional one
     raises."""
     def build(_):
         label_counts = None if pools is None else dict(pools)
@@ -186,18 +176,8 @@ def _complete_counts(mode, r_max, labels, n, pools):
                     f"complete count {c} of {ci.id.serialize()} at n={n} "
                     "is not an integer")
             rows.append((ci.id, c.numerator))
-        lcm = math.lcm(*(c for _, c in rows if c))
-        return lcm, tuple((sid, c, lcm // c if c else 0) for sid, c in rows)
+        return tuple(rows)
     return per_n(_kept_counts(mode, r_max, labels), (n, pools), build)
-
-
-def scaled_counts(key, counts):
-    """(D, x) for counts carried at key (MomentVector.carried): D as in
-    _complete_counts, and x[p] = D * value at universe position p, None
-    where counts[p] is."""
-    lcm, rows = _complete_counts(*key)
-    return lcm, [None if c is None else c * scale
-                 for c, (_, _, scale) in zip(counts, rows)]
 
 
 def vector_like(template, values):

@@ -22,8 +22,8 @@ from .cumulants import (cumulant_moment_polynomial, IncompleteVectorError,
                         multiplier, scaled_positions)
 from .graphs import SizeCapError
 from .models import seeded_rng
-from .moments import (MomentVector, PLAN_WAIT, _complete_counts, exact,
-                      per_n, rational_json, scaled_counts, vector_like)
+from .moments import (MomentVector, _complete_counts, exact, per_n,
+                      rational_json, vector_like)
 
 
 @lru_cache(maxsize=None)
@@ -36,7 +36,8 @@ def _kappa_check_plans(mode: str, r_max: int, labels: int):
     is in the same universe.  Terms that sum to zero stay, so a union
     absent from the vector still makes the estimator absent.  Monomials
     recur across classes, so each union is classified once.  The per-n
-    plans are those _counts_plan builds from plans."""
+    plans, by (n, label pools), are those _counts_plan builds from plans
+    for vectors that carry their counts."""
     infos, at = universe_positions(mode, r_max, labels)
     unions = {}
     plans = []
@@ -63,9 +64,9 @@ def _counts_plan(plans, key):
     (moments._complete_counts) and (connected, ((union position,
     coeff * Q / C_u), ...)), so that the estimator is the sum of its
     terms times count_u, over Q.  An unrealizable union keeps its coeff:
-    its count is None, so the estimator is absent, as on the
-    common-denominator path."""
-    C = [c for _, c, _ in _complete_counts(*key)[1]]
+    its count is None, so the estimator is absent, as it is for the same
+    values without their counts."""
+    C = [c for _, c in _complete_counts(*key)]
     scales, out = [], []
     for connected, plan in plans:
         q = math.lcm(*(C[u] for u, _ in plan if C[u]))
@@ -92,24 +93,19 @@ def unbiased_cumulants(m: MomentVector):
     class sums integer numerators over one denominator and builds one
     Fraction (moments.exact): a vector that carries its counts
     (MomentVector.carried) sums them on the per-class scales of
-    _counts_plan once its (n, label pools) has come up moments.PLAN_WAIT
-    times before, and until then on the common denominator of its
-    complete counts (scaled_counts); any other vector sums its values on
-    their common denominator (scaled_positions).
+    _counts_plan, built the first time its (n, label pools) comes up;
+    any other vector sums its values on their common denominator
+    (scaled_positions).
     """
     infos, at = universe_positions(m.mode, m.r_max, m.labels)
     plans, counts_plans = _kappa_check_plans(m.mode, m.r_max, m.labels)
     carried = m.carried()
-    scaled = None
     if carried is not None:
-        scaled = per_n(counts_plans, carried[0],
-                       lambda key: _counts_plan(plans, key), PLAN_WAIT)
-    if scaled is not None:
-        scales, rows = scaled
-        x = carried[1]
+        key, x = carried
+        scales, rows = per_n(counts_plans, key,
+                             lambda key: _counts_plan(plans, key))
     else:
-        lcm, x = scaled_counts(*carried) if carried else \
-            scaled_positions(m.values, at, len(infos))
+        lcm, x = scaled_positions(m.values, at, len(infos))
         scales, rows = [lcm] * len(plans), plans
     complete = None not in x
     out = {}

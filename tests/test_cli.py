@@ -202,6 +202,30 @@ def test_exit_codes(capsys, tmp_path, p4):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["cumulants", "{missing}"], 2,
+     "data error: cannot read {missing}: No such file or directory"),
+    (["cumulants", "{dir}"], 2,
+     "data error: cannot read {dir}: Is a directory"),
+    (["cumulants", "{p4}", "--attributes", "{missing}"], 2,
+     "data error: cannot read {missing}: No such file or directory"),
+    (["cumulants", "{p4}", "--out", "{missing}/x"], 1,
+     "usage error: cannot write {missing}/x: No such file or directory"),
+    (["cumulants", "{p4}", "--out", "{dir}"], 1,
+     "usage error: cannot write {dir}: Is a directory"),
+    (["generate", "--model", "er", "--n", "5", "--p", "0.5", "--out", "{dir}"],
+     1, "usage error: cannot write {dir}: Is a directory")],
+    ids=["missing-graph", "directory-graph", "missing-attributes",
+         "missing-out-directory", "directory-out", "directory-out-graph"])
+def test_file_errors_name_the_path(capsys, tmp_path, p4, argv, code, message):
+    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path),
+             "p4": p4}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err == message.format(**paths) + "\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("nodes", ["0", "-2"])
 def test_nonpositive_nodes_is_a_data_error(capsys, p4, nodes):
     assert main(["count", p4, "--nodes", nodes]) == 2

@@ -22,7 +22,7 @@ from netmoments.cumulants import (BELL, clustering_coefficients,
 from netmoments.graphs import make_graph
 from netmoments.moments import (_complete_counts, _kept_counts, moments,
                                 moments_from_counts, MomentVector, N_KEPT,
-                                PLAN_WAIT, vector_like)
+                                vector_like)
 from netmoments.unbiased import unbiased_cumulants
 
 from conftest import (fraction_conversion, fraction_kappa_check, mode_graphs,
@@ -372,10 +372,10 @@ def test_conversions_build_one_fraction_per_class(monkeypatch):
     index = universe_index("simple", 5)
     connected = [sid for sid in m.values if index[sid.key].connected]
     assert 0 < len(connected) < len(m.values)
-    # the carried counts on the graded and then the per-n plans, and a
-    # copy of the values on their common denominator
+    # the carried counts on the per-n plans, built and then read back,
+    # and a copy of the values on their common denominator
     outputs = []
-    for v in [m] * (PLAN_WAIT + 1) + [vector_like(m, m.values)]:
+    for v in [m, m, vector_like(m, m.values)]:
         del made[:]
         k = moments_to_cumulants(v)
         assert len(k.values) == len(made) == len(m.values)
@@ -399,12 +399,12 @@ def test_conversions_build_one_fraction_per_class(monkeypatch):
 
 
 def _same_conversions(m, other):
-    # a vector whose (n, label pools) has not come up PLAN_WAIT times
-    # runs the graded plan on its complete counts' lcm (scaled_counts),
-    # and the per-n plans from then on
+    # the first conversion of a vector that carries its counts builds the
+    # per-n plans of its (n, label pools) unless they are kept, and the
+    # second reads them back
     for convert in (moments_to_cumulants, unbiased_cumulants):
         want = convert(other)
-        for _ in range(PLAN_WAIT + 1):
+        for _ in range(2):
             got = convert(m)
             assert got.values == want.values
             assert list(got.values) == list(want.values)
@@ -419,15 +419,27 @@ def test_carried_form_converts_as_the_values_do(mode, data):
     # moments() carries its counts into the conversions; a copy of the
     # same values has no carried form and goes by scaled_positions.  Up
     # to 52 isolated nodes, labelled from the graph's own labels, take n
-    # to 60 and widen the label pools; simple graphs go to order 6
+    # to 60 and widen the label pools; simple graphs go to order 6.  One
+    # unlabelled graph in four is relabelled onto distinct node ids below
+    # 2^40 instead, at n = 2^40 (labelled graphs label every node, so
+    # they cannot be that large)
     G = data.draw(mode_graphs(mode))
-    extra = data.draw(st.integers(0, 60 - G.n))
-    attrs = G.node_attrs
-    if attrs is not None:
-        labels = st.sampled_from(sorted(set(attrs.values())))
-        attrs = {**attrs, **{v: data.draw(labels)
-                             for v in range(G.n, G.n + extra)}}
-    G = dataclasses.replace(G, n=G.n + extra, node_attrs=attrs)
+    if G.node_attrs is None and not data.draw(st.integers(0, 3)):
+        ids = data.draw(st.lists(st.integers(0, 2 ** 40 - 1), min_size=G.n,
+                                 max_size=G.n, unique=True))
+        edges = {}
+        for (u, v), w in G.edges.items():
+            u, v = ids[u], ids[v]
+            edges[(u, v) if G.directed or u < v else (v, u)] = w
+        G = dataclasses.replace(G, n=2 ** 40, edges=edges)
+    else:
+        extra = data.draw(st.integers(0, 60 - G.n))
+        attrs = G.node_attrs
+        if attrs is not None:
+            labels = st.sampled_from(sorted(set(attrs.values())))
+            attrs = {**attrs, **{v: data.draw(labels)
+                                 for v in range(G.n, G.n + extra)}}
+        G = dataclasses.replace(G, n=G.n + extra, node_attrs=attrs)
     r_max = data.draw(st.sampled_from([5, 6])) if mode == "simple" else \
         min(counting.ORDER_CAPS[mode], 5)
     m = moments(G, r_max)
@@ -499,16 +511,16 @@ def test_numpy_integer_counts_read_as_python_ints():
                                     ("bipartite", 4, 2)]),
        pools=st.lists(st.integers(0, 150), min_size=3, max_size=3))
 def test_per_class_scales_divide_the_graded_scale(universe_at, pools):
-    # Q_S divides D^r, D the lcm of the complete counts the graded plan
-    # scales by, and each kappa-check scale divides D
+    # Q_S divides D^r, D the lcm of the complete counts (the common
+    # denominator of a counted vector's values), and each kappa-check
+    # scale divides D
     mode, r_max, labels = universe_at
     n = sum(pools[:labels]) or 1
     pools = tuple(enumerate(pools[:labels])) if mode in (
         "attributed", "bipartite") else None
     key = (mode, r_max, labels, n, pools)
-    D, rows = _complete_counts(*key)
-    C = [c for _, c, _ in rows]
-    assert D == math.lcm(*(c for c in C if c))
+    C = [c for _, c in _complete_counts(*key)]
+    D = math.lcm(*(c for c in C if c))
     graded = cumulants._conversion_plans(mode, r_max, labels)["moment"]
     plan = cumulants._counts_plan(graded, key)
     checks, _ = unbiased._counts_plan(
@@ -542,8 +554,8 @@ def test_per_n_invariants_raise(monkeypatch):
 def test_per_n_state_stays_bounded():
     # 200 distinct n keep at most N_KEPT complete-count tables and per-n
     # plans per universe, dropping the least recently used: n = 5, used
-    # on every step, stays.  A plan is built after its n has come up
-    # PLAN_WAIT times, not before, and every vector converts as the
+    # on every step, stays.  A plan is built the first time its n comes
+    # up and read back from then on, and every vector converts as the
     # common-denominator path does
     rng = random.Random(12)
     for cache in (cumulants._conversion_plans, unbiased._kappa_check_plans,
@@ -561,12 +573,13 @@ def test_per_n_state_stays_bounded():
                  if rng.random() < 0.6]
         m = moments(make_graph(n, edges), 3)
         key = m.carried()[0]
-        for times in range(1, PLAN_WAIT + 1):
-            moments_to_cumulants(m)
-            unbiased_cumulants(m)
-            assert conversion[key] == check[key] == times
+        assert key not in conversion and key not in check
+        moments_to_cumulants(m)
+        unbiased_cumulants(m)
+        built = conversion[key], check[key]
+        assert type(built[0]) is type(built[1]) is tuple
         _same_conversions(m, vector_like(m, m.values))
-        assert type(conversion[key]) is type(check[key]) is tuple
+        assert conversion[key] is built[0] and check[key] is built[1]
         _same_conversions(steady, vector_like(steady, steady.values))
         assert max(map(len, (conversion, check, kept))) <= N_KEPT
     assert conversion[five] is held[0] and check[five] is held[1]

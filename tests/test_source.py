@@ -32,10 +32,27 @@ def _names_read(tree):
             yield node.value
 
 
+def _defined(tree):
+    """(name, node) for each function or method a module defines, and
+    each name it assigns at its top level."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
 def test_every_function_is_used():
-    # a function or method that only its own tests read is dead weight:
-    # each must be named outside its own body somewhere in the package or
-    # the benchmark, or be exported by the package
+    # a function, method or module-level constant that only its own
+    # tests read is dead weight: each must be named outside its own
+    # definition somewhere in the package or the benchmark, or be
+    # exported by the package
     paths = sorted(SRC.glob("*.py")) + sorted(
         (SRC.parents[1] / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path))
@@ -49,15 +66,12 @@ def test_every_function_is_used():
     for path, tree in trees.items():
         if path.parent != SRC:
             continue
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not (node.name.startswith("__")
-                             and node.name.endswith("__"))
-                    and node.name not in exported
-                    and reads[node.name] == Counter(
-                        _names_read(node))[node.name]):
-                unused.append(f"{path.name}:{node.name}")
-    assert not unused, f"functions nothing uses: {unused}"
+        for name, node in _defined(tree):
+            if (not (name.startswith("__") and name.endswith("__"))
+                    and name not in exported
+                    and reads[name] == Counter(_names_read(node))[name]):
+                unused.append(f"{path.name}:{name}")
+    assert not unused, f"functions and constants nothing uses: {unused}"
 
 
 def test_every_import_is_used():
