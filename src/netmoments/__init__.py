@@ -18,4 +18,4 @@ from .localstats import edge_local_cumulants, node_local_cumulants
 from .graphsum import (GraphDistribution, distribution_cumulants,
                        sum_distributions)
 from .editgraph import build_edit_graph, laplacian_spectrum
-from .models import ModelSpec, bipartite_geometric, er, generate, shuffle, ssbm
+from .models import bipartite_geometric, er, shuffle, ssbm

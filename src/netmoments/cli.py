@@ -29,7 +29,7 @@ from .graphs import Graph, GraphDataError, format_edge_list, parse_graph
 from .graphsum import (GraphDistribution, distribution_cumulants,
                        sum_distributions)
 from .localstats import edge_local_cumulants, node_local_cumulants
-from .models import ModelSpec, generate as generate_model, shuffle as shuffle_graph
+from .models import bipartite_geometric, er, shuffle as shuffle_graph, ssbm
 from .moments import moments, rational_json, vector_like
 from .unbiased import (UnbiasingConfig, bootstrap_variance,
                        partial_unbiased_moments, unbiased_cumulants, z_test)
@@ -44,31 +44,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _manifest(args):
-    skip = {"command", "sub", "func", "out", "pretty", "csv"}
+    skip = {"command", "sub", "func", "out", "pretty", "csv", "inputs"}
     flags = {}
     for k, v in sorted(vars(args).items()):
         if k in skip:
             continue
         flags[k] = v if not isinstance(v, Fraction) else str(v)
-    inputs = {}
-    for key in ("graph", "attributes"):
-        path = getattr(args, key, None)
-        if path and path != "-":
-            inputs[path] = _sha256(path)
     man = {
         "command": args.command + (f" {args.sub}" if hasattr(args, "sub")
                                    else ""),
         "flags": flags,
-        "inputs": inputs,
+        "inputs": getattr(args, "inputs", {}),
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
@@ -79,19 +66,26 @@ def _manifest(args):
     return man
 
 
-def _read(path):
-    """The text of an input file; one that cannot be read is a data
+def _read(path, inputs):
+    """The text of an input file, decoded as text mode would, and the
+    sha256 of its bytes in inputs[path]; one that cannot be read is a data
     error."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise GraphDataError(f"cannot read {path}: {exc.strerror}") from None
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 def _load_graph(args):
-    text = sys.stdin.read() if args.graph == "-" else _read(args.graph)
-    attr_text = _read(args.attributes) if args.attributes else None
+    """The input graph; args.inputs gets the digests of the files read."""
+    args.inputs = {}
+    text = (sys.stdin.read() if args.graph == "-"
+            else _read(args.graph, args.inputs))
+    attr_text = (_read(args.attributes, args.inputs) if args.attributes
+                 else None)
     return parse_graph(text, directed=args.directed, weighted=args.weighted,
                        nodes=args.nodes, attr_text=attr_text,
                        bipartite=args.bipartite)
@@ -250,20 +244,15 @@ def _cmd_editgraph(args):
 
 
 def _cmd_generate(args):
-    params = {}
     if args.model == "er":
-        params = {"n": args.n, "p": args.p}
-    elif args.model == "ssbm":
+        return er(args.n, args.p, seed=args.seed)
+    if args.model == "ssbm":
         if args.a is not None or args.b is not None:
-            params = {"n": args.n, "a": args.a, "b": args.b}
-        else:
-            params = {"n": args.n, "assortativity": args.assortativity,
-                      "mean_degree": args.mean_degree}
-    elif args.model == "bipartite-geometric":
-        params = {"n": args.n, "f": args.f, "mean_degree": args.mean_degree}
-    G = generate_model(ModelSpec(variant=args.model, params=params,
-                                 seed=args.seed))
-    return G
+            return ssbm(args.n, args.a, args.b, seed=args.seed)
+        return ssbm(args.n, assortativity=args.assortativity,
+                    mean_degree=args.mean_degree, seed=args.seed)
+    return bipartite_geometric(args.n, args.f, args.mean_degree,
+                               seed=args.seed)
 
 
 def _cmd_shuffle(args):

@@ -13,10 +13,9 @@ subject's node colors.  The Moebius function of the partition lattice
 with b the number of blocks.  Both sums group partitions by the multiset of
 block classes, and every block class is read from the class's unit-subset
 table (classes.unit_subclasses).  The expansion and the kappa polynomial
-are kept for the unbiased estimator and for inspection; the conversions
-run the pivot-unit recursion instead (Smith 1995).  Every partition of
-g's units is the block B holding a chosen pivot unit u plus a partition of
-the rest, so
+are kept for the unbiased estimator; the conversions run the pivot-unit
+recursion instead (Smith 1995).  Every partition of g's units is the
+block B holding a chosen pivot unit u plus a partition of the rest, so
 
     mu_g = sum over B holding u of kappa_{g_B} mu_{g minus B}
 
@@ -31,21 +30,13 @@ way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .classes import (ClassGraph, SubgraphId, class_id, unit_subclasses,
-                      universe_positions)
+from .classes import ClassGraph, class_id, unit_subclasses, universe_positions
 from .moments import (MomentVector, _complete_counts, exact, per_n,
                       vector_like)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
-
-
-@dataclass(frozen=True)
-class EdgePartitionExpansion:
-    subject: SubgraphId
-    terms: tuple  # of (sorted tuple of part SubgraphIds, multiplicity)
 
 
 @lru_cache(maxsize=None)
@@ -100,29 +91,13 @@ def _check_expansion(sid, terms):
             f"self multiplicity of {sid.serialize()} is not 1")
 
 
-def edge_partitions(ci_or_graph, mode="simple"):
-    """Edge-partition expansion of a class.
-
-    Accepts a ClassInfo (from a universe) or a bare ClassGraph.
-    """
-    if isinstance(ci_or_graph, ClassGraph):
-        cg = ci_or_graph
-        sid = class_id(cg, mode)
-    else:
-        cg = ci_or_graph.graph
-        sid = ci_or_graph.id
-        mode = sid.mode
-    return EdgePartitionExpansion(subject=sid,
-                                  terms=_expansion_for_graph(cg, mode))
-
-
 @lru_cache(maxsize=None)
 def cumulant_moment_polynomial(cg: ClassGraph, mode: str):
     """kappa_g as {sorted tuple of SubgraphIds (a monomial) -> int coeff}:
     the expansion terms with Moebius coefficients (-1)^(b-1) (b-1)! times
     the term's multiplicity, b being the number of blocks."""
     return {parts: (-1) ** (len(parts) - 1) * math.factorial(len(parts) - 1)
-            * mult for parts, mult in edge_partitions(cg, mode).terms}
+            * mult for parts, mult in _expansion_for_graph(cg, mode)}
 
 
 class IncompleteVectorError(ValueError):

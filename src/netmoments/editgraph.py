@@ -114,16 +114,19 @@ def _edge_image(g, edge):
     return (u, v) if u < v else (v, u)
 
 
-def laplacian_spectrum(h: EditGraph, tol=1e-8):
+SPECTRUM_TOL = 1e-8  # the spectrum is integral: a larger residual is a bug
+
+
+def laplacian_spectrum(h: EditGraph):
     """Eigenvalues of L = D_out - A^T, snapped to integers.
 
     Returns a sorted list of (eigenvalue, multiplicity) pairs.  A residual
-    above `tol` signals a construction bug and raises.
+    above SPECTRUM_TOL signals a construction bug and raises.
     """
     vals = np.linalg.eigvals(h.laplacian())
     snapped = np.rint(vals.real)
     residual = np.abs(vals - snapped).max()
-    if residual > tol:
+    if residual > SPECTRUM_TOL:
         raise AssertionError(
             f"non-integral edit-graph eigenvalue (residual {residual:.3e})")
     out = {}

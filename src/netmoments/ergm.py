@@ -359,15 +359,18 @@ def _logsumexp(a):
     return mx + math.log(np.exp(a - mx).sum())
 
 
-def fit_ergm(targets: MomentVector, n, statistic_ids=None, tol=1e-8,
-             max_iter=200):
+FIT_TOL = 1e-8          # largest relative residual of the counts a fit leaves
+FIT_MAX_ITER = 200      # Newton steps a fit takes before FIT_TOL judges it
+
+
+def fit_ergm(targets: MomentVector, n, statistic_ids=None):
     """Fit beta so the model's expected counts match the target moments.
 
     Damped Newton on the convex dual f(beta) = ln Z - beta.t with Armijo
     backtracking; the Hessian is the statistic covariance, PSD by
     construction.
 
-    A fit that reaches tol is a distribution over the classes whose mean
+    A fit that reaches FIT_TOL is a distribution over the classes whose mean
     is t, so t is in the hull and no LP is needed.  _check_hull runs on the
     exact target counts only for a target on or past some column's integer
     range, or when the fit fails: a target outside the hull then reports
@@ -398,8 +401,7 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, tol=1e-8,
             exact, X.min(axis=0).tolist(), X.max(axis=0).tolist())):
         _check_hull(X, exact)   # raises: t is on or past some column's range
     try:
-        beta, lz, logp, achieved, residual = _newton(X, logw, t, tol,
-                                                     max_iter)
+        beta, lz, logp, achieved, residual = _newton(X, logw, t)
     except Exception:
         _check_hull(X, exact)
         raise
@@ -411,7 +413,7 @@ def fit_ergm(targets: MomentVector, n, statistic_ids=None, tol=1e-8,
                      table=table, stat_matrix=X, log_probs=logp)
 
 
-def _newton(X, logw, t, tol, max_iter):
+def _newton(X, logw, t):
     """(beta, ln Z, log p, achieved counts, residual) of the fit to t."""
     beta = np.zeros(X.shape[1])
 
@@ -419,7 +421,7 @@ def _newton(X, logw, t, tol, max_iter):
         return _logsumexp(logw + X @ b) - b @ t
 
     f = dual(beta)
-    for it in range(max_iter):
+    for it in range(FIT_MAX_ITER):
         a = logw + X @ beta
         a -= a.max()
         p = np.exp(a)
@@ -428,7 +430,7 @@ def _newton(X, logw, t, tol, max_iter):
         grad = mean - t
         scale = max(np.abs(t).max(), 1.0)
         resid = np.abs(grad).max() / scale
-        if resid <= tol * 1e-2:
+        if resid <= FIT_TOL * 1e-2:
             break
         centered = X - mean
         H = (centered * p[:, None]).T @ centered
@@ -474,7 +476,7 @@ def _newton(X, logw, t, tol, max_iter):
     achieved = p @ X
     scale = max(np.abs(t).max(), 1.0)
     residual = float(np.abs(achieved - t).max() / scale)
-    if residual > tol:
+    if residual > FIT_TOL:
         raise InfeasibleTargetError(
             f"fit did not reach tolerance (residual {residual:.3e}); target "
             "may lie too close to the hull boundary")
@@ -518,16 +520,20 @@ def ergm_distribution(model: ErgmModel, sid):
                          modality=modality)
 
 
-def _modes(probs, min_separation=3, mass_floor=0.10):
+MODE_SEPARATION = 3     # closer maxima (support steps) are parity wiggles
+MODE_MASS_FLOOR = 0.10  # a basin with less mass is folded into a neighbor
+
+
+def _modes(probs):
     """Indices of large-scale modes.
 
     Exact histograms over graph classes show two kinds of small-scale
     structure that are not degeneracy: flat plateaus and short-period
     (parity) wiggles.  So: plateau-merge, find local maxima, merge maxima
-    closer than min_separation support steps (keeping the taller), then
+    closer than MODE_SEPARATION support steps (keeping the taller), then
     split the support at the minima between surviving maxima and drop any
-    basin carrying less than mass_floor of the probability, folding it into
-    its neighbor.  What remains are the macroscopic modes.
+    basin carrying less than MODE_MASS_FLOOR of the probability, folding it
+    into its neighbor.  What remains are the macroscopic modes.
     """
     groups = []  # (start, end, value)
     i = 0
@@ -549,7 +555,7 @@ def _modes(probs, min_separation=3, mass_floor=0.10):
     while merged and len(locmax) > 1:
         merged = False
         for gi in range(len(locmax) - 1):
-            if locmax[gi + 1][0] - locmax[gi][0] < min_separation:
+            if locmax[gi + 1][0] - locmax[gi][0] < MODE_SEPARATION:
                 keep = locmax[gi] if locmax[gi][1] >= locmax[gi + 1][1] \
                     else locmax[gi + 1]
                 locmax[gi:gi + 2] = [keep]
@@ -567,7 +573,7 @@ def _modes(probs, min_separation=3, mass_floor=0.10):
     while len(basins) > 1:
         masses = [probs[s:e].sum() for s, e, _ in basins]
         smallest = int(np.argmin(masses))
-        if masses[smallest] >= mass_floor:
+        if masses[smallest] >= MODE_MASS_FLOOR:
             break
         if smallest == 0:
             nbr = 1

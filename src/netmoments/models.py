@@ -6,8 +6,6 @@ the seed, so every draw is reproducible and independent of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .graphs import Graph, GraphDataError, SizeCapError, make_graph
@@ -35,23 +33,6 @@ def _check_pairs(model, n, pairs):
         raise SizeCapError(
             f"{model} with n={n} draws over {pairs} node pairs; generators "
             f"are capped at 2^24 = {MAX_PAIRS} pairs")
-
-
-@dataclass
-class ModelSpec:
-    variant: str            # er | ssbm | bipartite-geometric
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-
-def generate(spec: ModelSpec):
-    if spec.variant == "er":
-        return er(seed=spec.seed, **spec.params)
-    if spec.variant == "ssbm":
-        return ssbm(seed=spec.seed, **spec.params)
-    if spec.variant == "bipartite-geometric":
-        return bipartite_geometric(seed=spec.seed, **spec.params)
-    raise GraphDataError(f"unknown model variant {spec.variant!r}")
 
 
 def er(n, p, seed=0):

@@ -51,18 +51,6 @@ class MomentVector:
             return key, counts
         return None
 
-    def get(self, sid, default=None):
-        return self.values.get(sid, default)
-
-    def __getitem__(self, sid):
-        return self.values[sid]
-
-    def __contains__(self, sid):
-        return sid in self.values
-
-    def items(self):
-        return self.values.items()
-
     def to_json_dict(self):
         entries = [{"id": sid.serialize(), "alias": sid.alias,
                     **rational_json(self.values[sid])}

@@ -253,6 +253,19 @@ class TestResult:
         }
 
 
+def _float(value, what, sid):
+    """value as a float; the `what` of class sid past the float range is a
+    data error."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if math.isinf(x):
+        raise ValueError(f"{what} of {sid.alias or sid.serialize()} is past "
+                         "the float range")
+    return x
+
+
 def z_test(sid, m: MomentVector, variance=None):
     """Z-score test of kappa-check against the null kappa-check = 0.
 
@@ -278,10 +291,14 @@ def z_test(sid, m: MomentVector, variance=None):
         targets[pid] = m.values[eid] ** 2
         variance = variance_kappa1(vector_like(m, targets), m.n)
         approx = False
-    var = float(variance)
+    var = _float(variance, "variance", sid)
     if not var > 0:
         raise ValueError(f"variance must be positive, got {var}")
-    z2 = float(kval) ** 2 / var
+    try:
+        z2 = _float(kval, "kappa-check", sid) ** 2 / var
+    except OverflowError:
+        raise ValueError(f"z-squared of {sid.alias or sid.serialize()} is "
+                         "past the float range") from None
     p = math.erfc(math.sqrt(z2) / math.sqrt(2.0))
     sign = "zero" if kval == 0 else ("positive" if kval > 0 else "negative")
     return TestResult(subgraph=sid, kappa_check=Fraction(kval), variance=var,
@@ -294,12 +311,11 @@ def z_test(sid, m: MomentVector, variance=None):
 BOOTSTRAP_NODES = 1 << 16
 
 
-def bootstrap_variance(G, sid, r_max, num_samples=200, subsample=None,
-                       seed=0):
+def bootstrap_variance(G, sid, r_max, num_samples=200, seed=0):
     """Approximate Var(kappa-check) by node subsampling.
 
-    Draws induced subgraphs of `subsample` nodes (default 70% of n, and at
-    least the 2r nodes on which every class with r edges is realizable),
+    Draws induced subgraphs of 70% of the n nodes (and at least the 2r
+    nodes on which every class with r edges is realizable, r + 2 at r = 1),
     computes kappa-check on each, and rescales the empirical variance by the
     leading 1/n rate.  Clearly an approximation; exact closed forms exist
     only at first order.
@@ -316,8 +332,7 @@ def bootstrap_variance(G, sid, r_max, num_samples=200, subsample=None,
         raise SizeCapError(
             f"the bootstrap draws subgraphs from all {n} nodes, isolated "
             f"ones too, and is capped at 2^16 = {BOOTSTRAP_NODES} nodes")
-    if subsample is None:
-        subsample = max(sid.r + 2, 2 * sid.r, (7 * n) // 10)
+    subsample = max(sid.r + 2, 2 * sid.r, (7 * n) // 10)
     if subsample >= n:
         raise ValueError("subsample size must be below n")
     rng = seeded_rng(seed)
@@ -326,6 +341,7 @@ def bootstrap_variance(G, sid, r_max, num_samples=200, subsample=None,
         nodes = rng.choice(n, size=subsample, replace=False)
         sub = G.induced_subgraph([int(x) for x in nodes])
         kc = unbiased_cumulants(_moments(sub, r_max))
-        vals.append(float(kc.values[sid]))
+        vals.append(_float(kc.values[sid], "kappa-check on a subsample",
+                           sid))
     var_sub = float(np.var(vals, ddof=1))
     return var_sub * subsample / n

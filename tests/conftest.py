@@ -211,8 +211,9 @@ def fraction_conversion(v, direction):
     """moments_to_cumulants ("moment") or cumulants_to_moments
     ("cumulant") of v, each term multiplied and added as a Fraction."""
     from netmoments.classes import universe_index
-    from netmoments.cumulants import (cumulant_moment_polynomial,
-                                      edge_partitions, IncompleteVectorError)
+    from netmoments.cumulants import (_expansion_for_graph,
+                                      cumulant_moment_polynomial,
+                                      IncompleteVectorError)
     from netmoments.moments import vector_like
     index = universe_index(v.mode, v.r_max, v.labels)
     infos = sorted((index[sid.key] for sid in v.values),
@@ -222,7 +223,7 @@ def fraction_conversion(v, direction):
         if direction == "moment":
             terms = cumulant_moment_polynomial(ci.graph, v.mode).items()
         else:
-            terms = edge_partitions(ci).terms
+            terms = _expansion_for_graph(ci.graph, v.mode)
         acc = 0
         for parts, coeff in terms:
             try:
@@ -413,8 +414,7 @@ def toggle_edit_graph(n):
 # The ERGM fit that checks the hull with an LP before every Newton fit: the
 # reference for ergm.fit_ergm, which runs the LP only when a target fails.
 
-def lp_first_fit_ergm(targets, n, statistic_ids=None, tol=1e-8,
-                      max_iter=200):
+def lp_first_fit_ergm(targets, n, statistic_ids=None):
     """fit_ergm with _check_hull ahead of the fit, for every target."""
     import numpy as np
     from netmoments import ergm
@@ -430,8 +430,7 @@ def lp_first_fit_ergm(targets, n, statistic_ids=None, tol=1e-8,
              for sid in statistic_ids]
     t = np.array([float(x) for x in exact])
     ergm._check_hull(X, exact)
-    beta, lz, logp, achieved, residual = ergm._newton(X, logw, t, tol,
-                                                      max_iter)
+    beta, lz, logp, achieved, residual = ergm._newton(X, logw, t)
     return ergm.ErgmModel(n=n, statistics=statistic_ids,
                           beta={sid: float(b) for sid, b
                                 in zip(statistic_ids, beta)},

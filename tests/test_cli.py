@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netmoments
+from netmoments import cli
 from netmoments.cli import build_parser, main
 
 from conftest import edge_lists
@@ -151,6 +153,84 @@ def test_generate_round_trip(capsys, tmp_path):
         "--seed", "3", "--out", str(out2))
     strip = lambda t: [l for l in t.splitlines() if not l.startswith("#")]
     assert strip(out2.read_text()) == strip(text)
+
+
+def _without_timestamp(text):
+    """Generated edge-list text with the manifest's timestamp dropped."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith("# manifest "):
+            man = json.loads(line[len("# manifest "):])
+            del man["timestamp"]
+            lines[i] = "# manifest " + json.dumps(man, sort_keys=True) + "\n"
+    return "".join(lines)
+
+
+# sha256 of each output without its timestamp, recorded when the command
+# still went through models.generate; the refused parameter sets are in
+# test_generate_without_a_model_parameter_is_a_data_error
+@pytest.mark.parametrize("argv, want", [
+    (["er", "--n", "12", "--p", "0.3", "--seed", "5"],
+     "00af62a1339ecdd9c9096aa7fba569b0fe8105df23a119f280eca0638a70c945"),
+    (["er", "--n", "9", "--p", "1"],
+     "c22a20e446a81b660a2e571d6b57c7862ae4196e5c4a54ef172aa65a9da71cb7"),
+    (["ssbm", "--n", "12", "--a", "0.6", "--b", "0.1", "--seed", "2"],
+     "c425d0b3973c39db65a6a17e3b9c6c6049165634efa9e1da8f3c2e65a54db958"),
+    (["ssbm", "--n", "20", "--assortativity", "0.4", "--mean-degree", "3",
+      "--seed", "1"],
+     "f87a1eb32fac8195b86d3cdee0069c1f0a7f260765b517dcee7770cffb8c566b"),
+    # raw probabilities win over chart coordinates
+    (["ssbm", "--n", "10", "--a", "0.5", "--b", "0.2", "--assortativity",
+      "0.3", "--mean-degree", "2"],
+     "40dd7b24ef82962d9933db5b0668e390e2a02eed633615d53edf732d30c9572d"),
+    (["bipartite-geometric", "--n", "16", "--f", "0.5", "--mean-degree",
+      "2", "--seed", "3"],
+     "2d4e30bfdbedef3f808ecc122b69be112222aaf411a1075c44d6584ca044c985")])
+def test_generate_output_is_pinned(capsys, argv, want):
+    code = main(["generate", "--model", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(_without_timestamp(captured.out).encode()) \
+        .hexdigest() == want
+
+
+def test_manifest_hashes_the_bytes_it_parsed(capsys, tmp_path, monkeypatch):
+    # the inputs are rewritten after parsing, before the manifest is made
+    graph, attrs = tmp_path / "g.txt", tmp_path / "labels.txt"
+    parsed = {graph: b"0 1\r\n1 2\n", attrs: b"0\ta\n1\tb\n2\ta\n"}
+    for path, data in parsed.items():
+        path.write_bytes(data)
+    parse = cli.parse_graph
+
+    def parse_then_rewrite(*args, **kwargs):
+        G = parse(*args, **kwargs)
+        graph.write_bytes(b"0 1\n")
+        attrs.write_bytes(b"0\ta\n1\ta\n2\ta\n")
+        return G
+
+    monkeypatch.setattr(cli, "parse_graph", parse_then_rewrite)
+    doc = run_json(capsys, "moments", str(graph), "--attributes", str(attrs),
+                   "--order", "2")
+    assert doc["manifest"]["inputs"] == {
+        str(path): hashlib.sha256(data).hexdigest()
+        for path, data in parsed.items()}
+    assert doc["result"]["n"] == 3
+
+
+def test_input_is_decoded_as_text_mode_decodes_it(capsys, tmp_path):
+    crlf, lf = tmp_path / "crlf.txt", tmp_path / "lf.txt"
+    crlf.write_bytes(b"0 1\r\n1 2\r2 3\r\n")
+    lf.write_bytes(b"0 1\n1 2\n2 3\n")
+    a = run_json(capsys, "cumulants", str(crlf), "--order", "3")
+    b = run_json(capsys, "cumulants", str(lf), "--order", "3")
+    assert a["result"] == b["result"]
+    assert a["manifest"]["inputs"] == {
+        str(crlf): hashlib.sha256(crlf.read_bytes()).hexdigest()}
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n\xff\xfe 2\n")
+    assert main(["moments", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
 
 
 def test_shuffle(capsys, tmp_path):
@@ -557,6 +637,16 @@ def test_cli_exits_with_a_documented_code(command, order, mode, nodes, data):
     assert code in range(5)
 
 
+@pytest.mark.parametrize("samples", [["--samples", "5"], []])
+def test_ztest_past_the_float_range_is_a_data_error(samples):
+    # an edge weight of 1e4300 is an exact rational no float can hold
+    code, err = _main_in_process(
+        ["ztest", "-", "--weighted", "--subgraph", "edge", *samples],
+        "0 1 1\n1 2 2\n2 3 1e4300\n0 3 1\n")
+    assert (code, err) == (2, "data error: kappa-check on a subsample of "
+                              "edge is past the float range\n")
+
+
 _SMALL_EDGES = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
                         .filter(lambda e: e[0] != e[1]),
                         unique_by=lambda e: frozenset(e), max_size=14).map(
@@ -598,6 +688,10 @@ def test_ztest_needs_two_bootstrap_samples(capsys, dense, samples):
     (["--model", "bipartite-geometric", "--n", "6", "--f", "0.5"],
      "bipartite-geometric needs f and mean_degree"),
     (["--model", "ssbm", "--n", "6", "--a", "0.5"],
+     "ssbm needs (a, b) or (assortativity, mean_degree)"),
+    # one raw probability is not completed by chart coordinates
+    (["--model", "ssbm", "--n", "6", "--b", "0.5", "--assortativity", "0.2",
+      "--mean-degree", "1"],
      "ssbm needs (a, b) or (assortativity, mean_degree)")])
 def test_generate_without_a_model_parameter_is_a_data_error(capsys, argv,
                                                             message):

@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from netmoments import counting, cumulants, unbiased
 from netmoments.classes import (named_class, unit_subclasses, universe,
                                 universe_index, universe_positions)
-from netmoments.cumulants import (BELL, clustering_coefficients,
+from netmoments.cumulants import (_expansion_for_graph, BELL,
+                                  clustering_coefficients,
                                   cumulant_moment_polynomial,
-                                  cumulants_to_moments, edge_partitions,
-                                  IncompleteVectorError, moments_to_cumulants,
-                                  scale_cumulants, signed_root)
+                                  cumulants_to_moments, IncompleteVectorError,
+                                  moments_to_cumulants, scale_cumulants,
+                                  signed_root)
 from netmoments.graphs import make_graph
 from netmoments.moments import (_complete_counts, _kept_counts, moments,
                                 moments_from_counts, MomentVector, N_KEPT,
@@ -36,15 +37,16 @@ def test_partition_totals_are_bell_numbers():
     for alias, r in (("edge", 1), ("wedge", 2), ("triangle", 3),
                      ("diamond", 5), ("K4", 6)):
         ci = named_class("simple", alias)
-        assert sum(m for _, m in edge_partitions(ci).terms) == BELL[r]
+        assert sum(m for _, m in _expansion_for_graph(ci.graph, "simple")) \
+            == BELL[r]
 
 
 def test_path_expansion_term_structure():
     # mu_path = kappa_path + 2 kappa_wedge kappa_edge + kappa_par kappa_edge
     #           + kappa_edge^3
     nc = lambda a: named_class("simple", a).id
-    exp = edge_partitions(named_class("simple", "path"))
-    terms = dict(exp.terms)
+    terms = dict(_expansion_for_graph(named_class("simple", "path").graph,
+                                      "simple"))
     assert terms[(nc("path"),)] == 1
     assert terms[(nc("edge"), nc("wedge"))] == 2
     assert terms[(nc("edge"), nc("two-parallel"))] == 1
@@ -53,7 +55,8 @@ def test_path_expansion_term_structure():
 
 def test_triangle_expansion_term_structure():
     nc = lambda a: named_class("simple", a).id
-    terms = dict(edge_partitions(named_class("simple", "triangle")).terms)
+    terms = dict(_expansion_for_graph(named_class("simple", "triangle").graph,
+                                      "simple"))
     assert terms == {(nc("triangle"),): 1,
                      (nc("edge"), nc("wedge")): 3,
                      (nc("edge"), nc("edge"), nc("edge")): 1}
@@ -608,7 +611,8 @@ def test_partition_expansion_checked_once_per_class(monkeypatch):
     for _ in range(3):
         cumulants_to_moments(k)
         for sid in k.values:
-            edge_partitions(universe_index("simple", 5)[sid.key])
+            _expansion_for_graph(universe_index("simple", 5)[sid.key].graph,
+                                 "simple")
     assert sorted(checked, key=lambda s: (s.r, s.key)) == \
         sorted(k.values, key=lambda s: (s.r, s.key))
 
@@ -635,7 +639,8 @@ def _combinatorics_items():
     for mode, cap, labels in COMBINATORICS_CASES:
         for r, infos in sorted(universe(mode, cap, labels).items()):
             for ci in infos:
-                yield "exp " + " ".join(_terms(edge_partitions(ci).terms))
+                yield "exp " + " ".join(_terms(_expansion_for_graph(ci.graph,
+                                                                    mode)))
                 poly = cumulant_moment_polynomial(ci.graph, mode)
                 yield "poly " + " ".join(sorted(_terms(poly.items())))
         for r in range(1, cap + 1):

@@ -9,8 +9,8 @@ import pytest
 from netmoments import models
 from netmoments.cli import main
 from netmoments.graphs import Graph, GraphDataError, SizeCapError, make_graph
-from netmoments.models import (bipartite_geometric, er, generate, ModelSpec,
-                               shuffle, ssbm, ssbm_rates)
+from netmoments.models import (bipartite_geometric, er, shuffle, ssbm,
+                               ssbm_rates)
 
 
 def test_er_deterministic_and_seed_sensitive():
@@ -66,13 +66,6 @@ def test_er_density_sane():
     G = er(60, 0.25, seed=3)
     density = G.m / (60 * 59 / 2)
     assert 0.15 < density < 0.35
-
-
-def test_generate_dispatch():
-    spec = ModelSpec(variant="er", params={"n": 10, "p": 0.5}, seed=4)
-    assert generate(spec).edges == er(10, 0.5, seed=4).edges
-    with pytest.raises(GraphDataError):
-        generate(ModelSpec(variant="nope"))
 
 
 def test_ssbm_rates_mapping():

@@ -12,7 +12,7 @@ from netmoments.classes import (ClassGraph, class_id, named_class, universe,
                                 universe_positions)
 from netmoments.counting import ORDER_CAPS
 from netmoments.cumulants import moments_to_cumulants
-from netmoments.graphs import make_graph
+from netmoments.graphs import make_graph, parse_graph
 from netmoments.moments import moments, vector_like
 from netmoments.unbiased import (bootstrap_variance, partial_unbiased_moments,
                                  unbiased_cumulants, UnbiasingConfig,
@@ -247,3 +247,19 @@ def test_z_test_needs_a_positive_variance(variance):
     with pytest.raises(ValueError, match="variance must be positive"):
         z_test(nc("wedge"), m, variance=variance)
 
+
+
+@pytest.mark.parametrize("weight, variance, what", [
+    ("1e4300", 1.0, "kappa-check"),
+    ("1", Fraction(10 ** 400), "variance"),
+    ("1", float("inf"), "variance"),
+    ("1e200", 1.0, "z-squared")])
+def test_z_test_past_the_float_range_is_a_data_error(weight, variance,
+                                                      what):
+    # exact values no float holds are refused, not raised as OverflowError
+    G = parse_graph(f"0 1 1\n1 2 2\n2 3 {weight}\n0 3 1\n", weighted=True)
+    m = moments(G, 1)
+    (sid,) = m.values
+    with pytest.raises(ValueError, match=f"^{what} of edge is past the "
+                                         "float range$"):
+        z_test(sid, m, variance=variance)
