@@ -28,19 +28,19 @@ node starts from its label's indicator vector.
 
 The coefficients are graph-independent: _hom_basis builds them once per
 (order, mode, labels) and compiles hom(F, G) of every quotient class F into
-one program whose steps are shared between patterns.  A pattern's pendant
-trees become per-node weight vectors (the tree message F @ w).  A triangle
-core of ADJ factors is summed over the linked pairs' common neighbours and
-K4 over the edges among them; any other core is contracted with matrix
-products, one node with at most two neighbours at a time.  _Host holds the
-graph's arrays and picks an exact dtype and, from the host alone, a form.
-A float64 graph with at most DENSE_NODES non-isolated nodes is dense: it
-reads its neighbourhoods as rows of one boolean n' x n' array, and a
-matrix step, if the program has one, its float64 copy with a BLAS product
-or an elementwise one.  Any other host is sparse: triangles and K4s come
-from its degree-ordered wedge list, so a simple graph at orders <= 3 builds
-no n x n array, each product is as large as the walks it counts, and a
-program past MATRIX_WALKS walks is refused (OrderCapError).
+one program per form of host, its steps shared between patterns.  A
+pattern's pendant trees become per-node weight vectors (the tree message
+F @ w); any core but a triangle or K4 is contracted with matrix products,
+one node with at most two neighbours at a time.  _Host holds the graph's
+arrays and picks an exact dtype and, from the host alone, a form.  A
+float64 graph with at most DENSE_NODES non-isolated nodes is dense: its
+matrices are n' x n' arrays, and its program (_dense_expressions) reads
+triangles from T = A o A^2 and edge sums from BLAS matrix-vector products;
+K4, and triangles at order 3, count the boolean rows of common neighbours.
+Any other host is sparse: triangles and K4s come from its degree-ordered
+wedge list, so a simple graph at orders <= 3 builds no n x n array, each
+product is as large as the walks it counts, and a program past
+MATRIX_WALKS walks is refused (OrderCapError).
 Hom values enter the sums as Python ints, and each division by |Aut H| is
 checked.
 
@@ -196,9 +196,9 @@ def count_connected(G, r_max):
 
     Returns dict SubgraphId -> count (int for unweighted modes, Fraction for
     weighted).  Classes that count zero are absent from the dict.  Every
-    mode runs one hom program on the graph (see _hom_basis and _Host), then
-    each class's Moebius sum is divided by |Aut|, checked, and in weighted
-    mode by D^r.
+    mode runs the hom program of its host's form (see _hom_basis and
+    _Host), then each class's Moebius sum is divided by |Aut|, checked,
+    and in weighted mode by D^r.
 
     G is a Graph, or a stack of B simple graphs on n nodes each: a
     (B, n, n) symmetric boolean numpy array with a zero diagonal and
@@ -209,14 +209,15 @@ def count_connected(G, r_max):
     """
     mode, labels = graph_mode(G)
     check_order(mode, r_max)
-    rows, program, pattern_nodes, walk = _hom_basis(r_max, mode, labels)
+    programs, pattern_nodes, walk = _hom_basis(r_max, mode, labels)
     stack = isinstance(G, np.ndarray)
     if not (G.any() if stack else G.edges):
         return {}
     host = _Host(G, pattern_nodes, walk, r_max)
+    rows, program = programs[host.dense]
     if stack:
-        k4 = any(op is _op_k4 for op, _, _ in program)
-        size = max(1, MATRIX_WALKS // host.n ** (3 if k4 else 2))
+        rows_read = any(op in (_op_k4, _op_tri) for op, _, _ in program)
+        size = max(1, MATRIX_WALKS // host.n ** (3 if rows_read else 2))
         parts = [_run(program, host.blocks(lo, lo + size))
                  for lo in range(0, len(G), size)]
         vals = [None if col[0] is None else np.concatenate(col)
@@ -252,14 +253,14 @@ def _run(program, host):
 def _hom_basis(r_max, mode, labels):
     """The graph-independent half of counting, built once per universe.
 
-    Returns (rows, program, pattern nodes, walk length).  Each row is
-    (id, |Aut|, program slots, coefficients) for one connected class with
-    <= r_max edges; the slots hold hom(F, G) of its quotient classes F.
-    The program runs once per graph (see _Host); each step lists the
-    slots no later step or row reads, freed once it has run.  Pattern
-    nodes is the largest quotient's node count, which sets the exactness
-    bound, and walk length the longest walk a matrix product enumerates (0
-    if none).
+    Returns (programs, pattern nodes, walk length).  programs is
+    (sparse, dense): the program a host of that form runs once per graph
+    (see _Host; the dense one is compiled from _dense_expressions), as
+    (rows, steps).  Each row is (id, |Aut|, slots, coefficients) for one
+    connected class with <= r_max edges; the slots hold hom(F, G) of its
+    quotient classes F.  Pattern nodes is the largest quotient's node
+    count, which sets the exactness bound, and walk length the longest
+    walk a sparse matrix product enumerates (0 if none).
     """
     connected = {ci.id.key: ci
                  for infos in universe(mode, r_max, labels).values()
@@ -276,20 +277,17 @@ def _hom_basis(r_max, mode, labels):
                     blocks, edges, directed=ci.graph.directed, colors=tint),
                     mode).key
             terms[key] = terms.get(key, 0) + mu
-        rows.append((ci, {key: c for key, c in terms.items() if c}))
+        rows.append((ci, {key: c for key, c in sorted(terms.items()) if c}))
     patterns = sorted({key for _, terms in rows for key in terms})
     exprs = [_hom_expression(connected[key].graph, mode) for key in patterns]
-    slots, program = _compile(exprs)
-    slot = dict(zip(patterns, slots))
-    rows = tuple((ci.id, ci.aut, tuple(slot[key] for key in sorted(terms)),
-                  tuple(terms[key] for key in sorted(terms)))
-                 for ci, terms in rows)
-    keep = set(slots)
-    last = {arg: step for step, (_, args) in enumerate(program)
-            for arg in args if arg not in keep}
-    program = tuple((op, args, tuple(a for a in args if last.get(a) == step))
-                    for step, (op, args) in enumerate(program))
-    return (rows, program, max(connected[key].graph.k for key in patterns),
+    programs = []
+    for form in (exprs, _dense_expressions(exprs)):
+        slots, steps = _compile(form)
+        slot = dict(zip(patterns, slots))
+        programs.append((tuple((ci.id, ci.aut, tuple(map(slot.get, terms)),
+                                tuple(terms.values()))
+                               for ci, terms in rows), steps))
+    return (tuple(programs), max(connected[key].graph.k for key in patterns),
             max(map(_walk_length, exprs)))
 
 
@@ -404,9 +402,9 @@ def _hom_expression(cg, mode):
     (the sum of its weight) or one edge, the quadratic form w_x F w_y,
     which for F = ADJ is the sum over arcs x -> y of w_x w_y (the
     degree-weighted sum when one side is 1).  A triangle core of ADJ
-    factors is read from the host's triangle list and a K4 core from its
-    triangles' common neighbours, or both from a dense host's rows of
-    common neighbours.  Any other core is eliminated one node at a time: a
+    factors is a "tri" step and a K4 core a "k4" step, read from the
+    host's triangles or rows of common neighbours (see _dense_expressions
+    for a dense host).  Any other core is eliminated one node at a time: a
     node with one neighbour x multiplies x's weight by (F_xv @ w_v), a node
     with two neighbours x, y joins F_xv diag(w_v) F_vy to the factor
     between x and y, and the last pair is the quadratic form
@@ -546,10 +544,54 @@ def _walk_length(e):
     return max(inner, _length(e)) if e[0] == "path" else inner
 
 
+def _dense_expressions(exprs):
+    """The expressions of a dense host (n' x n' matrices), rewritten in one
+    pass so that _compile shares the new steps.  Ordered triangles weighted
+    x, y, z (interchangeable, a ONE last) are quad(x, A o A diag(z) A, y),
+    the plain ones T = A o A^2 summed once the patterns build A^2 (order 4
+    on); quad(x, m, y) is x . (m @ y) and edge(x, y) x . (A @ y).  A path
+    of weight ONE is a plain product, and frob(A, Y @ A) or frob(A, A @ Y)
+    is frob(Y, A^2), A being symmetric."""
+    done = {}
+
+    def rewrite(e):
+        if e not in done:
+            done[e] = _dense_node(*(rewrite(a) if isinstance(a, tuple) else a
+                                    for a in e))
+        return done[e]
+
+    dense = [rewrite(e) for e in exprs]
+    if ("path", ADJ, ONE, ADJ) in done:
+        dense = [_dense_node("tri", ONE, ONE, ONE) if e == ("tri",) else e
+                 for e in dense]
+    return dense
+
+
+def _dense_node(op, *args):
+    """One node of a dense expression, its operands already rewritten."""
+    if op == "path" and args[1] == ONE:
+        return ("matmul", args[0], args[2])
+    if op == "tri" and args:
+        x, y, z = sorted(args, key=lambda w: (w == ONE, repr(w)))
+        op, args = "quad", (x, _product("had", [
+            ADJ, _dense_node("path", ADJ, z, ADJ)]), y)
+    if op == "quad":
+        mv = ("mv",) + args[1:]
+        return ("sum", mv) if args[0] == ONE else ("dot", args[0], mv)
+    if op == "edge":   # never with a ONE (see _hom_expression)
+        return ("dot", args[0], _spread(args[1]))
+    if op == "frob" and args[0] == ADJ and args[1][0] == "matmul" \
+            and ADJ in args[1][1:]:
+        left, right = args[1][1:]
+        return ("frob", right if left == ADJ else left,
+                _dense_node("path", ADJ, ONE, ADJ))
+    return (op,) + args
+
+
 def _compile(exprs):
     """One program for all expressions, each distinct subexpression one
     step in dependency order.  Returns (the slot of each expression,
-    program), a step being (function, operand slots)."""
+    steps); a step is (function, operand slots, slots freed after it)."""
     slots = {}
     program = []
 
@@ -564,7 +606,13 @@ def _compile(exprs):
             got = slots[e] = len(program) - 1
         return got
 
-    return [visit(e) for e in exprs], tuple(program)
+    out = [visit(e) for e in exprs]
+    keep = set(out)
+    last = {arg: step for step, (_, args) in enumerate(program)
+            for arg in args if arg not in keep}
+    return out, tuple(
+        (op, args, tuple(a for a in args if last.get(a) == step))
+        for step, (op, args) in enumerate(program))
 
 
 # The matrix products of a hom program hold about 100 bytes per walk they
@@ -643,16 +691,17 @@ class _Host:
     connected pattern with at most k nodes and r edge units, one arc and
     k-2 steps along a spanning tree.
 
-    dense picks the form the program reads, whatever the program: a
+    dense picks the form, and with it the program (see _hom_basis): a
     float64 host with n' <= DENSE_NODES is dense, and numbers its nodes by
     rank of id.  Built on first use: the boolean n' x n' array linked;
     the adjacency and arc arrays in the host's dtype, for the matrix
     steps; common, each edge's row of its ends' common neighbours.  Every
     step is a BLAS product, an elementwise one or a count over boolean
-    rows.  Every entry of these arrays, and every per-node or per-pair
-    term, is a sum of nonnegative integers, each a partial hom sum of the
-    pattern the step counts, so it is under the same 2^53 bound and the
-    order BLAS sums in cannot round.
+    rows.  Every entry of these arrays and of the products the program
+    builds (T = A o A^2 and A diag(z) A among them), and every per-node
+    or per-pair term, is a sum of nonnegative integers, each a partial hom
+    sum of the pattern the step counts (some nodes' images fixed), so it
+    is under the same 2^53 bound and the order BLAS sums in cannot round.
 
     Any other host is sparse and numbers its nodes by (skeleton degree,
     id), which puts the apex of every wedge b - a - c with a < b < c at
@@ -667,10 +716,10 @@ class _Host:
     A stack is dense in every dtype.  Each graph keeps its n nodes,
     isolated ones included; vectors are (B, n) arrays, matrices (B, n, n),
     and the bound is taken over the whole stack.  Each step runs along the
-    last axes as on one graph, so a scalar step sums once per graph; its
-    triangles are the trace of A^3.  blocks(lo, hi) is the host of a
+    last axes as on one graph, so a scalar step sums once per graph, and
+    the program is the dense one.  blocks(lo, hi) is the host of a
     slice, with its own linked array.  first and second list every pair
-    u < v of a graph, which k4 weighs by A[u, v].
+    u < v of a graph, and common keeps the rows of the linked ones.
     """
 
     def __init__(self, G, pattern_nodes, walk, r_max):
@@ -752,10 +801,13 @@ class _Host:
 
     @functools.cached_property
     def common(self):
-        """For each pair (first, second), the boolean row of its ends'
-        common neighbours, on a dense host."""
-        return (self.linked.take(self.first, -2)
-                & self.linked.take(self.second, -2))
+        """For each linked pair (first, second), the boolean row of its
+        ends' common neighbours, on a dense host."""
+        common = self.linked.take(self.first, -2) & self.linked.take(
+            self.second, -2)
+        if self.stack:   # the rows of pairs not linked in a graph: False
+            common &= self.linked[..., self.first, self.second, None]
+        return common
 
     @functools.cached_property
     def arcs(self):
@@ -875,8 +927,6 @@ def _op_dot(h, x, y):
 
 
 def _op_edge(h, x, y):
-    if h.dense:
-        return _op_dot(h, x, np.matvec(h.adjacency, y))
     a, b = h.first, h.second
     if x is y:
         return 2 * int(x[a] @ x[b])
@@ -884,19 +934,9 @@ def _op_edge(h, x, y):
 
 
 def _op_tri(h, *w):
-    if h.dense and not h.stack:
-        a, b = h.first, h.second
-        if not w:
-            return 2 * int(np.count_nonzero(h.common))
-        x, y, z = w
-        return int((x[a] * y[b] + x[b] * y[a]) @ (h.common @ z))
-    if h.dense:
-        adj = h.adjacency
-        if not w:
-            return _exact((adj * (adj @ adj)).sum((-2, -1)))
-        x, y, z = w
-        return _op_dot(h, x, np.matvec(
-            adj * ((adj * z[..., None, :]) @ adj), y))
+    if h.dense:   # only the plain triangles of order 3 (_dense_expressions)
+        return _exact(2 * np.count_nonzero(
+            h.common, axis=(-2, -1) if h.stack else None))
     if not w:
         return 6 * int(np.count_nonzero(h.wedges[3]))
     a, b, c = h.triangles
@@ -912,9 +952,8 @@ def _op_k4(h):
     second), the ordered pairs of adjacent common neighbours of its ends,
     two per edge of each K4."""
     if h.dense:
-        adj, common = h.adjacency, h.common.astype(h.dtype)
-        pairs = ((common @ adj) * common).sum(-1) * adj[..., h.first, h.second]
-        return _exact(2 * pairs.sum(-1))
+        common = h.common.astype(h.dtype)
+        return _exact(2 * ((common @ h.adjacency) * common).sum((-2, -1)))
     codes, _, v, ends = h.edges
     a, b, c = h.triangles
     stop = ends[c]
@@ -971,6 +1010,10 @@ def _op_path(h, left, w, right):
     return codes[first], np.add.reduceat(vals[order], first)
 
 
+def _op_matmul(h, left, right):
+    return left @ right
+
+
 def _op_had(h, *matrices):
     """The elementwise product."""
     if h.dense:
@@ -1004,8 +1047,6 @@ def _op_frob(h, p, q):
 
 
 def _op_quad(h, x, m, y):
-    if h.dense:
-        return _op_dot(h, x, np.matvec(m, y))
     codes, vals = m
     i, j = np.divmod(codes, h.n)
     return int((x[i] * vals) @ y[j])
@@ -1015,8 +1056,8 @@ _OPS = {"one": _op_one, "label": _op_label, "deg": _op_deg,
         "spread": _op_spread, "mul": _op_product, "sum": _op_sum,
         "dot": _op_dot, "edge": _op_edge, "tri": _op_tri, "k4": _op_k4,
         "adj": _op_adj, "arc": _op_arc, "arc_t": _op_arc_t,
-        "weight": _op_weight, "path": _op_path, "had": _op_had,
-        "mv": _op_mv, "quad": _op_quad, "frob": _op_frob}
+        "weight": _op_weight, "path": _op_path, "matmul": _op_matmul,
+        "had": _op_had, "mv": _op_mv, "quad": _op_quad, "frob": _op_frob}
 
 
 # ---------------------------------------------------------------------------

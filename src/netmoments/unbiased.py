@@ -294,11 +294,8 @@ def z_test(sid, m: MomentVector, variance=None):
     var = _float(variance, "variance", sid)
     if not var > 0:
         raise ValueError(f"variance must be positive, got {var}")
-    try:
-        z2 = _float(kval, "kappa-check", sid) ** 2 / var
-    except OverflowError:
-        raise ValueError(f"z-squared of {sid.alias or sid.serialize()} is "
-                         "past the float range") from None
+    k = _float(kval, "kappa-check", sid)
+    z2 = _float(k * k / var, "z-squared", sid)   # * and / overflow to inf
     p = math.erfc(math.sqrt(z2) / math.sqrt(2.0))
     sign = "zero" if kval == 0 else ("positive" if kval > 0 else "negative")
     return TestResult(subgraph=sid, kappa_check=Fraction(kval), variance=var,
@@ -343,5 +340,6 @@ def bootstrap_variance(G, sid, r_max, num_samples=200, seed=0):
         kc = unbiased_cumulants(_moments(sub, r_max))
         vals.append(_float(kc.values[sid], "kappa-check on a subsample",
                            sid))
-    var_sub = float(np.var(vals, ddof=1))
-    return var_sub * subsample / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_sub = np.var(vals, ddof=1) * subsample / n
+    return _float(var_sub, "variance", sid)

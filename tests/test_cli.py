@@ -647,6 +647,22 @@ def test_ztest_past_the_float_range_is_a_data_error(samples):
                               "edge is past the float range\n")
 
 
+def test_ztest_bootstrap_variance_past_the_float_range(tmp_path):
+    # the subsamples' kappa-checks are finite, their squares are not: numpy
+    # printed "RuntimeWarning: overflow encountered in square" on stderr
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1 1\n1 2 1e200\n2 3 1\n0 3 1\n3 4 2\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(netmoments.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "netmoments.cli", "ztest", str(graph),
+         "--weighted", "--subgraph", "edge", "--samples", "5"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        2, "data error: variance of edge is past the float range\n")
+    assert "Infinity" not in proc.stdout
+
+
 _SMALL_EDGES = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
                         .filter(lambda e: e[0] != e[1]),
                         unique_by=lambda e: frozenset(e), max_size=14).map(

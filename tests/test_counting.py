@@ -384,7 +384,7 @@ def test_sparse_union_counts_add_up_dense_parts(mode, data):
     # its program (attributed mode has no matrix step at its cap)
     union, parts = data.draw(sparse_unions(mode))
     r = ORDER_CAPS[mode]
-    _, _, nodes, walk = counting._hom_basis(r, mode, 2)
+    _, nodes, walk = counting._hom_basis(r, mode, 2)
     host = counting._Host(union, nodes, walk, r)
     assert host.n > counting.DENSE_NODES and not host.dense
     want = {}
@@ -419,7 +419,7 @@ def test_dense_form_selection(monkeypatch):
     # test_weighted_dtypes_match_esu
     k = counting.DENSE_NODES
     for r in (3, 4):
-        _, _, nodes, walk = counting._hom_basis(r, "simple", 2)
+        _, nodes, walk = counting._hom_basis(r, "simple", 2)
         paths = [class_id(ClassGraph.make(
             s + 1, [(v, v + 1, 1) for v in range(s)]), "simple")
             for s in range(1, r + 1)]
@@ -432,13 +432,14 @@ def test_dense_form_selection(monkeypatch):
             host = counting._Host(padded, nodes, walk, r)
             assert host.dense and host.n == 64
             assert count_connected(padded, r) == dict.fromkeys(paths, 64)
-    # order 3 has no matrix step
-    _, program, nodes, walk = counting._hom_basis(3, "simple", 2)
+    # order 3 has no matrix step, in either form
+    programs, nodes, walk = counting._hom_basis(3, "simple", 2)
     assert walk == 0
     matrix_ops = {counting._op_adj, counting._op_arc, counting._op_arc_t,
                   counting._op_weight, counting._op_path, counting._op_had,
-                  counting._op_mv, counting._op_quad}
-    assert not matrix_ops & {op for op, _, _ in program}
+                  counting._op_matmul, counting._op_mv, counting._op_quad}
+    for _, steps in programs:
+        assert not matrix_ops & {op for op, _, _ in steps}
     # every step of a dense host reads its boolean rows or its adjacency
     # array, so it builds none of the sparse forms, at order 3 too; a host
     # past the bound builds its wedge list and no n' x n' array
@@ -457,12 +458,24 @@ def test_dense_form_selection(monkeypatch):
     assert not {"linked", "adjacency"} & set(host.__dict__)
 
 
+def _spread_ids(G, rng):
+    """G with its nodes renamed to distinct ids below 2^40."""
+    ids = rng.sample(range(2 ** 40), G.n)
+    edges = {}
+    for (u, v), w in G.edges.items():
+        a, b = ids[u], ids[v]
+        edges[(a, b) if G.directed or a < b else (b, a)] = w
+    return Graph(n=2 ** 40, edges=edges, directed=G.directed,
+                 weighted=G.weighted)
+
+
 def _form_cases():
     """(graph, order) for the dense/sparse differential: simple graphs at
     orders 3-6, and at orders 3-5 on 65 to DENSE_NODES nodes, none
-    isolated, or with ids spread among isolated nodes below DENSE_NODES
-    and below 10^6; attributed at its cap, bipartite at orders 3-4,
-    directed and weighted at orders 4-5."""
+    isolated, or with ids spread among isolated nodes below DENSE_NODES,
+    10^6 and 2^40; attributed at its cap, bipartite at orders 3-4,
+    directed and weighted at orders 4-5, each also with ids spread below
+    2^40."""
     rng = random.Random(42)
     for r in (3, 4, 5, 6):
         for n, p in ((10, 0.6), (30, 0.2), (64, 0.08)):
@@ -472,7 +485,7 @@ def _form_cases():
             path = {(v, v + 1): UNIT for v in range(n - 1)}
             yield Graph(n=n, edges={**path, **random_graph(
                 rng, n, 4 / n).edges}), r
-        for n in (counting.DENSE_NODES, 10 ** 6):
+        for n in (counting.DENSE_NODES, 10 ** 6, 2 ** 40):
             ids = sorted(rng.sample(range(n), 40))
             yield Graph(n=n, edges={(ids[u], ids[v]): UNIT for u, v in
                                     random_graph(rng, 40, 0.15).edges}), r
@@ -490,20 +503,26 @@ def _form_cases():
         for n in (8, 20):
             arcs = [(u, v) for u in range(n) for v in range(n)
                     if u != v and rng.random() < 0.2]
-            yield make_graph(n, arcs, directed=True), r
-            yield random_weighted_graph(rng, n, 0.3), r
+            for G in (make_graph(n, arcs, directed=True),
+                      random_weighted_graph(rng, n, 0.3)):
+                yield G, r
+                yield _spread_ids(G, rng), r
+
+
+def _ops(program):
+    return {op for op, _, _ in program[1]}
 
 
 def test_dense_and_sparse_forms_count_alike(monkeypatch):
     # the same graphs counted twice, the second time with every host
     # sparse, and the class table on 4 nodes as one stack against its rows
-    # counted sparse; every step with a dense branch must have run on
-    # every form
+    # counted sparse; every step with a dense branch must have run in the
+    # program of every form
     hosts = _recorded_hosts(monkeypatch)
     ran = {"dense": set(), "sparse": set(), "stack": set()}
     for G, r in _form_cases():
         mode, labels = counting.graph_mode(G)
-        ops = {op for op, _, _ in counting._hom_basis(r, mode, labels)[1]}
+        programs = counting._hom_basis(r, mode, labels)[0]
         dense = count_connected(G, r)
         with monkeypatch.context() as patch:
             patch.setattr(counting, "DENSE_NODES", 0)
@@ -511,15 +530,14 @@ def test_dense_and_sparse_forms_count_alike(monkeypatch):
         sparse_host, dense_host = hosts.pop(), hosts.pop()
         assert not sparse_host.dense
         if dense_host.dense:
-            ran["dense"] |= ops
-        ran["sparse"] |= ops
+            ran["dense"] |= _ops(programs[True])
+        ran["sparse"] |= _ops(programs[False])
         assert dense.keys() == sparse.keys()
         for sid, got in dense.items():
             assert got == sparse[sid] and type(got) is type(sparse[sid])
     reps = [_edges(word, 4) for word in enumerate_classes(4).reps]
-    for r in (4, 5, 6):
-        ran["stack"] |= {op for op, _, _ in
-                         counting._hom_basis(r, "simple", 2)[1]}
+    for r in (3, 4, 5, 6):
+        ran["stack"] |= _ops(counting._hom_basis(r, "simple", 2)[0][True])
         stack = count_connected(_stack(4, reps), r)
         with monkeypatch.context() as patch:
             patch.setattr(counting, "DENSE_NODES", 0)
@@ -534,13 +552,83 @@ def test_dense_and_sparse_forms_count_alike(monkeypatch):
     branch = re.compile(r"\bh\.(dense|matrix)\b")
     branched = {op for op in counting._OPS.values()
                 if branch.search(inspect.getsource(op))}
-    assert {counting._op_tri, counting._op_k4, counting._op_edge,
-            counting._op_spread, counting._op_adj,
-            counting._op_frob} <= branched
+    assert {counting._op_tri, counting._op_k4, counting._op_spread,
+            counting._op_adj, counting._op_path, counting._op_had,
+            counting._op_mv, counting._op_frob} <= branched
     for form in ran.values():
         assert branched - {counting._op_arc, counting._op_arc_t,
                            counting._op_weight} <= form
     assert branched <= ran["dense"] and branched <= ran["sparse"]
+    assert {counting._op_edge, counting._op_quad} <= ran["sparse"]
+
+
+def _hom_values(program, host):
+    """Each row's hom values, quotient by quotient, of a program run on a
+    host."""
+    rows, steps = program
+    vals = counting._run(steps, host)
+    return [[vals[slot] for slot in slots] for _, _, slots, _ in rows]
+
+
+@pytest.mark.parametrize("mode", sorted(ORDER_CAPS))
+def test_dense_and_sparse_programs_give_equal_hom_values(mode, monkeypatch):
+    # every universe's two programs, hom value by hom value: the dense one
+    # on each graph of the form cases (all dense), the sparse one on the same
+    # graph with its host sparse; a dense program counts plain triangles
+    # only, and no other step reads the sparse forms
+    for G in (G for G, _ in _form_cases() if G.mode() == mode):
+        _, labels = counting.graph_mode(G)
+        for r in range(1, ORDER_CAPS[mode] + 1):
+            (sparse, dense), nodes, walk = counting._hom_basis(r, mode,
+                                                               labels)
+            host = counting._Host(G, nodes, walk, r)
+            assert host.dense
+            assert not {counting._op_edge, counting._op_quad} & _ops(dense)
+            assert all(not args for op, args, _ in dense[1]
+                       if op is counting._op_tri)
+            with monkeypatch.context() as patch:
+                patch.setattr(counting, "DENSE_NODES", 0)
+                sparse_host = counting._Host(G, nodes, walk, r)
+            got = _hom_values(dense, host)
+            assert got == _hom_values(sparse, sparse_host)
+            assert all(type(v) is int for row in got for v in row)
+
+
+def test_stack_hom_values_match_its_rows(monkeypatch):
+    # the dense program on a stack of random graphs on 7 nodes, one of
+    # them edgeless, against the sparse program on each graph
+    rng = random.Random(44)
+    rows = [[]] + [[e for e in itertools.combinations(range(7), 2)
+                    if rng.random() < p] for p in (0.2, 0.4, 0.6, 0.9)
+                   for _ in range(3)]
+    stack = _stack(7, rows)
+    for r in range(1, 7):
+        (sparse, dense), nodes, walk = counting._hom_basis(r, "simple", 2)
+        got = _hom_values(dense, counting._Host(stack, nodes, walk, r))
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "DENSE_NODES", 0)
+            want = [_hom_values(sparse, counting._Host(
+                make_graph(7, edges), nodes, walk, r)) if edges else None
+                for edges in rows]
+        for i, row in enumerate(got):
+            for j, column in enumerate(row):
+                assert [0 if w is None else w[i][j] for w in want] == \
+                    list(column)
+                assert all(type(v) is int for v in column)
+
+
+def test_dense_programs_read_the_products_they_build():
+    # the simple order-5 dense program reads its triangles from T = A o A^2,
+    # and its edges and quadratic forms from spread and matrix-vector
+    # steps, with three n' x n' products: A^2, A diag(deg) A and A A^2;
+    # at order 3 it builds none and counts triangles over boolean rows
+    products = {counting._op_path, counting._op_matmul}
+    five = [op for op, _, _ in counting._hom_basis(5, "simple", 2)[0][1][1]]
+    assert not {counting._op_tri, counting._op_edge, counting._op_quad} & \
+        set(five)
+    assert sum(op in products for op in five) <= 3
+    three = _ops(counting._hom_basis(3, "simple", 2)[0][1])
+    assert counting._op_tri in three and not products & three
 
 
 def test_malformed_stacks_are_refused():
@@ -584,8 +672,9 @@ def test_blocks_past_dense_nodes_are_refused():
 @pytest.mark.parametrize("n, r", [(6, 4), (5, 6), (7, 3)])
 def test_stack_is_counted_in_slices(monkeypatch, n, r):
     # with a lower cap the program runs on slices of the stack, each
-    # slice's largest array (n^3 with K4, else n^2 per graph) within the
-    # cap, and the columns do not change
+    # slice's largest array within the cap: n^3 per graph where K4 or the
+    # order-3 triangles read rows of common neighbours, else n^2; the
+    # columns do not change
     reps = [_edges(word, n) for word in enumerate_classes(n).reps]
     stack = _stack(n, reps)
     want = count_connected(stack, r)
@@ -601,7 +690,7 @@ def test_stack_is_counted_in_slices(monkeypatch, n, r):
         monkeypatch.setattr(counting, "MATRIX_WALKS", cap)
         slices.clear()
         got = count_connected(stack, r)
-        size = cap // n ** (3 if r >= 6 else 2)
+        size = cap // n ** (3 if r in (3, 6) else 2)
         assert slices == [(lo, lo + size)
                           for lo in range(0, len(reps), size)]
     assert len(slices) > 2
@@ -644,7 +733,7 @@ def _weighted_star(weights):
 def test_weighted_dtypes_match_esu(weights, dtype):
     # float64, int64 and Python ints each count what ESU counts
     G = _weighted_star(weights)
-    _, _, nodes, walk = counting._hom_basis(5, "weighted", 2)
+    _, nodes, walk = counting._hom_basis(5, "weighted", 2)
     host = counting._Host(G, nodes, walk, 5)
     assert host.dtype == dtype
     assert host.dense == (dtype is np.float64)   # int64 and object: sparse
@@ -660,7 +749,7 @@ def test_counts_past_int64_are_exact():
     rng = random.Random(23)
     weights = [rng.randrange(2 ** 40, 2 ** 41) for _ in range(10)]
     G = _weighted_star(weights)
-    _, _, nodes, walk = counting._hom_basis(5, "weighted", 2)
+    _, nodes, walk = counting._hom_basis(5, "weighted", 2)
     assert counting._Host(G, nodes, walk, 5).dtype is object
     got = count_connected(G, 5)
     index = universe_index("weighted", 5)
@@ -738,7 +827,7 @@ def test_star_counts_are_exact_in_int64():
     assert 2 ** 53 < 2 * 500 ** 6 < 2 ** 63
     G = make_graph(501, [(0, i) for i in range(1, 501)])
     for r, dtype in ((5, np.float64), (6, np.int64)):
-        _, _, nodes, walk = counting._hom_basis(r, "simple", 2)
+        _, nodes, walk = counting._hom_basis(r, "simple", 2)
         assert counting._Host(G, nodes, walk, r).dtype == dtype
     want = {class_id(_star(k), "simple"): math.comb(500, k)
             for k in range(1, 7)}
@@ -782,7 +871,7 @@ def test_walk_cap_leaves_dense_hosts_alone(n, r):
     # K48 has 4,983,504 walks of length 3, past the cap, but a dense host
     # holds its products as n x n arrays and is not refused
     G = make_graph(n, list(itertools.combinations(range(n), 2)))
-    _, _, nodes, walk = counting._hom_basis(r, "simple", 2)
+    _, nodes, walk = counting._hom_basis(r, "simple", 2)
     assert counting._Host(G, nodes, walk, r).dense
     counts = full_counts(G, r)
     assert counts == {ci.id: complete_count(ci, n)
@@ -820,7 +909,7 @@ def _peak_bytes(fn):
 def test_matrix_products_walk_at_most_three_steps():
     # the square needs A @ A; the six-cycle, eliminated greedily by the
     # shortest product, would need four-step walks
-    assert [counting._hom_basis(r, "simple", 2)[3] for r in range(1, 7)] == \
+    assert [counting._hom_basis(r, "simple", 2)[2] for r in range(1, 7)] == \
         [0, 0, 0, 2, 3, 3]
 
 

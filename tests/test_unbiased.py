@@ -263,3 +263,12 @@ def test_z_test_past_the_float_range_is_a_data_error(weight, variance,
     with pytest.raises(ValueError, match=f"^{what} of edge is past the "
                                          "float range$"):
         z_test(sid, m, variance=variance)
+
+
+def test_z_test_refuses_a_z_squared_past_the_float_range():
+    # kappa-check^2 / variance overflows in the division, which raises
+    # nothing: z-squared was inf and its payload printed Infinity
+    m = moments(make_graph(4, [(0, 1), (1, 2), (2, 3)]), 2)
+    with pytest.raises(ValueError, match="^z-squared of wedge is past the "
+                                         "float range$"):
+        z_test(nc("wedge"), m, variance=1e-320)
