@@ -36,11 +36,11 @@ arrays and picks an exact dtype and, from the host alone, a form.  A
 float64 graph with at most DENSE_NODES non-isolated nodes is dense: its
 matrices are n' x n' arrays, and its program (_dense_expressions) reads
 triangles from T = A o A^2 and edge sums from BLAS matrix-vector products;
-K4, and triangles at order 3, count the boolean rows of common neighbours.
-Any other host is sparse: triangles and K4s come from its degree-ordered
-wedge list, so a simple graph at orders <= 3 builds no n x n array, each
-product is as large as the walks it counts, and a program past
-MATRIX_WALKS walks is refused (OrderCapError).
+K4, and plain triangles at order 3, count the boolean rows of common
+neighbours.  Any other host is sparse: triangles and K4s come from its
+degree-ordered wedge list, so a simple graph at orders <= 3 builds no
+n x n array, each product is as large as the walks it counts, and a
+program past MATRIX_WALKS walks is refused (OrderCapError).
 Hom values enter the sums as Python ints, and each division by |Aut H| is
 checked.
 

@@ -621,7 +621,7 @@ def test_dense_programs_read_the_products_they_build():
     # the simple order-5 dense program reads its triangles from T = A o A^2,
     # and its edges and quadratic forms from spread and matrix-vector
     # steps, with three n' x n' products: A^2, A diag(deg) A and A A^2;
-    # at order 3 it builds none and counts triangles over boolean rows
+    # at order 3 it builds none and counts plain triangles over boolean rows
     products = {counting._op_path, counting._op_matmul}
     five = [op for op, _, _ in counting._hom_basis(5, "simple", 2)[0][1][1]]
     assert not {counting._op_tri, counting._op_edge, counting._op_quad} & \
@@ -629,6 +629,13 @@ def test_dense_programs_read_the_products_they_build():
     assert sum(op in products for op in five) <= 3
     three = _ops(counting._hom_basis(3, "simple", 2)[0][1])
     assert counting._op_tri in three and not products & three
+    # labelled triangles at order 3 read A o A diag(z) A, one product per
+    # label z, shared by every triangle whose last weight is z
+    for labels in (1, 3):
+        steps = counting._hom_basis(3, "attributed", labels)[0][1][1]
+        ops = [op for op, _, _ in steps]
+        assert counting._op_tri not in ops and counting._op_matmul not in ops
+        assert sum(op is counting._op_path for op in ops) == labels
 
 
 def test_malformed_stacks_are_refused():
