@@ -28,21 +28,25 @@ node starts from its label's indicator vector.
 
 The coefficients are graph-independent: _hom_basis builds them once per
 (order, mode, labels) and compiles hom(F, G) of every quotient class F into
-one program per form of host, its steps shared between patterns.  A
-pattern's pendant trees become per-node weight vectors (the tree message
-F @ w); any core but a triangle or K4 is contracted with matrix products,
-one node with at most two neighbours at a time.  _Host holds the graph's
-arrays and picks an exact dtype and, from the host alone, a form.  A
-float64 graph with at most DENSE_NODES non-isolated nodes is dense: its
-matrices are n' x n' arrays, and its program (_dense_expressions) reads
-triangles from T = A o A^2 and edge sums from BLAS matrix-vector products;
-K4, and plain triangles at order 3, count the boolean rows of common
-neighbours.  Any other host is sparse: triangles and K4s come from its
-degree-ordered wedge list, so a simple graph at orders <= 3 builds no
-n x n array, each product is as large as the walks it counts, and a
-program past MATRIX_WALKS walks is refused (OrderCapError).
-Hom values enter the sums as Python ints, and each division by |Aut H| is
-checked.
+one program per form of host, its steps shared between patterns.  The
+first time a host of a form runs, _hom_function turns that program into
+one generated Python function: a line per step calling the step's op, a
+del of each value right after its last use, and each class's Moebius sum
+written out with its integer coefficients, so no interpreter loop runs
+per step or per term.  A pattern's pendant trees become per-node weight
+vectors (the tree message F @ w); any core but a triangle or K4 is
+contracted with matrix products, one node with at most two neighbours at
+a time.  _Host holds the graph's arrays and picks an exact dtype and,
+from the host alone, a form.  A float64 graph with at most DENSE_NODES
+non-isolated nodes is dense: its matrices are n' x n' arrays, and its
+program (_dense_expressions) reads triangles from T = A o A^2 and edge
+sums from BLAS matrix-vector products; K4, and plain triangles at order
+3, count the boolean rows of common neighbours.  Any other host is
+sparse: triangles and K4s come from its degree-ordered wedge list, so a
+simple graph at orders <= 3 builds no n x n array, each product is as
+large as the walks it counts, and a program past MATRIX_WALKS walks is
+refused (OrderCapError).  Hom values enter the sums as Python ints, and
+each division by |Aut H| is checked.
 
 connected_edge_subsets (ESU on the line graph) is no count path: the
 benchmark (perfbench/run.py) times it alone, and the tests classify its
@@ -196,9 +200,9 @@ def count_connected(G, r_max):
 
     Returns dict SubgraphId -> count (int for unweighted modes, Fraction for
     weighted).  Classes that count zero are absent from the dict.  Every
-    mode runs the hom program of its host's form (see _hom_basis and
-    _Host), then each class's Moebius sum is divided by |Aut|, checked,
-    and in weighted mode by D^r.
+    mode runs the generated function of its host's form (see
+    _hom_function and _Host), which returns each class's Moebius sum;
+    each is divided by |Aut|, checked, and in weighted mode by D^r.
 
     G is a Graph, or a stack of B simple graphs on n nodes each: a
     (B, n, n) symmetric boolean numpy array with a zero diagonal and
@@ -215,19 +219,18 @@ def count_connected(G, r_max):
         return {}
     host = _Host(G, pattern_nodes, walk, r_max)
     rows, program = programs[host.dense]
+    hom = _hom_function(r_max, mode, labels, host.dense)
     if stack:
         rows_read = any(op in (_op_k4, _op_tri) for op, _, _ in program)
         size = max(1, MATRIX_WALKS // host.n ** (3 if rows_read else 2))
-        parts = [_run(program, host.blocks(lo, lo + size))
+        parts = [hom(host.blocks(lo, lo + size))
                  for lo in range(0, len(G), size)]
-        vals = [None if col[0] is None else np.concatenate(col)
-                for col in zip(*parts)]
+        totals = [np.concatenate(column) for column in zip(*parts)]
     else:
-        vals = _run(program, host)
+        totals = hom(host)
     nonzero = np.any if stack else bool
     counts = {}
-    for sid, aut, slots, coeffs in rows:
-        total = sum(map(operator.mul, coeffs, map(vals.__getitem__, slots)))
+    for (sid, aut, _, _), total in zip(rows, totals):
         value = total // aut
         if nonzero(total % aut) or nonzero(value < 0):
             raise AssertionError(
@@ -239,16 +242,6 @@ def count_connected(G, r_max):
     return counts
 
 
-def _run(program, host):
-    """The program's values on the host; a freed slot holds None."""
-    vals = []
-    for op, args, dead in program:
-        vals.append(op(host, *map(vals.__getitem__, args)))
-        for slot in dead:
-            vals[slot] = None
-    return vals
-
-
 @lru_cache(maxsize=None)
 def _hom_basis(r_max, mode, labels):
     """The graph-independent half of counting, built once per universe.
@@ -256,11 +249,12 @@ def _hom_basis(r_max, mode, labels):
     Returns (programs, pattern nodes, walk length).  programs is
     (sparse, dense): the program a host of that form runs once per graph
     (see _Host; the dense one is compiled from _dense_expressions), as
-    (rows, steps).  Each row is (id, |Aut|, slots, coefficients) for one
-    connected class with <= r_max edges; the slots hold hom(F, G) of its
-    quotient classes F.  Pattern nodes is the largest quotient's node
-    count, which sets the exactness bound, and walk length the longest
-    walk a sparse matrix product enumerates (0 if none).
+    (rows, steps), from which _hom_function generates its function.  Each
+    row is (id, |Aut|, slots, coefficients) for one connected class with
+    <= r_max edges; the slots hold hom(F, G) of its quotient classes F.
+    Pattern nodes is the largest quotient's node count, which sets the
+    exactness bound, and walk length the longest walk a sparse matrix
+    product enumerates (0 if none).
     """
     connected = {ci.id.key: ci
                  for infos in universe(mode, r_max, labels).values()
@@ -611,8 +605,52 @@ def _compile(exprs):
     last = {arg: step for step, (_, args) in enumerate(program)
             for arg in args if arg not in keep}
     return out, tuple(
-        (op, args, tuple(a for a in args if last.get(a) == step))
+        (op, args, tuple(dict.fromkeys(a for a in args
+                                       if last.get(a) == step)))
         for step, (op, args) in enumerate(program))
+
+
+def _hom_source(rows, steps):
+    """(source, names): the Python source of one program as a function
+    hom(h) of the host, and the ops it calls by name.  Step i is the line
+    v<i> = <op>(h, <operand values>), calling its op by the op's own name
+    (a literal's as _literal<i>), followed by a del of the values it
+    frees; the function returns one integer-coefficient Moebius sum per
+    row, in row order.  Only the program's ops, slots and coefficients
+    enter the source."""
+    names = {}
+    lines = ["def hom(h):"]
+    for i, (op, args, dead) in enumerate(steps):
+        name = f"_literal{i}" if isinstance(op, functools.partial) \
+            else op.__name__
+        names[name] = op
+        lines.append(f"    v{i} = {name}(h{''.join(f', v{a}' for a in args)})")
+        if dead:
+            lines.append(f"    del {', '.join(f'v{a}' for a in dead)}")
+    lines.append("    return (")
+    for _, _, slots, coeffs in rows:
+        terms = []
+        for slot, c in zip(slots, coeffs):
+            factor = "" if abs(c) == 1 else f"{abs(c)} * "
+            terms.append(f"{'-' if c < 0 else '+'} {factor}v{slot}")
+        lines.append(f"        {' '.join(terms).removeprefix('+ ')},")
+    lines.append("    )")
+    return "\n".join(lines) + "\n", names
+
+
+@lru_cache(maxsize=None)
+def _hom_function(r_max, mode, labels, dense):
+    """The program _hom_basis builds for this universe and host form as
+    one Python function of a _Host, which returns the Moebius sum of each
+    row (see _hom_source).  Generated and compiled once, the first time a
+    host of that form runs; it sees its ops and literals and no builtins.
+    """
+    source, names = _hom_source(*_hom_basis(r_max, mode, labels)[0][dense])
+    namespace = {"__builtins__": {}, **names}
+    exec(compile(source, f"<hom program: {mode} order {r_max}, {labels} "
+                 f"labels, {'dense' if dense else 'sparse'}>", "exec"),
+         namespace)
+    return namespace["hom"]
 
 
 # The matrix products of a hom program hold about 100 bytes per walk they

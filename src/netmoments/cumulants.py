@@ -33,6 +33,7 @@ import math
 from functools import lru_cache
 
 from .classes import ClassGraph, class_id, unit_subclasses, universe_positions
+from .counting import check_order
 from .moments import (MomentVector, _complete_counts, exact, per_n,
                       vector_like)
 
@@ -224,7 +225,9 @@ def _convert(v: MomentVector, what):
     lcm L of its values' denominators (scaled_positions), each input
     graded to x L^(r-1) once, when its class comes up.  A class whose
     recursion reads an absent value raises, as it would from the full
-    expansion: both read every proper sub-edge-set class."""
+    expansion: both read every proper sub-edge-set class.  An order past
+    the mode's cap, or below 1, raises before any plan is built."""
+    check_order(v.mode, v.r_max)
     infos, at = universe_positions(v.mode, v.r_max, v.labels)
     plans = _conversion_plans(v.mode, v.r_max, v.labels)
     carried = v.carried() if what == "moment" else None

@@ -83,7 +83,6 @@ def exact(n, d):
 def moments(G, r_max):
     """Moments of every realizable class with at most r_max edges."""
     mode, labels = graph_mode(G)
-    check_order(mode, r_max)
     counts = full_counts(G, r_max)
     label_counts = G.label_counts() if G.node_attrs is not None else None
     return moments_from_counts(counts, G.n, mode, r_max,
@@ -97,7 +96,10 @@ def moments_from_counts(counts, n, mode, r_max, labels=2, label_counts=None):
     (operator.index, so numpy integers neither wrap nor leak into the
     values), made into values by exact, and the vector carries them
     (MomentVector.carried) for the conversions to read instead of the
-    Fractions.  Weighted counts are Fractions and go through Fraction."""
+    Fractions.  Weighted counts are Fractions and go through Fraction.
+    An order past the mode's cap, or below 1, raises as it does from
+    moments, before any universe is built."""
+    check_order(mode, r_max)
     mv = MomentVector(n=n, mode=mode, r_max=r_max, labels=labels,
                       label_counts=label_counts)
     pools = None if label_counts is None else tuple(sorted(

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classes import ClassGraph, class_id, named_class, universe_positions
+from .counting import check_order
 from .cumulants import (cumulant_moment_polynomial, IncompleteVectorError,
                         multiplier, scaled_positions)
 from .graphs import SizeCapError
@@ -95,8 +96,10 @@ def unbiased_cumulants(m: MomentVector):
     (MomentVector.carried) sums them on the per-class scales of
     _counts_plan, built the first time its (n, label pools) comes up;
     any other vector sums its values on their common denominator
-    (scaled_positions).
+    (scaled_positions).  An order past the mode's cap, or below 1,
+    raises before any plan is built.
     """
+    check_order(m.mode, m.r_max)
     infos, at = universe_positions(m.mode, m.r_max, m.labels)
     plans, counts_plans = _kappa_check_plans(m.mode, m.r_max, m.labels)
     carried = m.carried()

@@ -1,6 +1,7 @@
 """Shared test helpers: random graph factories and brute-force oracles."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -509,6 +510,43 @@ def esu_counts(G, r_max):
                 w *= weights[i] ** mexp
             counts[sid] = counts.get(sid, Fraction(0)) + w
     return counts
+
+
+def hom_universes():
+    """(r, mode, labels) of every universe up to each mode's cap, the
+    attributed ones with 1 to 3 labels."""
+    from netmoments.counting import ORDER_CAPS
+    for mode, cap in sorted(ORDER_CAPS.items()):
+        for labels in (1, 2, 3) if mode == "attributed" else (2,):
+            for r in range(1, cap + 1):
+                yield r, mode, labels
+
+
+def run_steps(steps, host):
+    """The reference interpreter of a hom program's steps (see
+    counting._compile): each step's value on the host, in step order, a
+    value set to None after the step that frees it."""
+    vals = []
+    for op, args, dead in steps:
+        vals.append(op(host, *map(vals.__getitem__, args)))
+        for slot in dead:
+            vals[slot] = None
+    return vals
+
+
+def hom_values(program, host):
+    """Each row's hom values, quotient by quotient, of a program
+    (rows, steps) run on a host by run_steps."""
+    rows, steps = program
+    vals = run_steps(steps, host)
+    return [[vals[slot] for slot in slots] for _, _, slots, _ in rows]
+
+
+def moebius_sums(program, host):
+    """Each row's Moebius sum of its hom values and coefficients, as
+    count_connected divides it by |Aut|, by the reference interpreter."""
+    return [sum(map(operator.mul, coeffs, values)) for (_, _, _, coeffs),
+            values in zip(program[0], hom_values(program, host))]
 
 
 def compositions_upto(s, r_max):

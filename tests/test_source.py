@@ -1,10 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import functools
 import pathlib
 from collections import Counter
 
 import netmoments
+from netmoments import counting
+
+from conftest import hom_universes
 
 SRC = pathlib.Path(netmoments.__file__).parent
 
@@ -124,3 +128,24 @@ def test_ids_and_fraction_slots_have_one_maker():
                                     and node.attr in slots)
                       or (isinstance(node, ast.Constant)
                           and node.value in slots))) == {"moments:exact"}
+
+
+def test_generated_code_has_one_maker():
+    # the builtins exec, eval and compile are named only in the hom
+    # program generator, and a generated function reads no global but an
+    # op of counting._OPS or a literal partial of _op_literal, and has no
+    # builtins: no caller data reaches generated source
+    assert set(_sites(lambda node: isinstance(node, ast.Name) and node.id
+                      in ("exec", "eval", "compile"))) == {
+        "counting:_hom_function"}
+    ops = set(counting._OPS.values())
+    for r, mode, labels in hom_universes():
+        for dense in (False, True):
+            hom = counting._hom_function(r, mode, labels, dense)
+            assert hom.__globals__["__builtins__"] == {}
+            for name in hom.__code__.co_names:
+                op = hom.__globals__[name]
+                assert op in ops or (isinstance(op, functools.partial)
+                                     and op.func is counting._op_literal
+                                     and not op.keywords
+                                     and [type(a) for a in op.args] == [int])
